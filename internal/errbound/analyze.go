@@ -45,9 +45,14 @@ type state struct {
 
 func (s *state) clone() *state {
 	c := &state{vals: make([]aval, len(s.vals))}
-	copy(c.vals, s.vals)
-	c.alias = s.alias
+	c.copyFrom(s)
 	return c
+}
+
+// copyFrom overwrites s with o (same location count).
+func (s *state) copyFrom(o *state) {
+	copy(s.vals, o.vals)
+	s.alias = o.alias
 }
 
 func (s *state) joinFrom(o *state) bool {
@@ -107,11 +112,22 @@ type analyzer struct {
 	summary  int // cell id of the everything blob, -1 if absent
 	stack    int // cell id of the PUSH/POP stack, -1 if absent
 
-	in     map[int]*state
-	joins  map[int]int
+	// Worklist state, indexed by instruction: in[i] is anchor i's
+	// in-state (nil until first reached), joins[i] how many joins it
+	// absorbed, queued[i] whether it is on the queue.
+	in     []*state
+	joins  []int
 	queue  []int
-	queued map[int]bool
+	queued []bool
 	budget int
+
+	// Scratch states reused across the fixpoint so no transfer, edge or
+	// join allocates: the state a walk mutates, the per-edge refined
+	// copy, and the pre-join copy widening compares against.
+	walkSt, edgeSt, prevSt *state
+
+	// memCells memoizes Graph.MemCells, which allocates per call.
+	memCells map[memKey]memCellsVal
 
 	gen     uint64
 	cellGen []uint64
@@ -129,6 +145,28 @@ type analyzer struct {
 
 	transfers int
 	converged bool
+}
+
+type memKey struct {
+	m    isa.MemRef
+	wide bool
+}
+
+type memCellsVal struct {
+	cells  []int
+	strong bool
+}
+
+// cellsOf is Graph.MemCells, memoized per (operand, width). The returned
+// slice is shared and must not be modified.
+func (az *analyzer) cellsOf(m isa.MemRef, wide bool) ([]int, bool) {
+	k := memKey{m, wide}
+	if v, ok := az.memCells[k]; ok {
+		return v.cells, v.strong
+	}
+	cells, strong := az.g.MemCells(m, wide)
+	az.memCells[k] = memCellsVal{cells, strong}
+	return cells, strong
 }
 
 // Analysis is the result of Analyze: a per-candidate-site verdict table.
@@ -256,6 +294,10 @@ func (az *analyzer) prepare() {
 
 	az.execB = computeExecBounds(az.mod, az.g)
 	az.clamps = map[int]clampInfo{}
+	az.memCells = map[memKey]memCellsVal{}
+	az.walkSt = &state{vals: make([]aval, az.nloc)}
+	az.edgeSt = &state{vals: make([]aval, az.nloc)}
+	az.prevSt = &state{vals: make([]aval, az.nloc)}
 }
 
 // dataBits reads the 8 bytes at data-segment offset off (zero beyond the
@@ -292,10 +334,11 @@ func (az *analyzer) initialState() *state {
 // pass runs one fixpoint iteration to convergence (or budget
 // exhaustion), honoring the current clamp set.
 func (az *analyzer) pass() bool {
-	az.in = map[int]*state{}
-	az.joins = map[int]int{}
+	n := az.g.Len()
+	az.in = make([]*state, n)
+	az.joins = make([]int, n)
 	az.queue = az.queue[:0]
-	az.queued = map[int]bool{}
+	az.queued = make([]bool, n)
 	az.budget = az.opts.Budget
 	az.gen = uint64(len(az.cells)) + 1
 	az.cellGen = make([]uint64, len(az.cells))
@@ -309,7 +352,8 @@ func (az *analyzer) pass() bool {
 		i := az.queue[len(az.queue)-1]
 		az.queue = az.queue[:len(az.queue)-1]
 		az.queued[i] = false
-		az.walk(i, az.in[i].clone())
+		az.walkSt.copyFrom(az.in[i])
+		az.walk(i, az.walkSt)
 		if az.budget < 0 {
 			return false
 		}
@@ -325,7 +369,10 @@ func (az *analyzer) collect() {
 	az.recording = true
 	az.budget = az.g.Len() + az.opts.Budget
 	for i, st := range az.in {
-		az.walk(i, st.clone())
+		if st != nil {
+			az.walkSt.copyFrom(st)
+			az.walk(i, az.walkSt)
+		}
 	}
 	az.recording = false
 }
@@ -338,7 +385,8 @@ func (az *analyzer) enqueue(i int) {
 }
 
 // walk executes the straight-line chain beginning at anchor i, joining
-// the resulting states into successor anchors.
+// the resulting states into successor anchors. It mutates st, which
+// joinAnchor never retains.
 func (az *analyzer) walk(i int, st *state) {
 	var cmp cmpFact
 	for {
@@ -363,7 +411,8 @@ func (az *analyzer) walk(i int, st *state) {
 				takenIdx = ti
 			}
 			for _, s := range succs {
-				es := st.clone()
+				es := az.edgeSt
+				es.copyFrom(st)
 				if takenIdx >= 0 {
 					refineCmp(es, &cmp, in.Op, int(s) == takenIdx)
 				}
@@ -391,7 +440,8 @@ func (az *analyzer) joinAnchor(a int, s *state) {
 	az.joins[a]++
 	var prev *state
 	if az.joins[a] >= az.opts.WidenDelay {
-		prev = cur.clone()
+		prev = az.prevSt
+		prev.copyFrom(cur)
 	}
 	if cur.joinFrom(s) {
 		if prev != nil {

@@ -78,7 +78,7 @@ func (az *analyzer) havocMem(st *state) {
 // straight-line walk mean equal concrete values); single-cell slot and
 // extent reads start accumulator provenance.
 func (az *analyzer) loadVal(st *state, m isa.MemRef, i int) (aval, int32) {
-	cells, strong := az.g.MemCells(m, false)
+	cells, strong := az.cellsOf(m, false)
 	if len(cells) == 0 {
 		return top(), -1
 	}
@@ -117,7 +117,7 @@ func (az *analyzer) loadVal(st *state, m isa.MemRef, i int) (aval, int32) {
 // proven clamp, then strong or weak update plus the generation bump and
 // provenance kills every store implies.
 func (az *analyzer) storeVal(st *state, m isa.MemRef, v aval, i int) {
-	cells, strong := az.g.MemCells(m, false)
+	cells, strong := az.cellsOf(m, false)
 	az.recordStore(i, cells, v)
 	for _, c := range cells {
 		if c == az.summary {
@@ -603,7 +603,7 @@ func (az *analyzer) movapd(st *state, in *isa.Instr, i int) {
 }
 
 func (az *analyzer) loadWide(st *state, m isa.MemRef, i int) (aval, aval) {
-	cells, strong := az.g.MemCells(m, true)
+	cells, strong := az.cellsOf(m, true)
 	if strong && len(cells) == 2 {
 		mk := func(c int) aval {
 			v := st.vals[nRegLoc+c]
@@ -632,7 +632,7 @@ func (az *analyzer) loadWide(st *state, m isa.MemRef, i int) (aval, aval) {
 }
 
 func (az *analyzer) storeWide(st *state, m isa.MemRef, l0, l1 aval, i int) {
-	cells, strong := az.g.MemCells(m, true)
+	cells, strong := az.cellsOf(m, true)
 	joined := l0
 	joined.join(&l1)
 	az.recordStore(i, cells, joined)

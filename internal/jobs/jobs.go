@@ -186,61 +186,50 @@ func (sp Spec) Name() string {
 	return "image:" + hex.EncodeToString(sum[:4])
 }
 
-// Build constructs the search target the spec describes. For an
-// uploaded image the reference outputs come from the image's own
-// double-precision run, which must complete cleanly.
-func (sp Spec) Build() (search.Target, error) {
+// Build constructs the search target the spec describes, together with
+// the verifier tolerance the sensitivity gate compares against (0
+// disables gating). For an uploaded image the reference outputs come
+// from the image's own double-precision run, which must complete
+// cleanly.
+func (sp Spec) Build() (search.Target, float64, error) {
 	sp = sp.withDefaults()
 	if sp.Kernel != "" {
 		b, err := kernels.Get(sp.Kernel, kernels.Class(sp.Class))
 		if err != nil {
-			return search.Target{}, err
+			return search.Target{}, 0, err
 		}
 		return search.Target{
 			Module:   b.Module,
 			Verify:   b.Verify,
 			MaxSteps: b.MaxSteps,
 			Base:     b.Base,
-		}, nil
+		}, b.SensTol, nil
 	}
 	m, err := prog.Load(sp.Image)
 	if err != nil {
-		return search.Target{}, fmt.Errorf("jobs: image does not parse: %w", err)
+		return search.Target{}, 0, fmt.Errorf("jobs: image does not parse: %w", err)
 	}
 	mach, err := vm.New(m)
 	if err != nil {
-		return search.Target{}, err
+		return search.Target{}, 0, err
 	}
 	mach.MaxSteps = sp.MaxSteps
 	if err := mach.Run(); err != nil {
-		return search.Target{}, fmt.Errorf("jobs: reference run of uploaded image failed: %w", err)
+		return search.Target{}, 0, fmt.Errorf("jobs: reference run of uploaded image failed: %w", err)
 	}
 	ref := verify.Decode(mach.Out)
 	var vf func([]vm.OutVal) bool
+	sensTol := 0.0
 	switch sp.Verifier.Mode {
 	case "bitexact":
 		vf = verify.BitExact(ref)
 	default:
 		vf = verify.Tolerance(ref, sp.Verifier.Tol)
-	}
-	return search.Target{Module: m, Verify: vf, MaxSteps: sp.MaxSteps}, nil
-}
-
-// SensTol is the verifier tolerance the sensitivity gate compares
-// against (0 disables gating).
-func (sp Spec) SensTol() (float64, error) {
-	sp = sp.withDefaults()
-	if sp.Kernel != "" {
-		b, err := kernels.Get(sp.Kernel, kernels.Class(sp.Class))
-		if err != nil {
-			return 0, err
+		if sp.Verifier.Mode == "rel" {
+			sensTol = sp.Verifier.Tol
 		}
-		return b.SensTol, nil
 	}
-	if sp.Verifier != nil && sp.Verifier.Mode == "rel" {
-		return sp.Verifier.Tol, nil
-	}
-	return 0, nil
+	return search.Target{Module: m, Verify: vf, MaxSteps: sp.MaxSteps}, sensTol, nil
 }
 
 // Granularity as a config.Kind.

@@ -64,9 +64,38 @@ func testImage(t *testing.T) []byte {
 	return img
 }
 
+// TestSpecBuildSensTol: the one target build also yields the
+// sensitivity-gate tolerance — the kernel's own, an uploaded relative
+// verifier's tolerance, and 0 (no gating) for a bit-exact verifier.
+func TestSpecBuildSensTol(t *testing.T) {
+	b, err := kernels.Get("ep", kernels.ClassW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := testImage(t)
+	cases := []struct {
+		name string
+		spec Spec
+		want float64
+	}{
+		{"kernel", Spec{Kernel: "ep", Class: "W"}, b.SensTol},
+		{"rel image", Spec{Image: img, Verifier: &VerifierSpec{Mode: "rel", Tol: 1e-6}}, 1e-6},
+		{"bitexact image", Spec{Image: img, Verifier: &VerifierSpec{Mode: "bitexact"}}, 0},
+	}
+	for _, c := range cases {
+		_, tol, err := c.spec.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if tol != c.want {
+			t.Errorf("%s: sensitivity tolerance %g, want %g", c.name, tol, c.want)
+		}
+	}
+}
+
 func TestSpecFingerprintScoping(t *testing.T) {
 	epW := Spec{Kernel: "ep", Class: "W"}
-	tgt, err := epW.Build()
+	tgt, _, err := epW.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +125,7 @@ func TestSpecFingerprintScoping(t *testing.T) {
 	}
 	// A different class is a different image (different module build).
 	mgW := Spec{Kernel: "mg", Class: "W"}
-	tgt2, err := mgW.Build()
+	tgt2, _, err := mgW.Build()
 	if err != nil {
 		t.Fatal(err)
 	}

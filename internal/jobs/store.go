@@ -124,7 +124,7 @@ func (s *Store) Create(spec Spec) (Job, error) {
 	if err := spec.Validate(); err != nil {
 		return Job{}, err
 	}
-	t, err := spec.Build()
+	t, _, err := spec.Build()
 	if err != nil {
 		return Job{}, err
 	}

@@ -469,7 +469,7 @@ func (w *workerRT) runnerFor(ctx context.Context, job string) (*search.UnitRunne
 	if err != nil {
 		return nil, err
 	}
-	target, err := spec.Build()
+	target, _, err := spec.Build()
 	if err != nil {
 		return nil, err
 	}

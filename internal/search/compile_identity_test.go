@@ -1,10 +1,13 @@
 package search
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"fpmix/internal/faultinject"
+	"fpmix/internal/kernels"
+	"fpmix/internal/vm"
 )
 
 // The compiled execution engine is the default evaluation path; these
@@ -76,6 +79,32 @@ func TestCompiledSearchIdenticalUnderChaos(t *testing.T) {
 					compiled.FinalPass, interp.FinalPass)
 			}
 			t.Logf("%s: %d injected faults, identical finals", name, compiled.Injected)
+		})
+	}
+}
+
+// TestProfileRunMatchesInterpreter: the profiling run executes on the
+// compiled tier; its per-address counts must equal the per-step
+// interpreter's on every kernel, since they weight and prune the search.
+func TestProfileRunMatchesInterpreter(t *testing.T) {
+	for _, name := range kernels.Names() {
+		t.Run(name, func(t *testing.T) {
+			tgt := kernelTarget(t, name)
+			got, err := profileRun(tgt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := vm.New(tgt.Module)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.MaxSteps = tgt.MaxSteps
+			if err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if want := m.Profile(); !reflect.DeepEqual(got, want) {
+				t.Errorf("compiled profile differs from the interpreter's (%d vs %d addresses)", len(got), len(want))
+			}
 		})
 	}
 }

@@ -86,8 +86,8 @@ type Options struct {
 	NoProve bool
 	// Bounds optionally supplies a precomputed error-bound analysis of
 	// the target module. When nil (and NoProve is unset) the search runs
-	// the analysis itself, lazily, the first time a piece reaches the
-	// prover.
+	// the analysis itself, lazily and beside evaluation, starting the
+	// first time a piece reaches the prover.
 	Bounds *errbound.Analysis
 
 	// Shadow supplies a sensitivity profile from the shadow-value pass
@@ -159,6 +159,9 @@ type Options struct {
 	// testEval, when set by in-package tests, overrides the evaluation
 	// backend entirely.
 	testEval evaluator
+	// testAnalyze, when set by in-package tests, replaces the error-bound
+	// analysis the prover runs (to delay or count it).
+	testAnalyze func(*prog.Module) (*errbound.Analysis, error)
 }
 
 // sensGateMargin is the safety factor between the verifier tolerance and
@@ -502,24 +505,59 @@ func Run(t Target, opts Options) (*Result, error) {
 	// bit-exact in the target format or never executes under the profile:
 	// the instrumented run would be bit-identical to the verified
 	// baseline, so the verdict is a pass by construction. The analysis is
-	// lazy — it only runs the first time a piece survives every cheaper
-	// stage (prune, gate, memo, checkpoint).
+	// lazy — it only starts the first time a piece survives every cheaper
+	// stage (prune, gate, memo, checkpoint, cache) — and runs beside
+	// evaluation, not in front of it: while it is pending, pieces reaching
+	// the prover launch as ordinary units marked speculative, and each
+	// speculative verdict is resolved against the finished analysis when
+	// it arrives (see the settle loop). Which pieces settle as proved
+	// therefore depends only on the analysis, never on timing.
+	analyze := opts.testAnalyze
+	if analyze == nil {
+		analyze = func(m *prog.Module) (*errbound.Analysis, error) {
+			return errbound.Analyze(m, errbound.Options{})
+		}
+	}
 	var bounds *errbound.Analysis
 	boundsReady := opts.Bounds != nil
 	if boundsReady {
 		bounds = opts.Bounds
 	}
+	var boundsCh chan *errbound.Analysis // non-nil while the analysis runs
+	defer func() {
+		if boundsCh != nil {
+			<-boundsCh // an early return must not leave the analysis running
+		}
+	}()
+	receiveBounds := func(an *errbound.Analysis) {
+		bounds, boundsReady, boundsCh = an, true, nil
+	}
+	// pollBounds reports whether the analysis is available, starting it
+	// on first use and collecting it without blocking once it finished.
+	pollBounds := func() bool {
+		if boundsReady {
+			return true
+		}
+		if boundsCh == nil {
+			boundsCh = make(chan *errbound.Analysis, 1)
+			go func() {
+				an, err := analyze(t.Module)
+				if err != nil || !an.Converged {
+					an = nil
+				}
+				boundsCh <- an
+			}()
+		}
+		select {
+		case an := <-boundsCh:
+			receiveBounds(an)
+		default:
+		}
+		return boundsReady
+	}
 	var provedAddrs []uint64
+	// proveExact consults the finished analysis.
 	proveExact := func(p *Piece) bool {
-		if opts.NoProve || len(p.Addrs) == 0 {
-			return false
-		}
-		if !boundsReady {
-			boundsReady = true
-			if an, err := errbound.Analyze(t.Module, errbound.Options{}); err == nil && an.Converged {
-				bounds = an
-			}
-		}
 		if bounds == nil {
 			return false
 		}
@@ -543,15 +581,26 @@ func Run(t Target, opts Options) (*Result, error) {
 		}
 	}
 
+	// evalRes is a launched piece's settled verdict. A speculative piece
+	// was launched while the prover's analysis was pending; its verdict
+	// only stands if the analysis does not prove the piece.
 	type evalRes struct {
-		p   *Piece
-		key string
-		s   settled
+		p           *Piece
+		key         string
+		s           settled
+		speculative bool
 	}
 	results := make(chan evalRes)
 	inflight := 0
+	// drain waits out every launched unit before an early return.
+	drain := func() {
+		for inflight > 0 {
+			<-results
+			inflight--
+		}
+	}
 
-	launch := func(p *Piece, key string) {
+	launch := func(p *Piece, key string, speculative bool) {
 		inflight++
 		if opts.Units != nil {
 			u := newEvalUnit(key, p.Label, p.Kind, p.Addrs, false)
@@ -561,12 +610,12 @@ func Run(t Target, opts Options) (*Result, error) {
 				if uerr != nil {
 					s = settled{err: uerr}
 				}
-				results <- evalRes{p: p, key: key, s: s}
+				results <- evalRes{p: p, key: key, s: s, speculative: speculative}
 			}()
 			return
 		}
 		go func() {
-			results <- evalRes{p: p, key: key, s: st.settle(effFor(p.Addrs, ignored), key)}
+			results <- evalRes{p: p, key: key, s: st.settle(effFor(p.Addrs, ignored), key), speculative: speculative}
 		}()
 	}
 
@@ -630,6 +679,28 @@ func Run(t Target, opts Options) (*Result, error) {
 		for _, next := range expand(p, opts) {
 			heap.Push(q, next)
 		}
+	}
+
+	// settleProved settles a piece the prover passed: no evaluation is
+	// counted, and the verdict is memoized, cached and journaled as
+	// proved.
+	settleProved := func(p *Piece, key string) error {
+		res.Proved++
+		markProved(p)
+		record(p, true, ProvProved, 0)
+		if memo != nil {
+			memo[key] = true
+		}
+		if opts.Cache != nil {
+			opts.Cache.Store(key, CachedVerdict{Pass: true, Proved: true})
+		}
+		if opts.Checkpoint != nil {
+			if err := opts.Checkpoint.recordProved(key); err != nil {
+				return fmt.Errorf("search: checkpoint write: %w", err)
+			}
+		}
+		apply(p, true)
+		return nil
 	}
 
 	for q.Len() > 0 || inflight > 0 {
@@ -719,30 +790,21 @@ func Run(t Target, opts Options) (*Result, error) {
 					continue
 				}
 			}
-			if proveExact(p) {
-				res.Proved++
-				markProved(p)
-				record(p, true, ProvProved, 0)
-				if memo != nil {
-					memo[key] = true
+			if !opts.NoProve && len(p.Addrs) > 0 {
+				if !pollBounds() {
+					launch(p, key, true)
+					continue
 				}
-				if opts.Cache != nil {
-					opts.Cache.Store(key, CachedVerdict{Pass: true, Proved: true})
-				}
-				if opts.Checkpoint != nil {
-					if err := opts.Checkpoint.recordProved(key); err != nil {
-						for inflight > 0 {
-							<-results
-							inflight--
-						}
+				if proveExact(p) {
+					if err := settleProved(p, key); err != nil {
+						drain()
 						sortPassing(res.Passing)
-						return res, fmt.Errorf("search: checkpoint write: %w", err)
+						return res, err
 					}
+					continue
 				}
-				apply(p, true)
-				continue
 			}
-			launch(p, key)
+			launch(p, key, false)
 		}
 		if inflight == 0 {
 			if interrupted() {
@@ -752,14 +814,27 @@ func Run(t Target, opts Options) (*Result, error) {
 		}
 		r := <-results
 		inflight--
+		if r.speculative {
+			// Resolve the speculation exactly as the prover stage would
+			// have: a proved piece settles as proved whatever its unit
+			// returned (a failing verdict or an error included).
+			if !boundsReady {
+				receiveBounds(<-boundsCh)
+			}
+			if proveExact(r.p) {
+				if err := settleProved(r.p, r.key); err != nil {
+					drain()
+					sortPassing(res.Passing)
+					return res, err
+				}
+				continue
+			}
+		}
 		if r.s.err != nil {
 			// Drain outstanding workers, then surface the error alongside
 			// the partial result: pieces that already passed stay
 			// available to the caller instead of being discarded.
-			for inflight > 0 {
-				<-results
-				inflight--
-			}
+			drain()
 			sortPassing(res.Passing)
 			return res, r.s.err
 		}
@@ -778,10 +853,7 @@ func Run(t Target, opts Options) (*Result, error) {
 		}
 		if opts.Checkpoint != nil {
 			if err := opts.Checkpoint.record(r.key, r.s); err != nil {
-				for inflight > 0 {
-					<-results
-					inflight--
-				}
+				drain()
 				sortPassing(res.Passing)
 				return res, fmt.Errorf("search: checkpoint write: %w", err)
 			}
@@ -926,12 +998,15 @@ func sortPassing(pieces []*Piece) {
 	})
 }
 
-// profileRun executes the original program and returns per-address counts.
+// profileRun executes the original program and returns per-address
+// counts. It runs on the compiled tier, whose per-block counters expand
+// into exactly the per-step interpreter's counts.
 func profileRun(t Target) (map[uint64]uint64, error) {
-	m, err := vm.New(t.Module)
+	lp, err := vm.Link(t.Module)
 	if err != nil {
 		return nil, err
 	}
+	m := lp.NewMachine()
 	m.MaxSteps = t.MaxSteps
 	if err := m.Run(); err != nil {
 		return nil, err

@@ -276,11 +276,7 @@ func (s *Server) execute(ctx context.Context, id string, st *stream) (*search.Re
 	if !ok {
 		return nil, nil, fmt.Errorf("service: no job %s", id)
 	}
-	target, err := j.Spec.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	sensTol, err := j.Spec.SensTol()
+	target, sensTol, err := j.Spec.Build()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -145,7 +145,7 @@ func (m *Machine) rewind() {
 	m.GPR[isa.RSP] = size &^ 15
 	m.pcIdx = m.lp.entry
 	if m.shadow != nil {
-		m.shadow.reset(len(m.instrs))
+		m.shadow.reset(len(m.instrs), size)
 	}
 	m.rewindTrack()
 }

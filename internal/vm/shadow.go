@@ -9,7 +9,7 @@ import (
 
 // Shadow-value analysis: when enabled, the machine carries a
 // single-precision shadow alongside every 64-bit floating-point value —
-// one float32 per XMM lane plus a map of shadowed memory slots — and
+// one float32 per XMM lane plus paged shadow memory (shadowMem) — and
 // pushes it through the same operations the program executes. The gap
 // between a shadow and its double-precision reference at each
 // instruction is the accumulated error a whole-program single-precision
@@ -64,7 +64,7 @@ type ShadowRecord struct {
 // error accumulators, indexed like counts (by instruction index).
 type shadowState struct {
 	xmm [isa.NumXMM][2]float32
-	mem map[uint64]float32
+	mem shadowMem
 
 	maxRel  []float64
 	sumRel  []float64
@@ -80,7 +80,8 @@ type shadowState struct {
 // Enabling mid-run is allowed; shadows for values computed before the
 // call are seeded from their double values on first use.
 func (m *Machine) EnableShadow() {
-	m.shadow = &shadowState{mem: make(map[uint64]float32)}
+	m.shadow = &shadowState{}
+	m.shadow.mem.init(uint64(len(m.Mem)))
 	m.shadow.size(len(m.instrs))
 }
 
@@ -97,9 +98,9 @@ func (s *shadowState) size(n int) {
 	s.localDiverge = make([]uint64, n)
 }
 
-func (s *shadowState) reset(n int) {
+func (s *shadowState) reset(n int, memSize uint64) {
 	s.xmm = [isa.NumXMM][2]float32{}
-	clear(s.mem)
+	s.mem.init(memSize)
 	if len(s.maxRel) != n {
 		s.size(n)
 		return
@@ -155,14 +156,14 @@ func (m *Machine) ShadowInvalidate(addr, n uint64) {
 		return
 	}
 	for a := addr &^ 7; a < addr+n; a += 4 {
-		delete(m.shadow.mem, a)
+		m.shadow.mem.del(a)
 	}
 }
 
 // slot returns the shadow of the 8-byte memory slot at addr, seeding it
 // from the stored double bits when untracked.
 func (s *shadowState) slot(addr uint64, bits uint64) float32 {
-	if v, ok := s.mem[addr]; ok {
+	if v, ok := s.mem.get(addr); ok {
 		return v
 	}
 	return float32(math.Float64frombits(bits))
@@ -327,8 +328,8 @@ func (m *Machine) shadowStep(in *isa.Instr) {
 		sp := m.GPR[isa.RSP] - 16
 		s.kill(sp)
 		s.kill(sp + 8)
-		s.mem[sp] = s.xmm[in.A.Reg][0]
-		s.mem[sp+8] = s.xmm[in.A.Reg][1]
+		s.mem.set(sp, s.xmm[in.A.Reg][0])
+		s.mem.set(sp+8, s.xmm[in.A.Reg][1])
 	case isa.POPX:
 		sp := m.GPR[isa.RSP]
 		if sp+16 <= uint64(len(m.Mem)) {
@@ -350,7 +351,7 @@ func (m *Machine) shadowStep(in *isa.Instr) {
 			addr := m.ea(in.A.Mem)
 			if addr+8 <= uint64(len(m.Mem)) {
 				s.kill(addr)
-				s.mem[addr] = s.xmm[in.B.Reg][0]
+				s.mem.set(addr, s.xmm[in.B.Reg][0])
 			}
 		}
 	case isa.MOVSS:
@@ -366,7 +367,7 @@ func (m *Machine) shadowStep(in *isa.Instr) {
 		case in.A.Kind == isa.KindMem && in.B.Kind == isa.KindXMM:
 			addr := m.ea(in.A.Mem)
 			s.kill(addr)
-			s.mem[addr] = math.Float32frombits(uint32(m.XMM[in.B.Reg][0]))
+			s.mem.set(addr, math.Float32frombits(uint32(m.XMM[in.B.Reg][0])))
 		}
 	case isa.MOVAPD:
 		switch {
@@ -381,8 +382,8 @@ func (m *Machine) shadowStep(in *isa.Instr) {
 			if addr+16 <= uint64(len(m.Mem)) {
 				s.kill(addr)
 				s.kill(addr + 8)
-				s.mem[addr] = s.xmm[in.B.Reg][0]
-				s.mem[addr+8] = s.xmm[in.B.Reg][1]
+				s.mem.set(addr, s.xmm[in.B.Reg][0])
+				s.mem.set(addr+8, s.xmm[in.B.Reg][1])
 			}
 		}
 	case isa.MOVQ:
@@ -614,9 +615,115 @@ func (m *Machine) shadowF32Operand(in *isa.Instr) (float32, bool) {
 
 // kill drops the shadow slot at addr (and a straddling 4-byte neighbor).
 func (s *shadowState) kill(addr uint64) {
-	delete(s.mem, addr)
-	delete(s.mem, addr+4)
-	delete(s.mem, addr-4)
+	s.mem.del(addr)
+	s.mem.del(addr + 4)
+	s.mem.del(addr - 4)
+}
+
+// shadowMem maps shadowed memory addresses to their float32 shadows.
+// Shadows live at 4-byte-aligned addresses almost always, so those inside
+// the machine's memory are kept in dense pages (one slot per aligned
+// word, allocated on first write) instead of a hash map; unaligned or
+// out-of-range addresses fall back to a map. The two hold disjoint
+// address sets, so together they behave exactly like one map.
+type shadowMem struct {
+	pages []*shadowPage // indexed by addr >> pageShift
+	odd   map[uint64]float32
+}
+
+const shadowSlots = pageSize / 4
+
+// shadowPage shadows one memory page: has marks the live slots.
+type shadowPage struct {
+	has  [shadowSlots / 64]uint64
+	vals [shadowSlots]float32
+}
+
+// init empties the shadow memory and sizes its page table for memSize
+// bytes of machine memory.
+func (sm *shadowMem) init(memSize uint64) {
+	if n := numPages(memSize); len(sm.pages) != n {
+		sm.pages = make([]*shadowPage, n)
+	} else {
+		clear(sm.pages)
+	}
+	clear(sm.odd)
+}
+
+// paged resolves addr to its page number and slot when it is paged.
+func (sm *shadowMem) paged(addr uint64) (pg uint64, slot uint32, ok bool) {
+	pg = addr >> pageShift
+	if addr&3 != 0 || pg >= uint64(len(sm.pages)) {
+		return 0, 0, false
+	}
+	return pg, uint32(addr&(pageSize-1)) >> 2, true
+}
+
+func (sm *shadowMem) get(addr uint64) (float32, bool) {
+	pg, slot, ok := sm.paged(addr)
+	if !ok {
+		v, ok := sm.odd[addr]
+		return v, ok
+	}
+	p := sm.pages[pg]
+	if p == nil || p.has[slot>>6]&(1<<(slot&63)) == 0 {
+		return 0, false
+	}
+	return p.vals[slot], true
+}
+
+func (sm *shadowMem) set(addr uint64, v float32) {
+	pg, slot, ok := sm.paged(addr)
+	if !ok {
+		if sm.odd == nil {
+			sm.odd = make(map[uint64]float32)
+		}
+		sm.odd[addr] = v
+		return
+	}
+	p := sm.pages[pg]
+	if p == nil {
+		p = new(shadowPage)
+		sm.pages[pg] = p
+	}
+	p.has[slot>>6] |= 1 << (slot & 63)
+	p.vals[slot] = v
+}
+
+func (sm *shadowMem) del(addr uint64) {
+	pg, slot, ok := sm.paged(addr)
+	if !ok {
+		delete(sm.odd, addr)
+		return
+	}
+	if p := sm.pages[pg]; p != nil {
+		p.has[slot>>6] &^= 1 << (slot & 63)
+	}
+}
+
+// copyFrom makes sm an independent copy of o, reusing sm's pages.
+func (sm *shadowMem) copyFrom(o *shadowMem) {
+	if len(sm.pages) != len(o.pages) {
+		sm.pages = make([]*shadowPage, len(o.pages))
+	}
+	for i, p := range o.pages {
+		switch {
+		case p == nil:
+			sm.pages[i] = nil
+		case sm.pages[i] == nil:
+			cp := *p
+			sm.pages[i] = &cp
+		default:
+			*sm.pages[i] = *p
+		}
+	}
+	clear(sm.odd)
+	if sm.odd == nil && len(o.odd) > 0 {
+		sm.odd = make(map[uint64]float32, len(o.odd))
+	}
+	for k, v := range o.odd {
+		sm.odd[k] = v
+	}
 }
 
 // ucomiOutcome encodes the discrete flag outcome of an unordered compare.

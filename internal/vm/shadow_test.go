@@ -2,6 +2,7 @@ package vm
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"fpmix/internal/isa"
@@ -211,11 +212,11 @@ func TestShadowInvalidateReseeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := uint64(base)
-	if _, ok := m.shadow.mem[addr]; !ok {
+	if _, ok := m.shadow.mem.get(addr); !ok {
 		t.Fatal("slot not shadowed after MOVSD store")
 	}
 	m.ShadowInvalidate(addr, 8)
-	if _, ok := m.shadow.mem[addr]; ok {
+	if _, ok := m.shadow.mem.get(addr); ok {
 		t.Error("slot still shadowed after invalidate")
 	}
 }
@@ -287,5 +288,140 @@ func TestShadowResetOnRewind(t *testing.T) {
 	second := m.ShadowRecords()
 	if len(second) != len(first) || second[0].MaxRelErr != first[0].MaxRelErr {
 		t.Errorf("rerun records differ: %+v vs %+v", second, first)
+	}
+}
+
+// TestShadowMemPaged: the paged shadow memory behaves exactly like one
+// map over every address class — 4-byte-aligned words inside memory
+// (paged), unaligned addresses and addresses beyond memory (the map
+// fallback), including the wrapped neighbors kill computes below address
+// 0 — and snapshot copies restore exactly and stay independent.
+func TestShadowMemPaged(t *testing.T) {
+	const memSize = 3*pageSize + 100
+	r := rand.New(rand.NewSource(20261016))
+	addr := func() uint64 {
+		switch r.Intn(4) {
+		case 0:
+			return uint64(r.Intn(memSize/4)) * 4
+		case 1:
+			return uint64(r.Intn(memSize))
+		case 2:
+			return memSize + uint64(r.Intn(64))
+		default:
+			return 0 - 4*uint64(1+r.Intn(4))
+		}
+	}
+	same := func(label string, sm *shadowMem, ref map[uint64]float32) {
+		t.Helper()
+		probe := func(a uint64) {
+			got, ok := sm.get(a)
+			want, wok := ref[a]
+			if ok != wok || got != want {
+				t.Fatalf("%s: get(%#x) = %v,%v, want %v,%v", label, a, got, ok, want, wok)
+			}
+		}
+		for a := uint64(0); a < memSize+64; a++ {
+			probe(a)
+		}
+		for a := range ref {
+			probe(a)
+		}
+	}
+
+	var sm, snap shadowMem
+	sm.init(memSize)
+	ref := map[uint64]float32{}
+	var snapRef map[uint64]float32
+	for i := 0; i < 20000; i++ {
+		a := addr()
+		if r.Intn(3) < 2 {
+			v := r.Float32()
+			sm.set(a, v)
+			ref[a] = v
+		} else {
+			sm.del(a)
+			delete(ref, a)
+		}
+		if i == 10000 {
+			snap.copyFrom(&sm)
+			snapRef = make(map[uint64]float32, len(ref))
+			for k, v := range ref {
+				snapRef[k] = v
+			}
+		}
+	}
+	same("after random ops", &sm, ref)
+	same("snapshot untouched by later writes", &snap, snapRef)
+
+	sm.copyFrom(&snap)
+	same("restored", &sm, snapRef)
+	sm.set(8, 42)
+	sm.set(3, 43)
+	sm.del(12)
+	same("snapshot after restore-then-write", &snap, snapRef)
+
+	sm.init(memSize)
+	same("after init", &sm, map[uint64]float32{})
+}
+
+// TestShadowUnalignedSnapshotRoundTrip drives the same classes through
+// the machine: an unaligned and an aligned shadowed store, invalidation
+// and a store kill that drop them, and a snapshot restore that brings
+// both back.
+func TestShadowUnalignedSnapshotRoundTrip(t *testing.T) {
+	base := int64(prog.DataBase)
+	instrs := loadF64(0, 1.0)
+	instrs = append(instrs, loadF64(1, 1e-9)...)
+	instrs = append(instrs,
+		isa.I(isa.MOVRI, isa.Gpr(isa.RBX), isa.Imm(base)),
+		isa.I(isa.ADDSD, isa.Xmm(0), isa.Xmm(1)),
+		isa.I(isa.MOVSD, isa.Mem(isa.RBX, 2), isa.Xmm(0)),
+		isa.I(isa.MOVSD, isa.Mem(isa.RBX, 16), isa.Xmm(0)),
+		isa.I(isa.HALT),
+	)
+	m := mach(t, instrs)
+	m.EnableShadow()
+	m.MaxSteps = uint64(len(instrs) - 1) // stop before HALT
+	if err := m.Run(); err == nil || err.(*Fault).Kind != FaultMaxSteps {
+		t.Fatalf("run to the capture point: %v", err)
+	}
+	odd, even := uint64(base)+2, uint64(base)+16
+	want, ok := m.shadow.mem.get(odd)
+	if !ok {
+		t.Fatal("unaligned slot not shadowed after MOVSD store")
+	}
+	if got, ok := m.shadow.mem.get(even); !ok || got != want {
+		t.Fatalf("aligned slot shadow = %v,%v, want %v", got, ok, want)
+	}
+	snap, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Invalidate walks the 4-byte-aligned words of the range, so it drops
+	// the aligned slot and leaves the unaligned one, as it always has.
+	m.ShadowInvalidate(uint64(base), 32)
+	if _, ok := m.shadow.mem.get(even); ok {
+		t.Error("aligned slot still shadowed after invalidate")
+	}
+	if _, ok := m.shadow.mem.get(odd); !ok {
+		t.Error("invalidate dropped the unaligned slot")
+	}
+	m.shadow.kill(odd)
+	if _, ok := m.shadow.mem.get(odd); ok {
+		t.Error("unaligned slot still shadowed after a store over it")
+	}
+
+	if err := m.RestoreFrom(snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []uint64{odd, even} {
+		if got, ok := m.shadow.mem.get(a); !ok || got != want {
+			t.Errorf("slot %#x after restore = %v,%v, want %v", a, got, ok, want)
+		}
+	}
+	m.ShadowInvalidate(uint64(base), 32)
+	if _, ok := snap.shadow.mem.get(even); !ok {
+		t.Error("invalidate after restore reached into the snapshot")
 	}
 }

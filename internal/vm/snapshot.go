@@ -120,7 +120,7 @@ func (m *Machine) MarkMemWritten(addr, n uint64) {
 // shadow pass enabled.
 type shadowSnap struct {
 	xmm [isa.NumXMM][2]float32
-	mem map[uint64]float32
+	mem shadowMem
 
 	maxRel  []float64
 	sumRel  []float64
@@ -133,10 +133,8 @@ type shadowSnap struct {
 }
 
 func captureShadow(s *shadowState) *shadowSnap {
-	sn := &shadowSnap{xmm: s.xmm, mem: make(map[uint64]float32, len(s.mem))}
-	for k, v := range s.mem {
-		sn.mem[k] = v
-	}
+	sn := &shadowSnap{xmm: s.xmm}
+	sn.mem.copyFrom(&s.mem)
 	sn.maxRel = append([]float64(nil), s.maxRel...)
 	sn.sumRel = append([]float64(nil), s.sumRel...)
 	sn.samples = append([]uint64(nil), s.samples...)
@@ -149,10 +147,7 @@ func captureShadow(s *shadowState) *shadowSnap {
 
 func (sn *shadowSnap) restoreInto(s *shadowState) {
 	s.xmm = sn.xmm
-	clear(s.mem)
-	for k, v := range sn.mem {
-		s.mem[k] = v
-	}
+	s.mem.copyFrom(&sn.mem)
 	s.maxRel = append(s.maxRel[:0], sn.maxRel...)
 	s.sumRel = append(s.sumRel[:0], sn.sumRel...)
 	s.samples = append(s.samples[:0], sn.samples...)
