@@ -169,9 +169,8 @@ func BenchmarkAMG(b *testing.B) {
 // ---- Evaluation engine ---------------------------------------------------
 
 // BenchmarkSearchEvaluate measures end-to-end search throughput across
-// the evaluation backends: the cached engine on the compiled
-// direct-threaded VM tier (the default), the fork-point engine evaluating
-// siblings from shared-prefix snapshots, the cached engine pinned to the
+// the evaluation backends: the fork-point engine on the compiled
+// direct-threaded VM tier (the default), the fork engine pinned to the
 // per-step interpreter (nocompile), and the from-scratch fallback. All
 // sub-benchmarks run the identical search; ns/op ratios are the
 // respective speedups.
@@ -185,9 +184,8 @@ func BenchmarkSearchEvaluate(b *testing.B) {
 		mode      search.EngineMode
 		noCompile bool
 	}{
-		{"engine", search.EngineOn, false},
 		{"fork", search.EngineFork, false},
-		{"nocompile", search.EngineOn, true},
+		{"nocompile", search.EngineFork, true},
 		{"fallback", search.EngineOff, false},
 	} {
 		mode := mode

@@ -8,7 +8,6 @@
 //	fpbench -exp fig11 -class W      # the SuperLU threshold sweep
 //	fpbench -exp sens -workers 1     # the sensitivity-guided search ablation
 //	fpbench -exp engine -class W     # compiled vs interpreted engine ablation
-//	fpbench -exp fork -class W       # fork-point evaluation vs -nofork ablation
 //	fpbench -exp remote -class W     # remote fleet vs one-unit-per-RPC throughput
 //
 // Besides the human-readable tables, -json writes the raw experiment
@@ -44,7 +43,6 @@ type results struct {
 	BitExact []experiments.BitExactRow `json:"bitexact,omitempty"`
 	Sens     []experiments.SensRow     `json:"sens,omitempty"`
 	Engine   []experiments.EngineRow   `json:"engine,omitempty"`
-	Fork     []experiments.ForkRow     `json:"fork,omitempty"`
 	Bounds   []experiments.BoundsRow   `json:"bounds,omitempty"`
 	Remote   []experiments.RemoteRow   `json:"remote,omitempty"`
 	// RemoteSweep is the wall-weighted aggregate of the Remote rows: the
@@ -54,7 +52,7 @@ type results struct {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig8, fig9, fig10, fig11, amg, bitexact, sens, engine, fork, bounds, remote, all")
+	exp := flag.String("exp", "all", "experiment: fig8, fig9, fig10, fig11, amg, bitexact, sens, engine, bounds, remote, all")
 	benches := flag.String("benches", "", "comma-separated kernel subset for -exp remote (default: all searchable kernels)")
 	class := flag.String("class", "W", "input class for single-class experiments (W, A, C)")
 	classes := flag.String("classes", "W,A", "comma-separated classes for fig10")
@@ -191,24 +189,6 @@ func main() {
 					r.Bench, r.Class, r.InterpNS, r.Tested))
 		}
 		report.Engine(os.Stdout, rows)
-		return nil
-	})
-	run("fork", func() error {
-		rows, err := experiments.Fork(experiments.Fig10Benches, cl, *workers)
-		if err != nil {
-			return err
-		}
-		res.Fork = rows
-		for _, r := range rows {
-			// One line per mode so benchstat can diff fork against nofork
-			// and either against prior revisions.
-			stats = append(stats,
-				fmt.Sprintf("BenchmarkFork/%s.%s/nofork 1 %d ns/op %d testedCfgs",
-					r.Bench, r.Class, r.NoForkNS, r.Tested),
-				fmt.Sprintf("BenchmarkFork/%s.%s/fork 1 %d ns/op %d forkedCfgs %d prefixSaved",
-					r.Bench, r.Class, r.ForkNS, r.Forked, r.PrefixSaved))
-		}
-		report.Fork(os.Stdout, rows)
 		return nil
 	})
 	run("remote", func() error {

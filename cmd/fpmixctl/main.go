@@ -104,7 +104,6 @@ func (c *client) submit(args []string) error {
 	noSens := fs.Bool("nosens", false, "disable sensitivity guidance")
 	noPrune := fs.Bool("noprune", false, "disable static candidate pruning")
 	noProve := fs.Bool("noprove", false, "disable the error-bound prover")
-	noFork := fs.Bool("nofork", false, "disable fork-point evaluation")
 	chaos := fs.Int64("chaos", 0, "arm seeded fault injection (0 = off)")
 	fs.Parse(args)
 	spec := map[string]any{
@@ -139,9 +138,6 @@ func (c *client) submit(args []string) error {
 	}
 	if *noProve {
 		spec["noprove"] = true
-	}
-	if *noFork {
-		spec["nofork"] = true
 	}
 	if *chaos != 0 {
 		spec["chaos"] = *chaos

@@ -21,13 +21,14 @@
 //	fpsearch -bench ep -class W -nosens
 //	fpsearch -bench lu -class A -checkpoint lu.ckpt      # later: -resume lu.ckpt
 //	fpsearch -bench ep -class W -chaos 42 -retries 3
-//	fpsearch -bench lu -class W -nofork              # no fork-point snapshots
+//	fpsearch -bench mg -class W -noengine            # the from-scratch oracle
 //
-// Evaluations default to fork-point mode: one donor run of the base
+// Evaluations run in fork-point mode: one donor run of the base
 // configuration is snapshotted at every candidate site's first execution
 // and each configuration runs only its divergent suffix, re-linked
-// incrementally. -nofork restores entry-to-exit evaluation (the finals
-// are byte-identical either way).
+// incrementally. -noengine evaluates every configuration from scratch
+// through the seed pipeline instead, with no memo (the finals are
+// byte-identical either way).
 package main
 
 import (
@@ -55,8 +56,7 @@ func main() {
 	gran := flag.String("granularity", "insn", "finest search level: func, block or insn")
 	noSplit := flag.Bool("nosplit", false, "disable the binary-splitting optimization")
 	noPrio := flag.Bool("noprio", false, "disable profile-based prioritization")
-	noEngine := flag.Bool("noengine", false, "evaluate through the from-scratch fallback instead of the cached engine")
-	noFork := flag.Bool("nofork", false, "disable fork-point evaluation: evaluate every configuration from the program entry instead of from shared-prefix snapshots")
+	noEngine := flag.Bool("noengine", false, "evaluate every configuration from scratch through the seed pipeline instead of the fork engine")
 	noCompile := flag.Bool("nocompile", false, "run evaluations on the per-step interpreter instead of the compiled engine (differential testing)")
 	noPrune := flag.Bool("noprune", false, "disable static candidate pruning (dataflow unsafe sinks, zero-weight pieces)")
 	noProve := flag.Bool("noprove", false, "disable the static error-bound prover (every verdict comes from evaluation)")
@@ -108,15 +108,10 @@ func main() {
 		MaxSteps: b.MaxSteps,
 		Base:     b.Base,
 	}
-	// Fork-point evaluation is the default: the cached engine plus a
-	// snapshotted donor run and incremental re-linking. -nofork keeps the
-	// cached engine but evaluates every run from the entry; -noengine
-	// drops to the from-scratch seed pipeline. Finals are byte-identical
-	// across all three (pinned by the fork and engine identity tests).
+	// Fork-point evaluation is the default; -noengine drops to the
+	// from-scratch seed pipeline. Finals are byte-identical either way
+	// (pinned by the fork and engine identity tests).
 	mode := search.EngineFork
-	if *noFork {
-		mode = search.EngineOn
-	}
 	if *noEngine {
 		mode = search.EngineOff
 	}

@@ -9,7 +9,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"fpmix/internal/config"
@@ -275,88 +274,6 @@ func Engine(names []string, class kernels.Class, workers int) ([]EngineRow, erro
 			Tested:     compiled.Tested,
 			Identical:  compiled.Final.String() == interp.Final.String() && compiled.Tested == interp.Tested,
 			FinalPass:  compiled.FinalPass,
-		})
-	}
-	return rows, nil
-}
-
-// ForkRow is one benchmark's fork-point evaluation ablation.
-type ForkRow struct {
-	Bench string
-	Class kernels.Class
-	// NoForkNS and ForkNS are the wall-clock nanoseconds of the same
-	// search with the cached engine evaluating every run from the entry
-	// (`fpsearch -nofork`) and with fork-point evaluation (the default):
-	// donor snapshots at every candidate site, incremental re-linking,
-	// suffix-only runs.
-	NoForkNS int64
-	ForkNS   int64
-	// SpeedupX is NoForkNS / ForkNS.
-	SpeedupX float64
-	// Tested is the number of configurations both searches evaluated.
-	Tested int
-	// Forked counts the verdicts the forking search reached from a
-	// fork-point snapshot (or by reusing the donor verdict outright);
-	// PrefixSaved totals the shared-prefix instructions those verdicts
-	// skipped re-executing.
-	Forked      int
-	PrefixSaved uint64
-	// Identical reports whether the two searches composed byte-identical
-	// final configurations — fork-point evaluation's correctness
-	// condition.
-	Identical bool
-	FinalPass bool
-}
-
-// Fork runs the fork-point evaluation ablation: the identical search per
-// benchmark with and without fork-point snapshots, comparing wall clock,
-// fork provenance and final configurations.
-func Fork(names []string, class kernels.Class, workers int) ([]ForkRow, error) {
-	var rows []ForkRow
-	for _, name := range names {
-		b, err := kernels.Get(name, class)
-		if err != nil {
-			return nil, err
-		}
-		tgt := search.Target{
-			Module:   b.Module,
-			Verify:   b.Verify,
-			MaxSteps: b.MaxSteps,
-			Base:     b.Base,
-		}
-		opts := search.Options{Workers: workers, BinarySplit: true, Prioritize: true}
-		// Collect before each timed phase (as testing.B does) so a phase
-		// is not charged for garbage the previous phase or benchmark left
-		// behind — the searches allocate full machine images, and carried
-		// GC pressure measurably distorts the per-kernel ratios.
-		runtime.GC()
-		start := time.Now()
-		plain, err := search.Run(tgt, opts)
-		if err != nil {
-			return nil, fmt.Errorf("%s.%s: nofork: %w", name, class, err)
-		}
-		noForkNS := time.Since(start).Nanoseconds()
-
-		opts.Engine = search.EngineFork
-		runtime.GC()
-		start = time.Now()
-		forked, err := search.Run(tgt, opts)
-		if err != nil {
-			return nil, fmt.Errorf("%s.%s: fork: %w", name, class, err)
-		}
-		forkNS := time.Since(start).Nanoseconds()
-
-		rows = append(rows, ForkRow{
-			Bench:       name,
-			Class:       class,
-			NoForkNS:    noForkNS,
-			ForkNS:      forkNS,
-			SpeedupX:    float64(noForkNS) / float64(forkNS),
-			Tested:      forked.Tested,
-			Forked:      forked.Forked,
-			PrefixSaved: forked.PrefixInstrsSaved,
-			Identical:   forked.Final.String() == plain.Final.String() && forked.Tested == plain.Tested,
-			FinalPass:   forked.FinalPass,
 		})
 	}
 	return rows, nil

@@ -24,11 +24,10 @@ import (
 
 // RemoteRow is one benchmark's remote-search throughput comparison:
 // the same job end-to-end on (1) the in-process serial search, (2) a
-// remote-only daemon driving one worker over the one-unit-per-RPC
-// protocol the service originally shipped (15ms claim polling, one
-// lease at a time, one verdict per report), and (3) the batched
-// pipeline — event-driven claims, two workers each evaluating two
-// units in parallel with prefetched leases.
+// remote-only daemon driving one worker one unit at a time (one lease
+// per claim, one verdict per report), and (3) the batched pipeline —
+// two workers each evaluating two units in parallel with prefetched
+// leases. Both remote legs use the same event-driven claim protocol.
 type RemoteRow struct {
 	Bench string
 	Class kernels.Class
@@ -39,7 +38,7 @@ type RemoteRow struct {
 	OneNS    int64
 	FleetNS  int64
 	// SpeedupX is OneNS / FleetNS — the end-to-end gain of batched
-	// pipelined delivery over the original protocol.
+	// pipelined delivery over one unit per RPC.
 	SpeedupX float64
 	// Units is the number of units delivered remotely in the fleet leg.
 	Units int
@@ -50,8 +49,8 @@ type RemoteRow struct {
 }
 
 // RemoteSweep aggregates a multi-kernel remote sweep: summed walls and
-// the end-to-end throughput ratio of the batched pipeline over the
-// one-unit-per-RPC protocol across every benchmark measured.
+// the end-to-end throughput ratio of the batched pipeline over one unit
+// per RPC across every benchmark measured.
 type RemoteSweep struct {
 	SerialNS int64
 	OneNS    int64
@@ -78,13 +77,6 @@ func SweepOf(rows []RemoteRow) RemoteSweep {
 	return sw
 }
 
-// legacyClaimPoll reproduces the original protocol's daemon-side claim
-// loop: a blocked claim re-checks the queue every 15ms instead of
-// waking on enqueue, so during the search's sequential descent phases
-// every freshly queued unit waits most of a poll interval before any
-// worker sees it.
-const legacyClaimPoll = 15 * time.Millisecond
-
 // linkDelay is the simulated one-way link latency every RPC crosses in
 // both remote legs (a NetInjector with Delay rate 1 stalls each send by
 // exactly this much, deterministically). Loopback HTTP costs ~50µs, so
@@ -93,10 +85,9 @@ const legacyClaimPoll = 15 * time.Millisecond
 // metro-area/cross-AZ hop — the distance at which running workers away
 // from the daemon starts being worth a protocol's attention. Both legs
 // get the identical network, so the comparison isolates the protocol,
-// not the link: the one-unit-per-RPC baseline crosses it three times
-// per unit (poll discovery, claim, report) where batched pipelined
-// delivery amortizes claims into prefetched batches and pays one
-// crossing per settled chain step.
+// not the link: the one-unit-per-RPC leg crosses it for every claim and
+// every report, where batched pipelined delivery amortizes claims into
+// prefetched batches and pays one crossing per settled chain step.
 const linkDelay = 5 * time.Millisecond
 
 var remoteNotesRE = regexp.MustCompile(`(?m)[ \t]*;[^\n]*`)
@@ -121,7 +112,7 @@ func Remote(names []string, class kernels.Class, workers int) ([]RemoteRow, erro
 		res, err := search.Run(search.Target{Module: b.Module, Verify: b.Verify, MaxSteps: b.MaxSteps, Base: b.Base},
 			search.Options{
 				Workers: workers, Granularity: config.KindInsn,
-				BinarySplit: true, Prioritize: true, Engine: search.EngineFork,
+				BinarySplit: true, Prioritize: true,
 				Shadow: sh, SensThreshold: b.SensTol,
 			})
 		if err != nil {
@@ -134,14 +125,13 @@ func Remote(names []string, class kernels.Class, workers int) ([]RemoteRow, erro
 		}
 		serialFinal := remoteNotesRE.ReplaceAllString(buf.String(), "")
 
-		// Legacy leg: polling daemon, one worker, one unit per RPC.
-		oneNS, oneFinal, _, err := remoteLeg(name, class, legacyClaimPoll, 1, 1, 1)
+		// One-unit leg: one worker, -parallel 1, one unit per RPC.
+		oneNS, oneFinal, _, err := remoteLeg(name, class, 1, 1, 1)
 		if err != nil {
 			return nil, fmt.Errorf("%s.%s: one-unit leg: %w", name, class, err)
 		}
-		// Fleet leg: event-driven daemon, two workers × parallel 2,
-		// default (2×parallel) batch.
-		fleetNS, fleetFinal, units, err := remoteLeg(name, class, 0, 2, 2, 0)
+		// Fleet leg: two workers × parallel 2, default (2×parallel) batch.
+		fleetNS, fleetFinal, units, err := remoteLeg(name, class, 2, 2, 0)
 		if err != nil {
 			return nil, fmt.Errorf("%s.%s: fleet leg: %w", name, class, err)
 		}
@@ -165,7 +155,7 @@ func Remote(names []string, class kernels.Class, workers int) ([]RemoteRow, erro
 // nWorkers in-process worker runtimes over a loopback HTTP API,
 // returning the submit-to-done wall, the final configuration (notes
 // stripped) and the number of remotely delivered units.
-func remoteLeg(name string, class kernels.Class, claimPoll time.Duration, nWorkers, parallel, batch int) (ns int64, final string, units int, err error) {
+func remoteLeg(name string, class kernels.Class, nWorkers, parallel, batch int) (ns int64, final string, units int, err error) {
 	link := faultinject.NewNet(1, faultinject.NetRates{Delay: 1}, linkDelay)
 	dir, err := os.MkdirTemp("", "fpbench-remote-*")
 	if err != nil {
@@ -176,7 +166,7 @@ func remoteLeg(name string, class kernels.Class, claimPoll time.Duration, nWorke
 		Dir: dir, Workers: -1, DrainTimeout: time.Second,
 		Fleet: fleet.Options{
 			Heartbeat: 50 * time.Millisecond, Expiry: 30 * time.Second,
-			MaxReassign: 10, ClaimPoll: claimPoll,
+			MaxReassign: 10,
 		},
 	})
 	if err != nil {

@@ -73,14 +73,6 @@ type Options struct {
 	// down but never stall. Off by default so pure-fleet tests observe
 	// the no-live-workers error paths.
 	Fallback bool
-	// ClaimPoll selects how remote claim long-polls discover new work.
-	// Zero (the default) is event-driven: a blocked Claim wakes the
-	// instant a unit is enqueued or a lease breaks. A positive value
-	// restores the periodic re-check loop of the original protocol
-	// (every enqueue is discovered up to ClaimPoll late) — kept so the
-	// remote-throughput experiment can measure the old behavior as its
-	// baseline.
-	ClaimPoll time.Duration
 	// Clock overrides the time source for heartbeat/lease bookkeeping
 	// (tests drive expiry deterministically with a fake clock). Nil
 	// means time.Now. Lease expiry compares only timestamps taken from

@@ -159,16 +159,6 @@ func (p *Pool) Claim(id string, wait time.Duration, max int) ([]RemoteLease, Wor
 		if remain <= 0 {
 			return nil, WorkerIdle, nil
 		}
-		if poll := p.opts.ClaimPoll; poll > 0 {
-			// Legacy periodic re-check (the original protocol's behavior,
-			// kept for the remote-throughput baseline): new work is
-			// discovered up to one poll interval late.
-			if remain < poll {
-				poll = remain
-			}
-			time.Sleep(poll)
-			continue
-		}
 		t := time.NewTimer(remain)
 		select {
 		case <-waitCh:

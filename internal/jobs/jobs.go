@@ -111,7 +111,6 @@ type Spec struct {
 	NoSens  bool `json:"nosens,omitempty"`
 	NoPrune bool `json:"noprune,omitempty"`
 	NoProve bool `json:"noprove,omitempty"`
-	NoFork  bool `json:"nofork,omitempty"`
 	// Chaos arms seeded fault injection on evaluations (a self-test:
 	// the final configuration must not change). 0 = off.
 	Chaos int64 `json:"chaos,omitempty"`
@@ -249,7 +248,9 @@ func (sp Spec) Kind() config.Kind {
 // verification identity, step budget — everything a verdict depends on
 // besides the address set), so it doubles as the shared verdict-cache
 // scope; the Options field captures the search shape, which only
-// affects the trajectory.
+// affects the trajectory. Its fork=true token is constant (fork-point
+// evaluation is the only cached engine) and stays so that journals
+// written while it was a switch still resume.
 func (sp Spec) Fingerprint(m *prog.Module) (search.Fingerprint, error) {
 	sp = sp.withDefaults()
 	img, err := search.ModuleFingerprint(m)
@@ -265,7 +266,7 @@ func (sp Spec) Fingerprint(m *prog.Module) (search.Fingerprint, error) {
 	}
 	return search.Fingerprint{
 		Image: hex.EncodeToString(h.Sum(nil)),
-		Options: fmt.Sprintf("%s gran=%s sens=%t prune=%t prove=%t fork=%t chaos=%d",
-			sp.Name(), sp.Granularity, !sp.NoSens, !sp.NoPrune, !sp.NoProve, !sp.NoFork, sp.Chaos),
+		Options: fmt.Sprintf("%s gran=%s sens=%t prune=%t prove=%t fork=true chaos=%d",
+			sp.Name(), sp.Granularity, !sp.NoSens, !sp.NoPrune, !sp.NoProve, sp.Chaos),
 	}, nil
 }

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -109,6 +110,23 @@ func TestSpecFingerprintScoping(t *testing.T) {
 	}
 	if fp1 != fp2 {
 		t.Error("fingerprint not deterministic")
+	}
+	// The option string is part of every journal header: it must stay
+	// byte-identical so journals written by an earlier daemon resume.
+	if want := "ep.W gran=insn sens=true prune=true prove=true fork=true chaos=0"; fp1.Options != want {
+		t.Errorf("default option string = %q, want %q", fp1.Options, want)
+	}
+	// A spec from an older client may still carry the retired nofork
+	// switch: it decodes, and searches exactly as the default spec.
+	var old Spec
+	if err := json.Unmarshal([]byte(`{"kernel":"ep","class":"W","nofork":true}`), &old); err != nil {
+		t.Fatalf("spec with nofork does not decode: %v", err)
+	}
+	if err := old.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if fp, err := old.Fingerprint(tgt.Module); err != nil || fp != fp1 {
+		t.Errorf("spec with nofork fingerprints as %+v (%v), want %+v", fp, err, fp1)
 	}
 	// A different trajectory shape shares the image scope (verdicts stay
 	// valid) but differs in the option set (journals do not transfer).

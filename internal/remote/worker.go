@@ -473,16 +473,11 @@ func (w *workerRT) runnerFor(ctx context.Context, job string) (*search.UnitRunne
 	if err != nil {
 		return nil, err
 	}
-	mode := search.EngineFork
-	if spec.NoFork {
-		mode = search.EngineOn
-	}
 	var chaos *faultinject.Injector
 	if spec.Chaos != 0 {
 		chaos = faultinject.New(spec.Chaos, faultinject.DefaultRates, 0)
 	}
 	r, err := search.NewUnitRunner(target, search.Options{
-		Engine:  mode,
 		Context: w.runCtx,
 		Chaos:   chaos,
 	})

@@ -129,27 +129,6 @@ func Engine(w io.Writer, rows []experiments.EngineRow) {
 	}
 }
 
-// Fork prints the fork-point evaluation ablation table.
-func Fork(w io.Writer, rows []experiments.ForkRow) {
-	fmt.Fprintln(w, "Fork-point evaluation ablation (shared-prefix snapshots vs -nofork)")
-	fmt.Fprintf(w, "%-10s %12s %12s %9s %7s %7s %13s %6s %6s\n",
-		"Benchmark", "NoFork-ms", "Fork-ms", "Speedup", "Tested", "Forked", "PrefixSaved", "Same", "Final")
-	for _, row := range rows {
-		same := "DIFF"
-		if row.Identical {
-			same = "yes"
-		}
-		verdict := "fail"
-		if row.FinalPass {
-			verdict = "pass"
-		}
-		fmt.Fprintf(w, "%-10s %12.1f %12.1f %8.2fx %7d %7d %13d %6s %6s\n",
-			row.Bench+"."+string(row.Class),
-			float64(row.NoForkNS)/1e6, float64(row.ForkNS)/1e6,
-			row.SpeedupX, row.Tested, row.Forked, row.PrefixSaved, same, verdict)
-	}
-}
-
 // Bounds prints the error-bound prover ablation table.
 func Bounds(w io.Writer, rows []experiments.BoundsRow) {
 	fmt.Fprintln(w, "Error-bound prover ablation (static proofs vs -noprove)")

@@ -32,9 +32,9 @@ func TestJournalConcurrentWriters(t *testing.T) {
 				var err error
 				switch i % 3 {
 				case 0:
-					err = j.record(key, settled{pass: true})
+					err = j.record(key, Verdict{Pass: true})
 				case 1:
-					err = j.record(key, settled{pass: false, forked: true, prefixSaved: uint64(i)})
+					err = j.record(key, Verdict{Pass: false, Forked: true, PrefixSaved: uint64(i)})
 				default:
 					err = j.recordProved(key)
 				}
@@ -103,7 +103,7 @@ func TestJournalTornLineConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if err := j.record(fmt.Sprintf("t%02d-%03d", w, i), settled{pass: i%2 == 0}); err != nil {
+				if err := j.record(fmt.Sprintf("t%02d-%03d", w, i), Verdict{Pass: i%2 == 0}); err != nil {
 					t.Errorf("record: %v", err)
 				}
 			}
@@ -132,7 +132,7 @@ func TestJournalTornLineConcurrent(t *testing.T) {
 	if got, want := re.Prior(), writers*perWriter; got != want {
 		t.Errorf("resume after tear loaded %d verdicts, want %d", got, want)
 	}
-	if err := re.record("post-resume", settled{pass: true}); err != nil {
+	if err := re.record("post-resume", Verdict{Pass: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := re.Close(); err != nil {
@@ -169,7 +169,7 @@ func TestJournalFingerprintFieldDiagnosis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.record("k", settled{pass: true}); err != nil {
+	if err := j.record("k", Verdict{Pass: true}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()

@@ -49,7 +49,7 @@ func Compose(t Target, res *Result) (*ComposeResult, error) {
 		return pieces[i].Addrs[0] < pieces[j].Addrs[0]
 	})
 
-	ev, err := newEvaluator(t, EngineOn, false)
+	ev, err := newEngine(t, false)
 	if err != nil {
 		return nil, err
 	}

@@ -15,30 +15,23 @@ import (
 // EngineMode selects the evaluation backend of a search.
 type EngineMode uint8
 
-// Engine modes. The zero value enables the cached engine, so searches are
+// Engine modes. The zero value is fork-point evaluation, so searches are
 // incremental by default.
 const (
-	// EngineOn evaluates configurations with the cached evaluation
-	// engine: snippets are compiled once per candidate instruction and
-	// spliced per configuration, assembled modules are linked (branch
-	// targets and cycle costs pre-resolved), machines are pooled and
-	// reset instead of reallocated, and duplicate address sets are
-	// memoized.
-	EngineOn EngineMode = iota
+	// EngineFork evaluates configurations with the cached engine plus
+	// fork-point evaluation: snippets are compiled once per candidate
+	// instruction, one donor run of the base configuration is snapshotted
+	// at every candidate site's first execution, each sibling
+	// configuration is assembled incrementally over a stable slotted
+	// layout and evaluated from its fork-point snapshot on a pooled
+	// machine, and duplicate address sets are memoized. Deterministic
+	// failing verdicts skip the confirmation re-run (replay would be
+	// exact). See forkengine.go.
+	EngineFork EngineMode = iota
 	// EngineOff evaluates every configuration from scratch through the
-	// seed pipeline (replace.InstrumentMap + vm.New). It exists as the
-	// differential-testing fallback and as the baseline the engine is
-	// benchmarked against.
+	// seed pipeline (replace.InstrumentMap + vm.New), with no memo. It is
+	// the differential-testing oracle every engine is checked against.
 	EngineOff
-	// EngineFork is the cached engine plus fork-point evaluation: one
-	// donor run of the base configuration is snapshotted at every
-	// candidate site's first execution, each sibling configuration is
-	// assembled incrementally over a stable slotted layout and evaluated
-	// from its fork-point snapshot, and deterministic failing verdicts
-	// skip the confirmation re-run (replay would be exact). Verdicts and
-	// the final configuration are byte-identical to EngineOn's; see
-	// forkengine.go.
-	EngineFork
 )
 
 // evalRequest is one evaluation of a configuration.
@@ -100,17 +93,13 @@ func runMachine(m *vm.Machine, req evalRequest) error {
 }
 
 // newEvaluator builds the backend selected by mode. noCompile forces the
-// cached engine's machines onto the per-step interpreter tier (the legacy
-// backend never compiles, so the flag is meaningful only with EngineOn).
+// fork engine's machines onto the per-step interpreter tier (the legacy
+// backend never compiles).
 func newEvaluator(t Target, mode EngineMode, noCompile bool) (evaluator, error) {
-	switch mode {
-	case EngineOff:
+	if mode == EngineOff {
 		return legacyEvaluator{t: t}, nil
-	case EngineFork:
-		return newForkEngine(t, noCompile)
-	default:
-		return newEngine(t, noCompile)
 	}
+	return newForkEngine(t, noCompile)
 }
 
 // legacyEvaluator is the unmodified seed path: full snippet regeneration,
@@ -133,9 +122,11 @@ func (e legacyEvaluator) evaluate(req evalRequest) (outcome, error) {
 	return finish(e.t, m, runMachine(m, req))
 }
 
-// engine is the cached evaluation backend. It holds the per-instruction
-// compiled snippet table (built once at search start) and a pool of
-// reusable machines, one per active worker.
+// engine is the cached from-scratch backend: the fork engine's scratch
+// path (chaos-armed runs, retries, donor failure) and Compose's
+// evaluator. It holds the per-instruction compiled snippet table (built
+// once at search start) and a pool of reusable machines, one per active
+// worker.
 type engine struct {
 	t     Target
 	snips *replace.CompiledSnippets

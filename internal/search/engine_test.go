@@ -44,7 +44,7 @@ func passingSets(res *Result) map[string]bool {
 }
 
 // TestEngineMatchesFallback runs the full search on real kernels with the
-// cached engine and with the from-scratch fallback and requires identical
+// default engine and with the from-scratch fallback and requires identical
 // outcomes: same candidates, same passing pieces, same final verdict and
 // statistics, and an evaluation count that differs only by the memoized
 // duplicates the engine replays.
@@ -73,7 +73,7 @@ func TestEngineMatchesFallback(t *testing.T) {
 				}
 				return res
 			}
-			on, off := run(EngineOn), run(EngineOff)
+			on, off := run(EngineFork), run(EngineOff)
 
 			if off.MemoHits != 0 {
 				t.Errorf("fallback counted %d memo hits", off.MemoHits)
@@ -106,12 +106,12 @@ func TestEngineMatchesFallback(t *testing.T) {
 }
 
 // TestSearchMemoHitsCounted forces the module→func duplicate chain and
-// checks the engine replays it from the memo table while the fallback
+// checks the default engine replays it from the memo table while the fallback
 // re-evaluates it, with identical search outcomes.
 func TestSearchMemoHitsCounted(t *testing.T) {
 	m := singleFuncProgram(t)
 	v := refVerify(t, m, 1e-10)
-	on, err := Run(Target{Module: m, Verify: v}, Options{Engine: EngineOn})
+	on, err := Run(Target{Module: m, Verify: v}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

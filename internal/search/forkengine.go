@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"fpmix/internal/config"
 	"fpmix/internal/dataflow"
@@ -41,7 +40,7 @@ import (
 // toward the uninstrumented program's length. A skipped wrapper is a
 // checked no-op for that configuration (its flag checks could never
 // fire), so outputs and verdicts are bit-identical to the fully wrapped
-// evaluation the non-forking engine performs; only step and cycle counts
+// evaluation the scratch path performs; only step and cycle counts
 // differ. The donor is assembled the same way under the empty source
 // set, and a sibling's fork point is the donor's first execution of a
 // site the sibling lowers to single. Wrapper flips between the two
@@ -51,12 +50,11 @@ import (
 // single sites, none of which have executed inside the prefix. The
 // donor's bare prefix is therefore byte-for-byte the memory, register
 // and output state the sibling's own assembly would reach (its step and
-// cycle counts differ, as they already do between the two engines).
+// cycle counts differ, as they already do between the two paths).
 //
 // Fault rule: an evaluation with an armed injected trap, and any retry
 // attempt after an injected fault, runs from scratch through the cached
-// engine — never from a snapshot — so chaos testing exercises the same
-// recovery paths as the non-forking search and a fault can never leak
+// scratch engine — never from a snapshot — so a fault can never leak
 // state into a replay. Snapshots themselves are immutable, but retrying
 // from scratch keeps the fault model's replay story trivially airtight.
 type forkEngine struct {
@@ -70,7 +68,7 @@ type forkEngine struct {
 
 	// fa drives the per-configuration wrapper elision; nil (analysis
 	// failed to build) falls back to wrappers at every double site,
-	// matching the non-forking engine's assemblies exactly.
+	// matching the scratch path's assemblies exactly.
 	fa *dataflow.FlagAnalysis
 
 	// pool holds the forked evaluation machines, dirty-page tracked:
@@ -82,11 +80,6 @@ type forkEngine struct {
 	mu         sync.Mutex
 	donorTried bool
 	donor      *donorState // nil after donorTried: forking unavailable
-
-	// Provenance counters, surfaced through Stats().
-	forked      atomic.Int64
-	reused      atomic.Int64
-	prefixSaved atomic.Uint64
 }
 
 // donorState is the completed donor pass: the base configuration's
@@ -193,8 +186,7 @@ func (e *forkEngine) choices(eff map[uint64]config.Precision) ([]int, error) {
 // under dirty-page tracking, stopping at every candidate slot to snapshot
 // the shared prefix. Any donor irregularity — assembly failure, a faulting
 // base run — disables forking for the whole search rather than erroring:
-// the fallback engine then evaluates everything from scratch, preserving
-// the non-forking search's behavior exactly.
+// the fallback engine then evaluates everything from scratch.
 func (e *forkEngine) ensureDonor(eff map[uint64]config.Precision) *donorState {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -288,8 +280,6 @@ func (e *forkEngine) evaluate(req evalRequest) (outcome, error) {
 	if fork == -1 {
 		// No single site ever executes: the candidate's run computes the
 		// donor run's states verbatim, so its verdict is the donor's.
-		e.reused.Add(1)
-		e.prefixSaved.Add(d.steps)
 		return outcome{pass: d.pass, forked: true, prefixSaved: d.steps}, nil
 	}
 
@@ -306,15 +296,7 @@ func (e *forkEngine) evaluate(req evalRequest) (outcome, error) {
 	}
 	m.MaxSteps = e.t.MaxSteps
 	m.NoCompile = e.noCompile
-	e.forked.Add(1)
-	e.prefixSaved.Add(snap.Steps())
 	out, err := finish(e.t, m, runMachine(m, req))
 	out.forked, out.prefixSaved = true, snap.Steps()
 	return out, err
-}
-
-// forkStats reports the engine's provenance counters: forked evaluations,
-// donor-verdict reuses, and total prefix instructions saved.
-func (e *forkEngine) forkStats() (forked, reused int64, prefixSaved uint64) {
-	return e.forked.Load(), e.reused.Load(), e.prefixSaved.Load()
 }

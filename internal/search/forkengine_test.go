@@ -2,6 +2,7 @@ package search
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -16,10 +17,35 @@ import (
 )
 
 // Fork-point evaluation must change nothing but speed: search finals are
-// byte-identical between EngineFork and EngineOn, on real kernels, on
-// randomized programs, under chaos and across checkpoint resume — and a
-// forked machine run is whole-machine identical to the from-scratch run
-// of the same assembled program.
+// byte-identical between the default fork engine and the EngineOff
+// oracle, on real kernels, on randomized programs, under chaos and
+// across checkpoint resume — and a forked machine run is whole-machine
+// identical to the from-scratch run of the same assembled program.
+
+// requireOracleIdentity checks a fork-engine result against the EngineOff
+// oracle's: identical final bytes, final verdict, statistics and passing
+// sets, and a trajectory that differs only by the verdicts the memo
+// replays (the oracle evaluates those duplicates again, or proves them
+// again when the replayed verdict was a proof).
+func requireOracleIdentity(t *testing.T, forked, oracle *Result) {
+	t.Helper()
+	if forked.Final.String() != oracle.Final.String() {
+		t.Error("fork engine changed the final configuration")
+	}
+	if forked.FinalPass != oracle.FinalPass {
+		t.Errorf("fork engine changed the final verdict: %v vs %v", forked.FinalPass, oracle.FinalPass)
+	}
+	if forked.Stats != oracle.Stats {
+		t.Errorf("stats differ: %+v vs %+v", forked.Stats, oracle.Stats)
+	}
+	if !reflect.DeepEqual(passingSets(forked), passingSets(oracle)) {
+		t.Error("passing pieces differ from the oracle's")
+	}
+	if got, want := forked.Tested+forked.MemoHits+forked.Proved, oracle.Tested+oracle.Proved; got != want {
+		t.Errorf("trajectory differs: tested+memo+proved %d+%d+%d, oracle tested+proved %d+%d",
+			forked.Tested, forked.MemoHits, forked.Proved, oracle.Tested, oracle.Proved)
+	}
+}
 
 func TestForkSearchIdenticalOnKernels(t *testing.T) {
 	names := []string{"ep", "mg"}
@@ -30,27 +56,17 @@ func TestForkSearchIdenticalOnKernels(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			tgt := kernelTarget(t, name)
 			opts := Options{Workers: 4, BinarySplit: true, Prioritize: true}
-			plain, err := Run(tgt, opts)
+			forked, err := Run(tgt, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fo := opts
-			fo.Engine = EngineFork
-			forked, err := Run(tgt, fo)
+			oo := opts
+			oo.Engine = EngineOff
+			oracle, err := Run(tgt, oo)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if forked.Final.String() != plain.Final.String() {
-				t.Error("fork engine changed the final configuration")
-			}
-			if forked.FinalPass != plain.FinalPass {
-				t.Errorf("fork engine changed the final verdict: %v vs %v",
-					forked.FinalPass, plain.FinalPass)
-			}
-			if forked.Tested != plain.Tested {
-				t.Errorf("fork engine changed the trajectory: %d vs %d evaluations",
-					forked.Tested, plain.Tested)
-			}
+			requireOracleIdentity(t, forked, oracle)
 			if forked.Forked == 0 {
 				t.Error("fork engine evaluated nothing from a snapshot")
 			}
@@ -66,7 +82,7 @@ func TestForkSearchIdenticalOnKernels(t *testing.T) {
 // randProgram generates a small program whose functions are randomly
 // single-safe (exactly representable arithmetic) or precision-sensitive
 // (accumulation that vanishes in float32), with randomized trip counts
-// and constants, so fork/no-fork differentials cover layouts and fork
+// and constants, so fork/oracle differentials cover layouts and fork
 // points no hand-written fixture anticipates.
 func randProgram(t *testing.T, seed int64) *prog.Module {
 	t.Helper()
@@ -118,23 +134,15 @@ func TestForkSearchIdenticalOnRandomPrograms(t *testing.T) {
 	for _, seed := range seeds {
 		m := randProgram(t, seed)
 		tgt := Target{Module: m, Verify: refVerify(t, m, 1e-10)}
-		plain, err := Run(tgt, Options{Workers: 2})
+		forked, err := Run(tgt, Options{Workers: 2})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		forked, err := Run(tgt, Options{Workers: 2, Engine: EngineFork})
+		oracle, err := Run(tgt, Options{Workers: 2, Engine: EngineOff})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if forked.Final.String() != plain.Final.String() {
-			t.Errorf("seed %d: fork engine changed the final configuration", seed)
-		}
-		if forked.FinalPass != plain.FinalPass {
-			t.Errorf("seed %d: FinalPass = %v, plain %v", seed, forked.FinalPass, plain.FinalPass)
-		}
-		if forked.Tested != plain.Tested {
-			t.Errorf("seed %d: Tested = %d, plain %d", seed, forked.Tested, plain.Tested)
-		}
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { requireOracleIdentity(t, forked, oracle) })
 	}
 }
 
@@ -211,7 +219,7 @@ func TestForkWholeMachineIdentity(t *testing.T) {
 }
 
 // TestStableLayoutDifferential compares the fork engine's incrementally
-// assembled programs against the cached engine's per-configuration
+// assembled programs against its scratch path's per-configuration
 // Instrument+Link pipeline on the same effective-precision maps. The
 // assemblies differ by design — slotted vs packed layout, and the fork
 // engine elides double wrappers its per-configuration flag analysis
@@ -284,7 +292,7 @@ func TestStableLayoutDifferential(t *testing.T) {
 }
 
 // TestForkFinalByteIdenticalUnderChaos: a chaos-armed forking search
-// settles every verdict exactly as the fault-free non-forking search does
+// settles every verdict exactly as the fault-free search does
 // — injected faults force retries, retries run from scratch, and the
 // final configuration is byte-identical.
 func TestForkFinalByteIdenticalUnderChaos(t *testing.T) {
@@ -359,7 +367,7 @@ func TestForkKernelIdenticalUnderChaos(t *testing.T) {
 // TestForkCheckpointResumeByteIdentical: a chaos-armed forking search
 // journals its verdicts with fork provenance; resuming the journal
 // (under fresh chaos) replays them — provenance intact — and composes a
-// final byte-identical to the fault-free non-forking run's.
+// final byte-identical to the fault-free run's.
 func TestForkCheckpointResumeByteIdentical(t *testing.T) {
 	m := mixedProgram(t)
 	tgt := Target{Module: m, Verify: refVerify(t, m, 1e-10)}
@@ -411,7 +419,7 @@ func TestForkCheckpointResumeByteIdentical(t *testing.T) {
 	}
 	for _, res := range []*Result{full, resumed} {
 		if res.Final.String() != clean.Final.String() {
-			t.Error("forked chaos+resume final differs from the fault-free non-forking run")
+			t.Error("forked chaos+resume final differs from the fault-free run")
 		}
 		if res.FinalPass != clean.FinalPass {
 			t.Errorf("FinalPass = %v, clean %v", res.FinalPass, clean.FinalPass)

@@ -52,42 +52,12 @@ func (f Failure) String() string {
 // defaultBackoff spaces retries of transient failures.
 const defaultBackoff = 25 * time.Millisecond
 
-// settled is the final verdict a settler reached for one evaluation,
-// after retries, confirmation and crash recovery.
-type settled struct {
-	pass    bool
-	failure Failure
-	fault   *vm.Fault // the trap that decided a FailTrap/FailTimeout verdict
-	stack   string    // recovered stack of a FailCrash
-
-	attempts int  // evaluation attempts consumed (≥1)
-	retried  int  // attempts beyond the first (transient retries + confirmations)
-	injected int  // injected faults absorbed along the way
-	nondet   bool // the verifier returned disagreeing verdicts; pass wins
-
-	// forked/prefixSaved carry the deciding attempt's fork provenance:
-	// whether it ran from a fork-point snapshot and how many
-	// shared-prefix instructions that skipped.
-	forked      bool
-	prefixSaved uint64
-
-	wall time.Duration // total across attempts, including backoff
-
-	// interrupted: the surrounding context was cancelled before a verdict
-	// was reached; the piece is unsettled and must not be recorded.
-	interrupted bool
-	// err is an infrastructure error (instrumentation or linking broke);
-	// it aborts the search as a whole.
-	err error
-}
-
 // settler hardens evaluations: it classifies each attempt's outcome as a
 // verdict, a deterministic failure, or a transient fault worth retrying,
 // and drives the bounded retry-with-backoff loop. One settler serves all
 // workers (it is stateless apart from its configuration).
 type settler struct {
 	ev      evaluator
-	ignored map[uint64]bool
 	ctx     context.Context // never nil; Background when no bound is set
 	timeout time.Duration   // per-attempt wall-clock bound (0 = none)
 	retries int             // transient-retry budget per evaluation
@@ -180,9 +150,9 @@ func (s *settler) runAttempt(eff map[uint64]config.Precision, key string, n int)
 //   - a failing verification verdict is confirmed by one re-run when
 //     retries are enabled; fail-then-pass disagreement flags the verifier
 //     as nondeterministic and the pass wins.
-func (s *settler) settle(eff map[uint64]config.Precision, key string) (st settled) {
+func (s *settler) settle(eff map[uint64]config.Precision, key string) (v Verdict, err error) {
 	start := time.Now()
-	defer func() { st.wall = time.Since(start) }()
+	defer func() { v.Wall = time.Since(start) }()
 	delay := s.backoff
 	if delay <= 0 {
 		delay = defaultBackoff
@@ -191,24 +161,23 @@ func (s *settler) settle(eff map[uint64]config.Precision, key string) (st settle
 	confirming := false
 	for n := 0; ; n++ {
 		if s.ctx.Err() != nil {
-			st.interrupted = true
-			return st
+			v.Interrupted = true
+			return v, nil
 		}
-		st.attempts = n + 1
+		v.Attempts = n + 1
 		ao := s.runAttempt(eff, key, n)
 		if ao.err != nil {
-			st.err = ao.err
-			return st
+			return Verdict{}, ao.err
 		}
 		if ao.crash != "" {
-			st.pass, st.failure, st.stack = false, FailCrash, ao.crash
-			return st
+			v.Pass, v.Failure, v.Stack = false, FailCrash, ao.crash
+			return v, nil
 		}
 		if ao.injected != faultinject.KindNone {
-			st.injected++
+			v.Injected++
 			if budget > 0 {
 				budget--
-				st.retried++
+				v.Retried++
 				timer := time.NewTimer(delay)
 				select {
 				case <-timer.C:
@@ -220,50 +189,50 @@ func (s *settler) settle(eff map[uint64]config.Precision, key string) (st settle
 			}
 			// Budget exhausted on an injected fault: settle it under the
 			// failure class the real fault would have had.
-			st.pass = false
+			v.Pass = false
 			switch ao.injected {
 			case faultinject.KindPanic:
-				st.failure = FailCrash
+				v.Failure = FailCrash
 			case faultinject.KindHang:
-				st.failure = FailTimeout
+				v.Failure = FailTimeout
 			default:
-				st.failure, st.fault = FailTrap, ao.out.fault
+				v.Failure, v.Fault = FailTrap, ao.out.fault
 			}
-			return st
+			return v, nil
 		}
-		st.forked, st.prefixSaved = ao.out.forked, ao.out.prefixSaved
+		v.Forked, v.PrefixSaved = ao.out.forked, ao.out.prefixSaved
 		if f := ao.out.fault; f != nil {
 			if f.Kind == vm.FaultCancelled {
 				if s.ctx.Err() != nil {
-					st.interrupted = true
-					return st
+					v.Interrupted = true
+					return v, nil
 				}
-				st.pass, st.failure, st.fault = false, FailTimeout, f
-				return st
+				v.Pass, v.Failure, v.Fault = false, FailTimeout, f
+				return v, nil
 			}
-			st.pass, st.failure, st.fault = false, FailTrap, f
-			return st
+			v.Pass, v.Failure, v.Fault = false, FailTrap, f
+			return v, nil
 		}
 		if ao.out.pass {
 			if confirming {
 				// The confirmation run disagrees with the failing verdict:
 				// the verifier is nondeterministic. Accept the pass — a
 				// spurious fail would shrink the final configuration.
-				st.nondet = true
+				v.Nondet = true
 			}
-			st.pass, st.failure = true, FailNone
-			return st
+			v.Pass, v.Failure = true, FailNone
+			return v, nil
 		}
 		if budget > 0 && !confirming && !s.noConfirm {
 			// Failing verdict: spend one retry confirming it before
 			// settling, healing injected flaky verdicts and surfacing
 			// genuinely nondeterministic verifiers.
 			budget--
-			st.retried++
+			v.Retried++
 			confirming = true
 			continue
 		}
-		st.pass, st.failure = false, FailVerify
-		return st
+		v.Pass, v.Failure = false, FailVerify
+		return v, nil
 	}
 }

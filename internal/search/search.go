@@ -28,10 +28,11 @@ import (
 	"fpmix/internal/vm"
 )
 
-// Evaluations run either through the cached evaluation engine (snippet
-// precompilation, linked programs, machine reuse, configuration
-// memoization — engine.go) or through the from-scratch seed pipeline kept
-// as a differential-testing fallback; Options.Engine selects, default on.
+// Every evaluation unit goes through one evaluator — Options.Units, or a
+// local UnitRunner (unit.go) over the fork engine (forkengine.go) — and
+// Run memoizes verdicts per address set. Options.Engine can select the
+// from-scratch seed pipeline instead, kept as the differential-testing
+// oracle.
 
 // Target describes the program under search.
 type Target struct {
@@ -65,10 +66,10 @@ type Options struct {
 	SplitThreshold int
 	// Prioritize orders the work queue by profiled execution weight.
 	Prioritize bool
-	// Engine selects the evaluation backend (default EngineOn: the
-	// cached evaluation engine; EngineOff: the from-scratch fallback).
+	// Engine selects the evaluation backend (default EngineFork: the
+	// fork-point engine; EngineOff: the from-scratch oracle).
 	Engine EngineMode
-	// NoCompile keeps the cached engine but forces its pooled machines
+	// NoCompile keeps the fork engine but forces its pooled machines
 	// onto the per-step interpreter tier instead of the compiled
 	// direct-threaded engine (fpsearch -nocompile). Differential-testing
 	// escape hatch: results are byte-identical either way, only slower.
@@ -84,24 +85,15 @@ type Options struct {
 	// -noprove); proving is the default and never changes the final
 	// configuration, only how many evaluations reaching it costs.
 	NoProve bool
-	// Bounds optionally supplies a precomputed error-bound analysis of
-	// the target module. When nil (and NoProve is unset) the search runs
-	// the analysis itself, lazily and beside evaluation, starting the
-	// first time a piece reaches the prover.
-	Bounds *errbound.Analysis
 
 	// Shadow supplies a sensitivity profile from the shadow-value pass
-	// (internal/shadow). When present (and NoSensitivity is unset) the
-	// search runs sensitivity-guided: the work queue is ordered by
-	// predicted single-precision safety — lowest aggregated shadow error
-	// first — instead of raw execution counts, and aggregates whose
-	// predicted error exceeds SensThreshold by the safety margin skip
-	// their evaluation run and go straight to binary splitting.
+	// (internal/shadow). When present the search runs sensitivity-guided:
+	// the work queue is ordered by predicted single-precision safety —
+	// lowest aggregated shadow error first — instead of raw execution
+	// counts, and aggregates whose predicted error exceeds SensThreshold
+	// by the safety margin skip their evaluation run and go straight to
+	// binary splitting. Nil runs the counts-prioritized baseline.
 	Shadow *shadow.Profile
-	// NoSensitivity ignores Shadow entirely, reproducing the
-	// counts-prioritized baseline trajectory exactly (the `-nosens`
-	// differential baseline).
-	NoSensitivity bool
 	// SensThreshold is the verification tolerance the prediction gate
 	// compares aggregated shadow error against; 0 disables gating
 	// (ordering still applies).
@@ -137,8 +129,8 @@ type Options struct {
 	Checkpoint *Journal
 
 	// Units, when non-nil, routes every evaluation unit — each piece and
-	// the final union run — through the given evaluator instead of the
-	// in-process settler. This is the sharding seam the fleet scheduler
+	// the final union run — through the given evaluator instead of a
+	// local UnitRunner. This is the sharding seam the fleet scheduler
 	// (internal/fleet) drives: verdicts are deterministic per unit, so a
 	// sharded search composes a final configuration byte-identical to an
 	// in-process run's. Options.Workers still bounds the units in flight.
@@ -157,7 +149,7 @@ type Options struct {
 	Observe func(Eval)
 
 	// testEval, when set by in-package tests, overrides the evaluation
-	// backend entirely.
+	// backend under the settler.
 	testEval evaluator
 	// testAnalyze, when set by in-package tests, replaces the error-bound
 	// analysis the prover runs (to delay or count it).
@@ -343,7 +335,7 @@ type Result struct {
 	// journal's proved lines) instead of by evaluation.
 	Proved int
 	// Forked is the number of verdicts reached by fork-point evaluation
-	// (EngineFork: runs from a restored shared-prefix snapshot plus
+	// (runs from a restored shared-prefix snapshot plus
 	// donor-verdict reuses); PrefixInstrsSaved totals the shared-prefix
 	// instructions those forks skipped re-executing.
 	Forked            int
@@ -376,16 +368,6 @@ func Run(t Target, opts Options) (*Result, error) {
 	}
 	if opts.Granularity == config.KindModule {
 		opts.Granularity = config.KindInsn
-	}
-	if opts.Chaos != nil && opts.Retries == 0 {
-		// Chaos without a retry budget could never terminate cleanly;
-		// injected faults are healed by retries (and only first attempts
-		// are faulted, so 1 would do — 3 leaves slack for real flakes).
-		opts.Retries = 3
-	}
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
 	}
 
 	base, ignored, err := baseIgnored(t)
@@ -453,10 +435,10 @@ func Run(t Target, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("search: no replaceable instructions")
 	}
 
-	// Sensitivity guidance (default on when a shadow profile is
-	// supplied): annotate every piece with its aggregated predicted
-	// error, order the queue safest-first, and gate hopeless aggregates.
-	sens := opts.Shadow != nil && !opts.NoSensitivity
+	// Sensitivity guidance (on whenever a shadow profile is supplied):
+	// annotate every piece with its aggregated predicted error, order the
+	// queue safest-first, and gate hopeless aggregates.
+	sens := opts.Shadow != nil
 	if sens {
 		setPredErr(root, opts.Shadow)
 	}
@@ -465,15 +447,18 @@ func Run(t Target, opts Options) (*Result, error) {
 		gate = opts.SensThreshold * sensGateMargin
 	}
 
-	// With an external unit evaluator (Options.Units) no local backend is
-	// built: every unit — including the final union — is routed out to
-	// the fleet, whose workers hold the engines.
-	ev := opts.testEval
-	if ev == nil && opts.Units == nil {
-		ev, err = newEvaluator(t, opts.Engine, opts.NoCompile)
+	// Every unit — each piece and the final union — is evaluated through
+	// one evaluator: Options.Units when set (the fleet, whose workers hold
+	// the engines), else a local UnitRunner built from the same options.
+	var evaluate func(EvalUnit) (Verdict, error)
+	if opts.Units != nil {
+		evaluate = opts.Units.EvaluateUnit
+	} else {
+		runner, err := newUnitRunner(t, opts, ignored)
 		if err != nil {
 			return nil, err
 		}
+		evaluate = runner.Evaluate
 	}
 
 	res := &Result{Profile: profile, Unsafe: unsafeAddrs}
@@ -486,19 +471,7 @@ func Run(t Target, opts Options) (*Result, error) {
 	heap.Init(q)
 	heap.Push(q, root)
 
-	// The settler wraps every evaluation with the failure model: panic
-	// recovery, the per-attempt wall-clock bound, and bounded retry of
-	// transient (injected) faults — see robust.go.
-	st := &settler{
-		ev: ev, ignored: ignored, ctx: ctx,
-		timeout: opts.Timeout, retries: opts.Retries,
-		backoff: opts.Backoff, chaos: opts.Chaos,
-		// Fork-point evaluation replays deterministically, so a failing
-		// verdict needs no confirmation re-run — unless chaos is armed,
-		// where confirmation is what heals injected flaky verdicts.
-		noConfirm: opts.Engine == EngineFork && opts.Chaos == nil,
-	}
-	interrupted := func() bool { return ctx.Err() != nil }
+	interrupted := func() bool { return opts.Context != nil && opts.Context.Err() != nil }
 
 	// The static error-bound prover (internal/errbound) settles a piece
 	// without a run when every candidate it lowers either was proved
@@ -519,10 +492,7 @@ func Run(t Target, opts Options) (*Result, error) {
 		}
 	}
 	var bounds *errbound.Analysis
-	boundsReady := opts.Bounds != nil
-	if boundsReady {
-		bounds = opts.Bounds
-	}
+	var boundsReady bool
 	var boundsCh chan *errbound.Analysis // non-nil while the analysis runs
 	defer func() {
 		if boundsCh != nil {
@@ -587,36 +557,30 @@ func Run(t Target, opts Options) (*Result, error) {
 	type evalRes struct {
 		p           *Piece
 		key         string
-		s           settled
+		v           Verdict
+		err         error
 		speculative bool
 	}
 	results := make(chan evalRes)
 	inflight := 0
-	// drain waits out every launched unit before an early return.
-	drain := func() {
-		for inflight > 0 {
-			<-results
-			inflight--
-		}
-	}
-
 	launch := func(p *Piece, key string, speculative bool) {
 		inflight++
-		if opts.Units != nil {
-			u := newEvalUnit(key, p.Label, p.Kind, p.Addrs, false)
-			go func() {
-				v, uerr := opts.Units.EvaluateUnit(u)
-				s := settledOf(v)
-				if uerr != nil {
-					s = settled{err: uerr}
-				}
-				results <- evalRes{p: p, key: key, s: s, speculative: speculative}
-			}()
-			return
-		}
 		go func() {
-			results <- evalRes{p: p, key: key, s: st.settle(effFor(p.Addrs, ignored), key), speculative: speculative}
+			v, err := evaluate(newEvalUnit(key, p.Label, p.Kind, p.Addrs, false))
+			results <- evalRes{p: p, key: key, v: v, err: err, speculative: speculative}
 		}()
+	}
+	// fail waits out every launched unit, then surfaces the error
+	// alongside the partial result: pieces that already passed stay
+	// available to the caller instead of being discarded, and Final stays
+	// unset.
+	fail := func(err error) (*Result, error) {
+		for ; inflight > 0; inflight-- {
+			<-results
+		}
+		sortPassing(res.Passing)
+		res.Final = nil
+		return res, err
 	}
 
 	// emit appends one Eval record and streams it to the observer.
@@ -627,45 +591,39 @@ func Run(t Target, opts Options) (*Result, error) {
 		}
 	}
 
-	record := func(p *Piece, pass bool, prov Provenance, wall time.Duration) {
-		emit(Eval{
-			Label: p.Label, Kind: p.Kind, Insns: len(p.Addrs),
-			Pass: pass, Prov: prov, Wall: wall,
-		})
-	}
-
-	// account folds a settled verdict's robustness metadata into the
+	// account folds an evaluated verdict's robustness metadata into the
 	// result and appends its full Eval record.
-	account := func(label string, kind config.Kind, insns int, s settled) {
-		res.Retried += s.retried
-		res.Injected += s.injected
-		switch s.failure {
+	account := func(label string, kind config.Kind, insns int, v Verdict) {
+		res.Retried += v.Retried
+		res.Injected += v.Injected
+		switch v.Failure {
 		case FailCrash:
 			res.Crashed++
 		case FailTimeout:
 			res.TimedOut++
 		}
-		if s.nondet {
+		if v.Nondet {
 			res.Nondeterministic = append(res.Nondeterministic, label)
 		}
-		if s.forked {
+		if v.Forked {
 			res.Forked++
-			res.PrefixInstrsSaved += s.prefixSaved
+			res.PrefixInstrsSaved += v.PrefixSaved
 		}
 		emit(Eval{
 			Label: label, Kind: kind, Insns: insns,
-			Pass: s.pass, Prov: ProvEvaluated, Wall: s.wall,
-			Failure: s.failure, Fault: s.fault, Stack: s.stack,
-			Attempts: s.attempts, Nondet: s.nondet,
-			Forked: s.forked, PrefixSaved: s.prefixSaved,
+			Pass: v.Pass, Prov: ProvEvaluated, Wall: v.Wall,
+			Failure: v.Failure, Fault: v.Fault, Stack: v.Stack,
+			Attempts: v.Attempts, Nondet: v.Nondet,
+			Forked: v.Forked, PrefixSaved: v.PrefixSaved,
 		})
 	}
 
-	// Verdict memoization (engine only): binary-split re-splits and
-	// aggregate chains with a single child re-enqueue address sets that
-	// were already decided; replay their verdicts instead of re-running.
+	// Verdict memoization (off only for the EngineOff oracle): binary-split
+	// re-splits and aggregate chains with a single child re-enqueue
+	// address sets that were already decided; replay their verdicts
+	// instead of re-running.
 	var memo map[string]bool
-	if opts.Engine == EngineOn || opts.Engine == EngineFork {
+	if opts.Engine != EngineOff {
 		memo = make(map[string]bool)
 	}
 
@@ -681,16 +639,32 @@ func Run(t Target, opts Options) (*Result, error) {
 		}
 	}
 
+	// record settles a piece without an evaluation run: it appends the
+	// piece's Eval record and applies the verdict.
+	record := func(p *Piece, ev Eval) {
+		ev.Label, ev.Kind, ev.Insns = p.Label, p.Kind, len(p.Addrs)
+		emit(ev)
+		apply(p, ev.Pass)
+	}
+
+	// replay settles a piece from a verdict reached elsewhere — the memo
+	// table, a resumed journal, the shared cache or the prover — and
+	// memoizes it for in-run duplicates.
+	replay := func(p *Piece, key string, ev Eval) {
+		if ev.Prov == ProvProved {
+			res.Proved++
+			markProved(p)
+		}
+		if memo != nil {
+			memo[key] = ev.Pass
+		}
+		record(p, ev)
+	}
+
 	// settleProved settles a piece the prover passed: no evaluation is
-	// counted, and the verdict is memoized, cached and journaled as
+	// counted, and the verdict is cached, journaled and memoized as
 	// proved.
 	settleProved := func(p *Piece, key string) error {
-		res.Proved++
-		markProved(p)
-		record(p, true, ProvProved, 0)
-		if memo != nil {
-			memo[key] = true
-		}
 		if opts.Cache != nil {
 			opts.Cache.Store(key, CachedVerdict{Pass: true, Proved: true})
 		}
@@ -699,7 +673,7 @@ func Run(t Target, opts Options) (*Result, error) {
 				return fmt.Errorf("search: checkpoint write: %w", err)
 			}
 		}
-		apply(p, true)
+		replay(p, key, Eval{Pass: true, Prov: ProvProved})
 		return nil
 	}
 
@@ -708,8 +682,7 @@ func Run(t Target, opts Options) (*Result, error) {
 			p := heap.Pop(q).(*Piece)
 			if !opts.NoPrune && p.Weight == 0 {
 				// Entirely never-executed: pass by construction, no run.
-				record(p, true, ProvPruned, 0)
-				apply(p, true)
+				record(p, Eval{Pass: true, Prov: ProvPruned})
 				continue
 			}
 			full := len(p.Addrs) == len(root.Addrs)
@@ -723,18 +696,14 @@ func Run(t Target, opts Options) (*Result, error) {
 				// instruction intrinsically past hope in single regardless
 				// of what upstream produced.
 				res.Predicted++
-				record(p, false, ProvPredicted, 0)
-				apply(p, false)
+				record(p, Eval{Pass: false, Prov: ProvPredicted})
 				continue
 			}
 			key := addrKey(p.Addrs)
-			if memo != nil {
-				if pass, ok := memo[key]; ok {
-					res.MemoHits++
-					record(p, pass, ProvMemo, 0)
-					apply(p, pass)
-					continue
-				}
+			if pass, ok := memo[key]; ok {
+				res.MemoHits++
+				replay(p, key, Eval{Pass: pass, Prov: ProvMemo})
+				continue
 			}
 			if opts.Checkpoint != nil {
 				// After the memo: a journal verdict replays once, its
@@ -749,18 +718,11 @@ func Run(t Target, opts Options) (*Result, error) {
 						// profile, so the final configuration still carries
 						// the provenance annotations).
 						prov = ProvProved
-						res.Proved++
-						markProved(p)
 					}
-					emit(Eval{
-						Label: p.Label, Kind: p.Kind, Insns: len(p.Addrs),
+					replay(p, key, Eval{
 						Pass: jv.pass, Prov: prov,
 						Forked: jv.forked, PrefixSaved: jv.prefixSaved,
 					})
-					if memo != nil {
-						memo[key] = jv.pass
-					}
-					apply(p, jv.pass)
 					continue
 				}
 			}
@@ -774,19 +736,10 @@ func Run(t Target, opts Options) (*Result, error) {
 					prov := ProvMemo
 					if cv.Proved {
 						prov = ProvProved
-						res.Proved++
-						markProved(p)
 					} else {
 						res.MemoHits++
 					}
-					emit(Eval{
-						Label: p.Label, Kind: p.Kind, Insns: len(p.Addrs),
-						Pass: cv.Pass, Prov: prov,
-					})
-					if memo != nil {
-						memo[key] = cv.Pass
-					}
-					apply(p, cv.Pass)
+					replay(p, key, Eval{Pass: cv.Pass, Prov: prov})
 					continue
 				}
 			}
@@ -797,9 +750,7 @@ func Run(t Target, opts Options) (*Result, error) {
 				}
 				if proveExact(p) {
 					if err := settleProved(p, key); err != nil {
-						drain()
-						sortPassing(res.Passing)
-						return res, err
+						return fail(err)
 					}
 					continue
 				}
@@ -823,22 +774,15 @@ func Run(t Target, opts Options) (*Result, error) {
 			}
 			if proveExact(r.p) {
 				if err := settleProved(r.p, r.key); err != nil {
-					drain()
-					sortPassing(res.Passing)
-					return res, err
+					return fail(err)
 				}
 				continue
 			}
 		}
-		if r.s.err != nil {
-			// Drain outstanding workers, then surface the error alongside
-			// the partial result: pieces that already passed stay
-			// available to the caller instead of being discarded.
-			drain()
-			sortPassing(res.Passing)
-			return res, r.s.err
+		if r.err != nil {
+			return fail(r.err)
 		}
-		if r.s.interrupted {
+		if r.v.Interrupted {
 			// Cancelled before a verdict: the piece stays unsettled (and
 			// is never journaled). The launch gate is closed, so inflight
 			// drains and the loop exits.
@@ -846,28 +790,25 @@ func Run(t Target, opts Options) (*Result, error) {
 		}
 		res.Tested++
 		if memo != nil {
-			memo[r.key] = r.s.pass
+			memo[r.key] = r.v.Pass
 		}
 		if opts.Cache != nil {
-			opts.Cache.Store(r.key, CachedVerdict{Pass: r.s.pass})
+			opts.Cache.Store(r.key, CachedVerdict{Pass: r.v.Pass})
 		}
 		if opts.Checkpoint != nil {
-			if err := opts.Checkpoint.record(r.key, r.s); err != nil {
-				drain()
-				sortPassing(res.Passing)
-				return res, fmt.Errorf("search: checkpoint write: %w", err)
+			if err := opts.Checkpoint.record(r.key, r.v); err != nil {
+				return fail(fmt.Errorf("search: checkpoint write: %w", err))
 			}
 			if inflight == 0 {
 				// A write-batch boundary: every launched unit has settled.
 				// Durability point for the journal — fsync the batch.
 				if err := opts.Checkpoint.Sync(); err != nil {
-					sortPassing(res.Passing)
-					return res, fmt.Errorf("search: checkpoint sync: %w", err)
+					return fail(fmt.Errorf("search: checkpoint sync: %w", err))
 				}
 			}
 		}
-		account(r.p.Label, r.p.Kind, len(r.p.Addrs), r.s)
-		apply(r.p, r.s.pass)
+		account(r.p.Label, r.p.Kind, len(r.p.Addrs), r.v)
+		apply(r.p, r.v.Pass)
 	}
 
 	// Compose the final configuration: union of every passing piece.
@@ -910,43 +851,29 @@ func Run(t Target, opts Options) (*Result, error) {
 		return res, nil
 	}
 
-	// The final-union run goes through the settler too, so a crash or
-	// injected fault there is recovered like any other evaluation. Its
-	// verdict is never journaled: a resumed search re-checks composition.
-	// Under an external unit evaluator it ships as a unit like any piece
-	// (carrying just the single-flagged addresses — absent entries
-	// instrument as double exactly like explicit ones, so the run is
-	// identical to the in-process settle over the full effective map).
-	var fs settled
-	if opts.Units != nil {
-		var singles []uint64
-		for a, p := range eff {
-			if p == config.Single {
-				singles = append(singles, a)
-			}
+	// The final-union run is a unit like any piece, so a crash or
+	// injected fault there is recovered like any other evaluation. It
+	// carries just the single-flagged addresses: absent entries
+	// instrument as double exactly like explicit ones. Its verdict is
+	// never journaled: a resumed search re-checks composition.
+	var singles []uint64
+	for a, p := range eff {
+		if p == config.Single {
+			singles = append(singles, a)
 		}
-		sort.Slice(singles, func(i, j int) bool { return singles[i] < singles[j] })
-		v, uerr := opts.Units.EvaluateUnit(newEvalUnit(
-			"final union", "final union", config.KindModule, singles, true))
-		if uerr != nil {
-			res.Final = nil
-			return res, uerr
-		}
-		fs = settledOf(v)
-	} else {
-		fs = st.settle(eff, "final union")
 	}
-	if fs.err != nil {
-		res.Final = nil
-		return res, fs.err
+	sort.Slice(singles, func(i, j int) bool { return singles[i] < singles[j] })
+	fv, err := evaluate(newEvalUnit("final union", "final union", config.KindModule, singles, true))
+	if err != nil {
+		return fail(err)
 	}
-	if fs.interrupted {
+	if fv.Interrupted {
 		res.Interrupted = true
 		return res, nil
 	}
 	res.Tested++
-	account("final union", config.KindModule, final.CountSingle(), fs)
-	res.FinalPass = fs.pass
+	account("final union", config.KindModule, final.CountSingle(), fv)
+	res.FinalPass = fv.Pass
 	return res, nil
 }
 

@@ -64,37 +64,6 @@ func TestSensitivityGatePredictsFailures(t *testing.T) {
 	}
 }
 
-func TestNoSensitivityReproducesBaseline(t *testing.T) {
-	tgt, sh := collectShadow(t)
-	base, err := Run(*tgt, Options{Workers: 1, Prioritize: true, BinarySplit: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(*tgt, Options{
-		Workers: 1, Prioritize: true, BinarySplit: true,
-		Shadow: sh, SensThreshold: 1e-10, NoSensitivity: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tested != base.Tested || res.Predicted != 0 {
-		t.Errorf("NoSensitivity tested %d (predicted %d), baseline %d — want identical trajectory",
-			res.Tested, res.Predicted, base.Tested)
-	}
-	if len(res.Evals) != len(base.Evals) {
-		t.Fatalf("eval count %d != %d", len(res.Evals), len(base.Evals))
-	}
-	for i := range res.Evals {
-		if res.Evals[i].Label != base.Evals[i].Label || res.Evals[i].Pass != base.Evals[i].Pass ||
-			res.Evals[i].Prov != base.Evals[i].Prov {
-			t.Errorf("eval %d: %+v != %+v", i, res.Evals[i], base.Evals[i])
-		}
-	}
-	if res.Final.String() != base.Final.String() {
-		t.Error("final configuration differs under NoSensitivity")
-	}
-}
-
 func TestEvalProvenanceAccounting(t *testing.T) {
 	tgt, sh := collectShadow(t)
 	res, err := Run(*tgt, Options{Workers: 1, Shadow: sh, SensThreshold: 1e-10})

@@ -14,9 +14,10 @@ import (
 // of the piece's address set alone. A unit is therefore the natural
 // sharding granularity — any executor that returns faithful verdicts
 // composes a final configuration byte-identical to an in-process run.
-// The fleet scheduler (internal/fleet) plugs in here: Options.Units
-// routes every evaluation unit to it instead of the in-process settler,
-// and UnitRunner is the execution side a worker wraps.
+// search.Run evaluates every unit through a UnitRunner unless
+// Options.Units routes them elsewhere — the fleet scheduler
+// (internal/fleet) plugs in there, and UnitRunner is the execution side
+// a worker wraps.
 
 // EvalUnit is one evaluation unit: an independently evaluable
 // configuration of the search (a piece, or the final union run).
@@ -63,24 +64,27 @@ func newEvalUnit(key, label string, kind config.Kind, addrs []uint64, final bool
 	return u
 }
 
-// Verdict is the settled outcome of an evaluation unit — the exported
-// image of the settler's verdict, carrying everything Eval records and
+// Verdict is the settled outcome of an evaluation unit, after retries,
+// confirmation and crash recovery — everything Eval records and
 // robustness counters need.
 type Verdict struct {
 	Pass    bool
 	Failure Failure
-	Fault   *vm.Fault
-	Stack   string
+	Fault   *vm.Fault // the trap that decided a FailTrap/FailTimeout verdict
+	Stack   string    // recovered stack of a FailCrash
 
-	Attempts int
-	Retried  int
-	Injected int
-	Nondet   bool
+	Attempts int  // evaluation attempts consumed (≥1)
+	Retried  int  // attempts beyond the first (transient retries + confirmations)
+	Injected int  // injected faults absorbed along the way
+	Nondet   bool // the verifier returned disagreeing verdicts; pass wins
 
+	// Forked and PrefixSaved carry the deciding attempt's fork
+	// provenance: whether it ran from a fork-point snapshot and how many
+	// shared-prefix instructions that skipped.
 	Forked      bool
 	PrefixSaved uint64
 
-	Wall time.Duration
+	Wall time.Duration // total across attempts, including backoff
 
 	// Interrupted reports the unit was cancelled before a verdict; the
 	// piece stays unsettled and must not be recorded.
@@ -115,9 +119,9 @@ type CachedVerdict struct {
 }
 
 // UnitRunner executes evaluation units locally: the engine + settler
-// stack search.Run itself uses, exposed so fleet workers evaluate a
-// job's units exactly as the serial search would. Safe for concurrent
-// use.
+// stack search.Run evaluates every unit through when Options.Units is
+// nil, exposed so fleet workers evaluate a job's units exactly as the
+// serial search would. Safe for concurrent use.
 type UnitRunner struct {
 	st      *settler
 	ignored map[uint64]bool
@@ -132,22 +136,42 @@ func NewUnitRunner(t Target, opts Options) (*UnitRunner, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newUnitRunner(t, opts, ignored)
+}
+
+// newUnitRunner builds the evaluation stack for a target whose ignored
+// set is already resolved: the one place evaluation options are
+// defaulted and the settler is assembled.
+func newUnitRunner(t Target, opts Options, ignored map[uint64]bool) (*UnitRunner, error) {
 	if opts.Chaos != nil && opts.Retries == 0 {
+		// Chaos without a retry budget could never terminate cleanly;
+		// injected faults are healed by retries (and only first attempts
+		// are faulted, so 1 would do — 3 leaves slack for real flakes).
 		opts.Retries = 3
 	}
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ev, err := newEvaluator(t, opts.Engine, opts.NoCompile)
-	if err != nil {
-		return nil, err
+	ev := opts.testEval
+	if ev == nil {
+		var err error
+		if ev, err = newEvaluator(t, opts.Engine, opts.NoCompile); err != nil {
+			return nil, err
+		}
 	}
+	// The settler wraps every evaluation with the failure model: panic
+	// recovery, the per-attempt wall-clock bound, and bounded retry of
+	// transient (injected) faults — see robust.go. Fork-point evaluation
+	// replays deterministically, so a failing verdict needs no
+	// confirmation re-run — unless chaos is armed, where confirmation is
+	// what heals injected flaky verdicts.
+	_, forking := ev.(*forkEngine)
 	st := &settler{
-		ev: ev, ignored: ignored, ctx: ctx,
+		ev: ev, ctx: ctx,
 		timeout: opts.Timeout, retries: opts.Retries,
 		backoff: opts.Backoff, chaos: opts.Chaos,
-		noConfirm: opts.Engine == EngineFork && opts.Chaos == nil,
+		noConfirm: forking && opts.Chaos == nil,
 	}
 	return &UnitRunner{st: st, ignored: ignored}, nil
 }
@@ -156,30 +180,5 @@ func NewUnitRunner(t Target, opts Options) (*UnitRunner, error) {
 // infrastructural (instrumentation or linking broke) and aborts the
 // search the unit belongs to.
 func (r *UnitRunner) Evaluate(u EvalUnit) (Verdict, error) {
-	s := r.st.settle(effFor(u.Addrs, r.ignored), u.Key)
-	if s.err != nil {
-		return Verdict{}, s.err
-	}
-	return verdictOf(s), nil
-}
-
-// verdictOf exports a settled verdict.
-func verdictOf(s settled) Verdict {
-	return Verdict{
-		Pass: s.pass, Failure: s.failure, Fault: s.fault, Stack: s.stack,
-		Attempts: s.attempts, Retried: s.retried, Injected: s.injected,
-		Nondet: s.nondet, Forked: s.forked, PrefixSaved: s.prefixSaved,
-		Wall: s.wall, Interrupted: s.interrupted,
-	}
-}
-
-// settledOf imports an external verdict into the settler's
-// representation, so the search accounts it exactly like a local one.
-func settledOf(v Verdict) settled {
-	return settled{
-		pass: v.Pass, failure: v.Failure, fault: v.Fault, stack: v.Stack,
-		attempts: v.Attempts, retried: v.Retried, injected: v.Injected,
-		nondet: v.Nondet, forked: v.Forked, prefixSaved: v.PrefixSaved,
-		wall: v.Wall, interrupted: v.Interrupted,
-	}
+	return r.st.settle(effFor(u.Addrs, r.ignored), u.Key)
 }

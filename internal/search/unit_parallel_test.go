@@ -2,6 +2,7 @@ package search
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -100,5 +101,60 @@ func TestUnitRunnerParallelEvaluate(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestRunUnitsPathIdentical pins the one-evaluation-path contract: Run
+// with no Options.Units evaluates through a UnitRunner built from its own
+// options, so routing the same search through an explicit NewUnitRunner
+// changes nothing — counters, the Eval sequence and the final bytes.
+func TestRunUnitsPathIdentical(t *testing.T) {
+	for _, name := range []string{"ep", "mg"} {
+		t.Run(name, func(t *testing.T) {
+			tgt := kernelTarget(t, name)
+			opts := Options{Workers: 1, BinarySplit: true, Prioritize: true}
+			local, err := Run(tgt, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runner, err := NewUnitRunner(tgt, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			uo := opts
+			uo.Units = &recordingUnits{r: runner}
+			routed, err := Run(tgt, uo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counters := func(r *Result) [16]any {
+				return [16]any{
+					r.FinalPass, r.Candidates, r.Tested, r.MemoHits, r.CacheHits,
+					r.PrunedCandidates, r.Predicted, r.Crashed, r.TimedOut, r.Retried,
+					r.Injected, r.Resumed, r.Proved, r.Forked, r.PrefixInstrsSaved, r.Stats,
+				}
+			}
+			if got, want := counters(routed), counters(local); got != want {
+				t.Errorf("counters differ:\n routed %v\n local  %v", got, want)
+			}
+			type step struct {
+				label        string
+				prov         Provenance
+				pass, forked bool
+			}
+			steps := func(r *Result) []step {
+				var s []step
+				for _, e := range r.Evals {
+					s = append(s, step{e.Label, e.Prov, e.Pass, e.Forked})
+				}
+				return s
+			}
+			if got, want := steps(routed), steps(local); !reflect.DeepEqual(got, want) {
+				t.Errorf("Eval sequences differ:\n routed %v\n local  %v", got, want)
+			}
+			if routed.Final.String() != local.Final.String() {
+				t.Error("final configurations differ")
+			}
+		})
 	}
 }

@@ -299,16 +299,11 @@ func (s *Server) execute(ctx context.Context, id string, st *stream) (*search.Re
 	if resumed > 0 {
 		st.note(fmt.Sprintf("resuming %d settled verdicts from the journal", resumed))
 	}
-	mode := search.EngineFork
-	if j.Spec.NoFork {
-		mode = search.EngineOn
-	}
 	var chaos *faultinject.Injector
 	if j.Spec.Chaos != 0 {
 		chaos = faultinject.New(j.Spec.Chaos, faultinject.DefaultRates, 0)
 	}
 	runner, err := search.NewUnitRunner(target, search.Options{
-		Engine:  mode,
 		Context: ctx,
 		Chaos:   chaos,
 	})
@@ -330,7 +325,6 @@ func (s *Server) execute(ctx context.Context, id string, st *stream) (*search.Re
 		Granularity:   j.Spec.Kind(),
 		BinarySplit:   true,
 		Prioritize:    true,
-		Engine:        mode,
 		NoPrune:       j.Spec.NoPrune,
 		NoProve:       j.Spec.NoProve,
 		Shadow:        sh,
