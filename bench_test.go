@@ -448,29 +448,47 @@ func BenchmarkVMThroughput(b *testing.B) {
 }
 
 // BenchmarkVMThroughputCompiled measures the compiled direct-threaded
-// tier on the same kernel (ns/op against BenchmarkVMThroughput is the
-// raw engine speedup, with link cost amortized as the search amortizes
-// it).
+// tier (ns/op against BenchmarkVMThroughput on mg/base is the raw engine
+// speedup, with link cost amortized as the search amortizes it). The lu
+// sub-benchmarks cover the array-index idioms of kernel code and, all
+// double-wrapped, the replacement snippets' flag tests — the two shapes
+// the compiled tier's pattern superinstructions target.
 func BenchmarkVMThroughputCompiled(b *testing.B) {
-	bench, err := kernels.Get("mg", kernels.ClassW)
-	if err != nil {
-		b.Fatal(err)
+	for _, c := range []struct {
+		name, kernel string
+		wrapped      bool
+	}{
+		{"mg/base", "mg", false},
+		{"lu/base", "lu", false},
+		{"lu/wrapped", "lu", true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			bench, err := kernels.Get(c.kernel, kernels.ClassW)
+			if err != nil {
+				b.Fatal(err)
+			}
+			mod := bench.Module
+			if c.wrapped {
+				mod = instrumentAll(b, mod, config.Double)
+			}
+			lp, err := vm.Link(mod)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			var steps uint64
+			m := &vm.Machine{}
+			for i := 0; i < b.N; i++ {
+				m.ResetTo(lp)
+				m.MaxSteps = bench.MaxSteps
+				if err := m.Run(); err != nil {
+					b.Fatal(err)
+				}
+				steps = m.Steps
+			}
+			b.ReportMetric(float64(steps), "instrs/op")
+		})
 	}
-	lp, err := vm.Link(bench.Module)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var steps uint64
-	m := &vm.Machine{}
-	for i := 0; i < b.N; i++ {
-		m.ResetTo(lp)
-		if err := m.Run(); err != nil {
-			b.Fatal(err)
-		}
-		steps = m.Steps
-	}
-	b.ReportMetric(float64(steps), "instrs/op")
 }
 
 // BenchmarkInstrument measures the binary rewriter itself.

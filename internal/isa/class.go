@@ -17,7 +17,10 @@ type fpClass struct {
 	producer  bool // produces a fresh FP value without consuming one (CVTSI2SD)
 }
 
-var fpTable = map[Op]fpClass{
+// fpTable is indexed by opcode; the zero entry classifies every opcode
+// with no floating-point role. An array, not a map: the search consults
+// it per candidate and per configuration, and the VM per packed lane.
+var fpTable = [opCount]fpClass{
 	ADDSD:   {candidate: true, single: ADDSS, dstIsSrc: true, writes: true},
 	SUBSD:   {candidate: true, single: SUBSS, dstIsSrc: true, writes: true},
 	MULSD:   {candidate: true, single: MULSS, dstIsSrc: true, writes: true},
@@ -41,19 +44,25 @@ var fpTable = map[Op]fpClass{
 	SQRTPD: {candidate: true, single: SQRTPS, packed: true, writes: true},
 }
 
+// classOf returns op's classification; opcodes outside the table (an
+// undecoded or corrupt Op) classify like opcodes with no FP role.
+func classOf(op Op) fpClass {
+	if op >= opCount {
+		return fpClass{}
+	}
+	return fpTable[op]
+}
+
 // IsCandidate reports whether op is a double-precision instruction whose
 // precision the framework can configure (the set Pd in the paper).
-func IsCandidate(op Op) bool {
-	c, ok := fpTable[op]
-	return ok && c.candidate
-}
+func IsCandidate(op Op) bool { return classOf(op).candidate }
 
 // SingleEquivalent returns the single-precision opcode corresponding to the
 // double-precision candidate op. It returns (0, false) if op is not a
 // candidate.
 func SingleEquivalent(op Op) (Op, bool) {
-	c, ok := fpTable[op]
-	if !ok || !c.candidate {
+	c := classOf(op)
+	if !c.candidate {
 		return 0, false
 	}
 	return c.single, true
@@ -61,36 +70,24 @@ func SingleEquivalent(op Op) (Op, bool) {
 
 // IsPacked reports whether op operates on both 64-bit lanes of its XMM
 // operands.
-func IsPacked(op Op) bool {
-	c, ok := fpTable[op]
-	return ok && c.packed
-}
+func IsPacked(op Op) bool { return classOf(op).packed }
 
 // DstIsSource reports whether op's destination operand is also an input
 // (two-operand ALU form such as ADDSD dst, src).
-func DstIsSource(op Op) bool {
-	c, ok := fpTable[op]
-	return ok && c.dstIsSrc
-}
+func DstIsSource(op Op) bool { return classOf(op).dstIsSrc }
 
 // WritesDst reports whether op writes its destination operand.
-func WritesDst(op Op) bool {
-	c, ok := fpTable[op]
-	return ok && c.writes
-}
+func WritesDst(op Op) bool { return classOf(op).writes }
 
 // IsProducer reports whether op produces a floating-point value without
 // consuming one (integer-to-float conversion).
-func IsProducer(op Op) bool {
-	c, ok := fpTable[op]
-	return ok && c.producer
-}
+func IsProducer(op Op) bool { return classOf(op).producer }
 
 // ConsumesFP reports whether op reads floating-point input operands that
 // may carry a replacement flag and therefore need checking in a snippet.
 func ConsumesFP(op Op) bool {
-	c, ok := fpTable[op]
-	return ok && c.candidate && !c.producer
+	c := classOf(op)
+	return c.candidate && !c.producer
 }
 
 // Candidates returns every candidate opcode, for exhaustive tests.

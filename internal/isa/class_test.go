@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -148,5 +149,57 @@ func TestOpStringTotal(t *testing.T) {
 		if op.String() == "" || strings.HasPrefix(op.String(), "op?") {
 			t.Errorf("opcode %d has no name", op)
 		}
+	}
+}
+
+// TestClassificationTable walks every opcode and pins the whole
+// floating-point classification — candidates in opcode order, single
+// equivalents, and every per-opcode predicate — so the table's
+// representation can change without its contents drifting.
+func TestClassificationTable(t *testing.T) {
+	type class struct {
+		single                                   Op
+		packed, dstIsSrc, writes, producer, cons bool
+	}
+	want := map[Op]class{
+		ADDSD:     {single: ADDSS, dstIsSrc: true, writes: true, cons: true},
+		SUBSD:     {single: SUBSS, dstIsSrc: true, writes: true, cons: true},
+		MULSD:     {single: MULSS, dstIsSrc: true, writes: true, cons: true},
+		DIVSD:     {single: DIVSS, dstIsSrc: true, writes: true, cons: true},
+		MINSD:     {single: MINSS, dstIsSrc: true, writes: true, cons: true},
+		MAXSD:     {single: MAXSS, dstIsSrc: true, writes: true, cons: true},
+		SQRTSD:    {single: SQRTSS, writes: true, cons: true},
+		UCOMISD:   {single: UCOMISS, dstIsSrc: true, cons: true},
+		SINSD:     {single: SINSS, writes: true, cons: true},
+		COSSD:     {single: COSSS, writes: true, cons: true},
+		EXPSD:     {single: EXPSS, writes: true, cons: true},
+		LOGSD:     {single: LOGSS, writes: true, cons: true},
+		CVTSI2SD:  {single: CVTSI2SS, writes: true, producer: true},
+		CVTTSD2SI: {single: CVTTSS2SI, writes: true, cons: true},
+		ADDPD:     {single: ADDPS, packed: true, dstIsSrc: true, writes: true, cons: true},
+		SUBPD:     {single: SUBPS, packed: true, dstIsSrc: true, writes: true, cons: true},
+		MULPD:     {single: MULPS, packed: true, dstIsSrc: true, writes: true, cons: true},
+		DIVPD:     {single: DIVPS, packed: true, dstIsSrc: true, writes: true, cons: true},
+		SQRTPD:    {single: SQRTPS, packed: true, writes: true, cons: true},
+	}
+	var wantCands []Op
+	for op := Op(0); op < opCount; op++ {
+		w, cand := want[op]
+		if cand {
+			wantCands = append(wantCands, op)
+		}
+		s, ok := SingleEquivalent(op)
+		got := class{single: s, packed: IsPacked(op), dstIsSrc: DstIsSource(op),
+			writes: WritesDst(op), producer: IsProducer(op), cons: ConsumesFP(op)}
+		if IsCandidate(op) != cand || ok != cand || got != w {
+			t.Errorf("%s: candidate %v (single ok %v), class %+v; want candidate %v, class %+v",
+				op, IsCandidate(op), ok, got, cand, w)
+		}
+	}
+	if got := Candidates(); !slices.Equal(got, wantCands) {
+		t.Errorf("Candidates() = %v, want %v", got, wantCands)
+	}
+	if IsCandidate(opCount) || IsPacked(opCount+7) {
+		t.Error("opcodes past the table must classify as non-FP")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sort"
 
 	"fpmix/internal/isa"
 )
@@ -53,14 +54,14 @@ const (
 	termHalt                    // HALT
 )
 
-// block is one compiled basic block: a fused superinstruction executing
-// the whole straight-line body before settling accounting once.
+// block is one compiled basic block: its whole straight-line body runs
+// before accounting settles once.
 type block struct {
 	start int32     // instruction index of the first instruction
 	n     int32     // total instructions in the block (body + terminator)
 	id    int32     // index in compiled.blocks (the blkExec slot)
 	cost  uint64    // summed cycle cost of all n instructions
-	body  []microOp // pre-decoded straight-line instructions, in order
+	body  []microOp // pre-decoded straight-line micro-ops, in order
 	term  termKind
 	in    *isa.Instr // terminator instruction; nil only for termFall
 	// condOp is the branch opcode a termCond block evaluates.
@@ -87,6 +88,37 @@ type compiled struct {
 	blockOf []int32
 	// leader marks instruction indices that begin a basic block.
 	leader []bool
+	// fused lists the program's pattern superinstructions in index order,
+	// kept to map a faulting body micro-op back to its instructions.
+	fused []fusedOp
+}
+
+// bodyEnd is the index one past b's last body instruction: the
+// terminator, or the end of the block when it falls through.
+func (b *block) bodyEnd() int32 {
+	if b.term == termFall || b.term == termFallOff {
+		return b.start + b.n
+	}
+	return b.start + b.n - 1
+}
+
+// opStart returns the index of the first instruction body[j] of b
+// executes, replaying the block builder's walk over c.fused. Only fault
+// paths need it.
+func (c *compiled) opStart(b *block, j int32) int32 {
+	i := b.start
+	if len(c.fused) == 0 {
+		return i + j
+	}
+	fc := fuseCursor(c.fused[sort.Search(len(c.fused), func(k int) bool { return c.fused[k].at >= b.start }):])
+	for ; j > 0; j-- {
+		if f, ok := fc.take(i, b.bodyEnd()); ok {
+			i += f.n
+		} else {
+			i++
+		}
+	}
+	return i
 }
 
 // endsBlock reports whether op terminates a basic block in the compiled
@@ -99,14 +131,18 @@ func endsBlock(op isa.Op) bool {
 // compileProgram builds the direct-threaded block stream for lp. It
 // requires lp.targets and lp.costs to be populated.
 func compileProgram(lp *Program) *compiled {
-	return compileProgramWith(lp, func(i int) microOp { return compileOp(&lp.instrs[i]) }, nil)
+	ops, fused := compileFrag(lp.instrs)
+	return compileProgramWith(lp, ops, fused, nil)
 }
 
-// compileProgramWith is compileProgram with the per-instruction closure
-// supplied by the caller: the incremental linker passes pre-compiled
-// micro-ops (closures over its immutable fragment cache, valid for any
-// assembly because instruction content and address are stable), so
-// re-assembling a configuration skips closure creation entirely.
+// compileProgramWith is compileProgram over pre-compiled micro-ops: ops[i]
+// is instruction i's micro-op and fused the pattern superinstructions in
+// index order. The incremental linker passes the concatenation of its
+// immutable fragment caches (valid for any assembly because instruction
+// content and address are stable), so re-assembling a configuration skips
+// closure creation entirely. A superinstruction is taken only when its
+// whole span lies inside the block body, so no fused op ever spans a
+// leader.
 //
 // extraLeaders lists additional instruction indices to begin basic blocks
 // at. The incremental linker passes every replacement-slot base so that a
@@ -114,10 +150,10 @@ func compileProgram(lp *Program) *compiled {
 // a block boundary and the run stays on the compiled tier (see
 // runCompiled). A few extra block splits cost the steady state nothing
 // but one more dispatch.
-func compileProgramWith(lp *Program, opAt func(int) microOp, extraLeaders []int32) *compiled {
+func compileProgramWith(lp *Program, ops []microOp, fused []fusedOp, extraLeaders []int32) *compiled {
 	instrs := lp.instrs
 	n := len(instrs)
-	c := &compiled{leader: make([]bool, n), blockOf: make([]int32, n)}
+	c := &compiled{leader: make([]bool, n), blockOf: make([]int32, n), fused: fused}
 	if n == 0 {
 		return c
 	}
@@ -138,6 +174,11 @@ func compileProgramWith(lp *Program, opAt func(int) microOp, extraLeaders []int3
 			c.leader[t] = true
 		}
 	}
+	// Every block's body is carved out of one slab (a body never holds
+	// more micro-ops than instructions). Blocks are built in index order,
+	// so one cursor walks the superinstructions.
+	bodies := make([]microOp, 0, n)
+	fc := fuseCursor(fused)
 	// takenIdx[id] remembers each block's taken-target instruction index
 	// until every block exists and pointers can be resolved.
 	var takenIdx []int32
@@ -199,10 +240,17 @@ func compileProgramWith(lp *Program, opAt func(int) microOp, extraLeaders []int3
 				b.term = termFall
 			}
 		}
-		b.body = make([]microOp, 0, bodyEnd-start)
-		for i := start; i < bodyEnd; i++ {
-			b.body = append(b.body, opAt(i))
+		blo := len(bodies)
+		for i := int32(start); i < int32(bodyEnd); {
+			if f, ok := fc.take(i, int32(bodyEnd)); ok {
+				bodies = append(bodies, f.op)
+				i += f.n
+			} else {
+				bodies = append(bodies, ops[i])
+				i++
+			}
 		}
+		b.body = bodies[blo:len(bodies):len(bodies)]
 		c.blocks = append(c.blocks, b)
 		takenIdx = append(takenIdx, taken)
 	}
@@ -320,7 +368,7 @@ outer:
 			body := cur.body
 			for j := 0; j < len(body); j++ {
 				if err := body[j](m); err != nil {
-					m.settlePartial(cur, int32(j))
+					m.settlePartial(c, cur, int32(j))
 					return err
 				}
 			}
@@ -397,14 +445,18 @@ outer:
 
 // settlePartial accounts a block whose body faulted at body index j: the
 // faulting instruction executed (and is counted and charged), everything
-// after it did not.
-func (m *Machine) settlePartial(b *block, j int32) {
-	for i := b.start; i <= b.start+j; i++ {
+// after it did not. When body[j] is a superinstruction, the faulting
+// instruction is its constituent m.faultOff (set by the fused op), and
+// the constituents before it executed.
+func (m *Machine) settlePartial(c *compiled, b *block, j int32) {
+	last := c.opStart(b, j) + m.faultOff
+	m.faultOff = 0
+	for i := b.start; i <= last; i++ {
 		m.counts[i]++
 		m.Cycles += m.costs[i]
 	}
-	m.Steps += uint64(j + 1)
-	m.pcIdx = b.start + j
+	m.Steps += uint64(last - b.start + 1)
+	m.pcIdx = last
 }
 
 // flushBlockCounts expands the per-block execution counters into the

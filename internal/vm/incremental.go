@@ -49,22 +49,23 @@ type ilBranch struct {
 }
 
 // ilFrag is one compiled cache fragment: an immutable instruction sequence
-// with its per-instruction costs, pre-decoded micro-ops and pre-resolved
-// branches.
+// with its per-instruction costs, pre-decoded micro-ops, pattern
+// superinstructions (fuse.go; indexed within the fragment) and
+// pre-resolved branches.
 type ilFrag struct {
 	instrs   []isa.Instr
 	costs    []uint64
 	ops      []microOp
+	fused    []fusedOp
 	branches []ilBranch
 }
 
 func (f *ilFrag) compile() {
 	f.costs = make([]uint64, len(f.instrs))
-	f.ops = make([]microOp, len(f.instrs))
 	for i := range f.instrs {
 		f.costs[i] = cost(&f.instrs[i])
-		f.ops[i] = compileOp(&f.instrs[i])
 	}
+	f.ops, f.fused = compileFrag(f.instrs)
 }
 
 // ilUnit is one interleaving unit of the layout: a shared segment or a
@@ -232,7 +233,7 @@ func (il *IncrementalLinker) Assemble(choices []int) (*Program, error) {
 	frags := make([]*ilFrag, len(il.units))
 	starts := make([]int32, len(il.units)+1)
 	slotLeaders := make([]int32, 0, il.sites)
-	n := int32(0)
+	n, nfused := int32(0), 0
 	for ui := range il.units {
 		u := &il.units[ui]
 		f := &u.frag
@@ -247,6 +248,7 @@ func (il *IncrementalLinker) Assemble(choices []int) (*Program, error) {
 		frags[ui] = f
 		starts[ui] = n
 		n += int32(len(f.instrs))
+		nfused += len(f.fused)
 	}
 	starts[len(il.units)] = n
 
@@ -254,6 +256,7 @@ func (il *IncrementalLinker) Assemble(choices []int) (*Program, error) {
 	instrs := make([]isa.Instr, n)
 	costs := make([]uint64, n)
 	ops := make([]microOp, n)
+	fused := make([]fusedOp, 0, nfused)
 	targets := make([]int32, n)
 	for i := range targets {
 		targets[i] = -1
@@ -263,6 +266,10 @@ func (il *IncrementalLinker) Assemble(choices []int) (*Program, error) {
 		copy(instrs[base:], f.instrs)
 		copy(costs[base:], f.costs)
 		copy(ops[base:], f.ops)
+		for _, fo := range f.fused {
+			fo.at += base
+			fused = append(fused, fo)
+		}
 		for _, b := range f.branches {
 			if b.unit >= 0 {
 				targets[base+b.local] = starts[b.unit] + b.tlocal
@@ -277,6 +284,6 @@ func (il *IncrementalLinker) Assemble(choices []int) (*Program, error) {
 		targets: targets,
 		costs:   costs,
 	}
-	lp.compiled = compileProgramWith(lp, func(i int) microOp { return ops[i] }, slotLeaders)
+	lp.compiled = compileProgramWith(lp, ops, fused, slotLeaders)
 	return lp, nil
 }

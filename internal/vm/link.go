@@ -41,7 +41,14 @@ func Link(m *prog.Module) (*Program, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	lp := &Program{mod: m, instrs: m.Instructions()}
+	return linkStream(m, m.Instructions())
+}
+
+// linkStream links instrs, an address-sorted instruction stream with m's
+// entry, data segment and memory size, without validating the layout
+// (a slotted stream's tail gaps fail prog.Validate).
+func linkStream(m *prog.Module, instrs []isa.Instr) (*Program, error) {
+	lp := &Program{mod: m, instrs: instrs}
 	lp.targets = make([]int32, len(lp.instrs))
 	lp.costs = make([]uint64, len(lp.instrs))
 	for i := range lp.instrs {

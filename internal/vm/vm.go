@@ -184,6 +184,11 @@ type Machine struct {
 	// expanded into counts when a compiled run ends (see compile.go).
 	blkExec []uint64
 
+	// faultOff is the constituent index at which a pattern
+	// superinstruction faulted, handed to settlePartial (see fuse.go);
+	// zero at every other time.
+	faultOff int32
+
 	// track, when non-nil, is the dirty-page state backing incremental
 	// Snapshot/RestoreFrom (see snapshot.go); nil (the default) costs one
 	// pointer comparison per executed store.
