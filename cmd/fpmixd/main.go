@@ -1,6 +1,7 @@
 // Command fpmixd is the long-lived mixed-precision search service: an
 // HTTP/JSON server over a durable job store, a shared cross-job verdict
-// cache and a pool of in-process evaluation workers.
+// cache and a fleet of evaluation workers: its own local ones plus any
+// fpmixworker processes that join.
 //
 // Submitted jobs (a registered kernel, or an uploaded program image
 // plus a verifier spec) run the same breadth-first search fpsearch
@@ -30,9 +31,12 @@
 //
 // fpmixctl is the matching client; fpmixworker joins the evaluation
 // fleet from other processes or machines (run fpmixd -workers 0 for a
-// remote-only daemon). On SIGINT/SIGTERM the daemon drains in-flight
-// remote units up to -draintimeout so their verdicts journal, then
-// requeues the rest and exits; the next incarnation resumes.
+// remote-only daemon). Local and remote workers run the same worker
+// runtime and protocol; the local ones just reach the pool in memory.
+// On SIGINT/SIGTERM the daemon stops granting leases and waits up to
+// -draintimeout for held ones to deliver so their verdicts journal,
+// then requeues the running jobs and exits; the next incarnation
+// resumes.
 package main
 
 import (
@@ -51,13 +55,13 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8606", "listen address")
 	dir := flag.String("dir", "fpmixd.state", "job store directory (journals, results, verdict cache)")
-	workers := flag.Int("workers", 4, "in-process evaluation workers (0 = remote-only: all evaluation on fpmixworker processes)")
-	drain := flag.Duration("draintimeout", 5*time.Second, "graceful-shutdown wait for in-flight remote units before requeueing them")
+	workers := flag.Int("workers", 4, "local evaluation workers (0 = remote-only: all evaluation on fpmixworker processes)")
+	drain := flag.Duration("draintimeout", 5*time.Second, "graceful-shutdown wait for leased units to deliver before requeueing the jobs")
 	flag.Parse()
 
 	w := *workers
 	if w == 0 {
-		w = -1 // service.Options: negative = zero in-process workers
+		w = -1 // service.Options: negative = no local workers
 	}
 	srv, err := service.New(service.Options{Dir: *dir, Workers: w, DrainTimeout: *drain})
 	if err != nil {

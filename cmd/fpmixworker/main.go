@@ -1,11 +1,11 @@
 // Command fpmixworker is an out-of-process evaluation worker for the
 // fpmixd search service. It connects to a daemon over HTTP, claims
 // evaluation units, runs them in its own address space with the exact
-// engine stack the daemon's in-process workers use, and streams the
-// verdicts back — so a worker crash, partition or kill -9 can never
-// take the daemon down, and the composed final configuration stays
-// byte-identical to a serial fpsearch run no matter how the fleet
-// fails.
+// engine stack and worker runtime the daemon's local workers use, and
+// streams the verdicts back — so a worker crash, partition or kill -9
+// can never take the daemon down, and the composed final configuration
+// stays byte-identical to a serial fpsearch run no matter how the
+// fleet fails.
 //
 //	fpmixworker -server http://127.0.0.1:8606 -name rack3
 //

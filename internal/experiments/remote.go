@@ -226,27 +226,20 @@ func remoteLeg(name string, class kernels.Class, nWorkers, parallel, batch int) 
 		return 0, "", 0, err
 	}
 	for _, w := range srv.Pool().Workers() {
-		if w.Remote {
-			units += w.Done
-		}
+		units += w.Done
 	}
 	return ns, remoteNotesRE.ReplaceAllString(string(data), ""), units, nil
 }
 
-// awaitWorkers blocks until n live remote workers are registered.
+// awaitWorkers blocks until n live workers are registered (the daemon
+// is remote-only, so every one of them is a remote worker).
 func awaitWorkers(srv *service.Server, n int) error {
 	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		live := 0
-		for _, w := range srv.Pool().Workers() {
-			if w.Remote && w.State != fleet.WorkerDead {
-				live++
-			}
-		}
-		if live >= n {
-			return nil
+	for srv.Pool().Alive() < n {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("never saw %d live remote workers", n)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	return fmt.Errorf("never saw %d live remote workers", n)
+	return nil
 }

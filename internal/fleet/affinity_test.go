@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -38,9 +39,9 @@ func waitQueue(t *testing.T, p *Pool, n int) {
 func TestAffinityRoutesSiblings(t *testing.T) {
 	p := New(Options{})
 	defer p.Close()
-	a, _, _ := p.AddRemote("a", 1)
-	b, _, _ := p.AddRemote("b", 1)
-	j := p.Register("j0001", &fakeEval{})
+	a, _, _ := p.Join("a", 1)
+	b, _, _ := p.Join("b", 1)
+	j := p.Register(context.Background(), "j0001", &fakeEval{})
 
 	// a evaluates the first site-1 unit and becomes site 1's owner.
 	r1 := evalSiteAsync(j, "s1a", 1)
@@ -48,7 +49,7 @@ func TestAffinityRoutesSiblings(t *testing.T) {
 	if la.Unit.Key != "s1a" {
 		t.Fatalf("a claimed %q, want s1a", la.Unit.Key)
 	}
-	if acc, err := p.Report(a, la.Job, la.Unit.Key, la.Epoch, search.Verdict{Pass: true}, ""); err != nil || !acc {
+	if acc, err := report(p, a, la, search.Verdict{Pass: true}, ""); err != nil || !acc {
 		t.Fatalf("report: accepted=%v err=%v", acc, err)
 	}
 	if r := <-r1; r.err != nil {
@@ -72,8 +73,8 @@ func TestAffinityRoutesSiblings(t *testing.T) {
 	if la2.Unit.Key != "s1b" {
 		t.Fatalf("a claimed %q, want its sibling s1b", la2.Unit.Key)
 	}
-	p.Report(a, la2.Job, la2.Unit.Key, la2.Epoch, search.Verdict{Pass: true}, "")
-	p.Report(b, lb.Job, lb.Unit.Key, lb.Epoch, search.Verdict{Pass: true}, "")
+	report(p, a, la2, search.Verdict{Pass: true}, "")
+	report(p, b, lb, search.Verdict{Pass: true}, "")
 	if r := <-r2; r.err != nil {
 		t.Fatal(r.err)
 	}
@@ -89,14 +90,14 @@ func TestAffinityRoutesSiblings(t *testing.T) {
 func TestAffinityStarvationFallback(t *testing.T) {
 	p := New(Options{})
 	defer p.Close()
-	a, _, _ := p.AddRemote("a", 1)
-	b, _, _ := p.AddRemote("b", 1)
-	j := p.Register("j0001", &fakeEval{})
+	a, _, _ := p.Join("a", 1)
+	b, _, _ := p.Join("b", 1)
+	j := p.Register(context.Background(), "j0001", &fakeEval{})
 
 	// a owns site 1.
 	r0 := evalSiteAsync(j, "seed", 1)
 	la := claimSoon(t, p, a)
-	p.Report(a, la.Job, la.Unit.Key, la.Epoch, search.Verdict{Pass: true}, "")
+	report(p, a, la, search.Verdict{Pass: true}, "")
 	if r := <-r0; r.err != nil {
 		t.Fatal(r.err)
 	}
@@ -118,16 +119,16 @@ func TestAffinityStarvationFallback(t *testing.T) {
 		if lb.Unit.Key == "head" {
 			t.Fatalf("head taken after only %d bypasses, want %d", i, starveSkips)
 		}
-		p.Report(b, lb.Job, lb.Unit.Key, lb.Epoch, search.Verdict{Pass: true}, "")
+		report(p, b, lb, search.Verdict{Pass: true}, "")
 	}
 	lb := claimSoon(t, p, b)
 	if lb.Unit.Key != "head" {
 		t.Fatalf("claim after %d bypasses got %q, want the starving head", starveSkips, lb.Unit.Key)
 	}
-	p.Report(b, lb.Job, lb.Unit.Key, lb.Epoch, search.Verdict{Pass: true}, "")
+	report(p, b, lb, search.Verdict{Pass: true}, "")
 	// Settle the remaining fresh unit and drain every channel.
 	last := claimSoon(t, p, b)
-	p.Report(b, last.Job, last.Unit.Key, last.Epoch, search.Verdict{Pass: true}, "")
+	report(p, b, last, search.Verdict{Pass: true}, "")
 	for _, res := range results {
 		if r := <-res; r.err != nil {
 			t.Fatal(r.err)
@@ -145,14 +146,14 @@ func TestAffinityGraceDecline(t *testing.T) {
 	fc := newFakeClock()
 	p := New(quietOpts(fc))
 	defer p.Close()
-	a, _, _ := p.AddRemote("a", 1)
-	b, _, _ := p.AddRemote("b", 1)
-	j := p.Register("j0001", &fakeEval{})
+	a, _, _ := p.Join("a", 1)
+	b, _, _ := p.Join("b", 1)
+	j := p.Register(context.Background(), "j0001", &fakeEval{})
 
 	// a owns site 1.
 	r0 := evalSiteAsync(j, "seed", 1)
 	la := claimSoon(t, p, a)
-	p.Report(a, la.Job, la.Unit.Key, la.Epoch, search.Verdict{Pass: true}, "")
+	report(p, a, la, search.Verdict{Pass: true}, "")
 	if r := <-r0; r.err != nil {
 		t.Fatal(r.err)
 	}
@@ -161,7 +162,7 @@ func TestAffinityGraceDecline(t *testing.T) {
 	// leases, so it is positioned to collect it — b comes away empty.
 	r1 := evalSiteAsync(j, "sib", 1)
 	waitQueue(t, p, 1)
-	if leases, _, err := p.Claim(b, 0, 1); err != nil || len(leases) != 0 {
+	if leases, _, err := p.Claim(context.Background(), b, 0, 1); err != nil || len(leases) != 0 {
 		t.Fatalf("claim inside the grace: leases=%v err=%v, want none", leases, err)
 	}
 	// Past the grace the decline must not stall the queue: b takes it.
@@ -170,7 +171,7 @@ func TestAffinityGraceDecline(t *testing.T) {
 	if lb.Unit.Key != "sib" {
 		t.Fatalf("b claimed %q after the grace, want sib", lb.Unit.Key)
 	}
-	p.Report(b, lb.Job, lb.Unit.Key, lb.Epoch, search.Verdict{Pass: true}, "")
+	report(p, b, lb, search.Verdict{Pass: true}, "")
 	if r := <-r1; r.err != nil {
 		t.Fatal(r.err)
 	}
@@ -182,13 +183,13 @@ func TestAffinityGraceDecline(t *testing.T) {
 func TestAffinityQuarantineReroutes(t *testing.T) {
 	p := New(Options{QuarantineAfter: 1})
 	defer p.Close()
-	bad, _, _ := p.AddRemote("bad", 1)
-	good, _, _ := p.AddRemote("good", 1)
-	j := p.Register("j0001", &fakeEval{})
+	bad, _, _ := p.Join("bad", 1)
+	good, _, _ := p.Join("good", 1)
+	j := p.Register(context.Background(), "j0001", &fakeEval{})
 
 	r1 := evalSiteAsync(j, "u1", 5)
 	lb := claimSoon(t, p, bad) // bad owns site 5 now
-	if acc, err := p.Report(bad, lb.Job, lb.Unit.Key, lb.Epoch, search.Verdict{}, "oom"); err != nil || !acc {
+	if acc, err := report(p, bad, lb, search.Verdict{}, "oom"); err != nil || !acc {
 		t.Fatalf("failure report: accepted=%v err=%v", acc, err)
 	}
 	for _, w := range p.Workers() {
@@ -208,8 +209,66 @@ func TestAffinityQuarantineReroutes(t *testing.T) {
 	if owner != good {
 		t.Fatalf("site owner %q after reroute, want %q", owner, good)
 	}
-	p.Report(good, lg.Job, lg.Unit.Key, lg.Epoch, search.Verdict{Pass: true}, "")
+	report(p, good, lg, search.Verdict{Pass: true}, "")
 	if r := <-r1; r.err != nil || !r.v.Pass {
 		t.Fatalf("unit result %+v", r)
+	}
+}
+
+// TestAffinityFullBatchOwner: an owner holding every lease its last
+// claim asked for is busy evaluating, not claiming, so its peers take
+// its sibling at once instead of declining for the grace — a -parallel
+// 4 worker sitting on a full batch must not idle the queue. An owner
+// with batch room left still has a claim parked, and the decline
+// stands.
+func TestAffinityFullBatchOwner(t *testing.T) {
+	fc := newFakeClock()
+	p := New(quietOpts(fc))
+	defer p.Close()
+	ctx := context.Background()
+	a, _, _ := p.Join("a", 4) // lease capacity 16
+	b, _, _ := p.Join("b", 1)
+	j := p.Register(ctx, "j0001", &fakeEval{})
+
+	// a claims a batch of two site-1 units and holds both: a full batch.
+	var results []chan shardResult
+	for i, key := range []string{"seed0", "seed1"} {
+		results = append(results, evalSiteAsync(j, key, 1))
+		waitQueue(t, p, i+1)
+	}
+	held, _, err := p.Claim(ctx, a, 0, 2)
+	if err != nil || len(held) != 2 {
+		t.Fatalf("a's batch claim: leases=%v err=%v, want 2", held, err)
+	}
+	results = append(results, evalSiteAsync(j, "sib", 1))
+	waitQueue(t, p, 1)
+	if lb, _, err := p.Claim(ctx, b, 0, 1); err != nil || len(lb) != 1 || lb[0].Unit.Key != "sib" {
+		t.Fatalf("b's claim beside a full-batch owner: leases=%v err=%v, want sib at once", lb, err)
+	} else {
+		held = append(held, lb[0])
+	}
+	for _, l := range held[:2] {
+		report(p, a, l, search.Verdict{Pass: true}, "")
+	}
+	report(p, b, held[2], search.Verdict{Pass: true}, "")
+
+	// a asks for four and gets one: three slots of room, a claim parked.
+	results = append(results, evalSiteAsync(j, "sib2", 1))
+	waitQueue(t, p, 1)
+	la, _, err := p.Claim(ctx, a, 0, 4)
+	if err != nil || len(la) != 1 {
+		t.Fatalf("a's claim: leases=%v err=%v, want 1", la, err)
+	}
+	results = append(results, evalSiteAsync(j, "sib3", 1))
+	waitQueue(t, p, 1)
+	if lb, _, err := p.Claim(ctx, b, 0, 1); err != nil || len(lb) != 0 {
+		t.Fatalf("b's claim beside an owner with room: leases=%v err=%v, want a decline", lb, err)
+	}
+	report(p, a, la[0], search.Verdict{Pass: true}, "")
+	report(p, a, claimSoon(t, p, a), search.Verdict{Pass: true}, "")
+	for _, res := range results {
+		if r := <-res; r.err != nil {
+			t.Fatal(r.err)
+		}
 	}
 }

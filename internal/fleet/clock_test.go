@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -45,8 +46,8 @@ func TestClockLeaseExpiry(t *testing.T) {
 	fc := newFakeClock()
 	p := New(quietOpts(fc))
 	defer p.Close()
-	id, _, _ := p.AddRemote("silent", 1)
-	j := p.Register("j0001", &fakeEval{})
+	id, _, _ := p.Join("silent", 1)
+	j := p.Register(context.Background(), "j0001", &fakeEval{})
 	res := evalAsync(j, "k1")
 	claimSoon(t, p, id)
 
@@ -58,20 +59,20 @@ func TestClockLeaseExpiry(t *testing.T) {
 	}
 	// A second worker joins, then the first's budget runs out: only the
 	// silent one dies, and its shard requeues to the survivor.
-	surv, _, _ := p.AddRemote("survivor", 1)
+	surv, _, _ := p.Join("survivor", 1)
 	fc.Advance(2 * time.Second)
 	p.sweep()
 	if p.Alive() != 1 {
 		t.Fatalf("Alive() = %d after expiry, want the survivor only", p.Alive())
 	}
-	if _, err := p.Heartbeat(id); err != ErrUnknownWorker {
+	if _, err := p.Heartbeat(id, 0); err != ErrUnknownWorker {
 		t.Fatalf("expired worker heartbeat err=%v, want ErrUnknownWorker", err)
 	}
 	lease := claimSoon(t, p, surv)
 	if lease.Unit.Key != "k1" {
 		t.Fatalf("requeued unit %q, want k1", lease.Unit.Key)
 	}
-	p.Report(surv, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, "")
+	report(p, surv, lease, search.Verdict{Pass: true}, "")
 	if r := <-res; r.err != nil || !r.v.Pass {
 		t.Fatalf("unit result %+v", r)
 	}
@@ -86,13 +87,13 @@ func TestClockSkewTolerance(t *testing.T) {
 	fc := newFakeClock()
 	p := New(quietOpts(fc))
 	defer p.Close()
-	id, _, _ := p.AddRemote("skewed", 1)
+	id, _, _ := p.Join("skewed", 1)
 	// Beats arrive every 45s (daemon clock) — inside the 60s budget —
 	// for a long stretch: the worker must survive every sweep.
 	for i := 0; i < 10; i++ {
 		fc.Advance(45 * time.Second)
 		p.sweep()
-		if _, err := p.Heartbeat(id); err != nil {
+		if _, err := p.Heartbeat(id, 0); err != nil {
 			t.Fatalf("beat %d rejected: %v", i, err)
 		}
 	}
@@ -105,7 +106,7 @@ func TestClockSkewTolerance(t *testing.T) {
 	if p.Alive() != 0 {
 		t.Fatal("silent worker survived the expiry budget")
 	}
-	if _, err := p.Heartbeat(id); err != ErrUnknownWorker {
+	if _, err := p.Heartbeat(id, 0); err != ErrUnknownWorker {
 		t.Fatalf("beat after retirement: err=%v, want ErrUnknownWorker", err)
 	}
 }
@@ -117,15 +118,13 @@ func TestClockSkewTolerance(t *testing.T) {
 // how beats and expiry sweeps interleave.
 func TestClockHeartbeatVsReassignRace(t *testing.T) {
 	fc := newFakeClock()
-	opts := quietOpts(fc)
-	// Fallback keeps units settling even in windows where every racer
-	// identity has been expired away — the point is the interleaving,
-	// not starvation.
-	opts.Fallback = true
-	p := New(opts)
+	// The always-on fallback keeps units settling even in windows where
+	// every racer identity has been expired away — the point is the
+	// interleaving, not starvation.
+	p := New(quietOpts(fc))
 	defer p.Close()
-	p.AddRemote("anchor", 1) // assignable at enqueue time so units queue
-	j := p.Register("j0001", &fakeEval{})
+	p.Join("anchor", 1) // assignable at enqueue time so units queue
+	j := p.Register(context.Background(), "j0001", &fakeEval{})
 
 	const units = 40
 	results := make([]chan shardResult, units)
@@ -141,23 +140,23 @@ func TestClockHeartbeatVsReassignRace(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			id, _, _ := p.AddRemote("racer", 2)
+			id, _, _ := p.Join("racer", 2)
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				leases, _, err := p.Claim(id, 5*time.Millisecond, 2)
+				leases, _, err := p.Claim(context.Background(), id, 5*time.Millisecond, 2)
 				if err != nil {
-					id, _, _ = p.AddRemote("racer", 2) // expired: fresh identity
+					id, _, _ = p.Join("racer", 2) // expired: fresh identity
 					continue
 				}
 				if i%3 == 0 {
-					p.Heartbeat(id)
+					p.Heartbeat(id, 0)
 				}
 				for _, lease := range leases {
-					p.Report(id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, "")
+					report(p, id, lease, search.Verdict{Pass: true}, "")
 				}
 			}
 		}(g)

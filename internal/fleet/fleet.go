@@ -11,19 +11,25 @@
 // sets, the composed final configuration is byte-identical to a serial
 // run no matter how units are sharded, reassigned or replayed.
 //
-// Workers come in two flavors. In-process workers (Start/AddWorker) are
-// goroutines evaluating on the job's registered evaluator. Remote
-// workers (AddRemote, driven over the wire by internal/remote and
-// cmd/fpmixworker) claim, evaluate and report through explicit RPCs in
-// their own address space — a crashed worker process can never take the
-// pool down; its stopped heartbeat breaks the lease exactly like an
-// in-process death. A remote worker may hold several leases at once
-// (batched delivery sized to its declared parallelism); every lease
-// carries its own owner+epoch idempotency token, so batching changes
-// how many units ride one RPC, never the failure semantics. All
-// lease-expiry decisions use the pool's own clock only: remote
-// timestamps never enter them, so arbitrarily skewed worker clocks
-// cannot expire or extend a lease.
+// Every worker is an internal/remote worker runtime speaking one
+// protocol — register, claim, heartbeat, report — through a
+// remote.Transport. fpmixworker processes speak it over HTTP; the
+// daemon's own local workers run the same runtime over Direct, the
+// in-memory transport, and evaluate on the job's registered runner.
+// So leases, batching, epochs, affinity, quarantine and re-registration
+// after a kill have one implementation. A worker may hold several
+// leases at once (batched delivery sized to its declared parallelism);
+// every lease carries its own owner+epoch idempotency token, so
+// batching changes how many units ride one call, never the failure
+// semantics. All lease-expiry decisions use the pool's own clock only:
+// worker timestamps never enter them, so arbitrarily skewed worker
+// clocks cannot expire or extend a lease.
+//
+// Shutdown is context-driven: a job registers with its context, and
+// once that context ends its queued and leased units settle
+// interrupted and leave the pool, so a late report is discarded and a
+// live search can never receive an interrupted verdict. Drain stops new
+// leases and waits for held ones to deliver.
 //
 // Scheduling prefers fork affinity: units sharing a fork point (their
 // first single site) resume from the same donor snapshot under
@@ -33,20 +39,20 @@
 package fleet
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"strconv"
 	"sync"
 	"time"
 
+	"fpmix/internal/remote"
 	"fpmix/internal/search"
 )
 
-// Evaluator executes one evaluation unit to a verdict. The local
-// implementation is *search.UnitRunner; tests substitute fakes.
-type Evaluator interface {
-	Evaluate(u search.EvalUnit) (search.Verdict, error)
-}
+// Evaluator executes one evaluation unit to a verdict: a job's
+// *search.UnitRunner, or a test fake.
+type Evaluator = remote.Evaluator
 
 // Options shape a pool's failure detection.
 type Options struct {
@@ -62,17 +68,11 @@ type Options struct {
 	// it.
 	MaxReassign int
 	// QuarantineAfter is the number of consecutive worker-reported
-	// evaluation failures after which a remote worker is quarantined:
-	// it keeps heartbeating but is never assigned another shard until
-	// an operator kills or restarts it (default 3). A successful report
+	// evaluation failures after which a worker is quarantined: it keeps
+	// heartbeating but is never assigned another shard until an
+	// operator kills or restarts it (default 3). A successful report
 	// resets the count.
 	QuarantineAfter int
-	// Fallback enables graceful degradation: when no assignable worker
-	// remains (all dead or quarantined), units evaluate in-process on
-	// the job's own registered evaluator instead of failing — jobs slow
-	// down but never stall. Off by default so pure-fleet tests observe
-	// the no-live-workers error paths.
-	Fallback bool
 	// Clock overrides the time source for heartbeat/lease bookkeeping
 	// (tests drive expiry deterministically with a fake clock). Nil
 	// means time.Now. Lease expiry compares only timestamps taken from
@@ -119,8 +119,7 @@ const (
 // WorkerInfo is a registry snapshot of one worker.
 type WorkerInfo struct {
 	ID        string      `json:"id"`
-	Name      string      `json:"name,omitempty"` // remote self-reported name
-	Remote    bool        `json:"remote,omitempty"`
+	Name      string      `json:"name,omitempty"` // self-reported name ("local" for the daemon's own)
 	State     WorkerState `json:"state"`
 	Parallel  int         `json:"parallel,omitempty"` // declared concurrent evaluations
 	Done      int         `json:"done"`               // units completed and accepted
@@ -128,7 +127,7 @@ type WorkerInfo struct {
 	Fails     int         `json:"fails,omitempty"`    // consecutive reported failures
 	// InFlight counts leases currently held (assigned, not yet
 	// reported); Evaluating is the worker's own last-heartbeated count
-	// of evaluations running right now (remote only).
+	// of evaluations running right now.
 	InFlight   int `json:"in_flight"`
 	Evaluating int `json:"evaluating,omitempty"`
 	// UnitsPerSec is accepted units over the span from the worker's
@@ -145,26 +144,28 @@ type WorkerInfo struct {
 type Pool struct {
 	opts Options
 
-	mu           sync.Mutex
-	cond         *sync.Cond
-	waitCh       chan struct{} // closed+replaced on every scheduling event
-	workers      map[string]*worker
-	queue        []*shard          // FIFO of unleased shards
-	aff          map[string]string // fork-site key → owning worker ID
-	wseq, rseq   int
-	fallbacks    int
-	draining     bool // no new remote leases (graceful shutdown)
-	interrupting bool // every queued or future unit settles interrupted
-	closed       bool
+	mu        sync.Mutex
+	waitCh    chan struct{} // closed+replaced on every scheduling event
+	workers   map[string]*worker
+	jobs      map[string]*JobHandle // registered jobs whose context is live
+	queue     []*shard              // FIFO of unleased shards
+	aff       map[string]string     // fork-site key → owning worker ID
+	seq       int                   // worker IDs
+	epochs    int                   // lease epochs: unique pool-wide, so never reused by a unit key
+	fallbacks int
+	draining  bool // no new leases (graceful shutdown)
+	closed    bool
 }
 
 type worker struct {
 	id       string
 	name     string
-	remote   bool
 	state    WorkerState
-	dead     bool
-	parallel int // declared concurrent evaluations (1 for in-process)
+	parallel int // declared concurrent evaluations
+	// asked is the lease count the worker's last claim asked to reach
+	// (held + max, capped at its lease capacity): while it holds fewer,
+	// it has a claim parked or about to be, so affinity may wait for it.
+	asked int
 
 	done       int
 	discarded  int
@@ -178,7 +179,6 @@ type worker struct {
 	wallSum    time.Duration
 
 	lastBeat time.Time
-	stopBeat chan struct{} // in-process only
 }
 
 // shard is one leased evaluation unit.
@@ -188,7 +188,7 @@ type shard struct {
 	site string // fork-affinity key (job + fork site)
 
 	owner     string // worker holding the lease ("" = queued)
-	epoch     int    // bumped at every assignment
+	epoch     int    // the current lease's epoch, fresh at every assignment
 	reassigns int
 	skips     int       // times bypassed at the queue head by affinity picks
 	queued    time.Time // last (re-)enqueue, bounds the affinity-decline grace
@@ -201,15 +201,17 @@ type shardResult struct {
 	err error
 }
 
-// New builds an empty pool; add workers with Start or AddWorker.
+// New builds an empty pool; workers join through Join (usually via a
+// remote.Transport: Direct in process, the HTTP handlers remotely).
 func New(opts Options) *Pool {
 	if opts.Heartbeat <= 0 {
 		opts.Heartbeat = 500 * time.Millisecond
 	}
 	if opts.Expiry <= 0 {
-		// Generous by design: beat goroutines share the scheduler with
-		// CPU-saturating evaluation runs, so a tight expiry would declare
-		// healthy-but-starved workers dead under full load.
+		// Generous by design: local workers' heartbeats share the
+		// scheduler with CPU-saturating evaluation runs, so a tight
+		// expiry would declare healthy-but-starved workers dead under
+		// full load.
 		opts.Expiry = 8 * opts.Heartbeat
 	}
 	if opts.MaxReassign <= 0 {
@@ -221,10 +223,10 @@ func New(opts Options) *Pool {
 	p := &Pool{
 		opts:    opts,
 		workers: make(map[string]*worker),
+		jobs:    make(map[string]*JobHandle),
 		waitCh:  make(chan struct{}),
 		aff:     make(map[string]string),
 	}
-	p.cond = sync.NewCond(&p.mu)
 	go p.monitor()
 	return p
 }
@@ -237,18 +239,17 @@ func (p *Pool) now() time.Time {
 	return time.Now()
 }
 
-// wakeLocked signals every scheduling waiter — in-process claim loops
-// on the cond, remote long-polls on the wait channel. Callers hold
-// p.mu.
+// wakeLocked signals every scheduling waiter — parked claims and Drain
+// — through the wait channel. Callers hold p.mu.
 func (p *Pool) wakeLocked() {
-	p.cond.Broadcast()
 	close(p.waitCh)
 	p.waitCh = make(chan struct{})
 }
 
-// leaseKey identifies one held lease within a worker.
-func leaseKey(jobID, unitKey string) string {
-	return jobID + "\x00" + unitKey
+// leaseKey identifies one held lease within a worker. The epoch keeps
+// two units of a job that share a unit key apart.
+func leaseKey(jobID, unitKey string, epoch int) string {
+	return jobID + "\x00" + unitKey + "\x00" + strconv.Itoa(epoch)
 }
 
 // siteKey derives a shard's fork-affinity key: the job plus the unit's
@@ -263,35 +264,10 @@ func siteKey(jobID string, u search.EvalUnit) string {
 	return jobID + "\x00" + strconv.FormatUint(site, 16)
 }
 
-// Start adds n in-process workers.
-func (p *Pool) Start(n int) {
-	for i := 0; i < n; i++ {
-		p.AddWorker()
-	}
-}
-
-// AddWorker registers one in-process worker and returns its ID.
-func (p *Pool) AddWorker() string {
-	p.mu.Lock()
-	p.wseq++
-	w := &worker{
-		id:       fmt.Sprintf("w%d", p.wseq),
-		state:    WorkerIdle,
-		parallel: 1,
-		leases:   make(map[string]*shard),
-		lastBeat: p.now(),
-		stopBeat: make(chan struct{}),
-	}
-	p.workers[w.id] = w
-	p.mu.Unlock()
-	go p.beat(w)
-	go p.run(w)
-	return w.id
-}
-
-// Kill reports a worker dead: its heartbeat stops, its leases are
-// broken and the shards requeued for other workers, and any verdict
-// the doomed evaluations still produce is discarded on delivery.
+// Kill reports a worker dead: its leases are broken and the shards
+// requeued for other workers, any verdict the doomed evaluations still
+// produce is discarded, and its next call fails with ErrUnknownWorker
+// — on which the worker runtime re-registers under a fresh identity.
 func (p *Pool) Kill(id string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -311,7 +287,7 @@ func (p *Pool) Workers() []WorkerInfo {
 	out := make([]WorkerInfo, 0, len(p.workers))
 	for _, w := range p.workers {
 		wi := WorkerInfo{
-			ID: w.id, Name: w.name, Remote: w.remote, State: w.state,
+			ID: w.id, Name: w.name, State: w.state,
 			Parallel: w.parallel, Done: w.done, Discarded: w.discarded,
 			Fails: w.fails, InFlight: len(w.leases), Evaluating: w.evaluating,
 			LastBeat: w.lastBeat,
@@ -360,8 +336,8 @@ func (p *Pool) QueueLen() int {
 	return len(p.queue)
 }
 
-// Close shuts the pool: queued shards fail, workers exit after their
-// current evaluation.
+// Close shuts the pool: queued shards fail, the monitor stops, and
+// claims answer with an error.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -377,84 +353,35 @@ func (p *Pool) Close() {
 	p.wakeLocked()
 }
 
-// DrainRemote stops granting new leases to remote workers (graceful
-// shutdown: in-flight remote units finish and deliver; nothing new
-// ships over the wire). In-process workers keep claiming.
-func (p *Pool) DrainRemote() {
+// Drain stops granting leases (graceful shutdown: units enqueued from
+// now on evaluate in-process, like a fleet with no assignable worker)
+// and waits up to timeout for every held lease to deliver, so the
+// verdicts reach their journals. It returns how many leases remain;
+// those settle interrupted once their jobs' contexts are cancelled.
+func (p *Pool) Drain(timeout time.Duration) int {
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.draining = true
-}
-
-// AwaitRemoteIdle blocks until no shard is leased to a remote worker,
-// or the timeout passes; it returns how many remote leases remain.
-func (p *Pool) AwaitRemoteIdle(timeout time.Duration) int {
-	deadline := time.Now().Add(timeout)
 	for {
-		n := p.remoteLeased()
-		if n == 0 || time.Now().After(deadline) {
-			return n
+		held := 0
+		for _, w := range p.workers {
+			held += len(w.leases)
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func (p *Pool) remoteLeased() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, w := range p.workers {
-		if w.remote {
-			n += len(w.leases)
+		if held == 0 {
+			return 0
 		}
-	}
-	return n
-}
-
-// ReleaseRemoteLeases settles every shard still leased to a remote
-// worker as interrupted (the piece stays unsettled and is never
-// journaled; the requeued job re-evaluates it). Only safe once the
-// owning searches are cancelled — an interrupted verdict delivered to
-// a live search would silently drop the piece. The abandoned worker's
-// eventual report no longer matches any held lease and is discarded.
-func (p *Pool) ReleaseRemoteLeases() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, w := range p.workers {
-		if !w.remote || len(w.leases) == 0 {
-			continue
-		}
-		for k, sh := range w.leases {
-			delete(w.leases, k)
-			if sh.delivered {
-				continue
-			}
-			sh.delivered = true
-			sh.owner = ""
-			sh.done <- shardResult{v: search.Verdict{Interrupted: true}}
-		}
-		if w.state == WorkerBusy {
-			w.state = WorkerIdle
+		waitCh := p.waitCh
+		p.mu.Unlock()
+		select {
+		case <-waitCh:
+			p.mu.Lock()
+		case <-deadline.C:
+			p.mu.Lock()
+			return held
 		}
 	}
-	p.wakeLocked()
-}
-
-// InterruptQueued settles every queued shard — and every unit enqueued
-// from now on — as interrupted. Same safety contract as
-// ReleaseRemoteLeases: call only after cancelling the owning searches.
-func (p *Pool) InterruptQueued() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.interrupting = true
-	for _, sh := range p.queue {
-		if !sh.delivered {
-			sh.delivered = true
-			sh.done <- shardResult{v: search.Verdict{Interrupted: true}}
-		}
-	}
-	p.queue = nil
-	p.wakeLocked()
 }
 
 // JobHandle is a registered job's face to the pool: it implements
@@ -464,83 +391,96 @@ type JobHandle struct {
 	pool *Pool
 	id   string
 	ev   Evaluator
+	ctx  context.Context
 }
 
 // Register binds a job ID to the evaluator its units run on (one
-// shared UnitRunner per job — engines are concurrency-safe). The
-// evaluator doubles as the in-process fallback when Options.Fallback
-// is set and no assignable worker remains.
-func (p *Pool) Register(jobID string, ev Evaluator) *JobHandle {
-	return &JobHandle{pool: p, id: jobID, ev: ev}
+// shared UnitRunner per job — engines are concurrency-safe) for as long
+// as ctx lives. Local workers evaluate on that same evaluator, and it
+// doubles as the in-process fallback when no assignable worker remains.
+// When ctx ends the job leaves the pool: every unit of it still queued
+// or leased settles interrupted, so a late report finds no lease and is
+// discarded, and later units return interrupted at once.
+func (p *Pool) Register(ctx context.Context, jobID string, ev Evaluator) *JobHandle {
+	j := &JobHandle{pool: p, id: jobID, ev: ev, ctx: ctx}
+	p.mu.Lock()
+	p.jobs[jobID] = j
+	p.mu.Unlock()
+	context.AfterFunc(ctx, j.withdraw)
+	return j
+}
+
+// withdraw pulls a cancelled job out of the pool; see Register.
+func (j *JobHandle) withdraw() {
+	p := j.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.jobs[j.id] == j {
+		delete(p.jobs, j.id)
+	}
+	interrupt := func(sh *shard) {
+		sh.delivered = true
+		sh.owner = ""
+		sh.done <- shardResult{v: search.Verdict{Interrupted: true}}
+	}
+	queue := p.queue[:0]
+	for _, sh := range p.queue {
+		if sh.job == j {
+			interrupt(sh)
+		} else {
+			queue = append(queue, sh)
+		}
+	}
+	clear(p.queue[len(queue):])
+	p.queue = queue
+	for _, w := range p.workers {
+		for _, sh := range w.leases {
+			if sh.job == j {
+				p.breakLeaseLocked(w, sh)
+				interrupt(sh)
+			}
+		}
+	}
+	p.wakeLocked()
+}
+
+// evaluator returns the evaluator of a registered, still-running job.
+func (p *Pool) evaluator(jobID string) (Evaluator, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	j, ok := p.jobs[jobID]
+	if !ok {
+		return nil, fmt.Errorf("fleet: job %s is not running", jobID)
+	}
+	return j.ev, nil
 }
 
 // EvaluateUnit enqueues the unit as a shard and blocks until a worker
 // delivers its verdict (or the pool exhausts the reassignment budget).
-// With Options.Fallback, a unit that finds no assignable worker runs
-// in-process instead of erroring.
+// A unit that finds no assignable worker runs in-process instead, and
+// one whose job context has ended returns interrupted — never an
+// error.
 func (j *JobHandle) EvaluateUnit(u search.EvalUnit) (search.Verdict, error) {
-	sh := &shard{job: j, unit: u, site: siteKey(j.id, u), done: make(chan shardResult, 1)}
 	p := j.pool
 	p.mu.Lock()
-	if p.closed {
+	switch {
+	case p.closed:
 		p.mu.Unlock()
 		return search.Verdict{}, fmt.Errorf("fleet: pool closed")
-	}
-	if p.interrupting {
+	case j.ctx.Err() != nil:
 		p.mu.Unlock()
 		return search.Verdict{Interrupted: true}, nil
-	}
-	if p.assignableLocked() == 0 {
-		if p.opts.Fallback {
-			p.fallbacks++
-			p.mu.Unlock()
-			return j.ev.Evaluate(u)
-		}
+	case p.assignableLocked() == 0:
+		p.fallbacks++
 		p.mu.Unlock()
-		return search.Verdict{}, fmt.Errorf("fleet: no live workers")
+		return j.ev.Evaluate(u)
 	}
-	sh.queued = p.now()
+	sh := &shard{job: j, unit: u, site: siteKey(j.id, u), queued: p.now(), done: make(chan shardResult, 1)}
 	p.queue = append(p.queue, sh)
 	p.wakeLocked()
 	p.mu.Unlock()
 	r := <-sh.done
 	return r.v, r.err
-}
-
-// run is a worker's claim-evaluate-deliver loop.
-func (p *Pool) run(w *worker) {
-	for {
-		sh, epoch, ok := p.claim(w)
-		if !ok {
-			return
-		}
-		v, err := sh.job.ev.Evaluate(sh.unit)
-		p.deliver(w, sh, epoch, v, err)
-		p.mu.Lock()
-		dead := w.dead
-		p.mu.Unlock()
-		if dead {
-			return
-		}
-	}
-}
-
-// claim blocks until a shard is available, leasing it to w.
-func (p *Pool) claim(w *worker) (*shard, int, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		if p.closed || w.dead {
-			return nil, 0, false
-		}
-		if w.state != WorkerQuarantined {
-			if sh := p.takeLocked(w); sh != nil {
-				p.assignLocked(w, sh)
-				return sh, sh.epoch, true
-			}
-		}
-		p.cond.Wait()
-	}
 }
 
 // takeLocked removes and returns the next shard for w, preferring fork
@@ -587,8 +527,8 @@ func (p *Pool) takeLocked(w *worker) *shard {
 			// the head now would strand its donor snapshot — the thief
 			// re-runs the donor the owner already paid for — so while the
 			// unit is inside its grace and the owner is positioned to
-			// collect it (a parked claim, or an idle in-process loop on
-			// the same broadcast), decline and let the owner have it. The
+			// collect it (a claim parked or about to be), decline and let
+			// the owner have it. The
 			// grace is a hard bound: past it the unit goes to whoever
 			// asks, because a stalled owner must never stall the queue.
 			if owner, owned := p.aff[head.site]; owned && owner != w.id &&
@@ -608,42 +548,36 @@ func (p *Pool) takeLocked(w *worker) *shard {
 }
 
 // ownerWillClaimLocked reports whether the affinity owner is in a
-// position to collect more queued work promptly: a remote worker with
-// spare lease capacity keeps a claim parked at the daemon, and an
-// in-process worker between units claims on the next broadcast. A
-// saturated owner cannot — waiting on it would idle the queue, so a
-// decline is only worth it when this returns true. Callers hold p.mu.
+// position to collect more queued work promptly: it holds fewer leases
+// than its last claim asked for, so a claim of its is parked at the
+// pool or about to be. An owner holding everything it asked for is
+// busy evaluating — waiting on it would idle the queue, so a decline is
+// only worth it when this returns true. Callers hold p.mu.
 func (p *Pool) ownerWillClaimLocked(id string) bool {
 	w, ok := p.workers[id]
-	if !ok || !p.ownerAssignableLocked(id) {
-		return false
-	}
-	if w.remote {
-		return len(w.leases) < leaseCapLocked(w)
-	}
-	return len(w.leases) == 0
+	return ok && p.ownerAssignableLocked(id) && len(w.leases) < w.asked
 }
 
 // ownerAssignableLocked reports whether the worker behind an affinity
 // entry can still be assigned shards; callers hold p.mu.
 func (p *Pool) ownerAssignableLocked(id string) bool {
 	w, ok := p.workers[id]
-	if !ok || w.dead || w.state == WorkerQuarantined {
-		return false
-	}
-	if w.remote && p.draining {
-		return false
-	}
-	return true
+	return ok && assignable(w) && !p.draining
+}
+
+// assignable reports whether a worker may take leases at all.
+func assignable(w *worker) bool {
+	return w.state != WorkerDead && w.state != WorkerQuarantined
 }
 
 // assignLocked leases a shard (already removed from the queue) to w
 // and records fork-site ownership; callers hold p.mu.
 func (p *Pool) assignLocked(w *worker, sh *shard) {
+	p.epochs++
 	sh.owner = w.id
-	sh.epoch++
+	sh.epoch = p.epochs
 	sh.skips = 0
-	w.leases[leaseKey(sh.job.id, sh.unit.Key)] = sh
+	w.leases[leaseKey(sh.job.id, sh.unit.Key, sh.epoch)] = sh
 	w.state = WorkerBusy
 	if w.firstLease.IsZero() {
 		w.firstLease = p.now()
@@ -656,68 +590,30 @@ func (p *Pool) assignLocked(w *worker, sh *shard) {
 	}
 }
 
-// deliver hands a verdict back — accepted only from the shard's current
-// lease holder in the epoch it claimed; anything else (the worker died
-// and the shard was reassigned) is discarded.
-func (p *Pool) deliver(w *worker, sh *shard, epoch int, v search.Verdict, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if sh.delivered || sh.owner != w.id || sh.epoch != epoch || w.dead {
-		w.discarded++
-		return
-	}
-	p.deliverLocked(w, sh, v, err)
-}
-
-// deliverLocked completes an accepted delivery; callers hold p.mu and
-// have verified the lease.
-func (p *Pool) deliverLocked(w *worker, sh *shard, v search.Verdict, err error) {
+// deliverLocked completes an accepted delivery; callers hold p.mu,
+// have verified the lease, and wake the waiters.
+func (p *Pool) deliverLocked(w *worker, sh *shard, v search.Verdict) {
 	sh.delivered = true
 	sh.owner = ""
-	delete(w.leases, leaseKey(sh.job.id, sh.unit.Key))
+	p.breakLeaseLocked(w, sh)
 	w.done++
 	w.fails = 0
 	w.wallSum += v.Wall
 	w.lastDone = p.now()
-	if w.state == WorkerBusy && len(w.leases) == 0 {
-		w.state = WorkerIdle
-	}
-	sh.done <- shardResult{v: v, err: err}
-	p.wakeLocked()
+	sh.done <- shardResult{v: v}
 }
 
 // breakLeaseLocked detaches a shard from its holder without settling
 // it; callers hold p.mu and requeue or fail the shard themselves.
 func (p *Pool) breakLeaseLocked(w *worker, sh *shard) {
-	delete(w.leases, leaseKey(sh.job.id, sh.unit.Key))
+	delete(w.leases, leaseKey(sh.job.id, sh.unit.Key, sh.epoch))
 	if w.state == WorkerBusy && len(w.leases) == 0 {
 		w.state = WorkerIdle
 	}
 }
 
-// beat refreshes the worker's heartbeat until it dies.
-func (p *Pool) beat(w *worker) {
-	t := time.NewTicker(p.opts.Heartbeat)
-	defer t.Stop()
-	for {
-		select {
-		case <-w.stopBeat:
-			return
-		case <-t.C:
-			p.mu.Lock()
-			if w.dead || p.closed {
-				p.mu.Unlock()
-				return
-			}
-			w.lastBeat = p.now()
-			p.mu.Unlock()
-		}
-	}
-}
-
-// monitor scans for workers whose heartbeat went silent (an in-process
-// worker only stops beating when killed; remote workers stop by
-// crashing or partitioning) and reassigns their shards.
+// monitor scans for workers whose heartbeat went silent (crashed,
+// partitioned, or wedged) and reassigns their shards.
 func (p *Pool) monitor() {
 	t := time.NewTicker(p.opts.Heartbeat)
 	defer t.Stop()
@@ -740,7 +636,7 @@ func (p *Pool) sweep() bool {
 	}
 	now := p.now()
 	for _, w := range p.workers {
-		if !w.dead && now.Sub(w.lastBeat) > p.opts.Expiry {
+		if w.state != WorkerDead && now.Sub(w.lastBeat) > p.opts.Expiry {
 			p.markDeadLocked(w)
 		}
 	}
@@ -750,18 +646,10 @@ func (p *Pool) sweep() bool {
 // markDeadLocked retires a worker, breaks all its leases and clears
 // its fork-site ownerships; callers hold p.mu.
 func (p *Pool) markDeadLocked(w *worker) {
-	if w.dead {
+	if w.state == WorkerDead {
 		return
 	}
-	w.dead = true
 	w.state = WorkerDead
-	if w.stopBeat != nil {
-		select {
-		case <-w.stopBeat:
-		default:
-			close(w.stopBeat)
-		}
-	}
 	p.disownSitesLocked(w)
 	for k, sh := range w.leases {
 		delete(w.leases, k)
@@ -783,27 +671,18 @@ func (p *Pool) disownSitesLocked(w *worker) {
 	}
 }
 
-// sweepUnassignableLocked fails (or falls back) every queued shard once
-// no worker can take a lease — they would otherwise wait forever.
-// Callers hold p.mu.
+// sweepUnassignableLocked moves every queued shard to in-process
+// fallback once no worker can take a lease — they would otherwise wait
+// forever. Callers hold p.mu.
 func (p *Pool) sweepUnassignableLocked() {
-	if p.assignableLocked() > 0 || len(p.queue) == 0 {
+	if p.assignableLocked() > 0 {
 		return
 	}
-	queue := p.queue
-	p.queue = nil
-	for _, sh := range queue {
-		if sh.delivered {
-			continue
-		}
-		if p.opts.Fallback {
-			p.fallbacks++
-			go p.fallback(sh)
-			continue
-		}
-		sh.delivered = true
-		sh.done <- shardResult{err: fmt.Errorf("fleet: no live workers left for unit %q", sh.unit.Label)}
+	for _, sh := range p.queue {
+		p.fallbacks++
+		go p.fallback(sh)
 	}
+	p.queue = nil
 }
 
 // fallback evaluates a shard in-process on the job's own evaluator;
@@ -817,12 +696,11 @@ func (p *Pool) fallback(sh *shard) {
 	}
 	sh.delivered = true
 	sh.done <- shardResult{v: v, err: err}
-	p.wakeLocked()
 }
 
 // requeueLocked puts a broken-lease shard back at the head of the
-// queue, or fails it when its reassignment budget is spent or no worker
-// is left to take it (falling back in-process when enabled).
+// queue, fails it when its reassignment budget is spent, or falls back
+// in-process when no worker is left to take it.
 func (p *Pool) requeueLocked(sh *shard) {
 	sh.owner = ""
 	sh.reassigns++
@@ -835,13 +713,8 @@ func (p *Pool) requeueLocked(sh *shard) {
 		return
 	}
 	if p.assignableLocked() == 0 {
-		if p.opts.Fallback {
-			p.fallbacks++
-			go p.fallback(sh)
-			return
-		}
-		sh.delivered = true
-		sh.done <- shardResult{err: fmt.Errorf("fleet: no live workers left for unit %q", sh.unit.Label)}
+		p.fallbacks++
+		go p.fallback(sh)
 		return
 	}
 	sh.queued = p.now()
@@ -849,32 +722,17 @@ func (p *Pool) requeueLocked(sh *shard) {
 	p.wakeLocked()
 }
 
-// assignableLocked counts workers a shard could be leased to; callers
-// hold p.mu.
+// assignableLocked counts workers a shard could be leased to (none
+// while draining); callers hold p.mu.
 func (p *Pool) assignableLocked() int {
+	if p.draining {
+		return 0
+	}
 	n := 0
 	for _, w := range p.workers {
-		if w.dead || w.state == WorkerQuarantined {
-			continue
+		if assignable(w) {
+			n++
 		}
-		if w.remote && p.draining {
-			continue
-		}
-		n++
 	}
 	return n
-}
-
-// stopBeats silences a worker's heartbeat without marking it dead — the
-// monitor must then detect the silence. Test hook for the expiry path.
-func (p *Pool) stopBeats(id string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if w, ok := p.workers[id]; ok && w.stopBeat != nil {
-		select {
-		case <-w.stopBeat:
-		default:
-			close(w.stopBeat)
-		}
-	}
 }

@@ -1,12 +1,14 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"fpmix/internal/remote"
 	"fpmix/internal/search"
 )
 
@@ -52,12 +54,66 @@ func waitBusy(t *testing.T, p *Pool) WorkerInfo {
 	return WorkerInfo{}
 }
 
+// muteTransport is the in-memory transport with per-worker heartbeat
+// muting: a muted worker keeps evaluating, but its beats never reach
+// the pool — a silent death the monitor must detect on its own.
+type muteTransport struct {
+	Direct
+	mu    sync.Mutex
+	muted map[string]bool
+}
+
+func (m *muteTransport) Heartbeat(ctx context.Context, id string, inflight int) (remote.HeartbeatResponse, error) {
+	m.mu.Lock()
+	muted := m.muted[id]
+	m.mu.Unlock()
+	if muted {
+		return remote.HeartbeatResponse{State: string(WorkerBusy)}, nil
+	}
+	return m.Direct.Heartbeat(ctx, id, inflight)
+}
+
+func (m *muteTransport) mute(id string) {
+	m.mu.Lock()
+	m.muted[id] = true
+	m.mu.Unlock()
+}
+
+// serveWorkers runs n workers the way fpmixd runs its local ones —
+// remote.Serve over the pool's in-memory transport, Parallel 1, Batch
+// 1 — until the test ends, and waits until all have joined.
+func serveWorkers(t *testing.T, p *Pool, n int) *muteTransport {
+	t.Helper()
+	tr := &muteTransport{Direct: p.Direct(), muted: make(map[string]bool)}
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			remote.Serve(ctx, tr, remote.WorkerOptions{Name: "local", Parallel: 1, Batch: 1})
+		}()
+	}
+	t.Cleanup(func() {
+		cancel()
+		wg.Wait()
+	})
+	deadline := time.Now().Add(5 * time.Second)
+	for p.Alive() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d workers joined", p.Alive(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return tr
+}
+
 func TestPoolShardsAllUnits(t *testing.T) {
 	p := New(Options{})
 	defer p.Close()
-	p.Start(4)
+	serveWorkers(t, p, 4)
 	ev := &fakeEval{}
-	j := p.Register("j0001", ev)
+	j := p.Register(context.Background(), "j0001", ev)
 
 	const units = 50
 	var wg sync.WaitGroup
@@ -100,9 +156,9 @@ func TestPoolShardsAllUnits(t *testing.T) {
 func TestPoolKillReassigns(t *testing.T) {
 	p := New(Options{Heartbeat: 10 * time.Millisecond})
 	defer p.Close()
-	p.Start(2)
+	serveWorkers(t, p, 2)
 	g := &gateEval{gate: make(chan struct{}), started: make(chan string, 4)}
-	j := p.Register("j0001", g)
+	j := p.Register(context.Background(), "j0001", g)
 
 	res := make(chan error, 1)
 	go func() {
@@ -117,7 +173,11 @@ func TestPoolKillReassigns(t *testing.T) {
 	if err := p.Kill(victim.ID); err != nil {
 		t.Fatal(err)
 	}
-	<-g.started   // the surviving worker re-claims the shard
+	<-g.started // the surviving worker re-claims the shard
+	// The victim cannot re-register before its gated evaluation returns.
+	if p.Alive() != 1 {
+		t.Errorf("Alive() = %d after one kill of two workers", p.Alive())
+	}
 	close(g.gate) // release both evaluations
 	if err := <-res; err != nil {
 		t.Fatal(err)
@@ -139,9 +199,6 @@ func TestPoolKillReassigns(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if p.Alive() != 1 {
-		t.Errorf("Alive() = %d after one kill of two workers", p.Alive())
-	}
 }
 
 // TestPoolReassignCap: a shard that outlives MaxReassign lease holders
@@ -149,10 +206,10 @@ func TestPoolKillReassigns(t *testing.T) {
 func TestPoolReassignCap(t *testing.T) {
 	p := New(Options{Heartbeat: 10 * time.Millisecond, MaxReassign: 2})
 	defer p.Close()
-	p.Start(4)
+	serveWorkers(t, p, 4)
 	g := &gateEval{gate: make(chan struct{}), started: make(chan string, 8)}
 	defer close(g.gate)
-	j := p.Register("j0001", g)
+	j := p.Register(context.Background(), "j0001", g)
 
 	res := make(chan error, 1)
 	go func() {
@@ -182,9 +239,9 @@ func TestPoolReassignCap(t *testing.T) {
 func TestPoolHeartbeatExpiry(t *testing.T) {
 	p := New(Options{Heartbeat: 10 * time.Millisecond, Expiry: 30 * time.Millisecond})
 	defer p.Close()
-	p.Start(2)
+	tr := serveWorkers(t, p, 2)
 	g := &gateEval{gate: make(chan struct{}), started: make(chan string, 4)}
-	j := p.Register("j0001", g)
+	j := p.Register(context.Background(), "j0001", g)
 
 	res := make(chan error, 1)
 	go func() {
@@ -196,8 +253,8 @@ func TestPoolHeartbeatExpiry(t *testing.T) {
 	}()
 	<-g.started
 	victim := waitBusy(t, p)
-	p.stopBeats(victim.ID) // silent death: no Kill call
-	<-g.started            // monitor reassigned to the survivor
+	tr.mute(victim.ID) // silent death: no Kill call
+	<-g.started        // monitor reassigned to the survivor
 	close(g.gate)
 	if err := <-res; err != nil {
 		t.Fatal(err)
@@ -209,20 +266,26 @@ func TestPoolHeartbeatExpiry(t *testing.T) {
 	}
 }
 
+// TestPoolNoWorkers: with no worker at all, a unit evaluates
+// in-process on the job's own evaluator.
 func TestPoolNoWorkers(t *testing.T) {
 	p := New(Options{})
 	defer p.Close()
-	j := p.Register("j0001", &fakeEval{})
-	if _, err := j.EvaluateUnit(search.EvalUnit{Key: "k"}); err == nil || !strings.Contains(err.Error(), "no live workers") {
-		t.Fatalf("want no-live-workers error, got %v", err)
+	ev := &fakeEval{}
+	j := p.Register(context.Background(), "j0001", ev)
+	if v, err := j.EvaluateUnit(search.EvalUnit{Key: "kk"}); err != nil || !v.Pass {
+		t.Fatalf("fallback verdict %+v err=%v, want pass", v, err)
+	}
+	if ev.calls != 1 || p.Fallbacks() != 1 {
+		t.Fatalf("calls=%d fallbacks=%d, want one in-process evaluation", ev.calls, p.Fallbacks())
 	}
 }
 
 func TestPoolCloseFailsQueued(t *testing.T) {
 	p := New(Options{})
-	p.Start(1)
+	serveWorkers(t, p, 1)
 	g := &gateEval{gate: make(chan struct{}), started: make(chan string, 2)}
-	j := p.Register("j0001", g)
+	j := p.Register(context.Background(), "j0001", g)
 
 	first := make(chan error, 1)
 	go func() {

@@ -1,32 +1,33 @@
 package fleet
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"sort"
 	"time"
 
+	"fpmix/internal/remote"
 	"fpmix/internal/search"
 )
 
 // ErrUnknownWorker reports a worker ID the registry does not know or
-// has already retired — the wire maps it to 410 Gone, and a worker
-// receiving it re-registers under a fresh identity (the standard
-// recovery after a daemon restart or an operator kill).
-var ErrUnknownWorker = errors.New("fleet: unknown or retired worker")
+// has already retired. It wraps remote.ErrGone — the wire maps it to
+// 410 Gone — and a worker receiving it re-registers under a fresh
+// identity (the standard recovery after a daemon restart or a kill).
+var ErrUnknownWorker = fmt.Errorf("fleet: unknown or retired worker: %w", remote.ErrGone)
 
-// RemoteLease is one unit leased to a remote worker. The (owner,
-// epoch) pair is the idempotency token: the pool accepts exactly one
-// report carrying it, so a unit re-delivered after a partition or a
-// duplicated report RPC can never double-count.
-type RemoteLease struct {
+// Lease is one unit leased to a worker. The (owner, epoch) pair is the
+// idempotency token: the pool accepts exactly one report carrying it,
+// so a unit re-delivered after a partition or a duplicated report can
+// never double-count.
+type Lease struct {
 	Job   string
 	Unit  search.EvalUnit
 	Epoch int
 }
 
-// RemoteReport is one unit's outcome inside a report batch.
-type RemoteReport struct {
+// Report is one unit's outcome inside a report batch.
+type Report struct {
 	Job     string
 	Key     string
 	Epoch   int
@@ -34,25 +35,24 @@ type RemoteReport struct {
 	Err     string
 }
 
-// AddRemote registers an out-of-process worker under the given
-// self-reported name and declared evaluation parallelism, returning
-// its assigned ID plus the heartbeat interval and expiry the worker
-// must respect. Parallelism sizes the worker's lease capacity — how
-// many units Claim may leave in its hands at once. No goroutines are
-// attached: the worker drives itself through Claim/Report and keeps
-// its registration alive through Heartbeat; silence past Expiry on the
-// pool's clock retires it exactly like an in-process death.
-func (p *Pool) AddRemote(name string, parallel int) (id string, heartbeat, expiry time.Duration) {
+// Join registers a worker under the given self-reported name and
+// declared evaluation parallelism, returning its assigned ID plus the
+// heartbeat interval and expiry the worker must respect. Parallelism
+// sizes the worker's lease capacity — how many units Claim may leave in
+// its hands at once. No goroutines are attached: the worker drives
+// itself through Claim/ReportBatch and keeps its registration alive
+// through Heartbeat; silence past Expiry on the pool's clock retires
+// it.
+func (p *Pool) Join(name string, parallel int) (id string, heartbeat, expiry time.Duration) {
 	if parallel <= 0 {
 		parallel = 1
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.rseq++
+	p.seq++
 	w := &worker{
-		id:       fmt.Sprintf("r%d", p.rseq),
+		id:       fmt.Sprintf("w%d", p.seq),
 		name:     name,
-		remote:   true,
 		state:    WorkerIdle,
 		parallel: parallel,
 		leases:   make(map[string]*shard),
@@ -62,33 +62,24 @@ func (p *Pool) AddRemote(name string, parallel int) (id string, heartbeat, expir
 	return w.id, p.opts.Heartbeat, p.opts.Expiry
 }
 
-// Heartbeat refreshes a remote worker's lease clock (stamped with the
-// pool's own clock — the worker's clock never enters expiry decisions)
-// and returns its current state, so a quarantined worker learns to
-// stop claiming.
-func (p *Pool) Heartbeat(id string) (WorkerState, error) {
-	return p.HeartbeatLoad(id, -1)
-}
-
-// HeartbeatLoad is Heartbeat carrying the worker's self-reported count
-// of evaluations running right now (negative leaves the last report
-// unchanged); the registry surfaces it so fleet saturation is
-// observable without profiling.
-func (p *Pool) HeartbeatLoad(id string, inflight int) (WorkerState, error) {
+// Heartbeat refreshes a worker's lease clock (stamped with the pool's
+// own clock — the worker's clock never enters expiry decisions),
+// records its self-reported count of evaluations running right now so
+// fleet saturation is observable without profiling, and returns its
+// state, so a quarantined worker learns to stop claiming.
+func (p *Pool) Heartbeat(id string, inflight int) (WorkerState, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	w, ok := p.workers[id]
-	if !ok || w.dead {
+	if !ok || w.state == WorkerDead {
 		return WorkerDead, ErrUnknownWorker
 	}
 	w.lastBeat = p.now()
-	if inflight >= 0 {
-		w.evaluating = inflight
-	}
+	w.evaluating = inflight
 	return w.state, nil
 }
 
-// leaseCapLocked is how many units a remote worker may hold at once:
+// leaseCapLocked is how many units a worker may hold at once:
 // one batch evaluating plus one batch prefetched, sized to its
 // declared parallelism, never below 4 so single-threaded workers still
 // amortize RPCs. Callers hold p.mu.
@@ -100,23 +91,24 @@ func leaseCapLocked(w *worker) int {
 	return c
 }
 
-// Claim leases up to max queued units to the remote worker,
-// long-polling up to wait. The response always re-delivers every lease
-// the worker already holds (same epochs — the idempotency tokens are
-// unchanged, so whichever delivery the worker acts on, only one report
-// per unit is accepted) before topping up from the queue, bounded by
-// the worker's lease capacity. An empty slice with state WorkerIdle
-// means no work was available; state WorkerQuarantined tells the
-// worker to drain.
-func (p *Pool) Claim(id string, wait time.Duration, max int) ([]RemoteLease, WorkerState, error) {
+// Claim leases up to max queued units to the worker, long-polling up
+// to wait or until ctx ends. The response always re-delivers every
+// lease the worker already holds (same epochs — the idempotency tokens
+// are unchanged, so whichever delivery the worker acts on, only one
+// report per unit is accepted) before topping up from the queue,
+// bounded by the worker's lease capacity. An empty slice with state
+// WorkerIdle means no work was available; state WorkerQuarantined tells
+// the worker to drain.
+func (p *Pool) Claim(ctx context.Context, id string, wait time.Duration, max int) ([]Lease, WorkerState, error) {
 	if max <= 0 {
 		max = 1
 	}
-	deadline := time.Now().Add(wait)
-	for {
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	for arrival := true; ; arrival = false {
 		p.mu.Lock()
 		w, ok := p.workers[id]
-		if !ok || w.dead {
+		if !ok || w.state == WorkerDead {
 			p.mu.Unlock()
 			return nil, WorkerDead, ErrUnknownWorker
 		}
@@ -129,23 +121,26 @@ func (p *Pool) Claim(id string, wait time.Duration, max int) ([]RemoteLease, Wor
 			p.mu.Unlock()
 			return nil, WorkerQuarantined, nil
 		}
+		limit := leaseCapLocked(w)
+		if arrival {
+			// What this claim asks to hold; reports landing while it is
+			// parked do not lower it (see ownerWillClaimLocked).
+			w.asked = min(len(w.leases)+max, limit)
+		}
 		leases := p.heldLeasesLocked(w)
-		if !p.draining && !p.interrupting {
-			limit := leaseCapLocked(w)
-			for granted := 0; granted < max && len(w.leases) < limit; granted++ {
-				sh := p.takeLocked(w)
-				if sh == nil {
-					break
-				}
-				p.assignLocked(w, sh)
-				leases = append(leases, RemoteLease{Job: sh.job.id, Unit: sh.unit, Epoch: sh.epoch})
-				if sh.unit.Final {
-					// The final union lowers every surviving single at once —
-					// by far the heaviest unit of its search. Close the batch
-					// behind it so lighter units stay available to the rest of
-					// the fleet.
-					break
-				}
+		for granted := 0; !p.draining && granted < max && len(w.leases) < limit; granted++ {
+			sh := p.takeLocked(w)
+			if sh == nil {
+				break
+			}
+			p.assignLocked(w, sh)
+			leases = append(leases, Lease{Job: sh.job.id, Unit: sh.unit, Epoch: sh.epoch})
+			if sh.unit.Final {
+				// The final union lowers every surviving single at once —
+				// by far the heaviest unit of its search. Close the batch
+				// behind it so lighter units stay available to the rest of
+				// the fleet.
+				break
 			}
 		}
 		if len(leases) > 0 {
@@ -155,22 +150,19 @@ func (p *Pool) Claim(id string, wait time.Duration, max int) ([]RemoteLease, Wor
 		}
 		waitCh := p.waitCh
 		p.mu.Unlock()
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return nil, WorkerIdle, nil
-		}
-		t := time.NewTimer(remain)
 		select {
 		case <-waitCh:
-		case <-t.C:
+		case <-timer.C:
+			return nil, WorkerIdle, nil
+		case <-ctx.Done():
+			return nil, WorkerIdle, ctx.Err()
 		}
-		t.Stop()
 	}
 }
 
 // heldLeasesLocked snapshots a worker's held leases in stable (job,
 // key) order; callers hold p.mu.
-func (p *Pool) heldLeasesLocked(w *worker) []RemoteLease {
+func (p *Pool) heldLeasesLocked(w *worker) []Lease {
 	if len(w.leases) == 0 {
 		return nil
 	}
@@ -179,25 +171,15 @@ func (p *Pool) heldLeasesLocked(w *worker) []RemoteLease {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	leases := make([]RemoteLease, 0, len(keys))
+	leases := make([]Lease, 0, len(keys))
 	for _, k := range keys {
 		sh := w.leases[k]
-		leases = append(leases, RemoteLease{Job: sh.job.id, Unit: sh.unit, Epoch: sh.epoch})
+		leases = append(leases, Lease{Job: sh.job.id, Unit: sh.unit, Epoch: sh.epoch})
 	}
 	return leases
 }
 
-// Report delivers one remote verdict (or worker-side evaluation
-// error); it is ReportBatch for a single unit.
-func (p *Pool) Report(id, jobID, key string, epoch int, v search.Verdict, evalErr string) (accepted bool, err error) {
-	acc, err := p.ReportBatch(id, []RemoteReport{{Job: jobID, Key: key, Epoch: epoch, Verdict: v, Err: evalErr}})
-	if err != nil {
-		return false, err
-	}
-	return acc[0], nil
-}
-
-// ReportBatch delivers a batch of remote outcomes. Each entry is
+// ReportBatch delivers a batch of worker outcomes. Each entry is
 // judged independently against the full idempotency token — the worker
 // holds the unit's lease, same job, same unit key, same epoch, not yet
 // delivered; anything else (a duplicated report RPC, a late report
@@ -212,22 +194,23 @@ func (p *Pool) Report(id, jobID, key string, epoch int, v search.Verdict, evalEr
 // consecutive failures drain the worker — which also breaks its
 // remaining leases, so later entries of the same batch settle as
 // discarded duplicates and their units re-evaluate elsewhere.
-func (p *Pool) ReportBatch(id string, reports []RemoteReport) ([]bool, error) {
+func (p *Pool) ReportBatch(id string, reports []Report) ([]bool, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	w, ok := p.workers[id]
 	if !ok {
 		return nil, ErrUnknownWorker
 	}
-	if w.dead {
+	if w.state == WorkerDead {
 		w.discarded += len(reports)
 		return nil, ErrUnknownWorker
 	}
+	defer p.wakeLocked()
 	w.lastBeat = p.now()
 	accepted := make([]bool, len(reports))
 	for i, r := range reports {
-		sh := w.leases[leaseKey(r.Job, r.Key)]
-		if sh == nil || sh.delivered || sh.owner != w.id || sh.epoch != r.Epoch {
+		sh := w.leases[leaseKey(r.Job, r.Key, r.Epoch)]
+		if sh == nil || sh.delivered {
 			w.discarded++
 			continue
 		}
@@ -250,7 +233,7 @@ func (p *Pool) ReportBatch(id string, reports []RemoteReport) ([]bool, error) {
 			accepted[i] = true
 			continue
 		}
-		p.deliverLocked(w, sh, r.Verdict, nil)
+		p.deliverLocked(w, sh, r.Verdict)
 		accepted[i] = true
 	}
 	return accepted, nil
@@ -262,7 +245,7 @@ func (p *Pool) ReportBatch(id string, reports []RemoteReport) ([]bool, error) {
 // registered (and heartbeating) so the registry shows why it was
 // benched. Callers hold p.mu.
 func (p *Pool) quarantineLocked(w *worker) {
-	if w.dead || w.state == WorkerQuarantined {
+	if !assignable(w) {
 		return
 	}
 	w.state = WorkerQuarantined

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -20,20 +21,29 @@ func evalAsync(j *JobHandle, key string) chan shardResult {
 
 // claimSoon polls Claim (for a single unit) until a lease arrives (the
 // shard queue is fed by a concurrent EvaluateUnit).
-func claimSoon(t *testing.T, p *Pool, id string) *RemoteLease {
+func claimSoon(t *testing.T, p *Pool, id string) Lease {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		leases, _, err := p.Claim(id, 50*time.Millisecond, 1)
+		leases, _, err := p.Claim(context.Background(), id, 50*time.Millisecond, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(leases) > 0 {
-			return &leases[0]
+			return leases[0]
 		}
 	}
 	t.Fatal("no lease arrived")
-	return nil
+	return Lease{}
+}
+
+// report delivers one lease's outcome as a single-entry batch.
+func report(p *Pool, id string, l Lease, v search.Verdict, evalErr string) (bool, error) {
+	acc, err := p.ReportBatch(id, []Report{{Job: l.Job, Key: l.Unit.Key, Epoch: l.Epoch, Verdict: v, Err: evalErr}})
+	if err != nil {
+		return false, err
+	}
+	return acc[0], nil
 }
 
 // TestRemoteClaimReport drives the basic remote cycle: register, claim,
@@ -41,17 +51,17 @@ func claimSoon(t *testing.T, p *Pool, id string) *RemoteLease {
 func TestRemoteClaimReport(t *testing.T) {
 	p := New(Options{Heartbeat: 10 * time.Millisecond, Expiry: 30 * time.Second})
 	defer p.Close()
-	id, hb, exp := p.AddRemote("rack1", 1)
+	id, hb, exp := p.Join("rack1", 1)
 	if hb <= 0 || exp <= 0 {
-		t.Fatalf("AddRemote returned heartbeat %v expiry %v", hb, exp)
+		t.Fatalf("Join returned heartbeat %v expiry %v", hb, exp)
 	}
-	j := p.Register("j0001", &fakeEval{})
+	j := p.Register(context.Background(), "j0001", &fakeEval{})
 	res := evalAsync(j, "k1")
 	lease := claimSoon(t, p, id)
 	if lease.Job != "j0001" || lease.Unit.Key != "k1" {
 		t.Fatalf("lease %+v, want j0001/k1", lease)
 	}
-	acc, err := p.Report(id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, "")
+	acc, err := report(p, id, lease, search.Verdict{Pass: true}, "")
 	if err != nil || !acc {
 		t.Fatalf("Report: accepted=%v err=%v", acc, err)
 	}
@@ -60,8 +70,8 @@ func TestRemoteClaimReport(t *testing.T) {
 		t.Fatalf("unit result %+v", r)
 	}
 	for _, w := range p.Workers() {
-		if w.ID == id && (w.Done != 1 || !w.Remote || w.Name != "rack1") {
-			t.Errorf("worker snapshot %+v, want done=1 remote name=rack1", w)
+		if w.ID == id && (w.Done != 1 || w.Name != "rack1") {
+			t.Errorf("worker snapshot %+v, want done=1 name=rack1", w)
 		}
 	}
 }
@@ -72,14 +82,14 @@ func TestRemoteClaimReport(t *testing.T) {
 func TestRemoteReportIdempotent(t *testing.T) {
 	p := New(Options{})
 	defer p.Close()
-	id, _, _ := p.AddRemote("dup", 1)
-	j := p.Register("j0001", &fakeEval{})
+	id, _, _ := p.Join("dup", 1)
+	j := p.Register(context.Background(), "j0001", &fakeEval{})
 	res := evalAsync(j, "k1")
 	lease := claimSoon(t, p, id)
-	if acc, err := p.Report(id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, ""); err != nil || !acc {
+	if acc, err := report(p, id, lease, search.Verdict{Pass: true}, ""); err != nil || !acc {
 		t.Fatalf("first report: accepted=%v err=%v", acc, err)
 	}
-	if acc, err := p.Report(id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: false}, ""); err != nil || acc {
+	if acc, err := report(p, id, lease, search.Verdict{Pass: false}, ""); err != nil || acc {
 		t.Fatalf("duplicate report: accepted=%v err=%v, want discarded", acc, err)
 	}
 	if r := <-res; !r.v.Pass {
@@ -99,12 +109,12 @@ func TestRemoteReportIdempotent(t *testing.T) {
 func TestRemoteClaimRedelivery(t *testing.T) {
 	p := New(Options{})
 	defer p.Close()
-	id, _, _ := p.AddRemote("lossy", 1)
-	j := p.Register("j0001", &fakeEval{})
+	id, _, _ := p.Join("lossy", 1)
+	j := p.Register(context.Background(), "j0001", &fakeEval{})
 	res := evalAsync(j, "k1")
 	res2 := evalAsync(j, "k2long") // a second unit is queued behind
 	first := claimSoon(t, p, id)
-	again, state, err := p.Claim(id, 0, 1)
+	again, state, err := p.Claim(context.Background(), id, 0, 1)
 	if err != nil || len(again) == 0 {
 		t.Fatalf("re-claim: leases=%v state=%s err=%v", again, state, err)
 	}
@@ -119,14 +129,14 @@ func TestRemoteClaimRedelivery(t *testing.T) {
 			t.Fatalf("re-claim duplicated held unit %s under epoch %d", l.Unit.Key, l.Epoch)
 		}
 	}
-	if acc, _ := p.Report(id, first.Job, first.Unit.Key, first.Epoch, search.Verdict{Pass: true}, ""); !acc {
+	if acc, _ := report(p, id, first, search.Verdict{Pass: true}, ""); !acc {
 		t.Fatal("report after redelivery not accepted")
 	}
 	second := claimSoon(t, p, id)
 	if second.Unit.Key == first.Unit.Key {
 		t.Fatal("second claim re-delivered a settled unit")
 	}
-	p.Report(id, second.Job, second.Unit.Key, second.Epoch, search.Verdict{Pass: true}, "")
+	report(p, id, second, search.Verdict{Pass: true}, "")
 	<-res
 	<-res2
 }
@@ -138,15 +148,15 @@ func TestRemoteStaleEpochDiscarded(t *testing.T) {
 	fc := newFakeClock()
 	p := New(Options{Heartbeat: time.Hour, Expiry: time.Minute, Clock: fc.Now})
 	defer p.Close()
-	dead, _, _ := p.AddRemote("doomed", 1)
-	j := p.Register("j0001", &fakeEval{})
+	dead, _, _ := p.Join("doomed", 1)
+	j := p.Register(context.Background(), "j0001", &fakeEval{})
 	res := evalAsync(j, "k1")
 	stale := claimSoon(t, p, dead)
 
 	// The doomed worker partitions: no beats, lease expires on the
 	// pool's clock, shard requeues.
 	fc.Advance(2 * time.Minute)
-	surv, _, _ := p.AddRemote("survivor", 1)
+	surv, _, _ := p.Join("survivor", 1)
 	p.sweep()
 	fresh := claimSoon(t, p, surv)
 	if fresh.Unit.Key != stale.Unit.Key || fresh.Epoch == stale.Epoch {
@@ -154,10 +164,10 @@ func TestRemoteStaleEpochDiscarded(t *testing.T) {
 			fresh.Unit.Key, fresh.Epoch, stale.Unit.Key, stale.Epoch)
 	}
 	// The partition heals; the doomed worker's late report must die.
-	if acc, err := p.Report(dead, stale.Job, stale.Unit.Key, stale.Epoch, search.Verdict{Pass: false}, ""); acc || err == nil {
+	if acc, err := report(p, dead, stale, search.Verdict{Pass: false}, ""); acc || err == nil {
 		t.Fatalf("late report from expired worker: accepted=%v err=%v, want rejected with ErrUnknownWorker", acc, err)
 	}
-	if acc, _ := p.Report(surv, fresh.Job, fresh.Unit.Key, fresh.Epoch, search.Verdict{Pass: true}, ""); !acc {
+	if acc, _ := report(p, surv, fresh, search.Verdict{Pass: true}, ""); !acc {
 		t.Fatal("current holder's report rejected")
 	}
 	if r := <-res; r.err != nil || !r.v.Pass {
@@ -171,26 +181,26 @@ func TestRemoteStaleEpochDiscarded(t *testing.T) {
 func TestRemoteQuarantine(t *testing.T) {
 	p := New(Options{QuarantineAfter: 2})
 	defer p.Close()
-	bad, _, _ := p.AddRemote("bad", 1)
-	good, _, _ := p.AddRemote("good", 1)
-	j := p.Register("j0001", &fakeEval{})
+	bad, _, _ := p.Join("bad", 1)
+	good, _, _ := p.Join("good", 1)
+	j := p.Register(context.Background(), "j0001", &fakeEval{})
 	res := evalAsync(j, "k1")
 
 	for i := 0; i < 2; i++ {
 		lease := claimSoon(t, p, bad)
-		acc, err := p.Report(bad, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{}, "oom")
+		acc, err := report(p, bad, lease, search.Verdict{}, "oom")
 		if err != nil || !acc {
 			t.Fatalf("failure report %d: accepted=%v err=%v", i, acc, err)
 		}
 	}
-	if leases, state, err := p.Claim(bad, 0, 1); err != nil || len(leases) != 0 || state != WorkerQuarantined {
+	if leases, state, err := p.Claim(context.Background(), bad, 0, 1); err != nil || len(leases) != 0 || state != WorkerQuarantined {
 		t.Fatalf("claim after quarantine: leases=%v state=%s err=%v, want none/quarantined", leases, state, err)
 	}
-	if st, err := p.Heartbeat(bad); err != nil || st != WorkerQuarantined {
+	if st, err := p.Heartbeat(bad, 0); err != nil || st != WorkerQuarantined {
 		t.Fatalf("quarantined worker heartbeat: state=%s err=%v, want it kept alive", st, err)
 	}
 	lease := claimSoon(t, p, good)
-	if acc, _ := p.Report(good, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, ""); !acc {
+	if acc, _ := report(p, good, lease, search.Verdict{Pass: true}, ""); !acc {
 		t.Fatal("healthy worker's report rejected")
 	}
 	if r := <-res; r.err != nil || !r.v.Pass {
@@ -211,8 +221,8 @@ func TestRemoteQuarantine(t *testing.T) {
 func TestRemoteFailureCountResets(t *testing.T) {
 	p := New(Options{QuarantineAfter: 2})
 	defer p.Close()
-	id, _, _ := p.AddRemote("flaky", 1)
-	j := p.Register("j0001", &fakeEval{})
+	id, _, _ := p.Join("flaky", 1)
+	j := p.Register(context.Background(), "j0001", &fakeEval{})
 	keys := []string{"k1", "k2", "k3"}
 	var results []chan shardResult
 	for _, k := range keys {
@@ -222,14 +232,14 @@ func TestRemoteFailureCountResets(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		lease := claimSoon(t, p, id)
 		if i == 1 {
-			p.Report(id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, "")
+			report(p, id, lease, search.Verdict{Pass: true}, "")
 		} else {
-			p.Report(id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{}, "flake")
+			report(p, id, lease, search.Verdict{}, "flake")
 		}
 	}
 	// Settle whatever remains.
 	for done := false; !done; {
-		leases, state, err := p.Claim(id, 50*time.Millisecond, 1)
+		leases, state, err := p.Claim(context.Background(), id, 50*time.Millisecond, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +251,7 @@ func TestRemoteFailureCountResets(t *testing.T) {
 			continue
 		}
 		for _, lease := range leases {
-			p.Report(id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, "")
+			report(p, id, lease, search.Verdict{Pass: true}, "")
 		}
 	}
 	for _, res := range results {
@@ -258,12 +268,12 @@ func TestRemoteFailureCountResets(t *testing.T) {
 func TestRemoteInterruptedReportRequeues(t *testing.T) {
 	p := New(Options{QuarantineAfter: 1})
 	defer p.Close()
-	leaving, _, _ := p.AddRemote("leaving", 1)
-	staying, _, _ := p.AddRemote("staying", 1)
-	j := p.Register("j0001", &fakeEval{})
+	leaving, _, _ := p.Join("leaving", 1)
+	staying, _, _ := p.Join("staying", 1)
+	j := p.Register(context.Background(), "j0001", &fakeEval{})
 	res := evalAsync(j, "k1")
 	lease := claimSoon(t, p, leaving)
-	acc, err := p.Report(leaving, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Interrupted: true}, "")
+	acc, err := report(p, leaving, lease, search.Verdict{Interrupted: true}, "")
 	if err != nil || !acc {
 		t.Fatalf("interrupt report: accepted=%v err=%v", acc, err)
 	}
@@ -281,20 +291,20 @@ func TestRemoteInterruptedReportRequeues(t *testing.T) {
 	if re.Unit.Key != "k1" {
 		t.Fatalf("requeued unit %q, want k1", re.Unit.Key)
 	}
-	p.Report(staying, re.Job, re.Unit.Key, re.Epoch, search.Verdict{Pass: true}, "")
+	report(p, staying, re, search.Verdict{Pass: true}, "")
 	if r := <-res; r.err != nil || !r.v.Pass {
 		t.Fatalf("unit result %+v", r)
 	}
 }
 
-// TestRemoteFallbackInProcess: with Options.Fallback, a pool whose
-// last assignable worker dies degrades to in-process evaluation
-// instead of failing units — queued, in-flight and future ones alike.
+// TestRemoteFallbackInProcess: a pool whose last assignable worker
+// dies degrades to in-process evaluation instead of failing units —
+// queued, in-flight and future ones alike.
 func TestRemoteFallbackInProcess(t *testing.T) {
-	p := New(Options{Fallback: true, Heartbeat: time.Hour, Expiry: time.Minute})
+	p := New(Options{Heartbeat: time.Hour, Expiry: time.Minute})
 	defer p.Close()
 	ev := &fakeEval{}
-	j := p.Register("j0001", ev)
+	j := p.Register(context.Background(), "j0001", ev)
 
 	// No workers at all: the unit runs in-process immediately.
 	if v, err := j.EvaluateUnit(search.EvalUnit{Key: "k1"}); err != nil || !v.Pass {
@@ -304,9 +314,9 @@ func TestRemoteFallbackInProcess(t *testing.T) {
 		t.Fatalf("Fallbacks() = %d, want 1", p.Fallbacks())
 	}
 
-	// A remote worker joins, claims a unit, then dies: the unit must
-	// fall back, not strand.
-	id, _, _ := p.AddRemote("mortal", 1)
+	// A worker joins, claims a unit, then dies: the unit must fall back,
+	// not strand.
+	id, _, _ := p.Join("mortal", 1)
 	res := evalAsync(j, "k2")
 	claimSoon(t, p, id)
 	if err := p.Kill(id); err != nil {
@@ -325,88 +335,106 @@ func TestRemoteFallbackInProcess(t *testing.T) {
 func TestRemoteUnknownWorker(t *testing.T) {
 	p := New(Options{})
 	defer p.Close()
-	if _, err := p.Heartbeat("r99"); err != ErrUnknownWorker {
+	if _, err := p.Heartbeat("r99", 0); err != ErrUnknownWorker {
 		t.Errorf("Heartbeat(r99) err = %v", err)
 	}
-	if _, _, err := p.Claim("r99", 0, 1); err != ErrUnknownWorker {
+	if _, _, err := p.Claim(context.Background(), "r99", 0, 1); err != ErrUnknownWorker {
 		t.Errorf("Claim(r99) err = %v", err)
 	}
-	if _, err := p.Report("r99", "j", "k", 1, search.Verdict{}, ""); err != ErrUnknownWorker {
-		t.Errorf("Report(r99) err = %v", err)
+	if _, err := p.ReportBatch("r99", []Report{{Job: "j", Key: "k", Epoch: 1}}); err != ErrUnknownWorker {
+		t.Errorf("ReportBatch(r99) err = %v", err)
 	}
-	id, _, _ := p.AddRemote("gone", 1)
+	id, _, _ := p.Join("gone", 1)
 	p.Kill(id)
-	if _, err := p.Heartbeat(id); err != ErrUnknownWorker {
+	if _, err := p.Heartbeat(id, 0); err != ErrUnknownWorker {
 		t.Errorf("Heartbeat(dead) err = %v", err)
 	}
 }
 
-// TestRemoteDrain: DrainRemote stops new remote leases while letting
-// the in-flight one deliver; ReleaseRemoteLeases then breaks whatever
-// remains (after the owning searches are gone).
+// TestRemoteDrain: Drain stops new leases while letting the in-flight
+// one deliver, returning once nothing is held; a unit arriving during
+// the drain evaluates in-process instead of shipping to a worker.
 func TestRemoteDrain(t *testing.T) {
 	p := New(Options{})
 	defer p.Close()
-	id, _, _ := p.AddRemote("draining", 1)
-	j := p.Register("j0001", &fakeEval{})
+	id, _, _ := p.Join("draining", 1)
+	ev := &fakeEval{}
+	j := p.Register(context.Background(), "j0001", ev)
 	res1 := evalAsync(j, "k1")
 	lease := claimSoon(t, p, id)
-	p.DrainRemote()
+	drained := make(chan int, 1)
+	go func() { drained <- p.Drain(5 * time.Second) }()
 	// In-flight lease still delivers.
-	if acc, _ := p.Report(id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, ""); !acc {
+	if acc, _ := report(p, id, lease, search.Verdict{Pass: true}, ""); !acc {
 		t.Fatal("in-flight report rejected during drain")
 	}
 	if r := <-res1; r.err != nil || !r.v.Pass {
 		t.Fatalf("drained in-flight unit %+v", r)
 	}
-	if n := p.AwaitRemoteIdle(time.Second); n != 0 {
-		t.Fatalf("AwaitRemoteIdle = %d after delivery", n)
+	if n := <-drained; n != 0 {
+		t.Fatalf("Drain = %d after delivery", n)
 	}
-	// No new lease while draining.
-	if leases, _, _ := p.Claim(id, 0, 1); len(leases) != 0 {
-		t.Fatal("drain granted a new remote lease")
+	// No new lease while draining: the next unit runs in-process.
+	if v, err := j.EvaluateUnit(search.EvalUnit{Key: "k2"}); err != nil || !v.Pass || p.Fallbacks() != 1 {
+		t.Fatalf("unit during drain: %+v err=%v fallbacks=%d, want an in-process pass", v, err, p.Fallbacks())
+	}
+	if leases, _, _ := p.Claim(context.Background(), id, 0, 1); len(leases) != 0 {
+		t.Fatal("drain granted a new lease")
 	}
 }
 
-// TestRemoteReleaseBreaksLease: ReleaseRemoteLeases settles a remote
-// shard interrupted (the shutdown path, after job cancellation) and
-// the worker's late report is discarded.
+// TestRemoteReleaseBreaksLease: cancelling a job's context settles its
+// leased unit interrupted at once — no error, no wait for the worker —
+// and the worker's late report is discarded.
 func TestRemoteReleaseBreaksLease(t *testing.T) {
 	p := New(Options{})
 	defer p.Close()
-	id, _, _ := p.AddRemote("stuck", 1)
-	j := p.Register("j0001", &fakeEval{})
+	id, _, _ := p.Join("stuck", 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	j := p.Register(ctx, "j0001", &fakeEval{})
 	res := evalAsync(j, "k1")
 	lease := claimSoon(t, p, id)
-	p.ReleaseRemoteLeases()
+	cancel()
 	if r := <-res; r.err != nil || !r.v.Interrupted {
-		t.Fatalf("released unit %+v, want interrupted", r)
+		t.Fatalf("withdrawn unit %+v, want interrupted", r)
 	}
-	if acc, err := p.Report(id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, ""); acc || err != nil {
-		t.Fatalf("late report after release: accepted=%v err=%v, want discarded", acc, err)
+	if acc, err := report(p, id, lease, search.Verdict{Pass: true}, ""); acc || err != nil {
+		t.Fatalf("late report after withdrawal: accepted=%v err=%v, want discarded", acc, err)
+	}
+	for _, w := range p.Workers() {
+		if w.ID == id && (w.Discarded != 1 || w.InFlight != 0 || w.Fails != 0) {
+			t.Errorf("worker snapshot %+v, want discarded=1, nothing held, no strike", w)
+		}
+	}
+	if _, err := p.evaluator("j0001"); err == nil {
+		t.Error("cancelled job still hands out its evaluator")
 	}
 }
 
-// TestRemoteInterruptQueued: InterruptQueued settles queued shards and
-// every later-enqueued unit as interrupted.
+// TestRemoteInterruptQueued: cancelling a job's context settles its
+// queued units — and every unit it enqueues later — as interrupted,
+// leaving other jobs' units queued.
 func TestRemoteInterruptQueued(t *testing.T) {
 	p := New(Options{})
 	defer p.Close()
-	p.AddRemote("idle", 1) // assignable, so units queue instead of erroring
-	j := p.Register("j0001", &fakeEval{})
+	p.Join("idle", 1) // assignable, so units queue instead of falling back
+	ctx, cancel := context.WithCancel(context.Background())
+	j := p.Register(ctx, "j0001", &fakeEval{})
+	other := p.Register(context.Background(), "j0002", &fakeEval{})
 	res := evalAsync(j, "k1")
-	deadline := time.Now().Add(5 * time.Second)
-	for p.QueueLen() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("unit never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	p.InterruptQueued()
+	waitQueue(t, p, 1)
+	bystander := evalAsync(other, "k1")
+	waitQueue(t, p, 2)
+	cancel()
 	if r := <-res; r.err != nil || !r.v.Interrupted {
 		t.Fatalf("queued unit %+v, want interrupted", r)
 	}
 	if v, err := j.EvaluateUnit(search.EvalUnit{Key: "k2"}); err != nil || !v.Interrupted {
-		t.Fatalf("post-interrupt unit %+v err=%v, want interrupted", v, err)
+		t.Fatalf("post-cancel unit %+v err=%v, want interrupted", v, err)
 	}
+	if n := p.QueueLen(); n != 1 {
+		t.Fatalf("QueueLen() = %d after withdrawal, want the other job's unit only", n)
+	}
+	p.Close()
+	<-bystander
 }

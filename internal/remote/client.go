@@ -16,6 +16,7 @@ import (
 
 	"fpmix/internal/faultinject"
 	"fpmix/internal/jobs"
+	"fpmix/internal/search"
 )
 
 // ErrGone reports that the daemon no longer knows this worker ID (410
@@ -31,20 +32,37 @@ func (e errInjected) Error() string {
 	return fmt.Sprintf("remote: injected network fault (%s)", e.kind)
 }
 
-// Client is the worker-side transport: JSON POSTs with per-RPC
-// deadlines, jittered exponential retry on transport failures, and an
-// optional deterministic network-fault injector exercising the
-// daemon's idempotency guarantees (dropped responses force duplicate
+// Client is the HTTP Transport: JSON POSTs with per-RPC deadlines,
+// jittered exponential retry on transport failures, and an optional
+// deterministic network-fault injector exercising the daemon's
+// idempotency guarantees (dropped responses force duplicate
 // deliveries; resets force clean retries; see faultinject.NetKind).
+// Its Evaluator builds each job's evaluation stack from the served spec
+// and keeps a bounded cache of them.
 type Client struct {
 	base string
 	hc   *http.Client
 	net  *faultinject.NetInjector
 
-	mu  sync.Mutex
-	rng *rand.Rand
-	seq int
+	mu      sync.Mutex
+	seq     int
+	runners map[string]*cachedRunner // job ID → evaluation stack, see runnerCap
+	leased  map[string]bool          // jobs holding leases as of the last claim
+	tick    uint64                   // runner-use clock for LRU eviction
 }
+
+// cachedRunner is one job's evaluation stack plus its last use.
+type cachedRunner struct {
+	r    *search.UnitRunner
+	used uint64
+}
+
+// runnerCap bounds the runner cache. Past it, the least recently used
+// runner of a job with no held lease is dropped, donor snapshots and
+// all; a job that returns rebuilds its stack. Runners of jobs with held
+// leases are never dropped, so the cache exceeds the cap only while the
+// worker's own batch spans more jobs than that.
+const runnerCap = 4
 
 // Transport tuning. Every RPC gets its own deadline; retries back off
 // exponentially from retryBase with full jitter, capped at retryCap.
@@ -60,10 +78,10 @@ const (
 // network chaos on every RPC.
 func NewClient(base string, net *faultinject.NetInjector) *Client {
 	return &Client{
-		base: base,
-		hc:   &http.Client{},
-		net:  net,
-		rng:  rand.New(rand.NewSource(time.Now().UnixNano())),
+		base:    base,
+		hc:      &http.Client{},
+		net:     net,
+		runners: make(map[string]*cachedRunner),
 	}
 }
 
@@ -77,11 +95,22 @@ func (c *Client) Register(ctx context.Context, name string, parallel int) (Regis
 }
 
 // Claim long-polls for up to max leases. The RPC deadline covers the
-// server's long-poll window plus transport grace.
+// server's long-poll window plus transport grace. A response re-delivers
+// every lease the worker holds, so its jobs are exactly the ones whose
+// runners the cache must keep.
 func (c *Client) Claim(ctx context.Context, worker string, wait time.Duration, max int) (ClaimResponse, error) {
 	var resp ClaimResponse
 	err := c.post(ctx, "claim", c.nextKey(worker), "/api/v1/fleet/claim",
 		ClaimRequest{Worker: worker, WaitMS: wait.Milliseconds(), Max: max}, &resp, wait+rpcTimeout)
+	if err == nil {
+		leased := make(map[string]bool, len(resp.Leases))
+		for _, l := range resp.Leases {
+			leased[l.Job] = true
+		}
+		c.mu.Lock()
+		c.leased = leased
+		c.mu.Unlock()
+	}
 	return resp, err
 }
 
@@ -130,13 +159,57 @@ func (c *Client) Report(ctx context.Context, req ReportRequest) ([]bool, error) 
 	return resp.Accepted, err
 }
 
-// Backoff sleeps the client's jittered exponential retry delay before
-// the given attempt (none for attempt 0) — exported so the worker
-// runtime's register/claim loops share the transport's backoff policy
-// instead of hammering a briefly-unreachable daemon in lockstep with
-// the rest of the fleet.
-func (c *Client) Backoff(ctx context.Context, attempt int) error {
-	return c.sleepBackoff(ctx, attempt)
+// Evaluator returns the job's evaluation stack, building it on first
+// use from the daemon-served spec — the same engine mode and chaos
+// wiring the daemon's own runner uses, so remote verdicts are
+// indistinguishable from local ones. One runner serves all Parallel
+// evaluators of a job; job IDs are stable across daemon restarts and
+// specs are immutable, so a cached runner never goes stale.
+func (c *Client) Evaluator(ctx context.Context, job string) (Evaluator, error) {
+	c.mu.Lock()
+	if e, ok := c.runners[job]; ok {
+		c.tick++
+		e.used = c.tick
+		c.mu.Unlock()
+		return e.r, nil
+	}
+	c.mu.Unlock()
+	spec, err := c.JobSpec(ctx, job)
+	if err != nil {
+		return nil, err
+	}
+	target, _, err := spec.Build()
+	if err != nil {
+		return nil, err
+	}
+	var chaos *faultinject.Injector
+	if spec.Chaos != 0 {
+		chaos = faultinject.New(spec.Chaos, faultinject.DefaultRates, 0)
+	}
+	r, err := search.NewUnitRunner(target, search.Options{Context: ctx, Chaos: chaos})
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.runners[job]; ok {
+		return e.r, nil // a concurrent evaluator built it first
+	}
+	c.tick++
+	c.runners[job] = &cachedRunner{r: r, used: c.tick}
+	for len(c.runners) > runnerCap {
+		victim := ""
+		for id, e := range c.runners {
+			if !c.leased[id] && (victim == "" || e.used < c.runners[victim].used) {
+				victim = id
+			}
+		}
+		if victim == "" {
+			break
+		}
+		delete(c.runners, victim)
+	}
+	return r, nil
 }
 
 // JobSpec fetches the spec of the job a lease belongs to, from which
@@ -145,7 +218,7 @@ func (c *Client) JobSpec(ctx context.Context, job string) (jobs.Spec, error) {
 	var spec jobs.Spec
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if err := c.sleepBackoff(ctx, attempt); err != nil {
+		if err := backoff(ctx, attempt); err != nil {
 			return spec, err
 		}
 		rctx, cancel := context.WithTimeout(ctx, rpcTimeout)
@@ -181,7 +254,7 @@ func (c *Client) JobSpec(ctx context.Context, job string) (jobs.Spec, error) {
 func (c *Client) post(ctx context.Context, op, key, path string, reqBody, respBody any, deadline time.Duration) error {
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if err := c.sleepBackoff(ctx, attempt); err != nil {
+		if err := backoff(ctx, attempt); err != nil {
 			return err
 		}
 		err := c.attempt(ctx, op, key, attempt, path, reqBody, respBody, deadline)
@@ -269,9 +342,11 @@ func (c *Client) attempt(ctx context.Context, op, key string, attempt int, path 
 	return err
 }
 
-// sleepBackoff waits the jittered exponential delay before the given
-// attempt (none before the first).
-func (c *Client) sleepBackoff(ctx context.Context, attempt int) error {
+// backoff waits the jittered exponential delay before the given
+// attempt (none before the first). The RPC retries and the worker
+// runtime's register/claim loops share it, so a briefly-unreachable
+// daemon is never hammered by a fleet retrying in lockstep.
+func backoff(ctx context.Context, attempt int) error {
 	if attempt == 0 {
 		return nil
 	}
@@ -279,9 +354,7 @@ func (c *Client) sleepBackoff(ctx context.Context, attempt int) error {
 	if d > retryCap {
 		d = retryCap
 	}
-	c.mu.Lock()
-	d = time.Duration(c.rng.Int63n(int64(d))) + d/2 // full-ish jitter in [d/2, 3d/2)
-	c.mu.Unlock()
+	d = time.Duration(rand.Int63n(int64(d))) + d/2 // full-ish jitter in [d/2, 3d/2)
 	select {
 	case <-time.After(d):
 		return nil

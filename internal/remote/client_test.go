@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"fpmix/internal/faultinject"
+	"fpmix/internal/jobs"
 )
 
 // countingServer answers every fleet POST with the given payload and
@@ -160,5 +162,48 @@ func TestClientDelayStalls(t *testing.T) {
 	}
 	if got := hits.Load(); got != 1 {
 		t.Fatalf("server saw %d deliveries, want 1", got)
+	}
+}
+
+// TestClientRunnerCacheBounded: one worker serving more jobs than
+// runnerCap keeps at most runnerCap evaluation stacks, dropping the
+// least recently used — but never the runner of a job it holds a lease
+// for, whose evaluations may still be queued behind the lookup.
+func TestClientRunnerCacheBounded(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /api/v1/fleet/jobs/{id}/spec", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(jobs.Spec{Kernel: "ep"})
+	})
+	mux.HandleFunc("POST /api/v1/fleet/claim", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(ClaimResponse{State: "busy", Leases: []Lease{{Job: "j0001", Epoch: 1}}})
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	c := NewClient(ts.URL, nil)
+	ctx := context.Background()
+	if _, err := c.Claim(ctx, "w1", 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := c.Evaluator(ctx, "j0001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := fmt.Sprintf("j%04d", runnerCap+3)
+	for i := 2; i <= runnerCap+3; i++ {
+		if _, err := c.Evaluator(ctx, fmt.Sprintf("j%04d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(c.runners); n > runnerCap {
+			t.Fatalf("%d runners cached after %d jobs, want at most %d", n, i, runnerCap)
+		}
+	}
+	if again, _ := c.Evaluator(ctx, "j0001"); again != pinned {
+		t.Error("the leased job's runner was evicted and rebuilt")
+	}
+	if _, ok := c.runners["j0002"]; ok {
+		t.Error("least recently used runner survived past the bound")
+	}
+	if _, ok := c.runners[last]; !ok {
+		t.Error("most recently used runner was evicted")
 	}
 }

@@ -1,8 +1,10 @@
-// Package remote is the out-of-process worker side of the fpmixd
-// fleet: the wire protocol a worker speaks to the daemon, a transport
-// client hardened against real networks (per-RPC deadlines, jittered
-// exponential retry, deterministic chaos injection), and the worker
-// runtime cmd/fpmixworker wraps.
+// Package remote is the worker side of the fpmixd fleet: the wire
+// protocol a worker speaks to the daemon, the Transport seam, an HTTP
+// transport client hardened against real networks (per-RPC deadlines,
+// jittered exponential retry, deterministic chaos injection), and the
+// worker runtime (Serve). Every fleet worker runs that runtime:
+// cmd/fpmixworker over HTTP, the daemon's own local workers over the
+// pool's in-memory transport (fleet.Direct).
 //
 // The protocol is four idempotent JSON-over-HTTP RPCs against the
 // daemon's /api/v1/fleet endpoints:

@@ -11,9 +11,10 @@ import (
 	"fpmix/internal/search"
 )
 
-// WorkerOptions configure one out-of-process worker runtime.
+// WorkerOptions configure one worker runtime.
 type WorkerOptions struct {
-	// Server is the daemon base URL (e.g. http://127.0.0.1:8606).
+	// Server is the daemon base URL (e.g. http://127.0.0.1:8606); Run
+	// only.
 	Server string
 	// Name is the worker's self-reported label, shown in
 	// `fpmixctl workers`.
@@ -28,7 +29,7 @@ type WorkerOptions struct {
 	// (default max(4, 2×Parallel)). The claim loop tops the buffer up
 	// while evaluations run, so delivery pipelines with execution.
 	Batch int
-	// Net arms deterministic network chaos on every RPC.
+	// Net arms deterministic network chaos on every RPC (Run only).
 	Net *faultinject.NetInjector
 	// Sabotage > 0 reports the first N claimed units as worker-side
 	// evaluation failures instead of evaluating them — a chaos knob
@@ -38,22 +39,48 @@ type WorkerOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// Run drives a worker until ctx is cancelled: register, then pipeline
-// claim → evaluate → report under one identity, heartbeating in the
-// background. Claims prefetch the next batch of units while the
-// current ones evaluate on a pool of Parallel goroutines, and verdicts
-// ship back in batches — so RPC round-trips overlap with evaluation
-// instead of serializing with it. The wire protocol's failure recovery
-// is built in: transient transport errors retry with jittered backoff
-// (inside the client per RPC, and across the register/claim loops so a
-// briefly-unreachable daemon never sees a synchronized thundering herd
-// from a large fleet), a 410 Gone (daemon restarted, worker retired)
-// re-registers under a fresh identity, quarantine drains the claim
-// loop while heartbeats keep the bench visible, and a cancellation
-// mid-evaluation reports the remaining units Interrupted over a short
-// grace context so the daemon requeues them immediately instead of
-// waiting out the leases.
+// Transport is a worker runtime's path to the fleet: the four protocol
+// RPCs plus the lookup of the evaluator a leased job's units run on.
+// *Client speaks it over HTTP to a remote daemon; fleet.Direct calls
+// the pool inside the daemon's own address space, which is how fpmixd's
+// local workers run this same runtime. Identity loss surfaces as an
+// error wrapping ErrGone on either transport.
+type Transport interface {
+	Register(ctx context.Context, name string, parallel int) (RegisterResponse, error)
+	Claim(ctx context.Context, worker string, wait time.Duration, max int) (ClaimResponse, error)
+	Heartbeat(ctx context.Context, worker string, inflight int) (HeartbeatResponse, error)
+	Report(ctx context.Context, req ReportRequest) ([]bool, error)
+	Evaluator(ctx context.Context, job string) (Evaluator, error)
+}
+
+// Evaluator executes one evaluation unit to a verdict: a job's shared
+// *search.UnitRunner (safe for concurrent use); tests substitute fakes.
+type Evaluator interface {
+	Evaluate(u search.EvalUnit) (search.Verdict, error)
+}
+
+// Run drives a worker against the daemon at opts.Server until ctx is
+// cancelled: Serve over the HTTP Client.
 func Run(ctx context.Context, opts WorkerOptions) error {
+	return Serve(ctx, NewClient(opts.Server, opts.Net), opts)
+}
+
+// Serve drives a worker over the transport until ctx is cancelled:
+// register, then pipeline claim → evaluate → report under one
+// identity, heartbeating in the background. Claims prefetch the next
+// batch of units while the current ones evaluate on a pool of Parallel
+// goroutines, and verdicts ship back in batches — so RPC round-trips
+// overlap with evaluation instead of serializing with it. The wire
+// protocol's failure recovery is built in: transient transport errors
+// retry with jittered backoff (inside the HTTP client per RPC, and
+// across the register/claim loops so a briefly-unreachable daemon never
+// sees a synchronized thundering herd from a large fleet), ErrGone
+// (daemon restarted, worker killed or expired) re-registers under a
+// fresh identity, quarantine drains the claim loop while heartbeats
+// keep the bench visible, and a cancellation mid-evaluation reports
+// the remaining units Interrupted over a short grace context so the
+// daemon requeues them immediately instead of waiting out the leases.
+func Serve(ctx context.Context, t Transport, opts WorkerOptions) error {
 	if opts.Poll <= 0 {
 		opts.Poll = 2 * time.Second
 	}
@@ -69,22 +96,17 @@ func Run(ctx context.Context, opts WorkerOptions) error {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-	w := &workerRT{
-		c:       NewClient(opts.Server, opts.Net),
-		opts:    opts,
-		runCtx:  ctx,
-		runners: make(map[string]*search.UnitRunner),
-	}
+	w := &workerRT{t: t, opts: opts}
 	streak := 0
 	for ctx.Err() == nil {
-		reg, err := w.c.Register(ctx, opts.Name, opts.Parallel)
+		reg, err := t.Register(ctx, opts.Name, opts.Parallel)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil
 			}
 			opts.Logf("register: %v", err)
 			streak++
-			w.c.Backoff(ctx, backoffAttempt(streak))
+			backoff(ctx, backoffAttempt(streak))
 			continue
 		}
 		streak = 0
@@ -96,7 +118,7 @@ func Run(ctx context.Context, opts WorkerOptions) error {
 		} else if err != nil && ctx.Err() == nil {
 			opts.Logf("serve: %v", err)
 			streak++
-			w.c.Backoff(ctx, backoffAttempt(streak))
+			backoff(ctx, backoffAttempt(streak))
 		}
 	}
 	return nil
@@ -111,14 +133,12 @@ func backoffAttempt(streak int) int {
 	return streak
 }
 
-// workerRT is the runtime state behind Run.
+// workerRT is the runtime state behind Serve.
 type workerRT struct {
-	c      *Client
-	opts   WorkerOptions
-	runCtx context.Context
+	t    Transport
+	opts WorkerOptions
 
 	mu        sync.Mutex
-	runners   map[string]*search.UnitRunner // job ID → local evaluation stack
 	sabotaged int
 	held      map[string]struct{} // job\x00key of leases claimed and not yet reported
 	reported  map[string]int      // job\x00key → highest epoch already reported
@@ -279,7 +299,7 @@ func (w *workerRT) claimLoop(ctx context.Context, id string, pending chan<- Leas
 			}
 			continue
 		}
-		resp, err := w.c.Claim(ctx, id, w.opts.Poll, want)
+		resp, err := w.t.Claim(ctx, id, w.opts.Poll, want)
 		if errors.Is(err, ErrGone) {
 			return ErrGone
 		}
@@ -289,7 +309,7 @@ func (w *workerRT) claimLoop(ctx context.Context, id string, pending chan<- Leas
 		if err != nil {
 			w.opts.Logf("claim: %v", err)
 			streak++
-			w.c.Backoff(ctx, backoffAttempt(streak))
+			backoff(ctx, backoffAttempt(streak))
 			continue
 		}
 		streak = 0
@@ -350,7 +370,7 @@ func (w *workerRT) sendReports(ctx context.Context, id string, batch []UnitRepor
 		if ctx.Err() != nil {
 			rctx, cancel = context.WithTimeout(context.Background(), 5*time.Second)
 		}
-		accepted, err := w.c.Report(rctx, req)
+		accepted, err := w.t.Report(rctx, req)
 		if cancel != nil {
 			cancel()
 		}
@@ -375,7 +395,7 @@ func (w *workerRT) sendReports(ctx context.Context, id string, batch []UnitRepor
 			w.dropHeld(batch)
 			return
 		}
-		w.c.Backoff(ctx, backoffAttempt(streak+1))
+		backoff(ctx, backoffAttempt(streak+1))
 	}
 }
 
@@ -394,7 +414,7 @@ func (w *workerRT) beat(ctx context.Context, id string, interval time.Duration, 
 			return
 		case <-t.C:
 		}
-		if _, err := w.c.Heartbeat(ctx, id, w.inFlight()); errors.Is(err, ErrGone) {
+		if _, err := w.t.Heartbeat(ctx, id, w.inFlight()); errors.Is(err, ErrGone) {
 			markGone()
 			return
 		}
@@ -413,12 +433,12 @@ func (w *workerRT) evalOne(ctx context.Context, l Lease) UnitReport {
 	case w.sabotageNext():
 		rep.Error = "sabotage: injected worker-side fault"
 	default:
-		runner, err := w.runnerFor(ctx, l.Job)
+		ev, err := w.t.Evaluator(ctx, l.Job)
 		if err != nil {
 			rep.Error = err.Error()
 		} else {
 			w.evalStarted()
-			v, err := runner.Evaluate(unit)
+			v, err := ev.Evaluate(unit)
 			w.evalDone()
 			if err != nil {
 				rep.Error = err.Error()
@@ -448,49 +468,6 @@ func (w *workerRT) sabotageNext() bool {
 	}
 	w.sabotaged++
 	return true
-}
-
-// runnerFor returns the local evaluation stack for a job, building it
-// on first use from the daemon-served job spec — the same engine mode
-// and chaos wiring the daemon's own in-process runner uses, so remote
-// verdicts are indistinguishable from local ones. Runners are cached
-// per job for the life of the process (UnitRunner is safe for
-// concurrent use, so all Parallel evaluators share one per job); job
-// IDs are stable across daemon restarts and specs are immutable, so
-// the cache never goes stale.
-func (w *workerRT) runnerFor(ctx context.Context, job string) (*search.UnitRunner, error) {
-	w.mu.Lock()
-	if r, ok := w.runners[job]; ok {
-		w.mu.Unlock()
-		return r, nil
-	}
-	w.mu.Unlock()
-	spec, err := w.c.JobSpec(ctx, job)
-	if err != nil {
-		return nil, err
-	}
-	target, _, err := spec.Build()
-	if err != nil {
-		return nil, err
-	}
-	var chaos *faultinject.Injector
-	if spec.Chaos != 0 {
-		chaos = faultinject.New(spec.Chaos, faultinject.DefaultRates, 0)
-	}
-	r, err := search.NewUnitRunner(target, search.Options{
-		Context: w.runCtx,
-		Chaos:   chaos,
-	})
-	if err != nil {
-		return nil, err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if prev, ok := w.runners[job]; ok {
-		return prev, nil
-	}
-	w.runners[job] = r
-	return r, nil
 }
 
 // sleep waits d or until ctx ends.

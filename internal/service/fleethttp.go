@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,10 +14,12 @@ import (
 
 // The daemon side of the remote-worker wire protocol (see
 // internal/remote): four idempotent JSON RPCs plus the job-spec fetch.
-// Every handler maps fleet.ErrUnknownWorker to 410 Gone, the signal a
-// worker recovers from by re-registering — the standard outcome of a
-// daemon restart, which empties the in-memory registry while worker
-// processes survive.
+// Each handler decodes the request and calls the pool's in-memory
+// transport (fleet.Direct) — the same one the daemon's local workers
+// run over — so wire conversion lives there. Every handler maps
+// fleet.ErrUnknownWorker to 410 Gone, the signal a worker recovers from
+// by re-registering — the standard outcome of a daemon restart, which
+// empties the in-memory registry while worker processes survive.
 
 // maxClaimWait clamps a worker's requested long-poll window so a
 // buggy client cannot pin handler goroutines indefinitely.
@@ -32,12 +33,8 @@ func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 	if req.Name == "" {
 		req.Name = "worker"
 	}
-	id, hb, exp := s.pool.AddRemote(req.Name, req.Parallel)
-	writeJSON(w, http.StatusOK, remote.RegisterResponse{
-		ID:          id,
-		HeartbeatMS: hb.Milliseconds(),
-		ExpiryMS:    exp.Milliseconds(),
-	})
+	resp, err := s.pool.Direct().Register(r.Context(), req.Name, req.Parallel)
+	fleetReply(w, resp, err)
 }
 
 func (s *Server) handleFleetHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -45,12 +42,8 @@ func (s *Server) handleFleetHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if err := readJSON(w, r, &req); err != nil {
 		return
 	}
-	state, err := s.pool.HeartbeatLoad(req.Worker, req.InFlight)
-	if err != nil {
-		fleetError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, remote.HeartbeatResponse{State: string(state)})
+	resp, err := s.pool.Direct().Heartbeat(r.Context(), req.Worker, req.InFlight)
+	fleetReply(w, resp, err)
 }
 
 func (s *Server) handleFleetClaim(w http.ResponseWriter, r *http.Request) {
@@ -65,18 +58,8 @@ func (s *Server) handleFleetClaim(w http.ResponseWriter, r *http.Request) {
 	if wait > maxClaimWait {
 		wait = maxClaimWait
 	}
-	leases, state, err := s.pool.Claim(req.Worker, wait, req.Max)
-	if err != nil {
-		fleetError(w, err)
-		return
-	}
-	resp := remote.ClaimResponse{State: string(state)}
-	for _, lease := range leases {
-		resp.Leases = append(resp.Leases, remote.Lease{
-			Job: lease.Job, Epoch: lease.Epoch, Unit: remote.ToWire(lease.Unit),
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
+	resp, err := s.pool.Direct().Claim(r.Context(), req.Worker, wait, req.Max)
+	fleetReply(w, resp, err)
 }
 
 func (s *Server) handleFleetReport(w http.ResponseWriter, r *http.Request) {
@@ -84,26 +67,8 @@ func (s *Server) handleFleetReport(w http.ResponseWriter, r *http.Request) {
 	if err := readJSON(w, r, &req); err != nil {
 		return
 	}
-	reports := make([]fleet.RemoteReport, len(req.Reports))
-	for i, ur := range req.Reports {
-		key, err := hex.DecodeString(ur.Key)
-		if err != nil {
-			// An undecodable key can never match a lease; judge the rest
-			// of the batch normally and let this entry settle unaccepted
-			// instead of failing its batchmates' deliveries with a 400.
-			key = []byte("\x00undecodable:" + ur.Key)
-		}
-		reports[i] = fleet.RemoteReport{
-			Job: ur.Job, Key: string(key), Epoch: ur.Epoch,
-			Verdict: ur.Verdict, Err: ur.Error,
-		}
-	}
-	accepted, err := s.pool.ReportBatch(req.Worker, reports)
-	if err != nil {
-		fleetError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, remote.ReportResponse{Accepted: accepted})
+	accepted, err := s.pool.Direct().Report(r.Context(), req)
+	fleetReply(w, remote.ReportResponse{Accepted: accepted}, err)
 }
 
 // handleJobSpec serves a job's spec so a remote worker can build the
@@ -118,14 +83,18 @@ func (s *Server) handleJobSpec(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.Spec)
 }
 
-// fleetError maps registry errors onto the wire: an unknown or retired
-// worker gets 410 Gone (re-register), anything else 500.
-func fleetError(w http.ResponseWriter, err error) {
-	if errors.Is(err, fleet.ErrUnknownWorker) {
+// fleetReply writes a transport response, mapping registry errors onto
+// the wire: an unknown or retired worker gets 410 Gone (re-register),
+// anything else 500.
+func fleetReply(w http.ResponseWriter, resp any, err error) {
+	switch {
+	case errors.Is(err, fleet.ErrUnknownWorker):
 		httpError(w, http.StatusGone, err)
-		return
+	case err != nil:
+		httpError(w, http.StatusInternalServerError, err)
+	default:
+		writeJSON(w, http.StatusOK, resp)
 	}
-	httpError(w, http.StatusInternalServerError, err)
 }
 
 // readJSON decodes a bounded JSON request body, answering 400 itself

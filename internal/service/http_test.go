@@ -120,7 +120,8 @@ func TestHTTPAPI(t *testing.T) {
 		t.Error("downloaded result differs from the stored artifact")
 	}
 
-	// List shows the job; workers shows four; kill flips one to dead.
+	// List shows the job; workers shows four; kill flips one to dead,
+	// and the killed local worker re-registers under a fresh identity.
 	var list []jobs.Job
 	resp, _ = http.Get(ts.URL + "/api/v1/jobs")
 	json.NewDecoder(resp.Body).Decode(&list)
@@ -143,9 +144,7 @@ func TestHTTPAPI(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("kill: %s", resp.Status)
 	}
-	if srv.Pool().Alive() != 3 {
-		t.Errorf("Alive() = %d after kill", srv.Pool().Alive())
-	}
+	waitRejoined(t, srv, ws[0].ID, 4)
 
 	// Unknown job IDs 404 everywhere.
 	for _, path := range []string{"/api/v1/jobs/j9999", "/api/v1/jobs/j9999/events", "/api/v1/jobs/j9999/result"} {

@@ -110,15 +110,15 @@ func spawnWorker(t *testing.T, addr, name string, chaosSeed int64, sabotage int)
 	return cmd
 }
 
-// waitRemoteWorkers blocks until n remote workers are registered (and
-// not dead) in the pool.
+// waitRemoteWorkers blocks until n remote workers (any but the
+// daemon's own "local" ones) are registered and not dead in the pool.
 func waitRemoteWorkers(t *testing.T, srv *Server, n int) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		live := 0
 		for _, w := range srv.Pool().Workers() {
-			if w.Remote && w.State != fleet.WorkerDead {
+			if w.Name != "local" && w.State != fleet.WorkerDead {
 				live++
 			}
 		}
@@ -134,7 +134,7 @@ func waitRemoteWorkers(t *testing.T, srv *Server, n int) {
 func remoteDone(srv *Server) int {
 	done := 0
 	for _, w := range srv.Pool().Workers() {
-		if w.Remote {
+		if w.Name != "local" {
 			done += w.Done
 		}
 	}
@@ -328,10 +328,8 @@ func TestRemoteBatchedChaosIdempotent(t *testing.T) {
 	}
 	done, discarded := 0, 0
 	for _, w := range srv.Pool().Workers() {
-		if w.Remote {
-			done += w.Done
-			discarded += w.Discarded
-		}
+		done += w.Done
+		discarded += w.Discarded
 	}
 	if done == 0 {
 		t.Error("no unit delivered remotely")

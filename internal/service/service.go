@@ -20,6 +20,7 @@ import (
 	"fpmix/internal/faultinject"
 	"fpmix/internal/fleet"
 	"fpmix/internal/jobs"
+	"fpmix/internal/remote"
 	"fpmix/internal/search"
 	"fpmix/internal/shadow"
 )
@@ -28,20 +29,20 @@ import (
 type Options struct {
 	// Dir roots the job store (and the shared verdict cache file).
 	Dir string
-	// Workers is the in-process worker count (default 4). Negative means
-	// zero in-process workers — a remote-only daemon whose evaluations
-	// all run in fpmixworker processes (falling back in-process only
-	// when no healthy remote worker remains).
+	// Workers is the local worker count (default 4): remote worker
+	// runtimes (Parallel 1, Batch 1, named "local") serving the pool over
+	// its in-memory transport and evaluating on each job's own runner.
+	// Negative means none — a remote-only daemon whose evaluations all
+	// run in fpmixworker processes (falling back in-process only when no
+	// healthy worker remains; the fleet always degrades that way rather
+	// than failing jobs).
 	Workers int
 	// DrainTimeout bounds graceful shutdown: Close stops granting new
-	// remote leases, waits up to this long for in-flight remote units to
-	// deliver (their verdicts journal), then requeues whatever remains.
-	// Zero skips the wait.
+	// leases, waits up to this long for held leases to deliver (their
+	// verdicts journal), then cancels the jobs, which requeue. Zero
+	// skips the wait.
 	DrainTimeout time.Duration
 	// Fleet tunes failure detection (zero values take fleet defaults).
-	// The service always enables the fleet's in-process fallback: a
-	// daemon whose whole fleet dies or quarantines degrades to local
-	// evaluation instead of failing jobs.
 	Fleet fleet.Options
 }
 
@@ -58,6 +59,9 @@ type Server struct {
 	closing bool
 	crashed bool
 	wg      sync.WaitGroup
+
+	stopLocal context.CancelFunc // ends the local workers
+	locals    sync.WaitGroup
 }
 
 // New opens (or recovers) a server over opts.Dir: jobs a previous
@@ -70,7 +74,6 @@ func New(opts Options) (*Server, error) {
 	case opts.Workers < 0:
 		opts.Workers = 0 // remote-only
 	}
-	opts.Fleet.Fallback = true
 	store, err := jobs.Open(opts.Dir)
 	if err != nil {
 		return nil, err
@@ -80,11 +83,24 @@ func New(opts Options) (*Server, error) {
 		return nil, err
 	}
 	pool := fleet.New(opts.Fleet)
-	pool.Start(opts.Workers)
+	lctx, stopLocal := context.WithCancel(context.Background())
 	s := &Server{
 		store: store, cache: cache, pool: pool, opts: opts,
-		cancels: make(map[string]context.CancelFunc),
-		streams: make(map[string]*stream),
+		cancels:   make(map[string]context.CancelFunc),
+		streams:   make(map[string]*stream),
+		stopLocal: stopLocal,
+	}
+	for i := 0; i < opts.Workers; i++ {
+		s.locals.Add(1)
+		go func() {
+			defer s.locals.Done()
+			remote.Serve(lctx, pool.Direct(), remote.WorkerOptions{Name: "local", Parallel: 1, Batch: 1})
+		}()
+	}
+	// Local workers take the first identities (w1..wN) and are in the
+	// registry before any job or remote worker can arrive.
+	for pool.Alive() < opts.Workers {
+		time.Sleep(50 * time.Microsecond)
 	}
 	// Relaunch everything a previous incarnation left unfinished: jobs
 	// recovered running→queued at store open, and jobs that were queued
@@ -159,36 +175,15 @@ func (s *Server) Summary(id string) (*search.Summary, error) {
 	return &sum, nil
 }
 
-// Close shuts the server down gracefully: remote leases drain first —
-// no new units ship over the wire, and in-flight remote units get up to
-// Options.DrainTimeout to deliver, so their verdicts reach the journals
-// — then running jobs are interrupted and re-queued (the journals keep
-// every settled verdict, so the next incarnation resumes them), any
-// remote lease still outstanding is broken and requeued, and the fleet
-// and cache close. The release/interrupt steps run strictly after the
-// job contexts are cancelled: an interrupted verdict delivered to a
-// live search would silently drop its piece from the final.
+// Close shuts the server down gracefully: the fleet drains first — no
+// new leases, and held ones get up to Options.DrainTimeout to deliver,
+// so their verdicts reach the journals — then running jobs are
+// cancelled and re-queued (the journals keep every settled verdict, so
+// the next incarnation resumes them). A cancelled job's outstanding
+// units leave the pool with it, so no interrupted verdict can reach a
+// search that is still running.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closing = true
-	s.mu.Unlock()
-	s.pool.DrainRemote()
-	if s.opts.DrainTimeout > 0 {
-		if left := s.pool.AwaitRemoteIdle(s.opts.DrainTimeout); left > 0 {
-			// Timed out: the stragglers are requeued below and re-evaluated
-			// by the next incarnation.
-			_ = left
-		}
-	}
-	s.mu.Lock()
-	for _, cancel := range s.cancels {
-		cancel()
-	}
-	s.mu.Unlock()
-	s.pool.ReleaseRemoteLeases()
-	s.pool.InterruptQueued()
-	s.wg.Wait()
-	s.pool.Close()
+	s.shutdown(s.opts.DrainTimeout, false)
 	return s.cache.Close()
 }
 
@@ -197,22 +192,27 @@ func (s *Server) Close() error {
 // exactly as a kill -9 would. The next New over the same dir must
 // recover them. Test hook.
 func (s *Server) crash() {
+	s.shutdown(0, true)
+	s.cache.Close()
+}
+
+// shutdown drains the fleet, cancels every job and waits for them, then
+// stops the local workers and closes the pool.
+func (s *Server) shutdown(drain time.Duration, crashed bool) {
 	s.mu.Lock()
-	s.crashed = true
 	s.closing = true
+	s.crashed = crashed
+	s.mu.Unlock()
+	s.pool.Drain(drain)
+	s.mu.Lock()
 	for _, cancel := range s.cancels {
 		cancel()
 	}
 	s.mu.Unlock()
-	// Units leased to remote workers (or queued with none to take them)
-	// would otherwise block their coordinators forever: break them so
-	// wg.Wait terminates. Safe — the contexts above are already
-	// cancelled, so the interrupted verdicts reach only dying searches.
-	s.pool.ReleaseRemoteLeases()
-	s.pool.InterruptQueued()
 	s.wg.Wait()
+	s.stopLocal()
+	s.locals.Wait()
 	s.pool.Close()
-	s.cache.Close()
 }
 
 // launch starts the job's run goroutine.
@@ -310,7 +310,7 @@ func (s *Server) execute(ctx context.Context, id string, st *stream) (*search.Re
 	if err != nil {
 		return nil, nil, err
 	}
-	handle := s.pool.Register(id, runner)
+	handle := s.pool.Register(ctx, id, runner)
 	inflight := s.opts.Workers
 	if inflight <= 0 {
 		// Remote-only daemon: keep enough units in flight to feed a

@@ -2,6 +2,9 @@ package service
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"net/http/httptest"
 	"os"
 	"regexp"
 	"sync"
@@ -12,6 +15,7 @@ import (
 	"fpmix/internal/fleet"
 	"fpmix/internal/jobs"
 	"fpmix/internal/kernels"
+	"fpmix/internal/remote"
 	"fpmix/internal/search"
 	"fpmix/internal/shadow"
 )
@@ -156,34 +160,69 @@ func TestServiceFinalByteIdentical(t *testing.T) {
 				}
 				// Kill a busy worker mid-run: its lease must break, the shard
 				// reassign, and the final must not change.
-				killed := false
-				deadline := time.Now().Add(time.Minute)
-				for !killed && time.Now().Before(deadline) {
-					if jj, _ := srv.Store().Get(j.ID); jj.State.Terminal() {
-						break
-					}
-					for _, w := range srv.Pool().Workers() {
-						if w.State == fleet.WorkerBusy {
-							if err := srv.Pool().Kill(w.ID); err != nil {
-								t.Fatal(err)
-							}
-							killed = true
-							break
-						}
-					}
-					time.Sleep(time.Millisecond)
-				}
-				if !killed {
+				victim := killBusy(t, srv, j.ID, func(fleet.WorkerInfo) bool { return true })
+				if victim == "" {
 					t.Fatal("no busy worker to kill before the job finished")
 				}
 				waitState(t, srv, j.ID, jobs.StateDone)
-				if alive := srv.Pool().Alive(); alive != 3 {
-					t.Errorf("Alive() = %d after killing one of four workers", alive)
-				}
+				// Local workers share the remote re-register path: the victim
+				// stays dead and a fresh local identity restores the four.
+				waitRejoined(t, srv, victim, 4)
 				got := stripNotes(resultOf(t, srv, j.ID))
 				want := stripNotes(serialFinal(t, name))
 				if got != want {
 					t.Errorf("final diverged from serial after a worker kill for %s.W", name)
+				}
+			})
+		}
+	})
+
+	t.Run("mixed", func(t *testing.T) {
+		for _, name := range []string{"ep", "mg"} {
+			name := name
+			t.Run(name, func(t *testing.T) {
+				// Two local workers and two HTTP workers on one daemon, one
+				// of each killed mid-run: both kinds re-register the same
+				// way and the final must not change.
+				srv, err := New(Options{Dir: t.TempDir(), Workers: 2, Fleet: fastFleet})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer srv.Close()
+				ts := httptest.NewServer(srv.Handler())
+				defer ts.Close()
+				wctx, wcancel := context.WithCancel(context.Background())
+				var wg sync.WaitGroup
+				defer wg.Wait()
+				defer wcancel()
+				for i := 0; i < 2; i++ {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						remote.Run(wctx, remote.WorkerOptions{
+							Server: ts.URL, Name: fmt.Sprintf("http%d", i),
+							Poll: 100 * time.Millisecond, Parallel: 1,
+						})
+					}(i)
+				}
+				waitRemoteWorkers(t, srv, 2)
+				j, err := srv.Submit(jobs.Spec{Kernel: name})
+				if err != nil {
+					t.Fatal(err)
+				}
+				isLocal := func(w fleet.WorkerInfo) bool { return w.Name == "local" }
+				local := killBusy(t, srv, j.ID, isLocal)
+				remoteVictim := killBusy(t, srv, j.ID, func(w fleet.WorkerInfo) bool { return !isLocal(w) })
+				if local == "" || remoteVictim == "" {
+					t.Fatalf("killed local %q and remote %q before the job finished, want one of each", local, remoteVictim)
+				}
+				waitState(t, srv, j.ID, jobs.StateDone)
+				waitRejoined(t, srv, local, 4)
+				waitRejoined(t, srv, remoteVictim, 4)
+				got := stripNotes(resultOf(t, srv, j.ID))
+				want := stripNotes(serialFinal(t, name))
+				if got != want {
+					t.Errorf("final diverged from serial on a mixed fleet for %s.W", name)
 				}
 			})
 		}
@@ -250,6 +289,60 @@ func TestServiceFinalByteIdentical(t *testing.T) {
 			})
 		}
 	})
+}
+
+// killBusy kills the first worker matching the filter that holds a
+// lease while the job runs, returning its ID ("" when the job finished
+// first).
+func killBusy(t *testing.T, srv *Server, jobID string, match func(fleet.WorkerInfo) bool) string {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for time.Now().Before(deadline) {
+		if jj, _ := srv.Store().Get(jobID); jj.State.Terminal() {
+			return ""
+		}
+		for _, w := range srv.Pool().Workers() {
+			if w.State == fleet.WorkerBusy && match(w) {
+				if err := srv.Pool().Kill(w.ID); err != nil {
+					t.Fatal(err)
+				}
+				return w.ID
+			}
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	return ""
+}
+
+// waitRejoined waits until the killed worker is dead in the registry,
+// a live worker under its name has re-registered with a fresh ID, and
+// alive workers are assignable again.
+func waitRejoined(t *testing.T, srv *Server, victim string, alive int) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		var name string
+		dead := false
+		for _, w := range srv.Pool().Workers() {
+			if w.ID == victim {
+				name, dead = w.Name, w.State == fleet.WorkerDead
+			}
+		}
+		rejoined := false
+		for _, w := range srv.Pool().Workers() {
+			if w.ID != victim && w.Name == name && w.State != fleet.WorkerDead {
+				rejoined = true
+			}
+		}
+		n := srv.Pool().Alive()
+		if dead && rejoined && n == alive {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("victim %s dead=%v, %s re-registered=%v, Alive()=%d; want dead, re-registered, %d", victim, dead, name, rejoined, n, alive)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // TestServiceCrossJobDedup: a second identical submission is a new job
@@ -326,6 +419,81 @@ func TestServiceCancel(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("cancel never landed")
+}
+
+// gatedTransport is the pool's in-memory transport whose evaluators
+// hold every unit at a gate, announcing each one as it arrives.
+type gatedTransport struct {
+	fleet.Direct
+	gate    chan struct{}
+	started chan struct{}
+}
+
+func (g gatedTransport) Evaluator(ctx context.Context, job string) (remote.Evaluator, error) {
+	ev, err := g.Direct.Evaluator(ctx, job)
+	return gatedEval{ev, g}, err
+}
+
+type gatedEval struct {
+	remote.Evaluator
+	g gatedTransport
+}
+
+func (e gatedEval) Evaluate(u search.EvalUnit) (search.Verdict, error) {
+	select {
+	case e.g.started <- struct{}{}:
+	default:
+	}
+	<-e.g.gate
+	return e.Evaluator.Evaluate(u)
+}
+
+// TestServiceCancelWithdrawsLease: cancelling a job whose unit is leased
+// to a worker stuck mid-evaluation settles the job cancelled without
+// waiting for that evaluation; the worker's late report is discarded.
+func TestServiceCancelWithdrawsLease(t *testing.T) {
+	srv, err := New(Options{Dir: t.TempDir(), Workers: -1, Fleet: fastFleet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tr := gatedTransport{srv.Pool().Direct(), make(chan struct{}), make(chan struct{}, 1)}
+	wctx, wcancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		remote.Serve(wctx, tr, remote.WorkerOptions{Name: "gated", Parallel: 1, Batch: 1})
+	}()
+	defer func() { wcancel(); <-done }()
+	waitRemoteWorkers(t, srv, 1)
+	j, err := srv.Submit(jobs.Spec{Kernel: "mg"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-tr.started:
+	case <-time.After(time.Minute):
+		t.Fatal("no unit reached the gated worker")
+	}
+	if err := srv.Cancel(j.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, srv, j.ID, jobs.StateCancelled) // the gate is still shut
+	close(tr.gate)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		discarded := 0
+		for _, w := range srv.Pool().Workers() {
+			discarded += w.Discarded
+		}
+		if discarded >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the gated worker's late report was never discarded")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // TestServiceGracefulShutdownRequeues: Close re-queues running jobs so
