@@ -210,39 +210,6 @@ func BenchmarkSearchEvaluate(b *testing.B) {
 	}
 }
 
-// BenchmarkInstrumentCached isolates the per-configuration assembly cost:
-// splicing precompiled snippets versus regenerating and laying out every
-// snippet from scratch.
-func BenchmarkInstrumentCached(b *testing.B) {
-	bench, err := kernels.Get("mg", kernels.ClassW)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eff := make(map[uint64]config.Precision)
-	for _, a := range bench.Module.Candidates() {
-		eff[a] = config.Single
-	}
-	b.Run("cached", func(b *testing.B) {
-		cs, err := replace.Precompile(bench.Module, replace.InstrumentOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := cs.Instrument(eff); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("scratch", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := replace.InstrumentMap(bench.Module, eff, replace.InstrumentOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // ---- Ablations (DESIGN.md §5) -------------------------------------------
 
 // BenchmarkAblationSearchSplit compares configurations tested with and

@@ -10,24 +10,55 @@ import (
 
 // Slotted layout: one address map shared by every configuration.
 //
-// Rewrite and RewriteExpanded lay each replacement sequence out at exactly
-// its encoded size, so two configurations of the same module place the
-// shared instructions at different addresses as soon as one replacement
-// site differs. RewriteSlotted instead reserves a fixed-size slot at every
-// replacement site — the maximum encoded size over all of the site's
-// variants — and lays the rest of the module out against those slots. The
-// resulting address map is identical for every choice of variants: shared
-// instructions keep one address across all configurations, and each site's
-// variants are relocated once, to the same slot base. That is what lets a
-// machine snapshot taken under one configuration be restored under another
-// (the program counter and instruction counts translate by address), and
-// what lets a linker re-splice only the sites whose variant changed.
+// Rewrite lays each replacement sequence out at exactly its encoded size,
+// so two configurations of the same module place the shared instructions
+// at different addresses as soon as one replacement site differs.
+// RewriteSlotted instead reserves a fixed-size slot at every replacement
+// site — the maximum encoded size over all of the site's variants — and
+// lays the rest of the module out against those slots. The resulting
+// address map is identical for every choice of variants: shared
+// instructions keep one address across all configurations, and each
+// site's variants are relocated once, to the same slot base. That is what
+// lets a machine snapshot taken under one configuration be restored under
+// another (the program counter and instruction counts translate by
+// address), and what lets a linker re-splice only the sites whose variant
+// changed. It is the search's one per-configuration builder.
 //
 // A variant shorter than its slot leaves a gap at the slot tail. Execution
 // never reaches the gap — the virtual machine advances by instruction
 // index, not by address — but the skeleton module RewriteSlotted returns
 // fails Module.Validate (which insists on contiguous encodings) and must
 // not be serialized to an image. It exists to feed vm.NewIncrementalLinker.
+
+// Expansion is a pre-expanded replacement sequence with its layout
+// metadata computed once: per-instruction byte offsets and the indices of
+// branch instructions needing fixup. A precision search builds one
+// Expansion per (site, variant) and RewriteSlotted relocates each into its
+// slot exactly once.
+//
+// The Instrs slice is treated as immutable by RewriteSlotted (sequences
+// are copied before relocation), so one Expansion may serve any number of
+// layouts.
+type Expansion struct {
+	Instrs   []isa.Instr
+	offs     []uint32 // byte offset of each instruction within the expansion
+	size     uint64   // total encoded size in bytes
+	branches []int32  // indices of instructions with an Imm branch target
+}
+
+// NewExpansion precomputes the layout metadata for seq. The caller must
+// not mutate seq afterwards.
+func NewExpansion(seq []isa.Instr) *Expansion {
+	e := &Expansion{Instrs: seq, offs: make([]uint32, len(seq))}
+	for i := range seq {
+		e.offs[i] = uint32(e.size)
+		e.size += uint64(isa.EncodedSize(seq[i]))
+		if seq[i].Op.IsBranch() {
+			e.branches = append(e.branches, int32(i))
+		}
+	}
+	return e
+}
 
 // Slot describes one replacement site's variants. Entries are indexed by a
 // caller-defined variant number; a nil entry means the variant is

@@ -1,10 +1,7 @@
 package replace
 
 import (
-	"fmt"
-
 	"fpmix/internal/cfg"
-	"fpmix/internal/config"
 	"fpmix/internal/isa"
 	"fpmix/internal/prog"
 )
@@ -14,11 +11,11 @@ import (
 // their layout metadata. A precision search evaluates hundreds of
 // configurations of the same module; snippet generation depends only on
 // the instruction and the snippet options, never on the configuration, so
-// compiling the sequences once and splicing cached copies per evaluation
-// removes the per-evaluation expansion cost entirely.
+// the sequences are compiled once and laid out once, as the variants of
+// the stable slotted layout (Stable) every configuration is assembled
+// from.
 //
-// A CompiledSnippets table is immutable after Precompile and safe for
-// concurrent use by any number of assembly goroutines.
+// A CompiledSnippets table is immutable after Precompile.
 type CompiledSnippets struct {
 	module *prog.Module
 	opts   InstrumentOptions
@@ -39,8 +36,8 @@ type CompiledSnippets struct {
 	// Snippet generation can fail for individual instructions (e.g.
 	// RSP-relative memory operands). InstrumentMap only generates the
 	// sequence a configuration asks for, so to stay equivalent the error
-	// is recorded here and surfaced only when an assembly actually
-	// requests that precision for that address.
+	// is recorded here (StableSite.SingleErr/DoubleErr) and surfaced only
+	// when an assembly actually requests that precision for that address.
 	singleErr map[uint64]error
 	doubleErr map[uint64]error
 }
@@ -96,42 +93,4 @@ func Precompile(m *prog.Module, opts InstrumentOptions) (*CompiledSnippets, erro
 		}
 	}
 	return cs, nil
-}
-
-// Module returns the module the table was compiled from.
-func (cs *CompiledSnippets) Module() *prog.Module { return cs.module }
-
-// Instrument assembles the instrumented module for an effective-precision
-// map by splicing cached sequences. It produces output byte-identical to
-// InstrumentMap(module, eff, opts) but without re-running snippet
-// generation. Addresses absent from eff default to Double; Ignore leaves
-// the instruction untouched.
-func (cs *CompiledSnippets) Instrument(eff map[uint64]config.Precision) (*prog.Module, error) {
-	out, err := cfg.RewriteExpanded(cs.module, func(in isa.Instr) (*cfg.Expansion, error) {
-		if !isa.IsCandidate(in.Op) {
-			return nil, nil
-		}
-		p, ok := eff[in.Addr]
-		if !ok {
-			p = config.Double
-		}
-		switch p {
-		case config.Ignore:
-			return nil, nil
-		case config.Single:
-			if err := cs.singleErr[in.Addr]; err != nil {
-				return nil, err
-			}
-			return cs.single[in.Addr], nil
-		default:
-			if err := cs.doubleErr[in.Addr]; err != nil {
-				return nil, err
-			}
-			return cs.double[in.Addr], nil
-		}
-	})
-	if err != nil {
-		return nil, fmt.Errorf("replace: %w", err)
-	}
-	return out, nil
 }

@@ -2,6 +2,7 @@ package replace
 
 import (
 	"fmt"
+	"sort"
 
 	"fpmix/internal/cfg"
 	"fpmix/internal/config"
@@ -11,16 +12,19 @@ import (
 
 // Stable-layout instrumentation: one address map for every configuration.
 //
-// The per-configuration pipeline (Instrument / CompiledSnippets.Instrument)
-// lays each module out at the exact encoded size of the chosen sequences,
-// so configurations place shared code at diverging addresses. Stable builds
+// The per-configuration pipeline (Instrument / InstrumentMap) lays each
+// module out at the exact encoded size of the chosen sequences, so
+// configurations place shared code at diverging addresses. Stable builds
 // the slotted alternative: every candidate site occupies a fixed-size slot
 // large enough for any of its variants, so the double, single and bare
 // (ignored) forms of a site are interchangeable without moving a single
 // shared instruction. The fork-point search requires this — a machine
 // snapshot taken under the all-double donor configuration restores under
 // any sibling configuration because the program counter and instruction
-// counts translate one-to-one by address.
+// counts translate one-to-one by address. It is also the search's only
+// per-configuration builder: a program assembled from it with VariantFor
+// choices runs step-for-step like InstrumentMap's (same outputs, steps,
+// cycles and faults; only addresses differ).
 
 // Variant indices of a stable site, used with StableSite.Variants and
 // vm-level incremental assembly.
@@ -82,6 +86,21 @@ type StableSite struct {
 type StableProgram struct {
 	Skeleton *prog.Module
 	Sites    []StableSite
+	// stableAddrs[i] is the stable address of source instruction
+	// srcAddrs[i] (a site's slot base), in address order.
+	stableAddrs, srcAddrs []uint64
+}
+
+// SourceAddr maps a stable-layout address back to the source module: a
+// PC inside a slot [Addr, Addr+Size) is the site's candidate instruction
+// (StableSite.OldAddr), a PC in shared code is its source instruction.
+// Addresses below the code are returned unchanged.
+func (sp *StableProgram) SourceAddr(pc uint64) uint64 {
+	i := sort.Search(len(sp.stableAddrs), func(i int) bool { return sp.stableAddrs[i] > pc }) - 1
+	if i < 0 {
+		return pc
+	}
+	return sp.srcAddrs[i]
 }
 
 // Stable builds the stable slotted layout from the precompiled snippet
@@ -126,6 +145,22 @@ func (cs *CompiledSnippets) Stable() (*StableProgram, error) {
 		return nil, fmt.Errorf("replace: %w", err)
 	}
 	sp := &StableProgram{Skeleton: skeleton, Sites: make([]StableSite, len(slotted))}
+	// The skeleton keeps the source's function and instruction order, each
+	// site expanded to its double variant (slotted is in address order).
+	next := 0
+	for fi, f := range cs.module.Funcs {
+		sk := skeleton.Funcs[fi].Instrs
+		for k, j := 0, 0; j < len(f.Instrs); j++ {
+			sp.stableAddrs = append(sp.stableAddrs, sk[k].Addr)
+			sp.srcAddrs = append(sp.srcAddrs, f.Instrs[j].Addr)
+			if next < len(slotted) && slotted[next].OldAddr == f.Instrs[j].Addr {
+				k += len(slotted[next].Variants[VariantDouble])
+				next++
+			} else {
+				k++
+			}
+		}
+	}
 	for i, s := range slotted {
 		sp.Sites[i] = StableSite{
 			OldAddr:   s.OldAddr,

@@ -49,7 +49,7 @@ func Compose(t Target, res *Result) (*ComposeResult, error) {
 		return pieces[i].Addrs[0] < pieces[j].Addrs[0]
 	})
 
-	ev, err := newEngine(t, false)
+	ev, err := newForkEngine(t, false)
 	if err != nil {
 		return nil, err
 	}

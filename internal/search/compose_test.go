@@ -167,10 +167,7 @@ func TestBTFinalUnionNonIndependence(t *testing.T) {
 	if res.FinalPass {
 		t.Fatal("bt.W final union passes now — the documented non-independence is gone; update BENCH notes and this test")
 	}
-	ev, err := newEngine(tgt, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := legacyEvaluator{t: tgt}
 	ignored := make(map[uint64]bool, len(res.Unsafe))
 	for _, u := range res.Unsafe {
 		ignored[u] = true

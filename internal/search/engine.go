@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"sort"
-	"sync"
 
 	"fpmix/internal/config"
 	"fpmix/internal/replace"
@@ -18,15 +17,16 @@ type EngineMode uint8
 // Engine modes. The zero value is fork-point evaluation, so searches are
 // incremental by default.
 const (
-	// EngineFork evaluates configurations with the cached engine plus
-	// fork-point evaluation: snippets are compiled once per candidate
-	// instruction, one donor run of the base configuration is snapshotted
-	// at every candidate site's first execution, each sibling
-	// configuration is assembled incrementally over a stable slotted
-	// layout and evaluated from its fork-point snapshot on a pooled
-	// machine, and duplicate address sets are memoized. Deterministic
-	// failing verdicts skip the confirmation re-run (replay would be
-	// exact). See forkengine.go.
+	// EngineFork evaluates configurations by fork-point evaluation:
+	// snippets are compiled once per candidate instruction, one donor
+	// run of the base configuration is snapshotted at every candidate
+	// site's first execution, each sibling configuration is assembled
+	// incrementally over a stable slotted layout and evaluated from its
+	// fork-point snapshot on a pooled machine, and duplicate address
+	// sets are memoized. Chaos-armed runs, retries and a failed donor
+	// pass run the same assembly, fully wrapped, from the entry point.
+	// Deterministic failing verdicts skip the confirmation re-run
+	// (replay would be exact). See forkengine.go.
 	EngineFork EngineMode = iota
 	// EngineOff evaluates every configuration from scratch through the
 	// seed pipeline (replace.InstrumentMap + vm.New), with no memo. It is
@@ -117,51 +117,6 @@ func (e legacyEvaluator) evaluate(req evalRequest) (outcome, error) {
 	}
 	m.MaxSteps = e.t.MaxSteps
 	if req.trapAfter > 0 {
-		m.InjectTrapAfter(req.trapAfter)
-	}
-	return finish(e.t, m, runMachine(m, req))
-}
-
-// engine is the cached from-scratch backend: the fork engine's scratch
-// path (chaos-armed runs, retries, donor failure) and Compose's
-// evaluator. It holds the per-instruction compiled snippet table (built
-// once at search start) and a pool of reusable machines, one per active
-// worker.
-type engine struct {
-	t     Target
-	snips *replace.CompiledSnippets
-	pool  sync.Pool
-	// noCompile pins pooled machines to the per-step interpreter tier
-	// (Options.NoCompile, fpsearch -nocompile).
-	noCompile bool
-}
-
-func newEngine(t Target, noCompile bool) (*engine, error) {
-	snips, err := replace.Precompile(t.Module, t.InstOpts)
-	if err != nil {
-		return nil, err
-	}
-	e := &engine{t: t, snips: snips, noCompile: noCompile}
-	e.pool.New = func() any { return &vm.Machine{} }
-	return e, nil
-}
-
-func (e *engine) evaluate(req evalRequest) (outcome, error) {
-	inst, err := e.snips.Instrument(req.eff)
-	if err != nil {
-		return outcome{}, err
-	}
-	lp, err := vm.Link(inst)
-	if err != nil {
-		return outcome{}, err
-	}
-	m := e.pool.Get().(*vm.Machine)
-	defer e.pool.Put(m)
-	m.ResetTo(lp)
-	m.MaxSteps = e.t.MaxSteps
-	m.NoCompile = e.noCompile
-	if req.trapAfter > 0 {
-		// After ResetTo: the reset disarms any previously armed trap.
 		m.InjectTrapAfter(req.trapAfter)
 	}
 	return finish(e.t, m, runMachine(m, req))

@@ -52,29 +52,36 @@ import (
 // and output state the sibling's own assembly would reach (its step and
 // cycle counts differ, as they already do between the two paths).
 //
-// Fault rule: an evaluation with an armed injected trap, and any retry
-// attempt after an injected fault, runs from scratch through the cached
-// scratch engine — never from a snapshot — so a fault can never leak
-// state into a replay. Snapshots themselves are immutable, but retrying
-// from scratch keeps the fault model's replay story trivially airtight.
+// Scratch rule: an evaluation with an armed injected trap, any retry
+// attempt after an injected fault, and every evaluation of a search whose
+// donor pass failed run from the entry point — never from a snapshot — so
+// a fault can never leak state into a replay. The scratch run uses the
+// same incremental assembly with wrapper elision off: every double site
+// keeps its full wrapper, so steps, cycles and injected-trap indices are
+// those of the per-configuration instrumented program.
+//
+// Fault rule: every verdict's fault PC, forked or scratch, is reported as
+// a source-module address (StableProgram.SourceAddr): a PC in a slot is
+// the site's candidate instruction, a PC in shared code its source.
 type forkEngine struct {
 	t         Target
-	fallback  *engine // scratch path: chaos-armed runs, retries, donor failure
 	il        *vm.IncrementalLinker
 	sites     []replace.StableSite
 	siteIdx   map[uint64]int // candidate OldAddr -> site index
 	addrIdx   map[uint64]int // stable slot address -> site index
 	noCompile bool
+	sourcePC  func(pc uint64) uint64 // StableProgram.SourceAddr
 
 	// fa drives the per-configuration wrapper elision; nil (analysis
-	// failed to build) falls back to wrappers at every double site,
-	// matching the scratch path's assemblies exactly.
+	// failed to build) keeps wrappers at every double site, as the
+	// scratch path always does.
 	fa *dataflow.FlagAnalysis
 
-	// pool holds the forked evaluation machines, dirty-page tracked:
-	// a forked run never snapshots, but tracking keeps every restore
-	// differential — cheaper than re-copying the full page vector per
-	// evaluation, since a run leaves the read-mostly pages clean.
+	// pool holds the evaluation machines, dirty-page tracked: a forked
+	// run never snapshots, but tracking keeps every restore differential
+	// — cheaper than re-copying the full page vector per evaluation,
+	// since a run leaves the read-mostly pages clean. A scratch run
+	// rewinds the same machines (ResetTo forgets page provenance).
 	pool sync.Pool // *vm.Machine, dirty-page tracked
 
 	mu         sync.Mutex
@@ -100,11 +107,11 @@ type donorTouch struct {
 }
 
 func newForkEngine(t Target, noCompile bool) (*forkEngine, error) {
-	fb, err := newEngine(t, noCompile)
+	snips, err := replace.Precompile(t.Module, t.InstOpts)
 	if err != nil {
 		return nil, err
 	}
-	sp, err := fb.snips.Stable()
+	sp, err := snips.Stable()
 	if err != nil {
 		return nil, err
 	}
@@ -125,9 +132,9 @@ func newForkEngine(t Target, noCompile bool) (*forkEngine, error) {
 		fa = nil // no elision: every double site keeps its wrapper
 	}
 	e := &forkEngine{
-		t: t, fallback: fb, il: il,
+		t: t, il: il,
 		sites: sp.Sites, siteIdx: siteIdx, addrIdx: addrIdx,
-		noCompile: noCompile, fa: fa,
+		noCompile: noCompile, sourcePC: sp.SourceAddr, fa: fa,
 	}
 	e.pool.New = func() any { return &vm.Machine{} }
 	return e, nil
@@ -136,14 +143,14 @@ func newForkEngine(t Target, noCompile bool) (*forkEngine, error) {
 // choices maps an effective-precision map to the per-site variant vector,
 // surfacing per-site snippet-generation errors exactly when the
 // configuration selects the failing variant (matching InstrumentMap).
-// Double sites that the flag analysis proves clean under this
-// configuration's single set take the bare variant instead of the
+// With elide set, double sites that the flag analysis proves clean under
+// this configuration's single set take the bare variant instead of the
 // wrapper — bit-identical outputs, roughly half the instructions — and
 // sites with exactly one proven-clean operand take the narrowed wrapper
 // checking only the other one, when the site has a shorter one.
-func (e *forkEngine) choices(eff map[uint64]config.Precision) ([]int, error) {
+func (e *forkEngine) choices(eff map[uint64]config.Precision, elide bool) ([]int, error) {
 	var oc map[uint64]dataflow.OperandClean
-	if e.fa != nil {
+	if elide && e.fa != nil {
 		singles := make(map[uint64]bool)
 		for a, p := range eff {
 			if p == config.Single {
@@ -186,7 +193,7 @@ func (e *forkEngine) choices(eff map[uint64]config.Precision) ([]int, error) {
 // under dirty-page tracking, stopping at every candidate slot to snapshot
 // the shared prefix. Any donor irregularity — assembly failure, a faulting
 // base run — disables forking for the whole search rather than erroring:
-// the fallback engine then evaluates everything from scratch.
+// every evaluation then runs from scratch.
 func (e *forkEngine) ensureDonor(eff map[uint64]config.Precision) *donorState {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -207,7 +214,7 @@ func (e *forkEngine) ensureDonor(eff map[uint64]config.Precision) *donorState {
 		}
 		stops = append(stops, i)
 	}
-	ch, err := e.choices(donorEff)
+	ch, err := e.choices(donorEff, true)
 	if err != nil {
 		return nil
 	}
@@ -249,54 +256,68 @@ func (e *forkEngine) ensureDonor(eff map[uint64]config.Precision) *donorState {
 }
 
 func (e *forkEngine) evaluate(req evalRequest) (outcome, error) {
-	if req.trapAfter > 0 || req.attempt > 0 {
-		// Chaos-armed runs and post-fault retries evaluate from scratch,
-		// never from a snapshot.
-		return e.fallback.evaluate(req)
+	// Chaos-armed runs and post-fault retries evaluate from scratch,
+	// never from a snapshot.
+	var d *donorState
+	if req.trapAfter == 0 && req.attempt == 0 {
+		d = e.ensureDonor(req.eff)
 	}
-	d := e.ensureDonor(req.eff)
-	if d == nil {
-		return e.fallback.evaluate(req)
-	}
-
-	ch, err := e.choices(req.eff)
+	ch, err := e.choices(req.eff, d != nil)
 	if err != nil {
 		return outcome{}, err
 	}
-	// The fork point: the donor's first execution of a site this
-	// configuration lowers to single. Wrapper flips never constrain it —
-	// a wrapper is architecturally bare until a flagged operand arrives,
-	// and flags originate only at single sites, so the bare donor prefix
-	// is state-identical to the one this assembly would compute itself.
-	fork := -1
-	for i := range ch {
-		if ch[i] != replace.VariantSingle || d.touch[i].snap == nil {
-			continue
+	var snap *vm.Snapshot
+	if d != nil {
+		// The fork point: the donor's first execution of a site this
+		// configuration lowers to single. Wrapper flips never constrain
+		// it — a wrapper is architecturally bare until a flagged operand
+		// arrives, and flags originate only at single sites, so the bare
+		// donor prefix is state-identical to the one this assembly would
+		// compute itself.
+		fork := -1
+		for i := range ch {
+			if ch[i] != replace.VariantSingle || d.touch[i].snap == nil {
+				continue
+			}
+			if fork == -1 || d.touch[i].steps < d.touch[fork].steps {
+				fork = i
+			}
 		}
-		if fork == -1 || d.touch[i].steps < d.touch[fork].steps {
-			fork = i
+		if fork == -1 {
+			// No single site ever executes: the candidate's run computes
+			// the donor run's states verbatim, so its verdict is the
+			// donor's.
+			return outcome{pass: d.pass, forked: true, prefixSaved: d.steps}, nil
 		}
-	}
-	if fork == -1 {
-		// No single site ever executes: the candidate's run computes the
-		// donor run's states verbatim, so its verdict is the donor's.
-		return outcome{pass: d.pass, forked: true, prefixSaved: d.steps}, nil
+		snap = d.touch[fork].snap
 	}
 
 	lp, err := e.il.Assemble(ch)
 	if err != nil {
 		return outcome{}, err
 	}
-	snap := d.touch[fork].snap
 	m := e.pool.Get().(*vm.Machine)
 	defer e.pool.Put(m)
 	m.TrackDirtyPages()
-	if err := m.RestoreTo(lp, snap); err != nil {
+	if snap == nil {
+		m.ResetTo(lp)
+	} else if err := m.RestoreTo(lp, snap); err != nil {
 		return outcome{}, err
 	}
 	m.MaxSteps = e.t.MaxSteps
 	m.NoCompile = e.noCompile
+	if req.trapAfter > 0 {
+		// After the reset: ResetTo disarms any previously armed trap.
+		m.InjectTrapAfter(req.trapAfter)
+	}
 	out, err := finish(e.t, m, runMachine(m, req))
-	out.forked, out.prefixSaved = true, snap.Steps()
+	if out.fault != nil {
+		f := *out.fault
+		f.PC = e.sourcePC(f.PC)
+		out.fault = &f
+	}
+	if snap != nil {
+		out.forked, out.prefixSaved = true, snap.Steps()
+	}
 	return out, err
 }

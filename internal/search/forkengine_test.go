@@ -2,7 +2,9 @@ package search
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -12,7 +14,9 @@ import (
 	"fpmix/internal/config"
 	"fpmix/internal/faultinject"
 	"fpmix/internal/hl"
+	"fpmix/internal/isa"
 	"fpmix/internal/prog"
+	"fpmix/internal/replace"
 	"fpmix/internal/vm"
 )
 
@@ -170,7 +174,7 @@ func TestForkWholeMachineIdentity(t *testing.T) {
 		}
 		tested++
 		eff := map[uint64]config.Precision{fe.sites[i].OldAddr: config.Single}
-		ch, err := fe.choices(eff)
+		ch, err := fe.choices(eff, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,12 +223,14 @@ func TestForkWholeMachineIdentity(t *testing.T) {
 }
 
 // TestStableLayoutDifferential compares the fork engine's incrementally
-// assembled programs against its scratch path's per-configuration
-// Instrument+Link pipeline on the same effective-precision maps. The
-// assemblies differ by design — slotted vs packed layout, and the fork
-// engine elides double wrappers its per-configuration flag analysis
-// proves unreachable — so addresses, step and cycle counts all diverge;
-// the contract is bit-identical outputs and verdicts.
+// assembled programs against the EngineOff oracle's InstrumentMap + vm.New
+// pipeline on the same effective-precision maps. The fully wrapped
+// assembly — the scratch path's program — must match the oracle exactly:
+// outputs, steps, cycles and fault kind and op (only addresses differ,
+// slotted vs packed layout). The elided assembly — the forked path's
+// program — drops double wrappers its per-configuration flag analysis
+// proves unreachable, so its contract is identical outputs and verdicts
+// in no more steps.
 func TestStableLayoutDifferential(t *testing.T) {
 	m := mixedProgram(t)
 	tgt := Target{Module: m, Verify: refVerify(t, m, 1e-10)}
@@ -244,14 +250,19 @@ func TestStableLayoutDifferential(t *testing.T) {
 	for k := 0; k < 6; k++ {
 		eff := map[uint64]config.Precision{}
 		for i := range fe.sites {
-			if rng.Intn(2) == 0 {
+			switch rng.Intn(3) {
+			case 0:
 				eff[fe.sites[i].OldAddr] = config.Single
+			case 1:
+				if k%2 == 1 {
+					eff[fe.sites[i].OldAddr] = config.Ignore
+				}
 			}
 		}
 		effs = append(effs, eff)
 	}
-	for k, eff := range effs {
-		ch, err := fe.choices(eff)
+	run := func(elide bool, eff map[uint64]config.Precision, max uint64) (*vm.Machine, error) {
+		ch, err := fe.choices(eff, elide)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,36 +270,73 @@ func TestStableLayoutDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slotted := &vm.Machine{}
-		slotted.ResetTo(lp)
-		serr := slotted.Run()
-
-		inst, err := fe.fallback.snips.Instrument(eff)
+		mach := &vm.Machine{}
+		mach.ResetTo(lp)
+		mach.MaxSteps = max
+		return mach, mach.Run()
+	}
+	runOracle := func(eff map[uint64]config.Precision, max uint64) (*vm.Machine, error) {
+		inst, err := replace.InstrumentMap(m, eff, tgt.InstOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plp, err := vm.Link(inst)
+		mach, err := vm.New(inst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		packed := &vm.Machine{}
-		packed.ResetTo(plp)
-		perr := packed.Run()
+		mach.MaxSteps = max
+		return mach, mach.Run()
+	}
+	for k, eff := range effs {
+		oracle, oerr := runOracle(eff, 0)
+		// The wrapped assembly also matches under a step budget that
+		// cuts the run mid-way: same fault kind and op at the same step.
+		for _, max := range []uint64{0, oracle.Steps / 2} {
+			o, oe := oracle, oerr
+			if max > 0 {
+				o, oe = runOracle(eff, max)
+			}
+			wrapped, werr := run(false, eff, max)
+			if !reflect.DeepEqual(wrapped.Out, o.Out) {
+				t.Errorf("eff %d budget %d: wrapped outputs diverged from the oracle", k, max)
+			}
+			if wrapped.Steps != o.Steps || wrapped.Cycles != o.Cycles {
+				t.Errorf("eff %d budget %d: wrapped accounting diverged: steps %d/%d cycles %d/%d",
+					k, max, wrapped.Steps, o.Steps, wrapped.Cycles, o.Cycles)
+			}
+			if !sameFault(werr, oe) {
+				t.Errorf("eff %d budget %d: wrapped err %v, oracle err %v", k, max, werr, oe)
+			}
+		}
 
-		if (serr == nil) != (perr == nil) {
-			t.Fatalf("eff %d: slotted err %v, packed err %v", k, serr, perr)
+		elided, eerr := run(true, eff, 0)
+		if (eerr == nil) != (oerr == nil) {
+			t.Fatalf("eff %d: elided err %v, oracle err %v", k, eerr, oerr)
 		}
-		if !reflect.DeepEqual(slotted.Out, packed.Out) {
-			t.Errorf("eff %d: outputs diverged between layouts", k)
+		if !reflect.DeepEqual(elided.Out, oracle.Out) {
+			t.Errorf("eff %d: elided outputs diverged from the oracle", k)
 		}
-		if serr == nil && tgt.Verify(slotted.Out) != tgt.Verify(packed.Out) {
+		if eerr == nil && tgt.Verify(elided.Out) != tgt.Verify(oracle.Out) {
 			t.Errorf("eff %d: verdicts diverged between layouts", k)
 		}
-		if slotted.Steps > packed.Steps {
+		if elided.Steps > oracle.Steps {
 			t.Errorf("eff %d: elided assembly ran longer than the wrapped one: %d vs %d steps",
-				k, slotted.Steps, packed.Steps)
+				k, elided.Steps, oracle.Steps)
 		}
 	}
+}
+
+// sameFault reports whether two run results agree up to the fault
+// address: both clean, or both faults of the same kind at the same op.
+func sameFault(a, b error) bool {
+	var fa, fb *vm.Fault
+	if errors.As(a, &fa) != errors.As(b, &fb) {
+		return false
+	}
+	if fa == nil {
+		return (a == nil) == (b == nil)
+	}
+	return fa.Kind == fb.Kind && fa.Op == fb.Op
 }
 
 // TestForkFinalByteIdenticalUnderChaos: a chaos-armed forking search
@@ -437,5 +485,80 @@ func TestForkCheckpointResumeByteIdentical(t *testing.T) {
 	}
 	if full.Forked > 0 && !replayedForked {
 		t.Error("no replayed verdict carried fork provenance")
+	}
+}
+
+// TestForkFaultPCsAreSourceAddresses pins the fault-address rule on a
+// hand-built module: a fault inside a slot reports the site's candidate
+// instruction, and a fault in shared code after the slot reports that
+// shared instruction's source address — from the forked path, a retry
+// and a chaos-armed run alike, although all three run the slotted layout.
+func TestForkFaultPCsAreSourceAddresses(t *testing.T) {
+	bits := int64(math.Float64bits(1.5))
+	f := &prog.Func{Name: "main", Instrs: []isa.Instr{
+		isa.I(isa.MOVRI, isa.Gpr(isa.R15), isa.Imm(bits)),
+		isa.I(isa.MOVQ, isa.Xmm(1), isa.Gpr(isa.R15)),
+		isa.I(isa.MOVQ, isa.Xmm(0), isa.Gpr(isa.R15)),
+		isa.I(isa.ADDSD, isa.Xmm(0), isa.Xmm(1)), // the site
+		isa.I(isa.MOVRI, isa.Gpr(isa.RAX), isa.Imm(7)),
+		isa.I(isa.ADDI, isa.Gpr(isa.RAX), isa.Imm(1)),
+		isa.I(isa.SYSCALL, isa.Imm(isa.SysOutF64)),
+		isa.I(isa.HALT),
+	}}
+	m, err := prog.Build("faults", []*prog.Func{f}, nil, prog.DataBase+4096, "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe, err := newForkEngine(Target{Module: m, Verify: refVerify(t, m, 0)}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	site := fe.siteIdx[f.Instrs[3].Addr]
+	eff := map[uint64]config.Precision{f.Instrs[3].Addr: config.Single}
+	d := fe.ensureDonor(eff)
+	if d == nil || d.touch[site].snap == nil {
+		t.Fatal("donor pass did not reach the site")
+	}
+	prefix := d.touch[site].steps
+	n := uint64(len(fe.sites[site].Variants[replace.VariantSingle]))
+	if n < 2 {
+		t.Fatalf("single variant has %d instructions; the in-slot case needs two", n)
+	}
+	if fe.sites[site].Addr+fe.sites[site].Size == f.Instrs[4].Addr {
+		t.Fatal("shared code after the slot did not move: the layouts coincide")
+	}
+	for _, c := range []struct {
+		name string
+		at   uint64 // instructions executed before the faulting one
+		want uint64
+	}{
+		{"in slot", prefix + 1, f.Instrs[3].Addr},
+		{"shared after slot", prefix + n + 1, f.Instrs[5].Addr},
+	} {
+		check := func(path string, out outcome, err error, kind vm.FaultKind, forked bool) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.forked != forked {
+				t.Errorf("%s/%s: forked %v, want %v", c.name, path, out.forked, forked)
+			}
+			if out.fault == nil || out.fault.Kind != kind {
+				t.Fatalf("%s/%s: fault %v, want a %v", c.name, path, out.fault, kind)
+			}
+			if out.fault.PC != c.want {
+				t.Errorf("%s/%s: fault PC %#x, want source address %#x", c.name, path, out.fault.PC, c.want)
+			}
+		}
+		fe.t.MaxSteps = c.at
+		out, err := fe.evaluate(evalRequest{eff: eff})
+		check("forked", out, err, vm.FaultMaxSteps, true)
+		out, err = fe.evaluate(evalRequest{eff: eff, attempt: 1})
+		check("retry", out, err, vm.FaultMaxSteps, false)
+		fe.t.MaxSteps = 0
+		// An armed trap fires on the instruction whose step count
+		// reaches it, counting that instruction.
+		out, err = fe.evaluate(evalRequest{eff: eff, trapAfter: c.at + 1})
+		check("chaos", out, err, vm.FaultInjected, false)
 	}
 }

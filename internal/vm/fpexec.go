@@ -346,16 +346,24 @@ func (m *Machine) checkUnreplaced(in *isa.Instr) error {
 	return nil
 }
 
+// arith64 and arith32 follow x86's NaN rule for the arithmetic ops: a NaN
+// first operand is returned quieted, even when both are NaN. Go leaves a
+// NaN result's payload unspecified and may commute a+b and a*b, so two
+// compiled forms of one instruction (interpreter, closure, fused load-op)
+// could otherwise disagree — and replaced values travel as NaN-boxed
+// singles, so payloads are data. A NaN second operand alone, or an
+// invalid operation, yields the same NaN in either operand order.
 func arith64(op isa.Op, a, b float64) float64 {
+	var r float64
 	switch op {
 	case isa.ADDSD:
-		return a + b
+		r = a + b
 	case isa.SUBSD:
-		return a - b
+		r = a - b
 	case isa.MULSD:
-		return a * b
+		r = a * b
 	case isa.DIVSD:
-		return a / b
+		r = a / b
 	case isa.MINSD:
 		// x86 semantics: return b on NaN or equality.
 		if a < b {
@@ -368,18 +376,23 @@ func arith64(op isa.Op, a, b float64) float64 {
 		}
 		return b
 	}
+	if r != r && a != a {
+		return math.Float64frombits(math.Float64bits(a) | 1<<51)
+	}
+	return r
 }
 
 func arith32(op isa.Op, a, b float32) float32 {
+	var r float32
 	switch op {
 	case isa.ADDSS:
-		return a + b
+		r = a + b
 	case isa.SUBSS:
-		return a - b
+		r = a - b
 	case isa.MULSS:
-		return a * b
+		r = a * b
 	case isa.DIVSS:
-		return a / b
+		r = a / b
 	case isa.MINSS:
 		if a < b {
 			return a
@@ -391,6 +404,10 @@ func arith32(op isa.Op, a, b float32) float32 {
 		}
 		return b
 	}
+	if r != r && a != a {
+		return math.Float32frombits(math.Float32bits(a) | 1<<22)
+	}
+	return r
 }
 
 func sqrt32(b float32) float32 {

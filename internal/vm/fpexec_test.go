@@ -207,3 +207,61 @@ func TestIntegerDivision(t *testing.T) {
 		t.Error("division by zero did not fault")
 	}
 }
+
+// TestAddMulX86NaNPropagation pins x86's NaN rule for the commutative
+// ops: a NaN operand is returned quieted, the destination's when both
+// are NaN. Go leaves NaN payloads unspecified and may commute a+b, so
+// the interpreter, a compiled closure and a fused load-op must apply the
+// rule explicitly to agree (replaced values travel as NaN-boxed singles,
+// so payloads are data).
+func TestAddMulX86NaNPropagation(t *testing.T) {
+	const nanA, nanB = 0x7ff4dead00000001, 0x7ffcbeef00000002 // A signaling, B quiet
+	base := int64(prog.DataBase)
+	for _, c := range []struct {
+		name string
+		op   isa.Op
+		a, b int64
+		want uint64
+	}{
+		{"addsd both", isa.ADDSD, nanA, nanB, nanA | 1<<51},
+		{"mulsd both", isa.MULSD, nanA, nanB, nanA | 1<<51},
+		{"addsd src", isa.ADDSD, int64(math.Float64bits(2)), nanB, nanB},
+		{"addss both", isa.ADDSS, 0x7fa00001, 0x7fc00002, 0x7fe00001},
+		{"mulss both", isa.MULSS, 0x7fa00001, 0x7fc00002, 0x7fe00001},
+	} {
+		for _, form := range []string{"reg", "mem", "fused"} {
+			instrs := []isa.Instr{
+				isa.I(isa.MOVRI, isa.Gpr(isa.RBX), isa.Imm(base)),
+				isa.I(isa.MOVRI, isa.Gpr(isa.R15), isa.Imm(c.a)),
+				isa.I(isa.MOVQ, isa.Xmm(0), isa.Gpr(isa.R15)),
+				isa.I(isa.MOVRI, isa.Gpr(isa.R15), isa.Imm(c.b)),
+				isa.I(isa.MOVQ, isa.Xmm(1), isa.Gpr(isa.R15)),
+				isa.I(isa.STORE, isa.Mem(isa.RBX, 8), isa.Gpr(isa.R15)),
+			}
+			switch form {
+			case "mem":
+				instrs = append(instrs, isa.I(c.op, isa.Xmm(0), isa.Mem(isa.RBX, 8)))
+			case "fused":
+				// MOVSD xmm, mem; ADDSD|MULSD xmm, xmm compiles to one micro-op.
+				instrs = append(instrs, isa.I(isa.MOVSD, isa.Xmm(2), isa.Mem(isa.RBX, 0)), isa.I(c.op, isa.Xmm(0), isa.Xmm(1)))
+			default:
+				instrs = append(instrs, isa.I(c.op, isa.Xmm(0), isa.Xmm(1)))
+			}
+			instrs = append(instrs, isa.I(isa.HALT))
+			for _, noCompile := range []bool{true, false} {
+				m := mach(t, instrs)
+				m.NoCompile = noCompile
+				if err := m.Run(); err != nil {
+					t.Fatal(err)
+				}
+				got := m.XMM[0][0]
+				if c.op == isa.ADDSS || c.op == isa.MULSS {
+					got = uint64(uint32(got))
+				}
+				if got != c.want {
+					t.Errorf("%s (%s, nocompile %v) = %#x, want %#x", c.name, form, noCompile, got, c.want)
+				}
+			}
+		}
+	}
+}

@@ -444,7 +444,7 @@ func fuseLoadArith(p fusePattern, c []isa.Instr) microOp {
 				return m.loadFault(0, ld, ref)
 			}
 			m.XMM[x0][0], m.XMM[x0][1] = v, 0
-			m.XMM[d1][0] = math.Float64bits(math.Float64frombits(m.XMM[d1][0]) + math.Float64frombits(m.XMM[s1][0]))
+			m.XMM[d1][0] = math.Float64bits(arith64(isa.ADDSD, math.Float64frombits(m.XMM[d1][0]), math.Float64frombits(m.XMM[s1][0])))
 			return nil
 		}
 	case fuseLoadSubSD:
@@ -454,7 +454,7 @@ func fuseLoadArith(p fusePattern, c []isa.Instr) microOp {
 				return m.loadFault(0, ld, ref)
 			}
 			m.XMM[x0][0], m.XMM[x0][1] = v, 0
-			m.XMM[d1][0] = math.Float64bits(math.Float64frombits(m.XMM[d1][0]) - math.Float64frombits(m.XMM[s1][0]))
+			m.XMM[d1][0] = math.Float64bits(arith64(isa.SUBSD, math.Float64frombits(m.XMM[d1][0]), math.Float64frombits(m.XMM[s1][0])))
 			return nil
 		}
 	default: // fuseLoadMulSD
@@ -464,7 +464,7 @@ func fuseLoadArith(p fusePattern, c []isa.Instr) microOp {
 				return m.loadFault(0, ld, ref)
 			}
 			m.XMM[x0][0], m.XMM[x0][1] = v, 0
-			m.XMM[d1][0] = math.Float64bits(math.Float64frombits(m.XMM[d1][0]) * math.Float64frombits(m.XMM[s1][0]))
+			m.XMM[d1][0] = math.Float64bits(arith64(isa.MULSD, math.Float64frombits(m.XMM[d1][0]), math.Float64frombits(m.XMM[s1][0])))
 			return nil
 		}
 	}
