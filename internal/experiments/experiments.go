@@ -3,13 +3,13 @@
 // overhead table (Figure 9), the automatic-search results table
 // (Figure 10), the AMG microkernel end-to-end conversion (§3.2), the
 // SuperLU threshold sweep (Figure 11) and the §3.1 bit-for-bit
-// equivalence check. Each experiment returns structured rows so the
-// fpbench tool and the benchmark harness share one implementation.
+// equivalence check, plus the sensitivity and error-bound search
+// ablations. Each experiment returns structured rows, which the fpbench
+// tool renders as tables and JSON.
 package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"fpmix/internal/config"
 	"fpmix/internal/kernels"
@@ -208,72 +208,6 @@ func Sens(names []string, class kernels.Class, workers int) ([]SensRow, error) {
 			MaxErr:     maxErr,
 			Identical:  res.Final.String() == base.Final.String(),
 			FinalPass:  res.FinalPass,
-		})
-	}
-	return rows, nil
-}
-
-// EngineRow is one benchmark's compiled-vs-interpreted engine ablation.
-type EngineRow struct {
-	Bench string
-	Class kernels.Class
-	// CompiledNS and InterpNS are the wall-clock nanoseconds of the same
-	// search on the compiled direct-threaded tier and on the per-step
-	// interpreter (`fpsearch -nocompile`).
-	CompiledNS int64
-	InterpNS   int64
-	// SpeedupX is InterpNS / CompiledNS.
-	SpeedupX float64
-	// Tested is the number of configurations both searches evaluated
-	// (identical by construction; reported for scale).
-	Tested int
-	// Identical reports whether the two searches composed byte-identical
-	// final configurations — the engine's correctness condition.
-	Identical bool
-	FinalPass bool
-}
-
-// Engine runs the execution-engine ablation: the identical search per
-// benchmark on the compiled tier and on the per-step interpreter,
-// comparing wall clock and final configurations.
-func Engine(names []string, class kernels.Class, workers int) ([]EngineRow, error) {
-	var rows []EngineRow
-	for _, name := range names {
-		b, err := kernels.Get(name, class)
-		if err != nil {
-			return nil, err
-		}
-		tgt := search.Target{
-			Module:   b.Module,
-			Verify:   b.Verify,
-			MaxSteps: b.MaxSteps,
-			Base:     b.Base,
-		}
-		opts := search.Options{Workers: workers, BinarySplit: true, Prioritize: true}
-		start := time.Now()
-		compiled, err := search.Run(tgt, opts)
-		if err != nil {
-			return nil, fmt.Errorf("%s.%s: compiled: %w", name, class, err)
-		}
-		compiledNS := time.Since(start).Nanoseconds()
-
-		opts.NoCompile = true
-		start = time.Now()
-		interp, err := search.Run(tgt, opts)
-		if err != nil {
-			return nil, fmt.Errorf("%s.%s: nocompile: %w", name, class, err)
-		}
-		interpNS := time.Since(start).Nanoseconds()
-
-		rows = append(rows, EngineRow{
-			Bench:      name,
-			Class:      class,
-			CompiledNS: compiledNS,
-			InterpNS:   interpNS,
-			SpeedupX:   float64(interpNS) / float64(compiledNS),
-			Tested:     compiled.Tested,
-			Identical:  compiled.Final.String() == interp.Final.String() && compiled.Tested == interp.Tested,
-			FinalPass:  compiled.FinalPass,
 		})
 	}
 	return rows, nil

@@ -108,27 +108,6 @@ func Sens(w io.Writer, rows []experiments.SensRow) {
 	}
 }
 
-// Engine renders the execution-engine ablation.
-func Engine(w io.Writer, rows []experiments.EngineRow) {
-	fmt.Fprintln(w, "Execution-engine ablation (compiled direct-threaded vs -nocompile interpreter)")
-	fmt.Fprintf(w, "%-10s %12s %12s %9s %7s %6s %6s\n",
-		"Benchmark", "Compiled-ms", "Interp-ms", "Speedup", "Tested", "Same", "Final")
-	for _, row := range rows {
-		same := "DIFF"
-		if row.Identical {
-			same = "yes"
-		}
-		verdict := "fail"
-		if row.FinalPass {
-			verdict = "pass"
-		}
-		fmt.Fprintf(w, "%-10s %12.1f %12.1f %8.2fx %7d %6s %6s\n",
-			row.Bench+"."+string(row.Class),
-			float64(row.CompiledNS)/1e6, float64(row.InterpNS)/1e6,
-			row.SpeedupX, row.Tested, same, verdict)
-	}
-}
-
 // Bounds prints the error-bound prover ablation table.
 func Bounds(w io.Writer, rows []experiments.BoundsRow) {
 	fmt.Fprintln(w, "Error-bound prover ablation (static proofs vs -noprove)")
@@ -147,35 +126,6 @@ func Bounds(w io.Writer, rows []experiments.BoundsRow) {
 			row.Bench+"."+string(row.Class),
 			float64(row.NoProveNS)/1e6, float64(row.ProveNS)/1e6,
 			row.SpeedupX, row.TestedNoProve, row.TestedProve, row.Proved, same, verdict)
-	}
-}
-
-// Remote prints the remote-search throughput table (batched pipelined
-// fleet vs the original one-unit-per-RPC protocol).
-func Remote(w io.Writer, rows []experiments.RemoteRow) {
-	fmt.Fprintln(w, "Remote search throughput (batched fleet vs one-unit-per-RPC protocol)")
-	fmt.Fprintf(w, "%-10s %12s %12s %12s %9s %7s %6s %6s\n",
-		"Benchmark", "Serial-ms", "OneRPC-ms", "Fleet-ms", "Speedup", "Units", "Same", "Final")
-	for _, row := range rows {
-		same := "DIFF"
-		if row.Identical {
-			same = "yes"
-		}
-		verdict := "fail"
-		if row.FinalPass {
-			verdict = "pass"
-		}
-		fmt.Fprintf(w, "%-10s %12.1f %12.1f %12.1f %8.2fx %7d %6s %6s\n",
-			row.Bench+"."+string(row.Class),
-			float64(row.SerialNS)/1e6, float64(row.OneNS)/1e6, float64(row.FleetNS)/1e6,
-			row.SpeedupX, row.Units, same, verdict)
-	}
-	if len(rows) > 1 {
-		sw := experiments.SweepOf(rows)
-		fmt.Fprintf(w, "%-10s %12.1f %12.1f %12.1f %8.2fx %7d\n",
-			"sweep",
-			float64(sw.SerialNS)/1e6, float64(sw.OneNS)/1e6, float64(sw.FleetNS)/1e6,
-			sw.SpeedupX, sw.Units)
 	}
 }
 
