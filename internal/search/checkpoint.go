@@ -69,10 +69,10 @@ func ModuleFingerprint(m *prog.Module) (string, error) {
 // lose at most the current batch (and possibly tear its final line,
 // which resume truncates away); it can never corrupt earlier batches.
 //
-// Only evaluated settles are journaled. Pruned, predicted and memo
-// verdicts are recomputed on resume (they are deterministic and free),
-// and the final-union evaluation is re-run so a resumed search re-checks
-// composition.
+// Only verdicts the search derived itself — evaluated and proved — are
+// journaled. Pruned, predicted, memo and cache verdicts are re-derived
+// on resume (they are deterministic and cheap), and the final-union
+// evaluation is re-run so a resumed search re-checks composition.
 type Journal struct {
 	mu      sync.Mutex
 	f       *os.File
@@ -292,35 +292,24 @@ func (j *Journal) lookup(key string) (jv journalVerdict, ok bool) {
 // record appends one settled verdict (one atomic O_APPEND write; the
 // fsync waits for the batch boundary). Fork-point verdicts append their
 // provenance ("forked=<prefix steps saved>") so a resumed search
-// reports the inherited work faithfully; readers that predate the field
-// treat such lines as torn and stop there.
-func (j *Journal) record(key string, v Verdict) error {
+// reports the inherited work faithfully, and prover verdicts a "proved"
+// token so it replays the proof instead of re-deriving it; readers that
+// predate either field treat such lines as torn and stop there.
+func (j *Journal) record(key string, jv journalVerdict) error {
 	verdict := "fail"
-	if v.Pass {
+	if jv.pass {
 		verdict = "pass"
 	}
+	line := hex.EncodeToString([]byte(key)) + " " + verdict
+	switch {
+	case jv.proved:
+		line += " proved"
+	case jv.forked:
+		line += fmt.Sprintf(" forked=%d", jv.prefixSaved)
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var err error
-	if v.Forked {
-		_, err = fmt.Fprintf(j.f, "%s %s forked=%d\n", hex.EncodeToString([]byte(key)), verdict, v.PrefixSaved)
-	} else {
-		_, err = fmt.Fprintf(j.f, "%s %s\n", hex.EncodeToString([]byte(key)), verdict)
-	}
-	if err == nil {
-		j.pending++
-	}
-	return err
-}
-
-// recordProved appends a verdict settled by the static error-bound
-// prover ("pass proved"), so a resumed search replays the proof instead
-// of re-deriving it. Readers that predate the token treat such lines as
-// torn and stop there, as with fork provenance.
-func (j *Journal) recordProved(key string) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	_, err := fmt.Fprintf(j.f, "%s pass proved\n", hex.EncodeToString([]byte(key)))
+	_, err := j.f.WriteString(line + "\n")
 	if err == nil {
 		j.pending++
 	}

@@ -23,14 +23,14 @@ func TestJournalGroupCommit(t *testing.T) {
 	}
 
 	// Prime lastSync so the next Sync lands inside the window.
-	if err := j.record("k0", Verdict{Pass: true}); err != nil {
+	if err := j.record("k0", journalVerdict{pass: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	j.SetGroupCommit(time.Hour)
-	if err := j.record("k1", Verdict{Pass: true}); err != nil {
+	if err := j.record("k1", journalVerdict{pass: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Sync(); err != nil {
@@ -50,7 +50,7 @@ func TestJournalGroupCommit(t *testing.T) {
 	// Close syncs regardless of the window: every verdict must be
 	// durable for a resuming search.
 	j.SetGroupCommit(time.Hour)
-	if err := j.record("k2", Verdict{}); err != nil {
+	if err := j.record("k2", journalVerdict{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {

@@ -28,11 +28,8 @@ import (
 	"fpmix/internal/vm"
 )
 
-// Every evaluation unit goes through one evaluator — Options.Units, or a
-// local UnitRunner (unit.go) over the fork engine (forkengine.go) — and
-// Run memoizes verdicts per address set. Options.Engine can select the
-// from-scratch seed pipeline instead, kept as the differential-testing
-// oracle.
+// Each piece's verdict comes from the first stage of the verdict chain
+// that settles it (see stage), and lands in Run's one settle step.
 
 // Target describes the program under search.
 type Target struct {
@@ -122,8 +119,8 @@ type Options struct {
 	// ever faulted, retries settle every verdict exactly as a fault-free
 	// search would — chaos changes the road, never the destination.
 	Chaos *faultinject.Injector
-	// Checkpoint, when non-nil, journals every evaluated verdict as it
-	// settles and replays journaled verdicts instead of re-evaluating, so
+	// Checkpoint, when non-nil, journals every evaluated or proved verdict
+	// as it settles and replays journaled verdicts instead of re-deriving, so
 	// an interrupted search resumes where it died (fpsearch -checkpoint /
 	// -resume).
 	Checkpoint *Journal
@@ -245,6 +242,20 @@ func (p Provenance) String() string {
 	}
 }
 
+// stage is one step of the verdict chain, in chain order: a piece's
+// verdict comes from the first stage that settles it.
+type stage uint8
+
+const (
+	stPrune   stage = iota // passes a never-executed piece by construction
+	stGate                 // fails an aggregate the sensitivity gate predicts hopeless
+	stMemo                 // replays a duplicate address set from the in-run memo table
+	stJournal              // replays the interrupted search's verdict from a resumed journal
+	stCache                // replays a prior job's verdict from the shared verdict cache
+	stProve                // passes a piece the error-bound prover proves bit-exact
+	stEval                 // decides the piece by running its evaluation unit
+)
+
 // Eval records one verdict the search reached: which piece, how the
 // verdict was obtained, and — for evaluated pieces — the wall time of
 // the evaluation run. Ablation tables regenerate from these without
@@ -278,6 +289,17 @@ type Eval struct {
 	PrefixSaved uint64
 }
 
+// evalOf builds the Eval record of a verdict reached with provenance prov.
+func evalOf(label string, kind config.Kind, insns int, prov Provenance, v Verdict) Eval {
+	return Eval{
+		Label: label, Kind: kind, Insns: insns,
+		Pass: v.Pass, Prov: prov, Wall: v.Wall,
+		Failure: v.Failure, Fault: v.Fault, Stack: v.Stack,
+		Attempts: v.Attempts, Nondet: v.Nondet,
+		Forked: v.Forked, PrefixSaved: v.PrefixSaved,
+	}
+}
+
 // Result summarizes a completed search.
 type Result struct {
 	// Final is the union configuration of all individually passing pieces.
@@ -293,7 +315,8 @@ type Result struct {
 	// MemoHits is the number of queued configurations whose address set
 	// had already been evaluated and whose verdict was replayed from the
 	// engine's memo table instead of re-running (binary-split re-splits
-	// and single-child aggregate chains produce such duplicates).
+	// and single-child aggregate chains produce such duplicates), plus the
+	// cache hits that were not proved.
 	MemoHits int
 	// CacheHits is the number of verdicts served by the shared
 	// cross-search verdict cache (Options.Cache) instead of evaluation —
@@ -332,7 +355,8 @@ type Result struct {
 	Resumed int
 	// Proved is the number of piece verdicts settled by the static
 	// error-bound prover (including ones replayed from a checkpoint
-	// journal's proved lines) instead of by evaluation.
+	// journal's proved lines or served proved by the cache) instead of by
+	// evaluation.
 	Proved int
 	// Forked is the number of verdicts reached by fork-point evaluation
 	// (runs from a restored shared-prefix snapshot plus
@@ -479,53 +503,43 @@ func Run(t Target, opts Options) (*Result, error) {
 	// the instrumented run would be bit-identical to the verified
 	// baseline, so the verdict is a pass by construction. The analysis is
 	// lazy — it only starts the first time a piece survives every cheaper
-	// stage (prune, gate, memo, checkpoint, cache) — and runs beside
-	// evaluation, not in front of it: while it is pending, pieces reaching
-	// the prover launch as ordinary units marked speculative, and each
-	// speculative verdict is resolved against the finished analysis when
-	// it arrives (see the settle loop). Which pieces settle as proved
-	// therefore depends only on the analysis, never on timing.
+	// stage (recall) — and runs beside evaluation, not in front of it:
+	// while it is pending, pieces reaching the prover launch as ordinary
+	// units marked speculative, and each speculative verdict is resolved
+	// against the finished analysis when it arrives. Which pieces settle
+	// as proved therefore depends only on the analysis, never on timing.
 	analyze := opts.testAnalyze
 	if analyze == nil {
 		analyze = func(m *prog.Module) (*errbound.Analysis, error) {
 			return errbound.Analyze(m, errbound.Options{})
 		}
 	}
-	var bounds *errbound.Analysis
-	var boundsReady bool
-	var boundsCh chan *errbound.Analysis // non-nil while the analysis runs
+	var bounds *errbound.Analysis // nil when the analysis failed or diverged
+	var analyzed chan struct{}    // closed once bounds is final; nil until started
 	defer func() {
-		if boundsCh != nil {
-			<-boundsCh // an early return must not leave the analysis running
+		if analyzed != nil {
+			<-analyzed // an early return must not leave the analysis running
 		}
 	}()
-	receiveBounds := func(an *errbound.Analysis) {
-		bounds, boundsReady, boundsCh = an, true, nil
-	}
-	// pollBounds reports whether the analysis is available, starting it
-	// on first use and collecting it without blocking once it finished.
-	pollBounds := func() bool {
-		if boundsReady {
-			return true
-		}
-		if boundsCh == nil {
-			boundsCh = make(chan *errbound.Analysis, 1)
+	// proverReady reports whether the analysis finished, starting it on
+	// first use.
+	proverReady := func() bool {
+		if analyzed == nil {
+			analyzed = make(chan struct{})
 			go func() {
-				an, err := analyze(t.Module)
-				if err != nil || !an.Converged {
-					an = nil
+				defer close(analyzed)
+				if an, err := analyze(t.Module); err == nil && an.Converged {
+					bounds = an
 				}
-				boundsCh <- an
 			}()
 		}
 		select {
-		case an := <-boundsCh:
-			receiveBounds(an)
+		case <-analyzed:
+			return true
 		default:
+			return false
 		}
-		return boundsReady
 	}
-	var provedAddrs []uint64
 	// proveExact consults the finished analysis.
 	proveExact := func(p *Piece) bool {
 		if bounds == nil {
@@ -537,18 +551,6 @@ func Run(t Target, opts Options) (*Result, error) {
 			}
 		}
 		return true
-	}
-	// markProved collects the piece's executed candidates for the final
-	// configuration's provenance notes. For a proved piece those are
-	// exactly the proved sites (the never-executed rest passed without
-	// needing the proof), so a journal replay can mark them without
-	// re-running the analysis.
-	markProved := func(p *Piece) {
-		for _, a := range p.Addrs {
-			if profile[a] != 0 {
-				provedAddrs = append(provedAddrs, a)
-			}
-		}
 	}
 
 	// evalRes is a launched piece's settled verdict. A speculative piece
@@ -583,41 +585,6 @@ func Run(t Target, opts Options) (*Result, error) {
 		return res, err
 	}
 
-	// emit appends one Eval record and streams it to the observer.
-	emit := func(ev Eval) {
-		res.Evals = append(res.Evals, ev)
-		if opts.Observe != nil {
-			opts.Observe(ev)
-		}
-	}
-
-	// account folds an evaluated verdict's robustness metadata into the
-	// result and appends its full Eval record.
-	account := func(label string, kind config.Kind, insns int, v Verdict) {
-		res.Retried += v.Retried
-		res.Injected += v.Injected
-		switch v.Failure {
-		case FailCrash:
-			res.Crashed++
-		case FailTimeout:
-			res.TimedOut++
-		}
-		if v.Nondet {
-			res.Nondeterministic = append(res.Nondeterministic, label)
-		}
-		if v.Forked {
-			res.Forked++
-			res.PrefixInstrsSaved += v.PrefixSaved
-		}
-		emit(Eval{
-			Label: label, Kind: kind, Insns: insns,
-			Pass: v.Pass, Prov: ProvEvaluated, Wall: v.Wall,
-			Failure: v.Failure, Fault: v.Fault, Stack: v.Stack,
-			Attempts: v.Attempts, Nondet: v.Nondet,
-			Forked: v.Forked, PrefixSaved: v.PrefixSaved,
-		})
-	}
-
 	// Verdict memoization (off only for the EngineOff oracle): binary-split
 	// re-splits and aggregate chains with a single child re-enqueue
 	// address sets that were already decided; replay their verdicts
@@ -627,135 +594,145 @@ func Run(t Target, opts Options) (*Result, error) {
 		memo = make(map[string]bool)
 	}
 
-	// apply routes a piece's verdict: passing pieces are collected,
-	// failing ones expand into the next round of candidates.
-	apply := func(p *Piece, pass bool) {
-		if pass {
+	// recall runs the stages that need neither the prover nor a run, in
+	// chain order, and returns the first that settles the piece.
+	recall := func(p *Piece, key string) (stage, Provenance, Verdict, bool) {
+		if !opts.NoPrune && p.Weight == 0 {
+			// Entirely never-executed: pass by construction, no run.
+			return stPrune, ProvPruned, Verdict{Pass: true}, true
+		}
+		full := len(p.Addrs) == len(root.Addrs)
+		if gate > 0 && len(p.subs) > 0 &&
+			((full && p.PredErr > gate) || p.PredLocal > gate) {
+			// Predicted failure — skip the run and split now. Two sound
+			// cases: a full-coverage piece (lowering it IS the
+			// whole-program single run the carried shadow simulates, so
+			// its global error is an exact prediction, not an
+			// overestimate), or any aggregate whose local error shows an
+			// instruction intrinsically past hope in single regardless
+			// of what upstream produced.
+			return stGate, ProvPredicted, Verdict{}, true
+		}
+		if pass, ok := memo[key]; ok {
+			return stMemo, ProvMemo, Verdict{Pass: pass}, true
+		}
+		if opts.Checkpoint != nil {
+			// After the memo: a journal verdict replays once, its in-run
+			// duplicates stay memo hits as in a fresh search.
+			if jv, ok := opts.Checkpoint.lookup(key); ok {
+				prov := ProvCheckpoint
+				if jv.proved {
+					// The resumed search inherits the proof without
+					// re-deriving it: the prover stays lazy, and the
+					// provenance notes need only the profile.
+					prov = ProvProved
+				}
+				return stJournal, prov, Verdict{Pass: jv.pass, Forked: jv.forked, PrefixSaved: jv.prefixSaved}, true
+			}
+		}
+		if opts.Cache != nil {
+			// The shared cross-job verdict cache: work inherited from
+			// prior searches over the same image. After the checkpoint:
+			// the job's own prior work is accounted as Resumed, not as
+			// cache service.
+			if cv, ok := opts.Cache.Lookup(key); ok {
+				prov := ProvMemo
+				if cv.Proved {
+					prov = ProvProved
+				}
+				return stCache, prov, Verdict{Pass: cv.Pass}, true
+			}
+		}
+		return 0, 0, Verdict{}, false
+	}
+
+	// settle is the one place a piece verdict lands, from whichever stage
+	// reached it.
+	var provedAddrs []uint64
+	settle := func(p *Piece, key string, st stage, prov Provenance, v Verdict) error {
+		proved := prov == ProvProved
+		if st >= stProve {
+			// Only verdicts this search derived are cached and journaled:
+			// a replayed one is stored already or free to re-derive.
+			if opts.Cache != nil {
+				opts.Cache.Store(key, CachedVerdict{Pass: v.Pass, Proved: proved})
+			}
+			if opts.Checkpoint != nil {
+				jv := journalVerdict{pass: v.Pass, forked: v.Forked, prefixSaved: v.PrefixSaved, proved: proved}
+				if err := opts.Checkpoint.record(key, jv); err != nil {
+					return fmt.Errorf("search: checkpoint write: %w", err)
+				}
+				if st == stEval && inflight == 0 {
+					// A write-batch boundary: every launched unit has
+					// settled, so fsync the batch.
+					if err := opts.Checkpoint.Sync(); err != nil {
+						return fmt.Errorf("search: checkpoint sync: %w", err)
+					}
+				}
+			}
+		}
+		if st >= stMemo && memo != nil {
+			// Pruned and gated verdicts stay out: a gated aggregate and
+			// its only child can share an address set, and the child must
+			// still run.
+			memo[key] = v.Pass
+		}
+		switch st {
+		case stGate:
+			res.Predicted++
+		case stMemo:
+			res.MemoHits++
+		case stJournal:
+			res.Resumed++
+		case stCache:
+			res.CacheHits++
+			if !proved {
+				res.MemoHits++
+			}
+		case stEval:
+			res.tally(p.Label, v)
+		}
+		if proved {
+			// The piece's executed candidates are exactly its proved sites
+			// (the never-executed rest passed without needing the proof),
+			// so a replayed proof marks them without the analysis.
+			res.Proved++
+			for _, a := range p.Addrs {
+				if profile[a] != 0 {
+					provedAddrs = append(provedAddrs, a)
+				}
+			}
+		}
+		res.addEval(opts.Observe, evalOf(p.Label, p.Kind, len(p.Addrs), prov, v))
+		if v.Pass {
 			res.Passing = append(res.Passing, p)
-			return
+			return nil
 		}
 		for _, next := range expand(p, opts) {
 			heap.Push(q, next)
 		}
-	}
-
-	// record settles a piece without an evaluation run: it appends the
-	// piece's Eval record and applies the verdict.
-	record := func(p *Piece, ev Eval) {
-		ev.Label, ev.Kind, ev.Insns = p.Label, p.Kind, len(p.Addrs)
-		emit(ev)
-		apply(p, ev.Pass)
-	}
-
-	// replay settles a piece from a verdict reached elsewhere — the memo
-	// table, a resumed journal, the shared cache or the prover — and
-	// memoizes it for in-run duplicates.
-	replay := func(p *Piece, key string, ev Eval) {
-		if ev.Prov == ProvProved {
-			res.Proved++
-			markProved(p)
-		}
-		if memo != nil {
-			memo[key] = ev.Pass
-		}
-		record(p, ev)
-	}
-
-	// settleProved settles a piece the prover passed: no evaluation is
-	// counted, and the verdict is cached, journaled and memoized as
-	// proved.
-	settleProved := func(p *Piece, key string) error {
-		if opts.Cache != nil {
-			opts.Cache.Store(key, CachedVerdict{Pass: true, Proved: true})
-		}
-		if opts.Checkpoint != nil {
-			if err := opts.Checkpoint.recordProved(key); err != nil {
-				return fmt.Errorf("search: checkpoint write: %w", err)
-			}
-		}
-		replay(p, key, Eval{Pass: true, Prov: ProvProved})
 		return nil
 	}
 
 	for q.Len() > 0 || inflight > 0 {
 		for q.Len() > 0 && inflight < opts.Workers && !interrupted() {
 			p := heap.Pop(q).(*Piece)
-			if !opts.NoPrune && p.Weight == 0 {
-				// Entirely never-executed: pass by construction, no run.
-				record(p, Eval{Pass: true, Prov: ProvPruned})
-				continue
-			}
-			full := len(p.Addrs) == len(root.Addrs)
-			if gate > 0 && len(p.subs) > 0 &&
-				((full && p.PredErr > gate) || p.PredLocal > gate) {
-				// Predicted failure — skip the run and split now. Two sound
-				// cases: a full-coverage piece (lowering it IS the
-				// whole-program single run the carried shadow simulates, so
-				// its global error is an exact prediction, not an
-				// overestimate), or any aggregate whose local error shows an
-				// instruction intrinsically past hope in single regardless
-				// of what upstream produced.
-				res.Predicted++
-				record(p, Eval{Pass: false, Prov: ProvPredicted})
-				continue
-			}
 			key := addrKey(p.Addrs)
-			if pass, ok := memo[key]; ok {
-				res.MemoHits++
-				replay(p, key, Eval{Pass: pass, Prov: ProvMemo})
-				continue
-			}
-			if opts.Checkpoint != nil {
-				// After the memo: a journal verdict replays once, its
-				// in-run duplicates stay memo hits as in a fresh search.
-				if jv, ok := opts.Checkpoint.lookup(key); ok {
-					res.Resumed++
-					prov := ProvCheckpoint
-					if jv.proved {
-						// Replay the proved verdict as proved: the resumed
-						// search inherits the proof without re-deriving it
-						// (the prover stays lazy; markProved needs only the
-						// profile, so the final configuration still carries
-						// the provenance annotations).
-						prov = ProvProved
-					}
-					replay(p, key, Eval{
-						Pass: jv.pass, Prov: prov,
-						Forked: jv.forked, PrefixSaved: jv.prefixSaved,
-					})
-					continue
-				}
-			}
-			if opts.Cache != nil {
-				// The shared cross-job verdict cache: work inherited from
-				// prior searches over the same image. After the checkpoint
-				// (the job's own prior work is accounted as Resumed, not as
-				// cache service) and before the prover and evaluation.
-				if cv, ok := opts.Cache.Lookup(key); ok {
-					res.CacheHits++
-					prov := ProvMemo
-					if cv.Proved {
-						prov = ProvProved
-					} else {
-						res.MemoHits++
-					}
-					replay(p, key, Eval{Pass: cv.Pass, Prov: prov})
-					continue
-				}
-			}
-			if !opts.NoProve && len(p.Addrs) > 0 {
-				if !pollBounds() {
+			st, prov, v, ok := recall(p, key)
+			if !ok && !opts.NoProve && len(p.Addrs) > 0 {
+				if !proverReady() {
 					launch(p, key, true)
 					continue
 				}
-				if proveExact(p) {
-					if err := settleProved(p, key); err != nil {
-						return fail(err)
-					}
-					continue
-				}
+				st, prov, v, ok = stProve, ProvProved, Verdict{Pass: true}, proveExact(p)
 			}
-			launch(p, key, false)
+			if !ok {
+				launch(p, key, false)
+				continue
+			}
+			if err := settle(p, key, st, prov, v); err != nil {
+				return fail(err)
+			}
 		}
 		if inflight == 0 {
 			if interrupted() {
@@ -769,11 +746,9 @@ func Run(t Target, opts Options) (*Result, error) {
 			// Resolve the speculation exactly as the prover stage would
 			// have: a proved piece settles as proved whatever its unit
 			// returned (a failing verdict or an error included).
-			if !boundsReady {
-				receiveBounds(<-boundsCh)
-			}
+			<-analyzed
 			if proveExact(r.p) {
-				if err := settleProved(r.p, r.key); err != nil {
+				if err := settle(r.p, r.key, stProve, ProvProved, Verdict{Pass: true}); err != nil {
 					return fail(err)
 				}
 				continue
@@ -788,27 +763,9 @@ func Run(t Target, opts Options) (*Result, error) {
 			// drains and the loop exits.
 			continue
 		}
-		res.Tested++
-		if memo != nil {
-			memo[r.key] = r.v.Pass
+		if err := settle(r.p, r.key, stEval, ProvEvaluated, r.v); err != nil {
+			return fail(err)
 		}
-		if opts.Cache != nil {
-			opts.Cache.Store(r.key, CachedVerdict{Pass: r.v.Pass})
-		}
-		if opts.Checkpoint != nil {
-			if err := opts.Checkpoint.record(r.key, r.v); err != nil {
-				return fail(fmt.Errorf("search: checkpoint write: %w", err))
-			}
-			if inflight == 0 {
-				// A write-batch boundary: every launched unit has settled.
-				// Durability point for the journal — fsync the batch.
-				if err := opts.Checkpoint.Sync(); err != nil {
-					return fail(fmt.Errorf("search: checkpoint sync: %w", err))
-				}
-			}
-		}
-		account(r.p.Label, r.p.Kind, len(r.p.Addrs), r.v)
-		apply(r.p, r.v.Pass)
 	}
 
 	// Compose the final configuration: union of every passing piece.
@@ -871,10 +828,39 @@ func Run(t Target, opts Options) (*Result, error) {
 		res.Interrupted = true
 		return res, nil
 	}
-	res.Tested++
-	account("final union", config.KindModule, final.CountSingle(), fv)
+	res.tally("final union", fv)
+	res.addEval(opts.Observe, evalOf("final union", config.KindModule, final.CountSingle(), ProvEvaluated, fv))
 	res.FinalPass = fv.Pass
 	return res, nil
+}
+
+// tally counts one evaluated verdict: the test itself plus its
+// robustness metadata.
+func (res *Result) tally(label string, v Verdict) {
+	res.Tested++
+	res.Retried += v.Retried
+	res.Injected += v.Injected
+	switch v.Failure {
+	case FailCrash:
+		res.Crashed++
+	case FailTimeout:
+		res.TimedOut++
+	}
+	if v.Nondet {
+		res.Nondeterministic = append(res.Nondeterministic, label)
+	}
+	if v.Forked {
+		res.Forked++
+		res.PrefixInstrsSaved += v.PrefixSaved
+	}
+}
+
+// addEval appends one Eval record and streams it to observe (if set).
+func (res *Result) addEval(observe func(Eval), ev Eval) {
+	res.Evals = append(res.Evals, ev)
+	if observe != nil {
+		observe(ev)
+	}
 }
 
 // baseIgnored resolves the target's base configuration and its ignored
