@@ -185,6 +185,13 @@ func (sp Spec) Name() string {
 	return "image:" + hex.EncodeToString(sum[:4])
 }
 
+// Built is a spec's built search target with the verifier tolerance the
+// sensitivity gate compares against, as Spec.Build returns them.
+type Built struct {
+	Target  search.Target
+	SensTol float64
+}
+
 // Build constructs the search target the spec describes, together with
 // the verifier tolerance the sensitivity gate compares against (0
 // disables gating). For an uploaded image the reference outputs come
@@ -208,10 +215,11 @@ func (sp Spec) Build() (search.Target, float64, error) {
 	if err != nil {
 		return search.Target{}, 0, fmt.Errorf("jobs: image does not parse: %w", err)
 	}
-	mach, err := vm.New(m)
+	lp, err := vm.Link(m)
 	if err != nil {
 		return search.Target{}, 0, err
 	}
+	mach := lp.NewMachine()
 	mach.MaxSteps = sp.MaxSteps
 	if err := mach.Run(); err != nil {
 		return search.Target{}, 0, fmt.Errorf("jobs: reference run of uploaded image failed: %w", err)

@@ -120,17 +120,25 @@ func (s *Store) Recovered() []string {
 // state queued. The fingerprint is recorded immediately so restarts can
 // validate the journal without rebuilding the target.
 func (s *Store) Create(spec Spec) (Job, error) {
+	j, _, err := s.CreateBuilt(spec)
+	return j, err
+}
+
+// CreateBuilt is Create that also hands back the target it built to
+// fingerprint the job, so the caller can run the job without building
+// it a second time.
+func (s *Store) CreateBuilt(spec Spec) (Job, Built, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
-		return Job{}, err
+		return Job{}, Built{}, err
 	}
-	t, _, err := spec.Build()
+	t, sensTol, err := spec.Build()
 	if err != nil {
-		return Job{}, err
+		return Job{}, Built{}, err
 	}
 	fp, err := spec.Fingerprint(t.Module)
 	if err != nil {
-		return Job{}, err
+		return Job{}, Built{}, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -145,13 +153,13 @@ func (s *Store) Create(spec Spec) (Job, error) {
 		Created: time.Now().UTC(),
 	}
 	if err := os.MkdirAll(filepath.Join(s.dir, j.ID), 0o755); err != nil {
-		return Job{}, err
+		return Job{}, Built{}, err
 	}
 	if err := s.persist(j); err != nil {
-		return Job{}, err
+		return Job{}, Built{}, err
 	}
 	s.jobs[j.ID] = j
-	return *j, nil
+	return *j, Built{Target: t, SensTol: sensTol}, nil
 }
 
 // Get returns a copy of the job.

@@ -93,10 +93,11 @@ func Get(name string, class Class) (*Bench, error) {
 
 // reference runs the double build and records its outputs.
 func reference(m *prog.Module, maxSteps uint64) ([]float64, []vm.OutVal, error) {
-	mach, err := vm.New(m)
+	lp, err := vm.Link(m)
 	if err != nil {
 		return nil, nil, err
 	}
+	mach := lp.NewMachine()
 	mach.MaxSteps = maxSteps
 	if err := mach.Run(); err != nil {
 		return nil, nil, err

@@ -107,7 +107,7 @@ func New(opts Options) (*Server, error) {
 	// but never started.
 	for _, j := range store.List() {
 		if j.State == jobs.StateQueued {
-			s.launch(j.ID)
+			s.launch(j.ID, nil)
 		}
 	}
 	return s, nil
@@ -130,11 +130,11 @@ func (s *Server) Submit(spec jobs.Spec) (jobs.Job, error) {
 		return jobs.Job{}, fmt.Errorf("service: server is shutting down")
 	}
 	s.mu.Unlock()
-	j, err := s.store.Create(spec)
+	j, built, err := s.store.CreateBuilt(spec)
 	if err != nil {
 		return jobs.Job{}, err
 	}
-	s.launch(j.ID)
+	s.launch(j.ID, &built)
 	return j, nil
 }
 
@@ -215,8 +215,10 @@ func (s *Server) shutdown(drain time.Duration, crashed bool) {
 	s.pool.Close()
 }
 
-// launch starts the job's run goroutine.
-func (s *Server) launch(id string) {
+// launch starts the job's run goroutine. built is the target Submit
+// built when it created the job; nil (a job relaunched by recovery)
+// builds it in execute.
+func (s *Server) launch(id string, built *jobs.Built) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s.mu.Lock()
 	s.cancels[id] = cancel
@@ -224,11 +226,11 @@ func (s *Server) launch(id string) {
 	s.streams[id] = st
 	s.wg.Add(1)
 	s.mu.Unlock()
-	go s.runJob(id, ctx, cancel, st)
+	go s.runJob(id, ctx, cancel, st, built)
 }
 
 // runJob drives one job through its lifecycle.
-func (s *Server) runJob(id string, ctx context.Context, cancel context.CancelFunc, st *stream) {
+func (s *Server) runJob(id string, ctx context.Context, cancel context.CancelFunc, st *stream, built *jobs.Built) {
 	defer s.wg.Done()
 	defer cancel()
 	defer func() {
@@ -240,7 +242,7 @@ func (s *Server) runJob(id string, ctx context.Context, cancel context.CancelFun
 		st.close()
 		return
 	}
-	res, sh, err := s.execute(ctx, id, st)
+	res, sh, err := s.execute(ctx, id, st, built)
 	s.mu.Lock()
 	crashed, closing := s.crashed, s.closing
 	s.mu.Unlock()
@@ -267,21 +269,27 @@ func (s *Server) runJob(id string, ctx context.Context, cancel context.CancelFun
 	st.close()
 }
 
-// execute runs the search itself: target build, sensitivity profile,
-// journal open (fresh or resumed), unit runner registration with the
-// fleet, then the coordinator. Options mirror fpsearch's defaults so a
-// service job composes the identical final configuration.
-func (s *Server) execute(ctx context.Context, id string, st *stream) (*search.Result, *shadow.Profile, error) {
+// execute runs the search itself: target build (only when built is nil),
+// sensitivity profile, journal open (fresh or resumed), unit runner
+// registration with the fleet, then the coordinator. Options mirror
+// fpsearch's defaults so a service job composes the identical final
+// configuration.
+func (s *Server) execute(ctx context.Context, id string, st *stream, built *jobs.Built) (*search.Result, *shadow.Profile, error) {
 	j, ok := s.store.Get(id)
 	if !ok {
 		return nil, nil, fmt.Errorf("service: no job %s", id)
 	}
-	target, sensTol, err := j.Spec.Build()
-	if err != nil {
-		return nil, nil, err
+	if built == nil {
+		t, tol, err := j.Spec.Build()
+		if err != nil {
+			return nil, nil, err
+		}
+		built = &jobs.Built{Target: t, SensTol: tol}
 	}
+	target := built.Target
 	var sh *shadow.Profile
 	if !j.Spec.NoSens {
+		var err error
 		if sh, err = shadow.Collect(j.Name, target.Module, target.MaxSteps); err != nil {
 			return nil, nil, err
 		}
@@ -328,7 +336,7 @@ func (s *Server) execute(ctx context.Context, id string, st *stream) (*search.Re
 		NoPrune:       j.Spec.NoPrune,
 		NoProve:       j.Spec.NoProve,
 		Shadow:        sh,
-		SensThreshold: sensTol,
+		SensThreshold: built.SensTol,
 		Context:       ctx,
 		Checkpoint:    journal,
 		Units:         handle,

@@ -421,6 +421,50 @@ func TestServiceCancel(t *testing.T) {
 	t.Fatal("cancel never landed")
 }
 
+// TestServiceCancelQueuedLeavesNothing: a job cancelled straight after
+// Submit, before its run goroutine has started work, still ends
+// cancelled, and nothing of it outlives the run goroutine: no cancel
+// func, no queued units, no result or summary.
+func TestServiceCancelQueuedLeavesNothing(t *testing.T) {
+	srv, err := New(Options{Dir: t.TempDir(), Workers: 2, Fleet: fastFleet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	j, err := srv.Submit(jobs.Spec{Kernel: "mg"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Cancel(j.ID); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(time.Minute)
+	for {
+		jj, _ := srv.Store().Get(j.ID)
+		srv.mu.Lock()
+		_, live := srv.cancels[j.ID]
+		srv.mu.Unlock()
+		if jj.State.Terminal() && !live {
+			if jj.State != jobs.StateCancelled {
+				t.Fatalf("job cancelled while queued ended %s (error %q)", jj.State, jj.Error)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job cancelled while queued is still %s (run goroutine live: %v)", jj.State, live)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := srv.Pool().QueueLen(); n != 0 {
+		t.Errorf("cancelled job left %d units queued", n)
+	}
+	for _, path := range []string{srv.Store().ResultPath(j.ID), srv.Store().SummaryPath(j.ID)} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("cancelled job left %s behind (stat: %v)", path, err)
+		}
+	}
+}
+
 // gatedTransport is the pool's in-memory transport whose evaluators
 // hold every unit at a gate, announcing each one as it arrives.
 type gatedTransport struct {

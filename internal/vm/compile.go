@@ -27,15 +27,17 @@ import (
 // The engine is a pure speedup: a compiled run produces a machine
 // byte-identical to the per-step interpreter — same Steps, Cycles,
 // Counts, memory image, outputs and fault kind+PC (the randomized
-// differential suite and the kernel identity tests enforce this). Any
-// per-step observation hook (shadow values, armed injected traps,
-// RunContext cancellation, TrapUnreplaced) routes the run to the
-// instrumented per-step tier instead, so hooks keep exact per-step
-// semantics without costing the fast path anything. Breakpoint stops are
-// the exception: when every stop address begins a basic block they are
-// served from the dispatch loop itself, so the fork-point donor pass —
-// one run with a stop at every replacement slot — executes at compiled
-// speed.
+// differential suite and the kernel identity tests enforce this). The
+// per-step hooks that need every instruction (armed injected traps,
+// TrapUnreplaced) route the run to the instrumented per-step tier
+// instead, so they keep exact per-step semantics without costing the
+// fast path anything. The other hooks stay compiled. Shadow collection
+// runs a second block stream of the same program whose observed
+// instructions call the hook first (shadowStream). RunContext
+// cancellation is polled between blocks. Breakpoint stops, when every
+// stop address begins a basic block, are served from the dispatch loop
+// itself, so the fork-point donor pass — one run with a stop at every
+// replacement slot — executes at compiled speed.
 
 // microOp is one pre-decoded straight-line instruction. It never
 // transfers control; control flow lives in the block terminator.
@@ -272,25 +274,28 @@ func compileProgramWith(lp *Program, ops []microOp, fused []fusedOp, extraLeader
 }
 
 // compiledTier reports whether the next Run may take the compiled fast
-// path: a compiled program is bound and no per-step hook — shadow
-// collection, an armed injected trap, or unreplaced-input trapping —
-// needs per-instruction observation. Breakpoint stops do not force the
-// per-step tier by themselves: runCompiled serves stops whose addresses
-// all begin basic blocks from the block-dispatch loop, and falls back
-// per-step only for a mid-block stop. RunContext cancellation does not
-// force it either — the dispatch loop polls the flag between blocks,
-// and a cancelled run's partial state never feeds a verdict, so the
-// coarser stop granularity is unobservable.
+// path: a compiled program is bound, NoCompile is off, and no per-step
+// hook — an armed injected trap or unreplaced-input trapping — needs
+// per-instruction observation. Three other hooks stay on the compiled
+// tier. Shadow collection runs the program's shadow stream, whose
+// micro-ops call the hook themselves (see shadowStream). runCompiled
+// serves breakpoint stops whose addresses all begin basic blocks from
+// the block-dispatch loop, and falls back per-step only for a mid-block
+// stop. RunContext cancellation is polled between blocks; a cancelled
+// run's partial state never feeds a verdict, so the coarser stop
+// granularity is unobservable.
 func (m *Machine) compiledTier() bool {
 	return !m.NoCompile && m.lp != nil && m.lp.compiled != nil &&
-		m.shadow == nil && m.inject == nil &&
-		!m.TrapUnreplaced
+		m.inject == nil && !m.TrapUnreplaced
 }
 
 // runCompiled executes block to block until HALT, a fault, or budget
 // exhaustion, producing exactly the machine the per-step tier would.
 func (m *Machine) runCompiled(max uint64) error {
 	c := m.lp.compiled
+	if m.shadow != nil {
+		c = m.lp.shadowStream()
+	}
 	// An armed stop set is served at block dispatch when every stop
 	// address that is an instruction begins a block (the incremental
 	// linker makes each slot base a leader for exactly this). The check
@@ -407,6 +412,10 @@ outer:
 				}
 				cur = cur.takenBlk
 			case termCall:
+				if m.shadow != nil {
+					m.pcIdx = cur.start + cur.n - 1
+					m.shadowStep(cur.in)
+				}
 				if err := m.push64(cur.in, cur.ret); err != nil {
 					m.pcIdx = cur.start + cur.n - 1
 					return err

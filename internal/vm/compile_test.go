@@ -71,9 +71,14 @@ func TestCompiledTierSelection(t *testing.T) {
 	m.TrapUnreplaced = false
 
 	m.EnableShadow()
-	if m.compiledTier() {
-		t.Fatal("shadow collection must route to the instrumented tier")
+	if !m.compiledTier() {
+		t.Fatal("shadow collection should select the compiled tier")
 	}
+	m.NoCompile = true
+	if m.compiledTier() {
+		t.Fatal("NoCompile must keep the per-step shadow reachable")
+	}
+	m.NoCompile = false
 
 	um := mach(t, []isa.Instr{isa.I(isa.NOP), isa.I(isa.HALT)})
 	if um.compiledTier() {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"fpmix/internal/isa"
@@ -46,6 +47,81 @@ func FuzzCompiledMatchesStep(f *testing.F) {
 	})
 }
 
+// FuzzShadowCompiledMatchesStep is FuzzCompiledMatchesStep with the
+// shadow pass on, over a wider instruction set: every shadow-observed
+// shape (FP arithmetic, compares and conversions, scalar and packed
+// memory moves, PUSH/POP, PUSHX/POPX and CALL into a subroutine) mixed
+// with the fused opcodes. The compiled shadow stream and the per-step
+// shadow (NoCompile) must leave identical machines and identical shadow
+// state: ShadowRecords, shadow lanes and shadow memory. Step caps from
+// byte 1 expire budgets mid-block.
+func FuzzShadowCompiledMatchesStep(f *testing.F) {
+	f.Add([]byte{3, 0, 40, 0, 0, 8, 0, 0, 42, 9, 8, 43, 8, 0, 58, 0, 0, 9, 8, 0, 54, 0, 1, 68, 0, 0, 7, 0, 0, 62, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		mod, seed, max, ok := decodeFuzz(data, true)
+		if !ok {
+			return
+		}
+		lp, err := Link(mod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(noCompile bool) engineResult {
+			m := lp.NewMachine()
+			m.NoCompile = noCompile
+			m.MaxSteps = max
+			m.TrackDirtyPages()
+			m.EnableShadow()
+			seedFuzzMachine(m, seed)
+			// Nonzero shadow lanes, so a missed hook shows.
+			rnd := rand.New(rand.NewSource(seed))
+			for x := range m.shadow.xmm {
+				m.shadow.xmm[x] = [2]float32{float32(rnd.NormFloat64()), float32(rnd.NormFloat64())}
+			}
+			// Leave room above the stack for the subroutine's POPX.
+			m.GPR[isa.RSP] -= 64
+			return engineResult{m, m.Run()}
+		}
+		a, b := run(false), run(true)
+		diffMachines(t, "compiled vs per-step shadow", a, b)
+		sameDirtyPages(t, "compiled vs per-step shadow", a.m, b.m)
+		sameShadow(t, "compiled vs per-step shadow", a.m, b.m)
+	})
+}
+
+// sameShadow reports any difference between two machines' shadow state:
+// their ShadowRecords, shadow lanes and shadow memory.
+func sameShadow(t *testing.T, label string, a, b *Machine) {
+	t.Helper()
+	if ra, rb := a.ShadowRecords(), b.ShadowRecords(); !reflect.DeepEqual(ra, rb) {
+		t.Errorf("%s: shadow records differ:\n  %+v\n  %+v", label, ra, rb)
+	}
+	// Shadows may be NaN, so lanes and memory compare by bits.
+	for r := range a.shadow.xmm {
+		for l := range a.shadow.xmm[r] {
+			if x, y := a.shadow.xmm[r][l], b.shadow.xmm[r][l]; math.Float32bits(x) != math.Float32bits(y) {
+				t.Errorf("%s: shadow lane xmm%d[%d] differs: %v vs %v", label, r, l, x, y)
+			}
+		}
+	}
+	am, bm := &a.shadow.mem, &b.shadow.mem
+	for addr := uint64(0); addr < uint64(len(a.Mem)); addr += 4 {
+		x, okA := am.get(addr)
+		y, okB := bm.get(addr)
+		if okA != okB || math.Float32bits(x) != math.Float32bits(y) {
+			t.Errorf("%s: shadow memory at %#x differs: %v/%v vs %v/%v", label, addr, x, okA, y, okB)
+		}
+	}
+	for k, x := range am.odd {
+		if y, ok := bm.odd[k]; !ok || math.Float32bits(x) != math.Float32bits(y) {
+			t.Errorf("%s: unaligned shadow memory at %#x differs", label, k)
+		}
+	}
+	if len(am.odd) != len(bm.odd) {
+		t.Errorf("%s: unaligned shadow memory sizes differ: %d vs %d", label, len(am.odd), len(bm.odd))
+	}
+}
+
 // fuzzGPRs are the registers fuzz programs use; the first four double as
 // memory base registers.
 var fuzzGPRs = [8]uint8{isa.R8, isa.R9, isa.RAX, isa.RCX, isa.RDX, isa.RBX, isa.R14, isa.R15}
@@ -56,6 +132,13 @@ const fuzzMemSize = prog.DataBase + 512
 
 // decodeFuzzProgram builds the program, its register seed and step cap.
 func decodeFuzzProgram(data []byte) (mod *prog.Module, seed int64, max uint64, ok bool) {
+	return decodeFuzz(data, false)
+}
+
+// decodeFuzz is decodeFuzzProgram, widened when ext is set: selectors past
+// the first 40 then pick from extFuzzOps, and the module gains a small
+// subroutine that every CALL targets.
+func decodeFuzz(data []byte, ext bool) (mod *prog.Module, seed int64, max uint64, ok bool) {
 	if len(data) < 2 {
 		return nil, 0, 0, false
 	}
@@ -73,6 +156,10 @@ func decodeFuzzProgram(data []byte) (mod *prog.Module, seed int64, max uint64, o
 			mem = isa.MemIdx(fuzzGPRs[(r>>5)&3], fuzzGPRs[v&7], 8, int32(int8(v)))
 		}
 		imm := isa.Imm(int64(int8(v)))
+		if n := byte(40 + len(extFuzzOps)); ext && sel%n >= 40 {
+			instrs = append(instrs, extFuzzOps[sel%n-40](g, x, x2, mem))
+			continue
+		}
 		switch sel % 40 {
 		case 0:
 			instrs = append(instrs, isa.I(isa.LOAD, g, mem))
@@ -130,12 +217,67 @@ func decodeFuzzProgram(data []byte) (mod *prog.Module, seed int64, max uint64, o
 		}
 		binary.LittleEndian.PutUint64(dataSeg[off:], w)
 	}
-	fn := &prog.Func{Name: "main", Instrs: instrs}
-	mod, err := prog.Build("fuzz", []*prog.Func{fn}, dataSeg, fuzzMemSize, "main")
+	funcs := []*prog.Func{{Name: "main", Instrs: instrs}}
+	if ext {
+		// The subroutine pops its return address into xmm3 and pushes it
+		// back before returning, so the shadow of the slot CALL wrote is
+		// observed.
+		funcs = append(funcs, &prog.Func{Name: "sub", Instrs: []isa.Instr{
+			isa.I(isa.POPX, isa.Xmm(3)),
+			isa.I(isa.PUSHX, isa.Xmm(3)),
+			isa.I(isa.MULSD, isa.Xmm(0), isa.Xmm(3)),
+			isa.I(isa.PUSH, isa.Gpr(isa.RAX)),
+			isa.I(isa.POP, isa.Gpr(isa.RCX)),
+			isa.I(isa.RET),
+		}})
+	}
+	mod, err := prog.Build("fuzz", funcs, dataSeg, fuzzMemSize, "main")
 	if err != nil {
 		return nil, 0, 0, false
 	}
+	for i := range instrs {
+		if instrs[i].Op == isa.CALL {
+			instrs[i].A.Imm = int64(funcs[1].Addr)
+		}
+	}
 	return mod, seed, max, true
+}
+
+// extFuzzOps are the extra instruction shapes of the shadow fuzz target:
+// the FP, memory-move, conversion, packed and stack forms the shadow
+// hook observes, beyond the fused opcodes of the base selector set.
+var extFuzzOps = []func(g, x, x2, mem isa.Operand) isa.Instr{
+	func(_, x, _, mem isa.Operand) isa.Instr { return isa.I(isa.MOVSD, mem, x) },
+	func(_, x, x2, _ isa.Operand) isa.Instr { return isa.I(isa.MOVSD, x, x2) },
+	func(_, x, _, mem isa.Operand) isa.Instr { return isa.I(isa.ADDSD, x, mem) },
+	func(_, x, x2, _ isa.Operand) isa.Instr { return isa.I(isa.DIVSD, x, x2) },
+	func(_, x, x2, _ isa.Operand) isa.Instr { return isa.I(isa.SQRTSD, x, x2) },
+	func(_, x, x2, _ isa.Operand) isa.Instr { return isa.I(isa.SINSD, x, x2) },
+	func(_, x, x2, _ isa.Operand) isa.Instr { return isa.I(isa.UCOMISD, x, x2) },
+	func(_, x, _, mem isa.Operand) isa.Instr { return isa.I(isa.UCOMISD, x, mem) },
+	func(_, x, x2, _ isa.Operand) isa.Instr { return isa.I(isa.CVTSD2SS, x, x2) },
+	func(_, x, x2, _ isa.Operand) isa.Instr { return isa.I(isa.CVTSS2SD, x, x2) },
+	func(g, x, _, _ isa.Operand) isa.Instr { return isa.I(isa.CVTSI2SD, x, g) },
+	func(g, x, _, _ isa.Operand) isa.Instr { return isa.I(isa.CVTTSD2SI, g, x) },
+	func(g, x, _, _ isa.Operand) isa.Instr { return isa.I(isa.CVTSI2SS, x, g) },
+	func(_, x, _, mem isa.Operand) isa.Instr { return isa.I(isa.MOVSS, x, mem) },
+	func(_, x, _, mem isa.Operand) isa.Instr { return isa.I(isa.MOVSS, mem, x) },
+	func(_, x, x2, _ isa.Operand) isa.Instr { return isa.I(isa.ADDSS, x, x2) },
+	func(_, x, _, mem isa.Operand) isa.Instr { return isa.I(isa.MOVAPD, x, mem) },
+	func(_, x, _, mem isa.Operand) isa.Instr { return isa.I(isa.MOVAPD, mem, x) },
+	func(_, x, x2, _ isa.Operand) isa.Instr { return isa.I(isa.ADDPD, x, x2) },
+	func(_, x, _, mem isa.Operand) isa.Instr { return isa.I(isa.MULPD, x, mem) },
+	func(_, x, x2, _ isa.Operand) isa.Instr { return isa.I(isa.XORPD, x, x2) },
+	func(_, x, x2, _ isa.Operand) isa.Instr { return isa.I(isa.ANDPD, x, x2) },
+	func(_, x, x2, _ isa.Operand) isa.Instr { return isa.I(isa.MULPS, x, x2) },
+	func(g, x, _, _ isa.Operand) isa.Instr { return isa.I(isa.MOVHQ, x, g) },
+	func(g, _, _, _ isa.Operand) isa.Instr { return isa.I(isa.PUSH, g) },
+	func(g, _, _, _ isa.Operand) isa.Instr { return isa.I(isa.POP, g) },
+	func(_, x, _, _ isa.Operand) isa.Instr { return isa.I(isa.PUSHX, x) },
+	func(_, x, _, _ isa.Operand) isa.Instr { return isa.I(isa.POPX, x) },
+	func(_, _, _, _ isa.Operand) isa.Instr { return isa.I(isa.CALL, isa.Imm(0)) },
+	func(_, x, x2, _ isa.Operand) isa.Instr { return isa.I(isa.ORPD, x, x2) },
+	func(_, x, x2, _ isa.Operand) isa.Instr { return isa.I(isa.SQRTPD, x, x2) },
 }
 
 // seedFuzzMachine sets the register file from seed: base registers into

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"sort"
+	"sync"
 
 	"fpmix/internal/isa"
 	"fpmix/internal/prog"
@@ -34,6 +35,11 @@ type Program struct {
 	// compiled is the direct-threaded block stream Run's fast dispatch
 	// tier executes (see compile.go).
 	compiled *compiled
+	// shadowed is the same block stream with the shadow hook compiled in,
+	// which shadow-enabled machines run instead (see shadowStream). Built
+	// on first use: most programs never run with the shadow on.
+	shadowOnce sync.Once
+	shadowed   *compiled
 }
 
 // Link validates m and builds its linked program.

@@ -3,6 +3,7 @@ package vm
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"fpmix/internal/isa"
 )
@@ -541,6 +542,65 @@ func (m *Machine) shadowStep(in *isa.Instr) {
 		if in.A.Kind == isa.KindXMM {
 			s.xmm[in.A.Reg] = [2]float32{}
 		}
+	}
+}
+
+// shadowObserves reports whether shadowStep acts on op. It lists every
+// opcode of shadowStep's switch; the compiled shadow stream hooks exactly
+// these instructions.
+func shadowObserves(op isa.Op) bool {
+	switch op {
+	case isa.STORE, isa.PUSH, isa.CALL, isa.PUSHX, isa.POPX,
+		isa.MOVSD, isa.MOVSS, isa.MOVAPD, isa.MOVQ, isa.MOVHQ,
+		isa.ANDPD, isa.ORPD, isa.XORPD,
+		isa.ADDSD, isa.SUBSD, isa.MULSD, isa.DIVSD, isa.MINSD, isa.MAXSD,
+		isa.SQRTSD, isa.SINSD, isa.COSSD, isa.EXPSD, isa.LOGSD, isa.UCOMISD,
+		isa.CVTSD2SS, isa.CVTSS2SD, isa.CVTSI2SD, isa.CVTTSD2SI, isa.CVTSI2SS,
+		isa.ADDSS, isa.SUBSS, isa.MULSS, isa.DIVSS, isa.MINSS, isa.MAXSS,
+		isa.SQRTSS, isa.SINSS, isa.COSSS, isa.EXPSS, isa.LOGSS,
+		isa.ADDPD, isa.SUBPD, isa.MULPD, isa.DIVPD, isa.SQRTPD,
+		isa.ADDPS, isa.SUBPS, isa.MULPS, isa.DIVPS, isa.SQRTPS:
+		return true
+	}
+	return false
+}
+
+// shadowStream returns lp's block stream with the shadow hook compiled
+// in, building it on first use. Every micro-op of an instruction
+// shadowStep observes first materializes pcIdx (the hook's records are
+// indexed by it) and runs the hook on the pre-instruction state, exactly
+// as Step does; superinstructions spanning such an instruction are not
+// taken. The CALL terminator's hook runs in runCompiled. Blocks are the
+// same as lp.compiled's — every leader of it is passed on — so block
+// counters, stops and budget hand-offs behave identically.
+func (lp *Program) shadowStream() *compiled {
+	lp.shadowOnce.Do(func() {
+		ops, fused := compileFrag(lp.instrs)
+		for i, op := range ops {
+			if in := &lp.instrs[i]; op != nil && shadowObserves(in.Op) {
+				ops[i] = shadowOp(int32(i), in, op)
+			}
+		}
+		fused = slices.DeleteFunc(fused, func(f fusedOp) bool {
+			return slices.ContainsFunc(lp.instrs[f.at:f.at+f.n], func(in isa.Instr) bool { return shadowObserves(in.Op) })
+		})
+		var leaders []int32
+		for i, l := range lp.compiled.leader {
+			if l {
+				leaders = append(leaders, int32(i))
+			}
+		}
+		lp.shadowed = compileProgramWith(lp, ops, fused, leaders)
+	})
+	return lp.shadowed
+}
+
+// shadowOp wraps instruction i's micro-op with the shadow hook.
+func shadowOp(i int32, in *isa.Instr, op microOp) microOp {
+	return func(m *Machine) error {
+		m.pcIdx = i
+		m.shadowStep(in)
+		return op(m)
 	}
 }
 

@@ -3,6 +3,7 @@ package vm
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"fpmix/internal/isa"
@@ -423,5 +424,47 @@ func TestShadowUnalignedSnapshotRoundTrip(t *testing.T) {
 	m.ShadowInvalidate(uint64(base), 32)
 	if _, ok := snap.shadow.mem.get(even); !ok {
 		t.Error("invalidate after restore reached into the snapshot")
+	}
+}
+
+// TestShadowObservesCoversShadowStep keeps shadowObserves in step with
+// shadowStep: the compiled shadow stream hooks only the opcodes
+// shadowObserves lists, so shadowStep must leave the shadow state alone
+// for every other opcode, in every operand shape.
+func TestShadowObservesCoversShadowStep(t *testing.T) {
+	gpr, xmm := isa.Gpr(isa.RAX), isa.Xmm(1)
+	mem := isa.Mem(isa.RCX, 8)
+	shapes := [][2]isa.Operand{
+		{xmm, isa.Xmm(2)}, {xmm, mem}, {mem, xmm}, {gpr, xmm}, {xmm, gpr},
+		{gpr, isa.Gpr(isa.RDX)}, {gpr, mem}, {mem, gpr}, {gpr, isa.Imm(3)}, {gpr, {}}, {xmm, {}}, {},
+	}
+	setup := func() *Machine {
+		m := mach(t, []isa.Instr{isa.I(isa.NOP), isa.I(isa.HALT)})
+		m.EnableShadow()
+		r := rand.New(rand.NewSource(1))
+		for i := range m.GPR {
+			m.GPR[i] = prog.DataBase + 64
+		}
+		for x := range m.XMM {
+			m.XMM[x] = [2]uint64{math.Float64bits(r.NormFloat64()), math.Float64bits(r.NormFloat64())}
+			m.shadow.xmm[x] = [2]float32{float32(r.NormFloat64()), float32(r.NormFloat64())}
+		}
+		for a := uint64(prog.DataBase); a < prog.DataBase+128; a += 4 {
+			m.shadow.mem.set(a, float32(r.NormFloat64()))
+		}
+		return m
+	}
+	for op := isa.Op(0); op < isa.Op(isa.NumOps); op++ {
+		if shadowObserves(op) {
+			continue
+		}
+		for _, sh := range shapes {
+			in := isa.Instr{Op: op, A: sh[0], B: sh[1]}
+			a, b := setup(), setup()
+			a.shadowStep(&in)
+			if !reflect.DeepEqual(a.shadow, b.shadow) {
+				t.Errorf("shadowStep acts on %s %v, %v, but shadowObserves omits it", op, sh[0].Kind, sh[1].Kind)
+			}
+		}
 	}
 }

@@ -195,8 +195,9 @@ type Machine struct {
 	track *memTrack
 
 	// stops, when non-nil, is the set of breakpoint addresses Run stops
-	// before executing (see stop.go). Like the per-step hooks it routes
-	// execution to the instrumented tier.
+	// before executing (see stop.go). The compiled tier serves stops at
+	// block leaders; a mid-block stop routes execution to the
+	// instrumented tier.
 	stops map[uint64]bool
 }
 
@@ -261,13 +262,14 @@ func (m *Machine) Profile() map[uint64]uint64 {
 // Run executes until HALT, a fault, or the step budget is exhausted.
 //
 // Execution picks one of two dispatch tiers automatically. Machines
-// bound to a linked program with no per-step hook active run on the
-// compiled direct-threaded engine (pre-decoded closures, per-block
-// accounting — see compile.go). Shadow collection, armed injected traps,
-// TrapUnreplaced, or NoCompile route the run to the instrumented
-// per-step interpreter instead, which observes every instruction.
-// RunContext cancellation stays on the compiled tier (the flag is
-// polled between blocks). Both tiers produce byte-identical machines.
+// bound to a linked program run on the compiled direct-threaded engine
+// (pre-decoded closures, per-block accounting — see compile.go). Armed
+// injected traps, TrapUnreplaced, or NoCompile route the run to the
+// instrumented per-step interpreter instead, which observes every
+// instruction. Shadow collection and RunContext cancellation stay on the
+// compiled tier: a shadow run executes the program's shadow stream, and
+// the cancellation flag is polled between blocks. Both tiers produce
+// byte-identical machines and shadow records.
 func (m *Machine) Run() error {
 	max := m.MaxSteps
 	if max == 0 {
