@@ -28,8 +28,8 @@ const cacheSyncBatch = 64
 //
 // The cache is append-only on disk (one atomic O_APPEND line per
 // verdict, fsynced in batches and at Close; a torn final line is
-// skipped on load) and fully mirrored in memory, so lookups never
-// touch the disk.
+// truncated away on load, so the next append starts a fresh line) and
+// fully mirrored in memory, so lookups never touch the disk.
 type Cache struct {
 	mu      sync.Mutex
 	f       *os.File
@@ -38,7 +38,7 @@ type Cache struct {
 }
 
 // OpenCache opens (or creates) the verdict cache at path, loading every
-// complete entry.
+// complete entry and truncating a torn final line.
 func OpenCache(path string) (*Cache, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
@@ -63,11 +63,13 @@ func OpenCache(path string) (*Cache, error) {
 		f.Close()
 		return nil, fmt.Errorf("jobs: %s is not a verdict cache (header %q)", path, strings.TrimSuffix(header, "\n"))
 	}
+	good := int64(len(header)) // offset past the last complete line
 	for {
 		line, err := br.ReadString('\n')
 		if err != nil || !strings.HasSuffix(line, "\n") {
-			break // EOF or torn final append: skip
+			break // EOF or torn final append: truncate it away below
 		}
+		good += int64(len(line))
 		fields := strings.Fields(strings.TrimSuffix(line, "\n"))
 		if len(fields) < 3 || (fields[2] != "pass" && fields[2] != "fail") {
 			continue // unknown line shape: tolerate, future fields may appear
@@ -83,6 +85,10 @@ func OpenCache(path string) (*Cache, error) {
 			}
 		}
 		c.entries[fields[0]+"\x00"+string(key)] = v
+	}
+	if err := f.Truncate(good); err != nil {
+		f.Close()
+		return nil, err
 	}
 	return c, nil
 }

@@ -283,6 +283,48 @@ func TestCachePersistenceAndScoping(t *testing.T) {
 	}
 }
 
+// TestCacheStoreAfterTornTail pins that a torn final line cannot swallow
+// the next verdict: the verdict stored after reopening a torn cache must
+// be found on every later open.
+func TestCacheStoreAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "torn.vc")
+	c, err := OpenCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Scope("scopeA").Store("k1", search.CachedVerdict{Pass: true})
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString("scopeA dead")
+	f.Close()
+
+	c2, err := OpenCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2.Scope("scopeA").Store("k2", search.CachedVerdict{Pass: true, Proved: true})
+	if err := c2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c3, err := OpenCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c3.Close()
+	if c3.Len() != 2 {
+		t.Errorf("reloaded %d entries, want 2", c3.Len())
+	}
+	if v, ok := c3.Scope("scopeA").Lookup("k2"); !ok || !v.Pass || !v.Proved {
+		t.Errorf("verdict stored after the torn tail lost: %+v ok=%v", v, ok)
+	}
+}
+
 func TestCacheConcurrent(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "conc.vc")
 	c, err := OpenCache(path)

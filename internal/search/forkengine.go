@@ -218,7 +218,10 @@ func (e *forkEngine) ensureDonor(eff map[uint64]config.Precision) *donorState {
 	if err != nil {
 		return nil
 	}
-	lp, err := e.il.Assemble(ch)
+	// Only the donor splits blocks at the slot bases: its stops are then
+	// served from the compiled dispatch loop. Siblings run Link's
+	// partition and enter their fork slot mid-block.
+	lp, err := e.il.Assemble(ch, stops...)
 	if err != nil {
 		return nil
 	}

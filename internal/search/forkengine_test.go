@@ -562,3 +562,135 @@ func TestForkFaultPCsAreSourceAddresses(t *testing.T) {
 		check("chaos", out, err, vm.FaultInjected, false)
 	}
 }
+
+// TestForkMidBlockRestoreOnKernels pins mid-block restore on real
+// kernels. Only the donor's assembly splits blocks at the slot bases, so
+// a sibling restored at its fork slot usually enters the compiled stream
+// in the middle of a block. For every site the donor touched, the
+// single-site sibling restored from the donor's snapshot must finish in
+// exactly the machine the same restore reaches on the per-step tier, and
+// in the machine a from-scratch run of the same program reaches. Against
+// the scratch run, steps, cycles and the execution profile compare as
+// the work after the fork slot: the donor's prefix runs its own elided
+// assembly, whose accounting differs from the sibling's by design.
+func TestForkMidBlockRestoreOnKernels(t *testing.T) {
+	names := []string{"sp"}
+	if !testing.Short() {
+		names = append(names, "lu", "bt")
+	}
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			tgt := kernelTarget(t, name)
+			fe, err := newForkEngine(tgt, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := fe.ensureDonor(map[uint64]config.Precision{})
+			if d == nil {
+				t.Fatal("donor pass unavailable")
+			}
+			tested := 0
+			for i := range fe.sites {
+				snap := d.touch[i].snap
+				if snap == nil {
+					continue
+				}
+				tested++
+				ch, err := fe.choices(map[uint64]config.Precision{fe.sites[i].OldAddr: config.Single}, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lp, err := fe.il.Assemble(ch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// run finishes the sibling restored from snap, or from
+				// the entry point when snap is nil, noting where it
+				// reached the fork slot.
+				run := func(snap *vm.Snapshot, noCompile bool) suffixRun {
+					m := &vm.Machine{}
+					m.TrackDirtyPages()
+					if snap == nil {
+						m.ResetTo(lp)
+						m.StopAt(fe.sites[i].Addr)
+					} else if err := m.RestoreTo(lp, snap); err != nil {
+						t.Fatal(err)
+					}
+					m.MaxSteps = tgt.MaxSteps
+					m.NoCompile = noCompile
+					if snap == nil {
+						var st *vm.Stopped
+						if err := m.Run(); !errors.As(err, &st) {
+							t.Fatalf("site %d: scratch run did not reach the fork slot: %v", i, err)
+						}
+						m.ClearStop(st.PC)
+					}
+					r := suffixRun{m: m, steps: m.Steps, cycles: m.Cycles, profile: m.Profile()}
+					r.err = m.Run()
+					return r
+				}
+				fork := run(snap, false)
+				label := fmt.Sprintf("site %d", i)
+				sameSuffix(t, label+" per-step", fork, run(snap, true))
+				sameSuffix(t, label+" scratch", fork, run(nil, false))
+			}
+			if tested == 0 {
+				t.Fatal("donor touched no candidate sites")
+			}
+			t.Logf("%s: %d single-site siblings restored", name, tested)
+		})
+	}
+}
+
+// suffixRun is a finished run with the accounting it had at the fork
+// slot.
+type suffixRun struct {
+	m             *vm.Machine
+	err           error
+	steps, cycles uint64
+	profile       map[uint64]uint64
+}
+
+// sameSuffix reports every difference between two finished runs: error,
+// registers, memory and outputs, and the steps, cycles and per-address
+// execution counts each spent after its fork slot. Two restores of one
+// snapshot share that accounting, so for them this is whole-machine
+// equality.
+func sameSuffix(t *testing.T, label string, a, b suffixRun) {
+	t.Helper()
+	if fmt.Sprint(a.err) != fmt.Sprint(b.err) {
+		t.Errorf("%s: err %v, want %v", label, a.err, b.err)
+	}
+	if a.m.GPR != b.m.GPR {
+		t.Errorf("%s: GPR state diverged", label)
+	}
+	if a.m.XMM != b.m.XMM {
+		t.Errorf("%s: XMM state diverged", label)
+	}
+	if !bytes.Equal(a.m.Mem, b.m.Mem) {
+		t.Errorf("%s: memory diverged", label)
+	}
+	if !reflect.DeepEqual(a.m.Out, b.m.Out) {
+		t.Errorf("%s: outputs diverged", label)
+	}
+	if as, bs := a.m.Steps-a.steps, b.m.Steps-b.steps; as != bs {
+		t.Errorf("%s: suffix steps %d, want %d", label, as, bs)
+	}
+	if ac, bc := a.m.Cycles-a.cycles, b.m.Cycles-b.cycles; ac != bc {
+		t.Errorf("%s: suffix cycles %d, want %d", label, ac, bc)
+	}
+	if !reflect.DeepEqual(profileSince(a), profileSince(b)) {
+		t.Errorf("%s: suffix execution profile diverged", label)
+	}
+}
+
+// profileSince is r's per-address execution counts after its fork slot.
+func profileSince(r suffixRun) map[uint64]uint64 {
+	p := r.m.Profile()
+	for addr, n := range r.profile {
+		if p[addr] -= n; p[addr] == 0 {
+			delete(p, addr)
+		}
+	}
+	return p
+}

@@ -37,7 +37,10 @@ import (
 // cancellation is polled between blocks. Breakpoint stops, when every
 // stop address begins a basic block, are served from the dispatch loop
 // itself, so the fork-point donor pass — one run with a stop at every
-// replacement slot — executes at compiled speed.
+// replacement slot, assembled with each of those slot bases split into a
+// block leader — executes at compiled speed. Every other assembly keeps
+// Link's partition; a forked sibling restored at a slot base inside a
+// block steps to the next leader, like a RET into a block body.
 
 // microOp is one pre-decoded straight-line instruction. It never
 // transfers control; control flow lives in the block terminator.
@@ -147,11 +150,12 @@ func compileProgram(lp *Program) *compiled {
 // leader.
 //
 // extraLeaders lists additional instruction indices to begin basic blocks
-// at. The incremental linker passes every replacement-slot base so that a
-// breakpoint stop at a slot — the donor pass arms one at each — lands on
-// a block boundary and the run stays on the compiled tier (see
-// runCompiled). A few extra block splits cost the steady state nothing
-// but one more dispatch.
+// at. The incremental linker passes the slot bases of the sites its
+// caller splits — only the donor pass, which arms a breakpoint stop at
+// each — so those stops land on block boundaries and the run stays on
+// the compiled tier (see runCompiled). Each extra split costs one more
+// dispatch every time a run crosses it, so every other assembly passes
+// none. The shadow stream passes its program's own leaders.
 func compileProgramWith(lp *Program, ops []microOp, fused []fusedOp, extraLeaders []int32) *compiled {
 	instrs := lp.instrs
 	n := len(instrs)
@@ -297,8 +301,8 @@ func (m *Machine) runCompiled(max uint64) error {
 		c = m.lp.shadowStream()
 	}
 	// An armed stop set is served at block dispatch when every stop
-	// address that is an instruction begins a block (the incremental
-	// linker makes each slot base a leader for exactly this). The check
+	// address that is an instruction begins a block (the donor pass's
+	// assembly splits each stopped slot base for exactly this). The check
 	// runs before the block executes, so the Stopped machine state is
 	// bit-identical to the per-step tier's, which checks before each
 	// instruction. A stop inside a block needs per-instruction

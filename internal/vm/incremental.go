@@ -82,7 +82,7 @@ type ilUnit struct {
 type IncrementalLinker struct {
 	mod        *prog.Module
 	units      []ilUnit
-	sites      int
+	siteUnit   []int32 // unit index of each site
 	entryUnit  int32
 	entryLocal int32
 }
@@ -108,7 +108,7 @@ func NewIncrementalLinker(skeleton *prog.Module, sites []IncrementalSite) (*Incr
 			return nil, fmt.Errorf("vm: incremental link: instruction addresses not strictly increasing at %#x", flat[i].Addr)
 		}
 	}
-	il := &IncrementalLinker{mod: skeleton, sites: len(sites)}
+	il := &IncrementalLinker{mod: skeleton}
 
 	// Carve the flattened stream into segment and site units.
 	pos := 0
@@ -136,6 +136,7 @@ func NewIncrementalLinker(skeleton *prog.Module, sites []IncrementalSite) (*Incr
 			}
 			u.variants[v] = ilFrag{instrs: append([]isa.Instr(nil), seq...)}
 		}
+		il.siteUnit = append(il.siteUnit, int32(len(il.units)))
 		il.units = append(il.units, u)
 		pos = start + n0
 	}
@@ -211,7 +212,7 @@ func NewIncrementalLinker(skeleton *prog.Module, sites []IncrementalSite) (*Incr
 }
 
 // Sites returns the number of replacement sites of the layout.
-func (il *IncrementalLinker) Sites() int { return il.sites }
+func (il *IncrementalLinker) Sites() int { return len(il.siteUnit) }
 
 // Module returns the skeleton module; every assembled Program reports it
 // as its module (same entry, data segment and memory size by
@@ -222,17 +223,22 @@ func (il *IncrementalLinker) Module() *prog.Module { return il.mod }
 // The result behaves exactly like vm.Link of the equivalently instrumented
 // module — same verdicts, outputs and accounting — with the stable slotted
 // address map shared by every assembly.
-func (il *IncrementalLinker) Assemble(choices []int) (*Program, error) {
-	if len(choices) != il.sites {
-		return nil, fmt.Errorf("vm: assemble: %d choices for %d sites", len(choices), il.sites)
+//
+// split names the sites whose slot bases must begin a basic block: a
+// breakpoint stop there is then served from the compiled tier's dispatch
+// loop instead of routing the run per-step. Only a run that arms such
+// stops needs them — the fork-point donor pass arms one at every
+// candidate slot. With no split sites the block partition is Link's over
+// the same flattened stream, so a run crosses each slot without an extra
+// dispatch; a machine restored at a slot base that lies mid-block steps
+// to the next leader, as after a RET into a block body.
+func (il *IncrementalLinker) Assemble(choices []int, split ...int) (*Program, error) {
+	if len(choices) != len(il.siteUnit) {
+		return nil, fmt.Errorf("vm: assemble: %d choices for %d sites", len(choices), len(il.siteUnit))
 	}
-	// Pass 1: pick fragments, lay out unit start indices. Slot bases
-	// become extra block leaders of the compiled stream so a breakpoint
-	// stop at any site (the fork-point donor pass arms one at every
-	// candidate slot) is served from the compiled tier's dispatch loop.
+	// Pass 1: pick fragments, lay out unit start indices.
 	frags := make([]*ilFrag, len(il.units))
 	starts := make([]int32, len(il.units)+1)
-	slotLeaders := make([]int32, 0, il.sites)
 	n, nfused := int32(0), 0
 	for ui := range il.units {
 		u := &il.units[ui]
@@ -243,7 +249,6 @@ func (il *IncrementalLinker) Assemble(choices []int) (*Program, error) {
 				return nil, fmt.Errorf("vm: assemble: site %d has no variant %d", u.site, v)
 			}
 			f = &u.variants[v]
-			slotLeaders = append(slotLeaders, n)
 		}
 		frags[ui] = f
 		starts[ui] = n
@@ -283,6 +288,13 @@ func (il *IncrementalLinker) Assemble(choices []int) (*Program, error) {
 		entry:   starts[il.entryUnit] + il.entryLocal,
 		targets: targets,
 		costs:   costs,
+	}
+	var slotLeaders []int32
+	for _, k := range split {
+		if k < 0 || k >= len(il.siteUnit) {
+			return nil, fmt.Errorf("vm: assemble: split site %d of %d", k, len(il.siteUnit))
+		}
+		slotLeaders = append(slotLeaders, starts[il.siteUnit[k]])
 	}
 	lp.compiled = compileProgramWith(lp, ops, fused, slotLeaders)
 	return lp, nil

@@ -95,12 +95,14 @@ func shapeOf(c *compiled, b *block) blockShape {
 
 // TestIncrementalAssembleAgreesWithLink assembles configurations of
 // stable layouts and links the same flattened instruction streams from
-// scratch. The block partition must be Link's plus the slot bases
-// Assemble adds, block costs must agree, and the fused spans must be
-// exactly those of the flattened stream compiled with the slot bases as
-// extra leaders and superinstructions confined to the assembly's
-// fragments (no fused op spans a fragment boundary). Both programs must
-// also run to identical machines.
+// scratch, in two legs. With no split sites — every assembly but the
+// donor pass's — the block partition must be exactly Link's; with every
+// site split — the donor's shape — it must be Link's plus every slot
+// base. In both legs block costs must agree, and the fused spans must be
+// exactly those of the flattened stream compiled with the split slot
+// bases as extra leaders and superinstructions confined to the
+// assembly's fragments (no fused op spans a fragment boundary). Both
+// programs must also run to identical machines.
 func TestIncrementalAssembleAgreesWithLink(t *testing.T) {
 	mods := map[string]*prog.Module{"loop": fuseLoopProgram(t), "calls": agreementCallProgram(t)}
 	r := rand.New(rand.NewSource(1401))
@@ -109,106 +111,129 @@ func TestIncrementalAssembleAgreesWithLink(t *testing.T) {
 		if len(sites) == 0 {
 			t.Fatalf("%s: no replacement sites", name)
 		}
+		all := everySite(len(sites))
 		for ci, ch := range agreementChoices(sites, r) {
-			label := fmt.Sprintf("%s choices %d", name, ci)
-			lpA, err := il.Assemble(ch)
-			if err != nil {
-				t.Fatal(err)
+			for _, split := range [][]int{nil, all} {
+				label := fmt.Sprintf("%s choices %d split %d", name, ci, len(split))
+				agreeWithLink(t, label, il, sites, ch, split)
 			}
-			lpL, err := linkStream(il.Module(), slices.Clone(lpA.instrs))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(lpA.costs, lpL.costs) || !slices.Equal(lpA.targets, lpL.targets) || lpA.entry != lpL.entry {
-				t.Fatalf("%s: costs, targets or entry differ", label)
-			}
-
-			// Fragment boundaries: every slot's base and end.
-			slot := make([]bool, len(lpA.instrs))
-			var slotLeaders []int32
-			bound := []int{0, len(lpA.instrs)}
-			for k, s := range sites {
-				base, ok := lpL.idxOf(s.Addr)
-				if !ok {
-					t.Fatalf("%s: slot %#x not an instruction", label, s.Addr)
-				}
-				slot[base] = true
-				slotLeaders = append(slotLeaders, base)
-				bound = append(bound, int(base), int(base)+len(s.Variants[ch[k]]))
-			}
-
-			// Partition: Link's leaders plus the slot bases.
-			a, l := lpA.compiled, lpL.compiled
-			for i := range a.leader {
-				if a.leader[i] != (l.leader[i] || slot[i]) {
-					t.Fatalf("%s: instruction %d: assembled leader %v, linked %v, slot base %v",
-						label, i, a.leader[i], l.leader[i], slot[i])
-				}
-			}
-			// Costs: each linked block costs what its assembled pieces do.
-			for bi := range l.blocks {
-				lb := &l.blocks[bi]
-				var sum uint64
-				for i := lb.start; i < lb.start+lb.n; {
-					ab := &a.blocks[a.blockOf[i]]
-					sum += ab.cost
-					i = ab.start + ab.n
-				}
-				if sum != lb.cost {
-					t.Fatalf("%s: linked block at %d costs %d, assembled pieces %d", label, lb.start, lb.cost, sum)
-				}
-			}
-
-			// Fused spans: the reference compiles the flattened stream
-			// with fusion confined to the fragments.
-			slices.Sort(bound)
-			bound = slices.Compact(bound)
-			ops := make([]microOp, len(lpL.instrs))
-			var fused []fusedOp
-			for k := 0; k+1 < len(bound); k++ {
-				fo, ff := compileFrag(lpL.instrs[bound[k]:bound[k+1]])
-				copy(ops[bound[k]:], fo)
-				for _, f := range ff {
-					f.at += int32(bound[k])
-					fused = append(fused, f)
-				}
-			}
-			ref := compileProgramWith(lpL, ops, fused, slotLeaders)
-			if len(ref.blocks) != len(a.blocks) {
-				t.Fatalf("%s: %d assembled blocks, reference %d", label, len(a.blocks), len(ref.blocks))
-			}
-			nfused := 0
-			for bi := range a.blocks {
-				if got, want := shapeOf(a, &a.blocks[bi]), shapeOf(ref, &ref.blocks[bi]); got != want {
-					t.Fatalf("%s: block %d: assembled %+v, reference %+v", label, bi, got, want)
-				}
-				if hasFused(a, &a.blocks[bi]) {
-					nfused++
-				}
-			}
-			if nfused == 0 {
-				t.Errorf("%s: no block holds a superinstruction", label)
-			}
-			// Where a block is the same in Link's own stream and lies in
-			// one fragment, Link fused it identically.
-			for bi := range a.blocks {
-				ab := &a.blocks[bi]
-				lb := &l.blocks[l.blockOf[ab.start]]
-				if lb.start != ab.start || lb.n != ab.n {
-					continue
-				}
-				if i, _ := slices.BinarySearch(bound, int(ab.start)+1); i < len(bound) && bound[i] < int(ab.start+ab.n) {
-					continue
-				}
-				if got, want := fmt.Sprint(bodySpans(a, ab)), fmt.Sprint(bodySpans(l, lb)); got != want {
-					t.Fatalf("%s: block at %d: assembled spans %s, linked %s", label, ab.start, got, want)
-				}
-			}
-
-			ma, ml := lpA.NewMachine(), lpL.NewMachine()
-			diffMachines(t, label, engineResult{ma, ma.Run()}, engineResult{ml, ml.Run()})
 		}
 	}
+}
+
+// everySite lists the indices of n sites: the donor pass's split set
+// when it stops at every slot.
+func everySite(n int) []int {
+	all := make([]int, n)
+	for k := range all {
+		all[k] = k
+	}
+	return all
+}
+
+// agreeWithLink checks one assembly of the agreement test: choices ch
+// with every site of split (nil or all of them) split at its slot base.
+func agreeWithLink(t *testing.T, label string, il *IncrementalLinker, sites []IncrementalSite, ch, split []int) {
+	t.Helper()
+	lpA, err := il.Assemble(ch, split...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lpL, err := linkStream(il.Module(), slices.Clone(lpA.instrs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(lpA.costs, lpL.costs) || !slices.Equal(lpA.targets, lpL.targets) || lpA.entry != lpL.entry {
+		t.Fatalf("%s: costs, targets or entry differ", label)
+	}
+
+	// Fragment boundaries: every slot's base and end. Split slot bases
+	// are extra leaders.
+	slot := make([]bool, len(lpA.instrs))
+	var slotLeaders []int32
+	bound := []int{0, len(lpA.instrs)}
+	for k, s := range sites {
+		base, ok := lpL.idxOf(s.Addr)
+		if !ok {
+			t.Fatalf("%s: slot %#x not an instruction", label, s.Addr)
+		}
+		if split != nil {
+			slot[base] = true
+			slotLeaders = append(slotLeaders, base)
+		}
+		bound = append(bound, int(base), int(base)+len(s.Variants[ch[k]]))
+	}
+
+	// Partition: Link's leaders plus the split slot bases.
+	a, l := lpA.compiled, lpL.compiled
+	for i := range a.leader {
+		if a.leader[i] != (l.leader[i] || slot[i]) {
+			t.Fatalf("%s: instruction %d: assembled leader %v, linked %v, split slot base %v",
+				label, i, a.leader[i], l.leader[i], slot[i])
+		}
+	}
+	// Costs: each linked block costs what its assembled pieces do.
+	for bi := range l.blocks {
+		lb := &l.blocks[bi]
+		var sum uint64
+		for i := lb.start; i < lb.start+lb.n; {
+			ab := &a.blocks[a.blockOf[i]]
+			sum += ab.cost
+			i = ab.start + ab.n
+		}
+		if sum != lb.cost {
+			t.Fatalf("%s: linked block at %d costs %d, assembled pieces %d", label, lb.start, lb.cost, sum)
+		}
+	}
+
+	// Fused spans: the reference compiles the flattened stream with
+	// fusion confined to the fragments.
+	slices.Sort(bound)
+	bound = slices.Compact(bound)
+	ops := make([]microOp, len(lpL.instrs))
+	var fused []fusedOp
+	for k := 0; k+1 < len(bound); k++ {
+		fo, ff := compileFrag(lpL.instrs[bound[k]:bound[k+1]])
+		copy(ops[bound[k]:], fo)
+		for _, f := range ff {
+			f.at += int32(bound[k])
+			fused = append(fused, f)
+		}
+	}
+	ref := compileProgramWith(lpL, ops, fused, slotLeaders)
+	if len(ref.blocks) != len(a.blocks) {
+		t.Fatalf("%s: %d assembled blocks, reference %d", label, len(a.blocks), len(ref.blocks))
+	}
+	nfused := 0
+	for bi := range a.blocks {
+		if got, want := shapeOf(a, &a.blocks[bi]), shapeOf(ref, &ref.blocks[bi]); got != want {
+			t.Fatalf("%s: block %d: assembled %+v, reference %+v", label, bi, got, want)
+		}
+		if hasFused(a, &a.blocks[bi]) {
+			nfused++
+		}
+	}
+	if nfused == 0 {
+		t.Errorf("%s: no block holds a superinstruction", label)
+	}
+	// Where a block is the same in Link's own stream and lies in one
+	// fragment, Link fused it identically.
+	for bi := range a.blocks {
+		ab := &a.blocks[bi]
+		lb := &l.blocks[l.blockOf[ab.start]]
+		if lb.start != ab.start || lb.n != ab.n {
+			continue
+		}
+		if i, _ := slices.BinarySearch(bound, int(ab.start)+1); i < len(bound) && bound[i] < int(ab.start+ab.n) {
+			continue
+		}
+		if got, want := fmt.Sprint(bodySpans(a, ab)), fmt.Sprint(bodySpans(l, lb)); got != want {
+			t.Fatalf("%s: block at %d: assembled spans %s, linked %s", label, ab.start, got, want)
+		}
+	}
+
+	ma, ml := lpA.NewMachine(), lpL.NewMachine()
+	diffMachines(t, label, engineResult{ma, ma.Run()}, engineResult{ml, ml.Run()})
 }
 
 // agreementCallProgram adds calls, returns and data-dependent branches
@@ -239,4 +264,101 @@ func agreementCallProgram(t *testing.T) *prog.Module {
 		t.Fatal(err)
 	}
 	return mod
+}
+
+// blocksDispatched counts the executions of block-leading instructions
+// between two count vectors of one run on lp: the blocks the compiled
+// tier dispatched.
+func blocksDispatched(lp *Program, before, after []uint64) uint64 {
+	var n uint64
+	for i, l := range lp.compiled.leader {
+		if l {
+			n += after[i] - before[i]
+		}
+	}
+	return n
+}
+
+// TestIncrementalUnsplitDispatchesFewerBlocks pins what leaving slot
+// bases unsplit buys: the same choices assembled with every site split
+// (the donor's shape) and with none (every other assembly) run to
+// identical machines, from the entry point and restored from a snapshot
+// at each slot base the run reaches, and the unsplit program dispatches
+// fewer blocks.
+func TestIncrementalUnsplitDispatchesFewerBlocks(t *testing.T) {
+	mods := map[string]*prog.Module{"loop": fuseLoopProgram(t), "calls": agreementCallProgram(t)}
+	r := rand.New(rand.NewSource(2101))
+	for name, mod := range mods {
+		il, sites := stableLinker(t, mod)
+		all := everySite(len(sites))
+		midBlock := 0
+		for ci, ch := range agreementChoices(sites, r) {
+			label := fmt.Sprintf("%s choices %d", name, ci)
+			split, err := il.Assemble(ch, all...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unsplit, err := il.Assemble(ch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// run finishes a machine of lp — from snap, or from the
+			// entry point when snap is nil — and reports the blocks it
+			// dispatched.
+			run := func(lp *Program, snap *Snapshot) (engineResult, uint64) {
+				m := lp.NewMachine()
+				if snap != nil {
+					if err := m.RestoreTo(lp, snap); err != nil {
+						t.Fatal(err)
+					}
+				}
+				before := slices.Clone(m.Counts())
+				err := m.Run()
+				return engineResult{m, err}, blocksDispatched(lp, before, m.Counts())
+			}
+			check := func(label string, snap *Snapshot) {
+				rs, bs := run(split, snap)
+				ru, bu := run(unsplit, snap)
+				diffMachines(t, label, rs, ru)
+				if bu >= bs {
+					t.Errorf("%s: unsplit program dispatched %d blocks, split %d", label, bu, bs)
+				}
+			}
+			check(label+" from entry", nil)
+
+			// Snapshots at every slot base the run reaches, taken on the
+			// split program at its compiled-tier stops.
+			donor := split.NewMachine()
+			for _, s := range sites {
+				donor.StopAt(s.Addr)
+			}
+			stops := 0
+			for {
+				err := donor.Run()
+				if err == nil {
+					break
+				}
+				st, ok := err.(*Stopped)
+				if !ok {
+					t.Fatalf("%s: donor run: %v", label, err)
+				}
+				snap, err := donor.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("%s from slot %#x", label, st.PC), snap)
+				donor.ClearStop(st.PC)
+				if idx, _ := unsplit.idxOf(st.PC); !unsplit.compiled.leader[idx] {
+					midBlock++
+				}
+				stops++
+			}
+			if stops == 0 {
+				t.Fatalf("%s: the run reached no slot base", label)
+			}
+		}
+		if midBlock == 0 {
+			t.Errorf("%s: no snapshot restored the unsplit program mid-block", name)
+		}
+	}
 }

@@ -15,8 +15,9 @@ import "fmt"
 // the address still in the set stops again without progress; remove the
 // address (ClearStop) before resuming past it. A stop set whose addresses
 // all begin basic blocks is served from the compiled tier's dispatch loop
-// (incrementally assembled programs make every replacement slot base a
-// block leader for this); a stop inside a block routes the run to the
+// (IncrementalLinker.Assemble makes the slot bases of the sites it is
+// told to split block leaders for this, and the donor pass names every
+// slot it stops at); a stop inside a block routes the run to the
 // per-step tier, preserving exact semantics either way.
 
 // Stopped is the non-fault error Run returns when execution reaches a
