@@ -70,7 +70,9 @@ func OpenCache(path string) (*Cache, error) {
 			break // EOF or torn final append: truncate it away below
 		}
 		good += int64(len(line))
-		fields := strings.Fields(strings.TrimSuffix(line, "\n"))
+		// Split on the single spaces Store writes, not on runs of
+		// whitespace: an empty key is an empty hex field.
+		fields := strings.Split(strings.TrimSuffix(line, "\n"), " ")
 		if len(fields) < 3 || (fields[2] != "pass" && fields[2] != "fail") {
 			continue // unknown line shape: tolerate, future fields may appear
 		}

@@ -44,11 +44,20 @@ type Client struct {
 	hc   *http.Client
 	net  *faultinject.NetInjector
 
-	mu      sync.Mutex
-	seq     int
-	runners map[string]*cachedRunner // job ID → evaluation stack, see runnerCap
-	leased  map[string]bool          // jobs holding leases as of the last claim
-	tick    uint64                   // runner-use clock for LRU eviction
+	mu       sync.Mutex
+	seq      int
+	runners  map[string]*cachedRunner // job ID → evaluation stack, see runnerCap
+	building map[string]*runnerBuild  // job ID → the build in flight
+	leased   map[string]bool          // jobs holding leases as of the last claim
+	tick     uint64                   // runner-use clock for LRU eviction
+}
+
+// runnerBuild is one job's runner build in flight: the evaluators that
+// arrive meanwhile wait on done instead of building their own.
+type runnerBuild struct {
+	done chan struct{} // closed once r or err is set
+	r    *search.UnitRunner
+	err  error
 }
 
 // cachedRunner is one job's evaluation stack plus its last use.
@@ -78,10 +87,11 @@ const (
 // network chaos on every RPC.
 func NewClient(base string, net *faultinject.NetInjector) *Client {
 	return &Client{
-		base:    base,
-		hc:      &http.Client{},
-		net:     net,
-		runners: make(map[string]*cachedRunner),
+		base:     base,
+		hc:       &http.Client{},
+		net:      net,
+		runners:  make(map[string]*cachedRunner),
+		building: make(map[string]*runnerBuild),
 	}
 }
 
@@ -163,8 +173,9 @@ func (c *Client) Report(ctx context.Context, req ReportRequest) ([]bool, error) 
 // use from the daemon-served spec — the same engine mode and chaos
 // wiring the daemon's own runner uses, so remote verdicts are
 // indistinguishable from local ones. One runner serves all Parallel
-// evaluators of a job; job IDs are stable across daemon restarts and
-// specs are immutable, so a cached runner never goes stale.
+// evaluators of a job, and concurrent first calls share one build; a
+// failed build is not cached. Job IDs are stable across daemon restarts
+// and specs are immutable, so a cached runner never goes stale.
 func (c *Client) Evaluator(ctx context.Context, job string) (Evaluator, error) {
 	c.mu.Lock()
 	if e, ok := c.runners[job]; ok {
@@ -173,7 +184,33 @@ func (c *Client) Evaluator(ctx context.Context, job string) (Evaluator, error) {
 		c.mu.Unlock()
 		return e.r, nil
 	}
+	b, ok := c.building[job]
+	if !ok {
+		b = &runnerBuild{done: make(chan struct{})}
+		c.building[job] = b
+		c.mu.Unlock()
+		b.r, b.err = c.buildRunner(ctx, job)
+		c.mu.Lock()
+		delete(c.building, job)
+		if b.err == nil {
+			c.cacheLocked(job, b.r)
+		}
+		close(b.done)
+	}
 	c.mu.Unlock()
+	select {
+	case <-b.done:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	if b.err != nil {
+		return nil, b.err
+	}
+	return b.r, nil
+}
+
+// buildRunner fetches the job's spec and builds its evaluation stack.
+func (c *Client) buildRunner(ctx context.Context, job string) (*search.UnitRunner, error) {
 	spec, err := c.JobSpec(ctx, job)
 	if err != nil {
 		return nil, err
@@ -186,15 +223,12 @@ func (c *Client) Evaluator(ctx context.Context, job string) (Evaluator, error) {
 	if spec.Chaos != 0 {
 		chaos = faultinject.New(spec.Chaos, faultinject.DefaultRates, 0)
 	}
-	r, err := search.NewUnitRunner(target, search.Options{Context: ctx, Chaos: chaos})
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.runners[job]; ok {
-		return e.r, nil // a concurrent evaluator built it first
-	}
+	return search.NewUnitRunner(target, search.Options{Context: ctx, Chaos: chaos})
+}
+
+// cacheLocked adds a built runner to the cache and evicts past
+// runnerCap; callers hold c.mu.
+func (c *Client) cacheLocked(job string, r *search.UnitRunner) {
 	c.tick++
 	c.runners[job] = &cachedRunner{r: r, used: c.tick}
 	for len(c.runners) > runnerCap {
@@ -209,7 +243,6 @@ func (c *Client) Evaluator(ctx context.Context, job string) (Evaluator, error) {
 		}
 		delete(c.runners, victim)
 	}
-	return r, nil
 }
 
 // JobSpec fetches the spec of the job a lease belongs to, from which

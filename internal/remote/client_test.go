@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -205,5 +206,70 @@ func TestClientRunnerCacheBounded(t *testing.T) {
 	}
 	if _, ok := c.runners[last]; !ok {
 		t.Error("most recently used runner was evicted")
+	}
+}
+
+// TestClientRunnerBuiltOnce: concurrent first evaluators of one job —
+// a worker with Parallel > 1 starting on a new job — share one runner
+// build, so the spec endpoint is fetched exactly once.
+func TestClientRunnerBuiltOnce(t *testing.T) {
+	var specs atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /api/v1/fleet/jobs/{id}/spec", func(w http.ResponseWriter, r *http.Request) {
+		specs.Add(1)
+		time.Sleep(50 * time.Millisecond) // keep the build in flight while the others arrive
+		json.NewEncoder(w).Encode(jobs.Spec{Kernel: "ep"})
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	c := NewClient(ts.URL, nil)
+	const callers = 4
+	evs := make([]Evaluator, callers)
+	var wg sync.WaitGroup
+	for i := range evs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ev, err := c.Evaluator(context.Background(), "j0001")
+			if err != nil {
+				t.Error(err)
+			}
+			evs[i] = ev
+		}()
+	}
+	wg.Wait()
+	if n := specs.Load(); n != 1 {
+		t.Errorf("%d concurrent evaluators fetched the spec %d times, want once", callers, n)
+	}
+	for i, ev := range evs {
+		if ev == nil || ev != evs[0] {
+			t.Errorf("evaluator %d is %v, want the shared runner %v", i, ev, evs[0])
+		}
+	}
+}
+
+// TestClientFailedBuildNotCached: a runner build that fails is retried
+// by the next evaluator instead of replaying the error.
+func TestClientFailedBuildNotCached(t *testing.T) {
+	var specs atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /api/v1/fleet/jobs/{id}/spec", func(w http.ResponseWriter, r *http.Request) {
+		if specs.Add(1) == 1 {
+			http.Error(w, "not yet", http.StatusNotFound)
+			return
+		}
+		json.NewEncoder(w).Encode(jobs.Spec{Kernel: "ep"})
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	c := NewClient(ts.URL, nil)
+	if _, err := c.Evaluator(context.Background(), "j0001"); err == nil {
+		t.Fatal("the first build succeeded against a failing spec endpoint")
+	}
+	if _, err := c.Evaluator(context.Background(), "j0001"); err != nil {
+		t.Fatalf("the build after a failed one: %v", err)
+	}
+	if n := specs.Load(); n != 2 {
+		t.Errorf("spec fetched %d times, want 2", n)
 	}
 }

@@ -131,3 +131,48 @@ func TestCheckpointWriteErrorCountsRecordedOnly(t *testing.T) {
 		}
 	}
 }
+
+// TestFinalUnionCached: the final-union verdict is stored in the shared
+// cache under its own key, apart from every piece key, and a warm search
+// replays it as a memo verdict instead of running the union again.
+func TestFinalUnionCached(t *testing.T) {
+	m := mixedProgram(t)
+	tgt := Target{Module: m, Verify: refVerify(t, m, 1e-10)}
+	cache := &mapCache{m: map[string]CachedVerdict{}}
+	opts := Options{Workers: 1, Cache: cache}
+	cold, err := Run(tgt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finals := 0
+	for key, v := range cache.m {
+		if !strings.HasPrefix(key, "final\x00") {
+			continue
+		}
+		finals++
+		if len(key)%8 == 0 {
+			t.Errorf("final-union key of %d bytes could equal a piece key", len(key))
+		}
+		if v.Pass != cold.FinalPass || v.Proved {
+			t.Errorf("cached final union %+v, want pass=%v unproved", v, cold.FinalPass)
+		}
+	}
+	if finals != 1 {
+		t.Fatalf("%d final-union cache entries, want 1", finals)
+	}
+	warm, err := Run(tgt, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := warm.Evals[len(warm.Evals)-1]
+	if last.Label != "final union" || last.Prov != ProvMemo || last.Pass != cold.FinalPass {
+		t.Errorf("warm final Eval %s %v pass=%v, want final union memo pass=%v", last.Label, last.Prov, last.Pass, cold.FinalPass)
+	}
+	if warm.Tested != 0 || warm.FinalPass != cold.FinalPass || warm.Final.String() != cold.Final.String() {
+		t.Errorf("warm search: tested %d, final pass %v (want 0, %v), final identical %v",
+			warm.Tested, warm.FinalPass, cold.FinalPass, warm.Final.String() == cold.Final.String())
+	}
+	if got, want := warm.Tested+warm.MemoHits+warm.Proved, cold.Tested+cold.MemoHits+cold.Proved; got != want {
+		t.Errorf("warm tested+memo+proved = %d, cold = %d", got, want)
+	}
+}

@@ -135,7 +135,9 @@ type Options struct {
 	// Cache, when non-nil, is a shared cross-search verdict cache
 	// (internal/jobs): consulted after the memo table and checkpoint
 	// journal, before the prover and evaluation; every evaluated or
-	// proved verdict is stored back. Cache-served verdicts replay as
+	// proved verdict is stored back. The final-union verdict goes through
+	// it too, under its own key, so a search whose every verdict is
+	// cached evaluates nothing. Cache-served verdicts replay as
 	// memo/proved provenance and count in Result.CacheHits.
 	Cache VerdictCache
 	// Observe, when non-nil, is called with every Eval record as it is
@@ -310,7 +312,7 @@ type Result struct {
 	// Candidates is |Pd|, the number of replaceable instructions.
 	Candidates int
 	// Tested is the number of configurations evaluated (including the
-	// final union run).
+	// final union run, unless the verdict cache served it).
 	Tested int
 	// MemoHits is the number of queued configurations whose address set
 	// had already been evaluated and whose verdict was replayed from the
@@ -321,7 +323,8 @@ type Result struct {
 	// CacheHits is the number of verdicts served by the shared
 	// cross-search verdict cache (Options.Cache) instead of evaluation —
 	// work inherited from prior jobs over the same image, replayed as
-	// memo/proved provenance.
+	// memo/proved provenance. The final-union verdict counts here too
+	// when the cache serves it, so a resubmitted job reports Tested 0.
 	CacheHits int
 	// PrunedCandidates is the number of candidate instructions the
 	// static analyses pre-decided: exact-integer sinks found by the
@@ -812,7 +815,12 @@ func Run(t Target, opts Options) (*Result, error) {
 	// injected fault there is recovered like any other evaluation. It
 	// carries just the single-flagged addresses: absent entries
 	// instrument as double exactly like explicit ones. Its verdict is
-	// never journaled: a resumed search re-checks composition.
+	// never journaled (a resumed search re-checks composition), but it
+	// goes through the shared cache under its own key: "final\x00" plus
+	// the address-set key, whose length is never the multiple of 8 every
+	// piece key is, so a union and a piece over the same addresses keep
+	// apart. A job whose pieces all replay from the cache therefore runs
+	// nothing at all.
 	var singles []uint64
 	for a, p := range eff {
 		if p == config.Single {
@@ -820,6 +828,17 @@ func Run(t Target, opts Options) (*Result, error) {
 		}
 	}
 	sort.Slice(singles, func(i, j int) bool { return singles[i] < singles[j] })
+	var finalKey string
+	if opts.Cache != nil {
+		finalKey = "final\x00" + addrKey(singles)
+		if cv, ok := opts.Cache.Lookup(finalKey); ok {
+			res.CacheHits++
+			res.MemoHits++
+			res.addEval(opts.Observe, evalOf("final union", config.KindModule, final.CountSingle(), ProvMemo, Verdict{Pass: cv.Pass}))
+			res.FinalPass = cv.Pass
+			return res, nil
+		}
+	}
 	fv, err := evaluate(newEvalUnit("final union", "final union", config.KindModule, singles, true))
 	if err != nil {
 		return fail(err)
@@ -827,6 +846,9 @@ func Run(t Target, opts Options) (*Result, error) {
 	if fv.Interrupted {
 		res.Interrupted = true
 		return res, nil
+	}
+	if opts.Cache != nil {
+		opts.Cache.Store(finalKey, CachedVerdict{Pass: fv.Pass})
 	}
 	res.tally("final union", fv)
 	res.addEval(opts.Observe, evalOf("final union", config.KindModule, final.CountSingle(), ProvEvaluated, fv))

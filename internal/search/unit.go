@@ -104,7 +104,8 @@ type UnitEvaluator interface {
 // verifier + step budget, so a cached verdict is only ever replayed
 // into a search it is valid for). The search consults it after its own
 // memo table and checkpoint journal and stores every evaluated or
-// proved verdict back.
+// proved verdict back; the final-union verdict is keyed "final\x00"
+// plus its address-set key, apart from every piece key.
 type VerdictCache interface {
 	Lookup(key string) (CachedVerdict, bool)
 	Store(key string, v CachedVerdict)

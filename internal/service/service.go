@@ -15,8 +15,10 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"fpmix/internal/dataflow"
 	"fpmix/internal/faultinject"
 	"fpmix/internal/fleet"
 	"fpmix/internal/jobs"
@@ -62,6 +64,32 @@ type Server struct {
 
 	stopLocal context.CancelFunc // ends the local workers
 	locals    sync.WaitGroup
+
+	imgMu  sync.Mutex
+	images map[string]*imageMemo // Job.Image → its analyses, see imageMemoCap
+}
+
+// imageMemoCap bounds the per-image memo; past it the memo resets
+// (losing an entry costs one shadow pass and one dataflow analysis on
+// the image's next job, never correctness).
+const imageMemoCap = 32
+
+// imageMemo holds one image's analyses: a deterministic function of the
+// module and step budget the image fingerprint fixes, so every job over
+// the image reuses them, read-only. Each is computed on first use.
+type imageMemo struct {
+	shOnce sync.Once
+	sh     *shadow.Profile
+	shErr  error
+
+	dfOnce sync.Once
+	df     *dataflow.Result // nil when the analysis failed
+}
+
+// work counts the expensive per-job steps execute takes, so tests can
+// pin what a warm job skips.
+var work struct {
+	runnerBuilds, shadowCollects, dataflowRuns atomic.Int64
 }
 
 // New opens (or recovers) a server over opts.Dir: jobs a previous
@@ -89,6 +117,7 @@ func New(opts Options) (*Server, error) {
 		cancels:   make(map[string]context.CancelFunc),
 		streams:   make(map[string]*stream),
 		stopLocal: stopLocal,
+		images:    make(map[string]*imageMemo),
 	}
 	for i := 0; i < opts.Workers; i++ {
 		s.locals.Add(1)
@@ -270,10 +299,10 @@ func (s *Server) runJob(id string, ctx context.Context, cancel context.CancelFun
 }
 
 // execute runs the search itself: target build (only when built is nil),
-// sensitivity profile, journal open (fresh or resumed), unit runner
-// registration with the fleet, then the coordinator. Options mirror
-// fpsearch's defaults so a service job composes the identical final
-// configuration.
+// the image's sensitivity profile and dataflow result (from the image
+// memo), journal open (fresh or resumed), unit runner registration with
+// the fleet, then the coordinator. Options mirror fpsearch's defaults so
+// a service job composes the identical final configuration.
 func (s *Server) execute(ctx context.Context, id string, st *stream, built *jobs.Built) (*search.Result, *shadow.Profile, error) {
 	j, ok := s.store.Get(id)
 	if !ok {
@@ -287,13 +316,23 @@ func (s *Server) execute(ctx context.Context, id string, st *stream, built *jobs
 		built = &jobs.Built{Target: t, SensTol: tol}
 	}
 	target := built.Target
+	img := s.memoFor(j.Image)
 	var sh *shadow.Profile
 	if !j.Spec.NoSens {
-		var err error
-		if sh, err = shadow.Collect(j.Name, target.Module, target.MaxSteps); err != nil {
-			return nil, nil, err
+		img.shOnce.Do(func() {
+			work.shadowCollects.Add(1)
+			img.sh, img.shErr = shadow.Collect(j.Name, target.Module, target.MaxSteps)
+		})
+		if img.shErr != nil {
+			return nil, nil, img.shErr
 		}
+		sh = img.sh
 	}
+	img.dfOnce.Do(func() {
+		work.dataflowRuns.Add(1)
+		img.df, _ = dataflow.Analyze(target.Module) // a failure leaves search and instrumenter to fall back
+	})
+	target.InstOpts.Analysis = img.df
 	journal, resumed, err := s.store.OpenJournal(id, j.Fingerprint())
 	if err != nil {
 		return nil, nil, err
@@ -311,13 +350,10 @@ func (s *Server) execute(ctx context.Context, id string, st *stream, built *jobs
 	if j.Spec.Chaos != 0 {
 		chaos = faultinject.New(j.Spec.Chaos, faultinject.DefaultRates, 0)
 	}
-	runner, err := search.NewUnitRunner(target, search.Options{
-		Context: ctx,
-		Chaos:   chaos,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
+	runner := &lazyRunner{build: func() (*search.UnitRunner, error) {
+		work.runnerBuilds.Add(1)
+		return search.NewUnitRunner(target, search.Options{Context: ctx, Chaos: chaos})
+	}}
 	handle := s.pool.Register(ctx, id, runner)
 	inflight := s.opts.Workers
 	if inflight <= 0 {
@@ -347,6 +383,42 @@ func (s *Server) execute(ctx context.Context, id string, st *stream, built *jobs
 		return nil, nil, err
 	}
 	return res, sh, nil
+}
+
+// memoFor returns the memo entry of an image fingerprint, creating it
+// (and resetting a full memo) on a miss.
+func (s *Server) memoFor(image string) *imageMemo {
+	s.imgMu.Lock()
+	defer s.imgMu.Unlock()
+	m, ok := s.images[image]
+	if !ok {
+		if len(s.images) >= imageMemoCap {
+			s.images = make(map[string]*imageMemo)
+		}
+		m = &imageMemo{}
+		s.images[image] = m
+	}
+	return m
+}
+
+// lazyRunner is the evaluator execute registers for a job: it builds the
+// job's UnitRunner (precompile, stable layout; the donor pass follows
+// on the first unit) on its first evaluation, so a job whose verdicts
+// the cache serves, or whose units all run on remote workers with their
+// own runners, never builds one.
+type lazyRunner struct {
+	build func() (*search.UnitRunner, error)
+	once  sync.Once
+	r     *search.UnitRunner
+	err   error
+}
+
+func (l *lazyRunner) Evaluate(u search.EvalUnit) (search.Verdict, error) {
+	l.once.Do(func() { l.r, l.err = l.build() })
+	if l.err != nil {
+		return search.Verdict{}, l.err
+	}
+	return l.r.Evaluate(u)
 }
 
 // writeArtifacts persists a finished job's final configuration (in the

@@ -381,14 +381,102 @@ func TestServiceCrossJobDedup(t *testing.T) {
 	if sum2.CacheHits < 1 {
 		t.Errorf("second identical job reports %d cache hits, want ≥1", sum2.CacheHits)
 	}
-	if sum2.Tested >= sum1.Tested {
-		t.Errorf("dedup saved nothing: %d evaluations vs %d on the first run", sum2.Tested, sum1.Tested)
+	if sum2.Tested != 0 {
+		t.Errorf("second identical job evaluated %d configurations (first: %d), want 0", sum2.Tested, sum1.Tested)
 	}
 	if sum2.Provenance["memo"]+sum2.Provenance["proved"] < 1 {
 		t.Errorf("no cache-served provenance in %v", sum2.Provenance)
 	}
-	if stripNotes(resultOf(t, srv, j1.ID)) != stripNotes(resultOf(t, srv, j2.ID)) {
-		t.Error("cache-served job composed a different final")
+	if resultOf(t, srv, j1.ID) != resultOf(t, srv, j2.ID) {
+		t.Error("cache-served job wrote a different result file")
+	}
+}
+
+// workCounts snapshots the package's per-job work counters.
+func workCounts() [3]int64 {
+	return [3]int64{work.runnerBuilds.Load(), work.shadowCollects.Load(), work.dataflowRuns.Load()}
+}
+
+// TestServiceWarmJobSkipsWork: a job whose every verdict the cache
+// serves builds no unit runner and re-runs neither the shadow pass nor
+// the dataflow analysis of its image; a cold job does each once.
+func TestServiceWarmJobSkipsWork(t *testing.T) {
+	srv, err := New(Options{Dir: t.TempDir(), Workers: 2, Fleet: fastFleet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	run := func() [3]int64 {
+		before := workCounts()
+		j, err := srv.Submit(jobs.Spec{Kernel: "ep"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, srv, j.ID, jobs.StateDone)
+		after := workCounts()
+		return [3]int64{after[0] - before[0], after[1] - before[1], after[2] - before[2]}
+	}
+	if got, want := run(), [3]int64{1, 1, 1}; got != want {
+		t.Errorf("cold job: runner builds/shadow passes/dataflow analyses = %v, want %v", got, want)
+	}
+	if got := run(); got != [3]int64{} {
+		t.Errorf("warm job: runner builds/shadow passes/dataflow analyses = %v, want none", got)
+	}
+}
+
+// TestServiceWarmJobsConcurrent: two warm jobs of one image running at
+// once share the image's memoized analyses (read-only; -race checks it)
+// and both write the cold job's result file byte for byte.
+func TestServiceWarmJobsConcurrent(t *testing.T) {
+	srv, err := New(Options{Dir: t.TempDir(), Workers: 2, Fleet: fastFleet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cold, err := srv.Submit(jobs.Spec{Kernel: "ep"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, srv, cold.ID, jobs.StateDone)
+	want := resultOf(t, srv, cold.ID)
+	var warm [2]jobs.Job
+	for i := range warm {
+		if warm[i], err = srv.Submit(jobs.Spec{Kernel: "ep"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, j := range warm {
+		waitState(t, srv, j.ID, jobs.StateDone)
+		sum, err := srv.Summary(j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Tested != 0 {
+			t.Errorf("warm job %s evaluated %d configurations, want 0", j.ID, sum.Tested)
+		}
+		if resultOf(t, srv, j.ID) != want {
+			t.Errorf("warm job %s wrote a different result file", j.ID)
+		}
+	}
+}
+
+// TestImageMemoBounded: the per-image memo never holds more than
+// imageMemoCap entries, returns the same entry for one image and a
+// fresh one for another.
+func TestImageMemoBounded(t *testing.T) {
+	s := &Server{images: make(map[string]*imageMemo)}
+	first := s.memoFor("a")
+	if s.memoFor("a") != first {
+		t.Error("the same image missed the memo")
+	}
+	if s.memoFor("b") == first {
+		t.Error("a different image hit another image's entry")
+	}
+	for i := 0; i < 3*imageMemoCap; i++ {
+		s.memoFor(fmt.Sprintf("img%d", i))
+		if n := len(s.images); n > imageMemoCap {
+			t.Fatalf("memo holds %d images after %d lookups, want at most %d", n, i+3, imageMemoCap)
+		}
 	}
 }
 
