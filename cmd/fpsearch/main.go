@@ -61,7 +61,7 @@ func main() {
 	noPrune := flag.Bool("noprune", false, "disable static candidate pruning (dataflow unsafe sinks, zero-weight pieces)")
 	noProve := flag.Bool("noprove", false, "disable the static error-bound prover (every verdict comes from evaluation)")
 	noSens := flag.Bool("nosens", false, "disable sensitivity guidance (shadow-value ordering and prediction gating)")
-	shadowIn := flag.String("shadow", "", "load a saved sensitivity profile instead of collecting one")
+	shadowIn := flag.String("shadow", "", "load a saved sensitivity profile of this bench and class instead of collecting one (the search then makes its own profiling run)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the search here")
 	compose := flag.Bool("compose", false, "run the second search phase when the union fails (§3.1)")
 	verbose := flag.Bool("v", false, "list every passing piece")
@@ -126,6 +126,11 @@ func main() {
 			f.Close()
 			if err != nil {
 				fatal(err)
+			}
+			// A profile of another program would guide this search by
+			// that program's errors at unrelated addresses.
+			if want := *bench + "." + *class; sh.Name != want {
+				fatal(fmt.Errorf("-shadow %s is a profile of %s, not %s", *shadowIn, sh.Name, want))
 			}
 		} else if sh, err = shadow.Collect(*bench+"."+*class, b.Module, b.MaxSteps); err != nil {
 			fatal(err)

@@ -185,11 +185,46 @@ func (sp Spec) Name() string {
 	return "image:" + hex.EncodeToString(sum[:4])
 }
 
+// BuildKey names everything Build's result depends on: the kernel and
+// class, or the image bytes, the verifier and the step budget. Specs
+// with one key build the same target; the search-shape options do not
+// enter. The spec must be valid.
+func (sp Spec) BuildKey() string {
+	sp = sp.withDefaults()
+	if sp.Kernel != "" {
+		return "kernel:" + sp.Kernel + "." + sp.Class
+	}
+	return fmt.Sprintf("image:%x|verify=%s:%g|maxsteps=%d",
+		sha256.Sum256(sp.Image), sp.Verifier.Mode, sp.Verifier.Tol, sp.MaxSteps)
+}
+
 // Built is a spec's built search target with the verifier tolerance the
-// sensitivity gate compares against, as Spec.Build returns them.
+// sensitivity gate compares against, and the image digest that scopes
+// its verdicts (the fingerprint's Image field).
 type Built struct {
 	Target  search.Target
 	SensTol float64
+	Image   string
+}
+
+// Built builds the spec's target, resolves its base configuration and
+// digests its image: everything the jobs over the spec can share, and
+// what Store.CreateBuilt records a job from.
+func (sp Spec) Built() (Built, error) {
+	t, tol, err := sp.Build()
+	if err != nil {
+		return Built{}, err
+	}
+	if t.Base == nil {
+		if t.Base, err = config.FromModule(t.Module); err != nil {
+			return Built{}, err
+		}
+	}
+	img, err := sp.imageDigest(t.Module)
+	if err != nil {
+		return Built{}, err
+	}
+	return Built{Target: t, SensTol: tol, Image: img}, nil
 }
 
 // Build constructs the search target the spec describes, together with
@@ -260,10 +295,20 @@ func (sp Spec) Kind() config.Kind {
 // evaluation is the only cached engine) and stays so that journals
 // written while it was a switch still resume.
 func (sp Spec) Fingerprint(m *prog.Module) (search.Fingerprint, error) {
+	img, err := sp.imageDigest(m)
+	if err != nil {
+		return search.Fingerprint{}, err
+	}
+	return search.Fingerprint{Image: img, Options: sp.options()}, nil
+}
+
+// imageDigest is the fingerprint's Image field for the spec's built
+// module m.
+func (sp Spec) imageDigest(m *prog.Module) (string, error) {
 	sp = sp.withDefaults()
 	img, err := search.ModuleFingerprint(m)
 	if err != nil {
-		return search.Fingerprint{}, err
+		return "", err
 	}
 	h := sha256.New()
 	io.WriteString(h, img)
@@ -272,9 +317,12 @@ func (sp Spec) Fingerprint(m *prog.Module) (search.Fingerprint, error) {
 	} else {
 		fmt.Fprintf(h, "|verify=%s:%g|maxsteps=%d", sp.Verifier.Mode, sp.Verifier.Tol, sp.MaxSteps)
 	}
-	return search.Fingerprint{
-		Image: hex.EncodeToString(h.Sum(nil)),
-		Options: fmt.Sprintf("%s gran=%s sens=%t prune=%t prove=%t fork=true chaos=%d",
-			sp.Name(), sp.Granularity, !sp.NoSens, !sp.NoPrune, !sp.NoProve, sp.Chaos),
-	}, nil
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// options is the fingerprint's Options field: the search shape.
+func (sp Spec) options() string {
+	sp = sp.withDefaults()
+	return fmt.Sprintf("%s gran=%s sens=%t prune=%t prove=%t fork=true chaos=%d",
+		sp.Name(), sp.Granularity, !sp.NoSens, !sp.NoPrune, !sp.NoProve, sp.Chaos)
 }

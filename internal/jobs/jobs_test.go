@@ -156,6 +156,61 @@ func TestSpecFingerprintScoping(t *testing.T) {
 	}
 }
 
+// TestSpecBuildKey: specs that build the same target share a key
+// whatever their search shape; a different class, image, verifier or
+// step budget is a different key. A prebuilt target is recorded under
+// the same image digest a fresh build would give, with its base
+// configuration resolved.
+func TestSpecBuildKey(t *testing.T) {
+	img := testImage(t)
+	rel := Spec{Image: img, Verifier: &VerifierSpec{Mode: "rel", Tol: 1e-6}}
+	same := [][2]Spec{
+		{{Kernel: "ep"}, {Kernel: "ep", Class: "W", NoSens: true, Granularity: "func", Chaos: 7}},
+		{rel, {Image: img, Verifier: &VerifierSpec{Mode: "rel", Tol: 1e-6}, NoProve: true}},
+	}
+	for _, p := range same {
+		if p[0].BuildKey() != p[1].BuildKey() {
+			t.Errorf("%q and %q differ", p[0].BuildKey(), p[1].BuildKey())
+		}
+	}
+	distinct := []Spec{
+		{Kernel: "ep"}, {Kernel: "ep", Class: "A"}, {Kernel: "mg"}, rel,
+		{Image: img, Verifier: &VerifierSpec{Mode: "rel", Tol: 1e-7}},
+		{Image: img, Verifier: &VerifierSpec{Mode: "bitexact"}},
+		{Image: img, Verifier: &VerifierSpec{Mode: "rel", Tol: 1e-6}, MaxSteps: 1 << 30},
+	}
+	seen := map[string]int{}
+	for i, sp := range distinct {
+		if j, ok := seen[sp.BuildKey()]; ok {
+			t.Errorf("specs %d and %d share key %q", j, i, sp.BuildKey())
+		}
+		seen[sp.BuildKey()] = i
+	}
+
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := rel.Built()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Target.Base == nil {
+		t.Error("built target has no base configuration")
+	}
+	fresh, err := st.Create(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, err := st.CreateBuilt(rel, &b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pre.Fingerprint() != fresh.Fingerprint() {
+		t.Errorf("prebuilt job fingerprints as %+v, a fresh build as %+v", pre.Fingerprint(), fresh.Fingerprint())
+	}
+}
+
 func TestStoreLifecycleAndRecovery(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)

@@ -120,25 +120,23 @@ func (s *Store) Recovered() []string {
 // state queued. The fingerprint is recorded immediately so restarts can
 // validate the journal without rebuilding the target.
 func (s *Store) Create(spec Spec) (Job, error) {
-	j, _, err := s.CreateBuilt(spec)
-	return j, err
+	return s.CreateBuilt(spec, nil)
 }
 
-// CreateBuilt is Create that also hands back the target it built to
-// fingerprint the job, so the caller can run the job without building
-// it a second time.
-func (s *Store) CreateBuilt(spec Spec) (Job, Built, error) {
+// CreateBuilt is Create over a target the caller already built from
+// the spec (Spec.Built), whose image digest it records instead of
+// building and hashing the target again; nil builds it here.
+func (s *Store) CreateBuilt(spec Spec, b *Built) (Job, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
-		return Job{}, Built{}, err
+		return Job{}, err
 	}
-	t, sensTol, err := spec.Build()
-	if err != nil {
-		return Job{}, Built{}, err
-	}
-	fp, err := spec.Fingerprint(t.Module)
-	if err != nil {
-		return Job{}, Built{}, err
+	if b == nil {
+		built, err := spec.Built()
+		if err != nil {
+			return Job{}, err
+		}
+		b = &built
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -148,18 +146,18 @@ func (s *Store) CreateBuilt(spec Spec) (Job, Built, error) {
 		Name:    spec.Name(),
 		Spec:    spec,
 		State:   StateQueued,
-		Image:   fp.Image,
-		Options: fp.Options,
+		Image:   b.Image,
+		Options: spec.options(),
 		Created: time.Now().UTC(),
 	}
 	if err := os.MkdirAll(filepath.Join(s.dir, j.ID), 0o755); err != nil {
-		return Job{}, Built{}, err
+		return Job{}, err
 	}
 	if err := s.persist(j); err != nil {
-		return Job{}, Built{}, err
+		return Job{}, err
 	}
 	s.jobs[j.ID] = j
-	return *j, Built{Target: t, SensTol: sensTol}, nil
+	return *j, nil
 }
 
 // Get returns a copy of the job.

@@ -1,12 +1,15 @@
 package search
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"time"
 
+	"fpmix/internal/config"
 	"fpmix/internal/faultinject"
 	"fpmix/internal/kernels"
+	"fpmix/internal/shadow"
 	"fpmix/internal/vm"
 )
 
@@ -90,7 +93,7 @@ func TestProfileRunMatchesInterpreter(t *testing.T) {
 	for _, name := range kernels.Names() {
 		t.Run(name, func(t *testing.T) {
 			tgt := kernelTarget(t, name)
-			got, err := profileRun(tgt)
+			got, _, err := profileRun(tgt, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,6 +107,85 @@ func TestProfileRunMatchesInterpreter(t *testing.T) {
 			}
 			if want := m.Profile(); !reflect.DeepEqual(got, want) {
 				t.Errorf("compiled profile differs from the interpreter's (%d vs %d addresses)", len(got), len(want))
+			}
+		})
+	}
+}
+
+// TestShadowBaselineMatchesProfileRun: the shadow pass doubles as the
+// profiling run, so on every class-W search kernel the counts it keeps
+// must equal profileRun's and its outputs must pass the kernel's
+// verification. On the short searches, a search given the live profile
+// (no profiling run of its own) and one given the same profile read
+// back from the text format (which carries no baseline, so Run
+// profiles) must agree.
+func TestShadowBaselineMatchesProfileRun(t *testing.T) {
+	// The two searches per kernel are the slow part, so lu, bt and sp
+	// (the long searches) check only the baseline.
+	searched := map[string]bool{"ep": true, "mg": true, "ft": !testing.Short(), "cg": !testing.Short()}
+	for _, name := range []string{"ep", "ft", "cg", "mg", "lu", "bt", "sp"} {
+		t.Run(name, func(t *testing.T) {
+			b, err := kernels.Get(name, kernels.ClassW)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tgt := Target{Module: b.Module, Verify: b.Verify, MaxSteps: b.MaxSteps, Base: b.Base}
+			live, err := shadow.Collect(name+".W", b.Module, b.MaxSteps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts, out, ok := live.Baseline(b.Module, b.MaxSteps)
+			if !ok {
+				t.Fatal("a live profile carries no baseline for its own module")
+			}
+			want, ran, err := profileRun(tgt, nil)
+			if err != nil || ran != 1 {
+				t.Fatalf("profileRun: %d runs, %v", ran, err)
+			}
+			if !reflect.DeepEqual(counts, want) {
+				t.Errorf("shadow baseline counts differ from the profiling run's (%d vs %d addresses)", len(counts), len(want))
+			}
+			if !b.Verify(out) {
+				t.Error("shadow baseline outputs fail the kernel's verification")
+			}
+			if _, _, ok := live.Baseline(b.Module, b.MaxSteps+1); ok {
+				t.Error("baseline served for another step budget")
+			}
+			if !searched[name] {
+				return
+			}
+			var buf bytes.Buffer
+			if err := shadow.Write(&buf, live); err != nil {
+				t.Fatal(err)
+			}
+			read, err := shadow.Read(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{Workers: 2, Granularity: config.KindInsn, BinarySplit: true, Prioritize: true,
+				SensThreshold: b.SensTol}
+			run := func(sh *shadow.Profile) *Result {
+				o := opts
+				o.Shadow = sh
+				res, err := Run(tgt, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			a, r := run(live), run(read)
+			if a.ProfileRuns != 0 || r.ProfileRuns != 1 {
+				t.Errorf("profiling runs: live %d, read %d; want 0, 1", a.ProfileRuns, r.ProfileRuns)
+			}
+			if a.Final.String() != r.Final.String() {
+				t.Error("finals differ between the live and the read profile")
+			}
+			if a.Tested != r.Tested || a.MemoHits != r.MemoHits || a.Stats != r.Stats {
+				t.Errorf("live: tested %d memo %d stats %+v; read: tested %d memo %d stats %+v",
+					a.Tested, a.MemoHits, a.Stats, r.Tested, r.MemoHits, r.Stats)
+			}
+			if !reflect.DeepEqual(a.Profile, r.Profile) {
+				t.Error("Result.Profile differs between the live and the read profile")
 			}
 		})
 	}

@@ -374,7 +374,13 @@ type Result struct {
 	// Stats carries the static/dynamic replacement percentages of Final.
 	Stats replace.Stats
 	// Profile is the uninstrumented execution profile used for weighting.
+	// It may be the shadow profile's baseline map, shared with every
+	// other search given that profile: read-only.
 	Profile map[uint64]uint64
+	// ProfileRuns counts the uninstrumented runs Run made to take that
+	// profile: 0 when Options.Shadow carried its collection run's
+	// baseline, else 1.
+	ProfileRuns int
 }
 
 // Run executes the breadth-first search.
@@ -403,8 +409,8 @@ func Run(t Target, opts Options) (*Result, error) {
 	}
 
 	// Profiling run (uninstrumented) for prioritization weights and
-	// dynamic statistics.
-	profile, err := profileRun(t)
+	// dynamic statistics: the shadow pass's own when it carries one.
+	profile, ran, err := profileRun(t, opts.Shadow)
 	if err != nil {
 		return nil, fmt.Errorf("search: profiling run failed: %w", err)
 	}
@@ -488,7 +494,7 @@ func Run(t Target, opts Options) (*Result, error) {
 		evaluate = runner.Evaluate
 	}
 
-	res := &Result{Profile: profile, Unsafe: unsafeAddrs}
+	res := &Result{Profile: profile, ProfileRuns: ran, Unsafe: unsafeAddrs}
 	res.PrunedCandidates = len(unsafeAddrs) + len(zeroAddrs)
 	res.Candidates = len(root.Addrs) + len(unsafeAddrs)
 
@@ -933,23 +939,33 @@ func sortPassing(pieces []*Piece) {
 	})
 }
 
-// profileRun executes the original program and returns per-address
-// counts. It runs on the compiled tier, whose per-block counters expand
-// into exactly the per-step interpreter's counts.
-func profileRun(t Target) (map[uint64]uint64, error) {
-	lp, err := vm.Link(t.Module)
-	if err != nil {
-		return nil, err
+// profileRun returns the original program's per-address counts after
+// checking its outputs against the target's verification, and the
+// number of runs it made for them. A shadow profile collected from
+// t.Module under t.MaxSteps already holds that run
+// (shadow.Profile.Baseline); otherwise (no profile, a Read one, or
+// another module or budget) the program runs here, on the compiled
+// tier, whose per-block counters expand into exactly the per-step
+// interpreter's counts.
+func profileRun(t Target, sh *shadow.Profile) (map[uint64]uint64, int, error) {
+	counts, out, ok := sh.Baseline(t.Module, t.MaxSteps)
+	ran := 0
+	if !ok {
+		lp, err := vm.Link(t.Module)
+		if err != nil {
+			return nil, 0, err
+		}
+		m := lp.NewMachine()
+		m.MaxSteps = t.MaxSteps
+		if err := m.Run(); err != nil {
+			return nil, 0, err
+		}
+		counts, out, ran = m.Profile(), m.Out, 1
 	}
-	m := lp.NewMachine()
-	m.MaxSteps = t.MaxSteps
-	if err := m.Run(); err != nil {
-		return nil, err
+	if !t.Verify(out) {
+		return nil, 0, fmt.Errorf("search: baseline run fails its own verification")
 	}
-	if !t.Verify(m.Out) {
-		return nil, fmt.Errorf("search: baseline run fails its own verification")
-	}
-	return m.Profile(), nil
+	return counts, ran, nil
 }
 
 // buildPiece converts a configuration subtree into the piece hierarchy,

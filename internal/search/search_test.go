@@ -9,6 +9,7 @@ import (
 	"fpmix/internal/hl"
 	"fpmix/internal/prog"
 	"fpmix/internal/replace"
+	"fpmix/internal/shadow"
 	"fpmix/internal/vm"
 )
 
@@ -417,6 +418,14 @@ func TestSearchBaselineMustVerify(t *testing.T) {
 	tgt := Target{Module: m, Verify: func([]vm.OutVal) bool { return false }}
 	if _, err := Run(tgt, Options{}); err == nil {
 		t.Error("baseline verification failure not reported")
+	}
+	// The shadow pass's baseline is checked just as a profiling run is.
+	sh, err := shadow.Collect("mixed", m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(tgt, Options{Shadow: sh}); err == nil {
+		t.Error("baseline verification failure of the shadow pass's run not reported")
 	}
 }
 

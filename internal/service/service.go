@@ -65,19 +65,27 @@ type Server struct {
 	stopLocal context.CancelFunc // ends the local workers
 	locals    sync.WaitGroup
 
-	imgMu  sync.Mutex
-	images map[string]*imageMemo // Job.Image → its analyses, see imageMemoCap
+	memoMu sync.Mutex
+	memo   map[string]*specMemo // jobs.Spec.BuildKey → its build, see imageMemoCap
 }
 
-// imageMemoCap bounds the per-image memo; past it the memo resets
-// (losing an entry costs one shadow pass and one dataflow analysis on
-// the image's next job, never correctness).
+// imageMemoCap bounds the spec memo; past it the memo resets (losing an
+// entry costs one target build, shadow pass and dataflow analysis on
+// the spec's next job, never correctness).
 const imageMemoCap = 32
 
-// imageMemo holds one image's analyses: a deterministic function of the
-// module and step budget the image fingerprint fixes, so every job over
-// the image reuses them, read-only. Each is computed on first use.
-type imageMemo struct {
+// specMemo holds what every job over one spec build identity
+// (jobs.Spec.BuildKey) shares, read-only: the built target with its
+// base configuration resolved, the gate tolerance and the image digest,
+// then the image's shadow profile (whose collection run is the search's
+// profiling run too) and its dataflow result. Each is a deterministic
+// function of the key and is computed on first use; a failed build is
+// kept like a result, since rebuilding would fail the same way.
+type specMemo struct {
+	buildOnce sync.Once
+	built     jobs.Built
+	buildErr  error
+
 	shOnce sync.Once
 	sh     *shadow.Profile
 	shErr  error
@@ -86,10 +94,19 @@ type imageMemo struct {
 	df     *dataflow.Result // nil when the analysis failed
 }
 
-// work counts the expensive per-job steps execute takes, so tests can
-// pin what a warm job skips.
+// work counts the expensive per-job steps a job's lifecycle takes, so
+// tests can pin what a warm job skips.
 var work struct {
-	runnerBuilds, shadowCollects, dataflowRuns atomic.Int64
+	targetBuilds, shadowCollects, profileRuns, dataflowRuns, runnerBuilds atomic.Int64
+}
+
+// build returns the spec's built target, building it on first use.
+func (m *specMemo) build(spec jobs.Spec) (*jobs.Built, error) {
+	m.buildOnce.Do(func() {
+		work.targetBuilds.Add(1)
+		m.built, m.buildErr = spec.Built()
+	})
+	return &m.built, m.buildErr
 }
 
 // New opens (or recovers) a server over opts.Dir: jobs a previous
@@ -117,7 +134,7 @@ func New(opts Options) (*Server, error) {
 		cancels:   make(map[string]context.CancelFunc),
 		streams:   make(map[string]*stream),
 		stopLocal: stopLocal,
-		images:    make(map[string]*imageMemo),
+		memo:      make(map[string]*specMemo),
 	}
 	for i := 0; i < opts.Workers; i++ {
 		s.locals.Add(1)
@@ -159,11 +176,19 @@ func (s *Server) Submit(spec jobs.Spec) (jobs.Job, error) {
 		return jobs.Job{}, fmt.Errorf("service: server is shutting down")
 	}
 	s.mu.Unlock()
-	j, built, err := s.store.CreateBuilt(spec)
+	if err := spec.Validate(); err != nil {
+		return jobs.Job{}, err
+	}
+	m := s.memoFor(spec.BuildKey())
+	built, err := m.build(spec)
 	if err != nil {
 		return jobs.Job{}, err
 	}
-	s.launch(j.ID, &built)
+	j, err := s.store.CreateBuilt(spec, built)
+	if err != nil {
+		return jobs.Job{}, err
+	}
+	s.launch(j.ID, m)
 	return j, nil
 }
 
@@ -244,10 +269,10 @@ func (s *Server) shutdown(drain time.Duration, crashed bool) {
 	s.pool.Close()
 }
 
-// launch starts the job's run goroutine. built is the target Submit
-// built when it created the job; nil (a job relaunched by recovery)
-// builds it in execute.
-func (s *Server) launch(id string, built *jobs.Built) {
+// launch starts the job's run goroutine. m is the spec memo entry
+// Submit built the job's target in; nil (a job relaunched by recovery)
+// looks it up in execute.
+func (s *Server) launch(id string, m *specMemo) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s.mu.Lock()
 	s.cancels[id] = cancel
@@ -255,11 +280,11 @@ func (s *Server) launch(id string, built *jobs.Built) {
 	s.streams[id] = st
 	s.wg.Add(1)
 	s.mu.Unlock()
-	go s.runJob(id, ctx, cancel, st, built)
+	go s.runJob(id, ctx, cancel, st, m)
 }
 
 // runJob drives one job through its lifecycle.
-func (s *Server) runJob(id string, ctx context.Context, cancel context.CancelFunc, st *stream, built *jobs.Built) {
+func (s *Server) runJob(id string, ctx context.Context, cancel context.CancelFunc, st *stream, m *specMemo) {
 	defer s.wg.Done()
 	defer cancel()
 	defer func() {
@@ -271,7 +296,7 @@ func (s *Server) runJob(id string, ctx context.Context, cancel context.CancelFun
 		st.close()
 		return
 	}
-	res, sh, err := s.execute(ctx, id, st, built)
+	res, sh, err := s.execute(ctx, id, st, m)
 	s.mu.Lock()
 	crashed, closing := s.crashed, s.closing
 	s.mu.Unlock()
@@ -298,41 +323,41 @@ func (s *Server) runJob(id string, ctx context.Context, cancel context.CancelFun
 	st.close()
 }
 
-// execute runs the search itself: target build (only when built is nil),
-// the image's sensitivity profile and dataflow result (from the image
-// memo), journal open (fresh or resumed), unit runner registration with
-// the fleet, then the coordinator. Options mirror fpsearch's defaults so
-// a service job composes the identical final configuration.
-func (s *Server) execute(ctx context.Context, id string, st *stream, built *jobs.Built) (*search.Result, *shadow.Profile, error) {
+// execute runs the search itself: the spec's target, sensitivity
+// profile and dataflow result (from the spec memo, built there on the
+// spec's first job), journal open (fresh or resumed), unit runner
+// registration with the fleet, then the coordinator. Options mirror
+// fpsearch's defaults so a service job composes the identical final
+// configuration.
+func (s *Server) execute(ctx context.Context, id string, st *stream, m *specMemo) (*search.Result, *shadow.Profile, error) {
 	j, ok := s.store.Get(id)
 	if !ok {
 		return nil, nil, fmt.Errorf("service: no job %s", id)
 	}
-	if built == nil {
-		t, tol, err := j.Spec.Build()
-		if err != nil {
-			return nil, nil, err
-		}
-		built = &jobs.Built{Target: t, SensTol: tol}
+	if m == nil {
+		m = s.memoFor(j.Spec.BuildKey())
+	}
+	built, err := m.build(j.Spec)
+	if err != nil {
+		return nil, nil, err
 	}
 	target := built.Target
-	img := s.memoFor(j.Image)
 	var sh *shadow.Profile
 	if !j.Spec.NoSens {
-		img.shOnce.Do(func() {
+		m.shOnce.Do(func() {
 			work.shadowCollects.Add(1)
-			img.sh, img.shErr = shadow.Collect(j.Name, target.Module, target.MaxSteps)
+			m.sh, m.shErr = shadow.Collect(j.Name, target.Module, target.MaxSteps)
 		})
-		if img.shErr != nil {
-			return nil, nil, img.shErr
+		if m.shErr != nil {
+			return nil, nil, m.shErr
 		}
-		sh = img.sh
+		sh = m.sh
 	}
-	img.dfOnce.Do(func() {
+	m.dfOnce.Do(func() {
 		work.dataflowRuns.Add(1)
-		img.df, _ = dataflow.Analyze(target.Module) // a failure leaves search and instrumenter to fall back
+		m.df, _ = dataflow.Analyze(target.Module) // a failure leaves search and instrumenter to fall back
 	})
-	target.InstOpts.Analysis = img.df
+	target.InstOpts.Analysis = m.df
 	journal, resumed, err := s.store.OpenJournal(id, j.Fingerprint())
 	if err != nil {
 		return nil, nil, err
@@ -382,21 +407,22 @@ func (s *Server) execute(ctx context.Context, id string, st *stream, built *jobs
 	if err != nil {
 		return nil, nil, err
 	}
+	work.profileRuns.Add(int64(res.ProfileRuns))
 	return res, sh, nil
 }
 
-// memoFor returns the memo entry of an image fingerprint, creating it
-// (and resetting a full memo) on a miss.
-func (s *Server) memoFor(image string) *imageMemo {
-	s.imgMu.Lock()
-	defer s.imgMu.Unlock()
-	m, ok := s.images[image]
+// memoFor returns the memo entry of a spec build key, creating it (and
+// resetting a full memo) on a miss.
+func (s *Server) memoFor(key string) *specMemo {
+	s.memoMu.Lock()
+	defer s.memoMu.Unlock()
+	m, ok := s.memo[key]
 	if !ok {
-		if len(s.images) >= imageMemoCap {
-			s.images = make(map[string]*imageMemo)
+		if len(s.memo) >= imageMemoCap {
+			s.memo = make(map[string]*specMemo)
 		}
-		m = &imageMemo{}
-		s.images[image] = m
+		m = &specMemo{}
+		s.memo[key] = m
 	}
 	return m
 }

@@ -393,60 +393,98 @@ func TestServiceCrossJobDedup(t *testing.T) {
 }
 
 // workCounts snapshots the package's per-job work counters.
-func workCounts() [3]int64 {
-	return [3]int64{work.runnerBuilds.Load(), work.shadowCollects.Load(), work.dataflowRuns.Load()}
+func workCounts() [5]int64 {
+	return [5]int64{work.targetBuilds.Load(), work.shadowCollects.Load(), work.profileRuns.Load(),
+		work.dataflowRuns.Load(), work.runnerBuilds.Load()}
 }
 
-// TestServiceWarmJobSkipsWork: a job whose every verdict the cache
-// serves builds no unit runner and re-runs neither the shadow pass nor
-// the dataflow analysis of its image; a cold job does each once.
+// workSince is the work done since the snapshot before.
+func workSince(before [5]int64) [5]int64 {
+	after := workCounts()
+	for i := range after {
+		after[i] -= before[i]
+	}
+	return after
+}
+
+// TestServiceWarmJobSkipsWork: a cold job builds its target, runs the
+// shadow pass (which doubles as the profiling run, so the search makes
+// none of its own), analyses the image's dataflow and builds a unit
+// runner, once each. A warm resubmission does none of it: the spec memo
+// holds the target and the analyses, and the verdict cache every
+// verdict.
 func TestServiceWarmJobSkipsWork(t *testing.T) {
 	srv, err := New(Options{Dir: t.TempDir(), Workers: 2, Fleet: fastFleet})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	run := func() [3]int64 {
+	run := func() [5]int64 {
 		before := workCounts()
 		j, err := srv.Submit(jobs.Spec{Kernel: "ep"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		waitState(t, srv, j.ID, jobs.StateDone)
-		after := workCounts()
-		return [3]int64{after[0] - before[0], after[1] - before[1], after[2] - before[2]}
+		return workSince(before)
 	}
-	if got, want := run(), [3]int64{1, 1, 1}; got != want {
-		t.Errorf("cold job: runner builds/shadow passes/dataflow analyses = %v, want %v", got, want)
+	const names = "target builds/shadow passes/profiling runs/dataflow analyses/runner builds"
+	if got, want := run(), [5]int64{1, 1, 0, 1, 1}; got != want {
+		t.Errorf("cold job: %s = %v, want %v", names, got, want)
 	}
-	if got := run(); got != [3]int64{} {
-		t.Errorf("warm job: runner builds/shadow passes/dataflow analyses = %v, want none", got)
+	if got := run(); got != [5]int64{} {
+		t.Errorf("warm job: %s = %v, want none", names, got)
 	}
 }
 
-// TestServiceWarmJobsConcurrent: two warm jobs of one image running at
-// once share the image's memoized analyses (read-only; -race checks it)
-// and both write the cold job's result file byte for byte.
+// TestServiceWarmJobsConcurrent: concurrent submissions of one spec
+// share one target build and one set of analyses (read-only; -race
+// checks it), and the warm jobs that follow write the cold job's result
+// file byte for byte.
 func TestServiceWarmJobsConcurrent(t *testing.T) {
 	srv, err := New(Options{Dir: t.TempDir(), Workers: 2, Fleet: fastFleet})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cold, err := srv.Submit(jobs.Spec{Kernel: "ep"})
-	if err != nil {
-		t.Fatal(err)
+	before := workCounts()
+	var cold [3]jobs.Job
+	var wg sync.WaitGroup
+	for i := range cold {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j, err := srv.Submit(jobs.Spec{Kernel: "ep"})
+			if err != nil {
+				t.Error(err)
+			}
+			cold[i] = j
+		}()
 	}
-	waitState(t, srv, cold.ID, jobs.StateDone)
-	want := resultOf(t, srv, cold.ID)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for _, j := range cold {
+		waitState(t, srv, j.ID, jobs.StateDone)
+	}
+	if got := workSince(before); got[0] != 1 || got[1] != 1 || got[2] != 0 || got[3] != 1 {
+		t.Errorf("concurrent submissions of one spec: target builds/shadow passes/profiling runs/dataflow analyses = %v, want 1/1/0/1", got[:4])
+	}
+	want := resultOf(t, srv, cold[0].ID)
 	var warm [2]jobs.Job
 	for i := range warm {
 		if warm[i], err = srv.Submit(jobs.Spec{Kernel: "ep"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, j := range warm {
+	for _, j := range append(cold[1:], warm[:]...) {
 		waitState(t, srv, j.ID, jobs.StateDone)
+		if resultOf(t, srv, j.ID) != want {
+			t.Errorf("job %s wrote a different result file", j.ID)
+		}
+	}
+	for _, j := range warm {
 		sum, err := srv.Summary(j.ID)
 		if err != nil {
 			t.Fatal(err)
@@ -454,28 +492,27 @@ func TestServiceWarmJobsConcurrent(t *testing.T) {
 		if sum.Tested != 0 {
 			t.Errorf("warm job %s evaluated %d configurations, want 0", j.ID, sum.Tested)
 		}
-		if resultOf(t, srv, j.ID) != want {
-			t.Errorf("warm job %s wrote a different result file", j.ID)
-		}
 	}
 }
 
-// TestImageMemoBounded: the per-image memo never holds more than
-// imageMemoCap entries, returns the same entry for one image and a
-// fresh one for another.
+// TestImageMemoBounded: the spec memo never holds more than
+// imageMemoCap entries, returns the same entry for one build key and a
+// fresh one for another; the specs of one built image share a key
+// whatever their search shape.
 func TestImageMemoBounded(t *testing.T) {
-	s := &Server{images: make(map[string]*imageMemo)}
-	first := s.memoFor("a")
-	if s.memoFor("a") != first {
+	s := &Server{memo: make(map[string]*specMemo)}
+	ep := jobs.Spec{Kernel: "ep"}
+	first := s.memoFor(ep.BuildKey())
+	if s.memoFor(jobs.Spec{Kernel: "ep", Class: "W", NoSens: true, Granularity: "func"}.BuildKey()) != first {
 		t.Error("the same image missed the memo")
 	}
-	if s.memoFor("b") == first {
+	if s.memoFor(jobs.Spec{Kernel: "ep", Class: "A"}.BuildKey()) == first {
 		t.Error("a different image hit another image's entry")
 	}
 	for i := 0; i < 3*imageMemoCap; i++ {
 		s.memoFor(fmt.Sprintf("img%d", i))
-		if n := len(s.images); n > imageMemoCap {
-			t.Fatalf("memo holds %d images after %d lookups, want at most %d", n, i+3, imageMemoCap)
+		if n := len(s.memo); n > imageMemoCap {
+			t.Fatalf("memo holds %d entries after %d lookups, want at most %d", n, i+3, imageMemoCap)
 		}
 	}
 }

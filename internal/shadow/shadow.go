@@ -57,6 +57,21 @@ type Profile struct {
 	Name    string
 	Records []Record // address-sorted
 	byAddr  map[uint64]int
+
+	// base is the collection run's baseline; nil on a profile that was
+	// Read (the text format does not carry it).
+	base *baseline
+}
+
+// baseline is what the shadow pass observed of the unmodified program
+// itself: the shadow rides beside the double values without changing
+// them, so its outputs and execution counts are exactly those of an
+// uninstrumented run of mod under maxSteps.
+type baseline struct {
+	mod      *prog.Module
+	maxSteps uint64
+	counts   map[uint64]uint64
+	out      []vm.OutVal
 }
 
 // New builds a profile from VM shadow records.
@@ -89,7 +104,9 @@ func (p *Profile) index() {
 }
 
 // Collect performs the shadow pass: one run of the unmodified module
-// with the shadow enabled.
+// with the shadow enabled. The profile keeps the run's outputs and
+// execution counts (see Baseline), so the pass doubles as the search's
+// profiling run.
 func Collect(name string, mod *prog.Module, maxSteps uint64) (*Profile, error) {
 	lp, err := vm.Link(mod)
 	if err != nil {
@@ -101,7 +118,20 @@ func Collect(name string, mod *prog.Module, maxSteps uint64) (*Profile, error) {
 	if err := m.Run(); err != nil {
 		return nil, fmt.Errorf("shadow: collection run: %w", err)
 	}
-	return New(name, m.ShadowRecords()), nil
+	p := New(name, m.ShadowRecords())
+	p.base = &baseline{mod: mod, maxSteps: maxSteps, counts: m.Profile(), out: m.Out}
+	return p, nil
+}
+
+// Baseline returns the per-address execution counts and the outputs of
+// the collection run, when the profile was collected from mod under
+// maxSteps (ok is false otherwise, and on a nil or Read profile). Both
+// are shared with every caller and must not be modified.
+func (p *Profile) Baseline(mod *prog.Module, maxSteps uint64) (counts map[uint64]uint64, out []vm.OutVal, ok bool) {
+	if p == nil || p.base == nil || p.base.mod != mod || p.base.maxSteps != maxSteps {
+		return nil, nil, false
+	}
+	return p.base.counts, p.base.out, true
 }
 
 // At returns the record for an instruction address.
