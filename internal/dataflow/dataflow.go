@@ -48,6 +48,7 @@ package dataflow
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"fpmix/internal/isa"
 	"fpmix/internal/prog"
@@ -158,9 +159,17 @@ func (a *analysis) summaryLoc() int     { return nRegLocs + len(a.slotOf) + len(
 func (a *analysis) stackLoc() int       { return a.summaryLoc() + 1 }
 func (a *analysis) extentLoc(e int) int { return a.stackLoc() + 1 + e }
 
+// analyses counts Analyze calls in this process.
+var analyses atomic.Int64
+
+// Analyses reports how many times Analyze has run in this process, so
+// callers can check that a pipeline analyzes each module once.
+func Analyses() int64 { return analyses.Load() }
+
 // Analyze runs every analysis over m and returns the per-candidate
 // summaries.
 func Analyze(m *prog.Module) (*Result, error) {
+	analyses.Add(1)
 	a, err := build(m)
 	if err != nil {
 		return nil, err

@@ -415,6 +415,17 @@ func Run(t Target, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("search: profiling run failed: %w", err)
 	}
 
+	// The dataflow analysis is resolved once per search: pruning reads
+	// it, and the local runner's instrumenter reuses it through
+	// InstOpts.Analysis instead of analyzing the module a second time. A
+	// failed analysis leaves it nil, which disables pruning and keeps
+	// every snippet fully checked.
+	if (!opts.NoPrune || opts.Units == nil) && !t.InstOpts.NoAnalysis && t.InstOpts.Analysis == nil {
+		if r, err := dataflow.Analyze(t.Module); err == nil {
+			t.InstOpts.Analysis = r
+		}
+	}
+
 	// Static pruning (the paper §2.5's "static data flow analysis",
 	// default on) removes two candidate classes from the search tree
 	// before any evaluation:
@@ -438,7 +449,7 @@ func Run(t Target, opts Options) (*Result, error) {
 	skip := ignored
 	if !opts.NoPrune {
 		excluded := make(map[uint64]bool)
-		if ana := pruneAnalysis(t); ana != nil {
+		if ana := t.InstOpts.Analysis; ana != nil && !t.InstOpts.NoAnalysis {
 			for _, a := range ana.UnsafeAddrs() {
 				if !ignored[a] {
 					excluded[a] = true
@@ -910,25 +921,6 @@ func baseIgnored(t Target) (*config.Config, map[uint64]bool, error) {
 		}
 	}
 	return base, ignored, nil
-}
-
-// pruneAnalysis resolves the dataflow result used for candidate
-// pruning, mirroring the instrumenter's own resolution: an explicit
-// result on the target's InstrumentOptions is reused, NoAnalysis
-// disables pruning along with the per-site elisions, and an analysis
-// failure falls back to no pruning (every candidate is searched).
-func pruneAnalysis(t Target) *dataflow.Result {
-	if t.InstOpts.NoAnalysis {
-		return nil
-	}
-	if t.InstOpts.Analysis != nil {
-		return t.InstOpts.Analysis
-	}
-	r, err := dataflow.Analyze(t.Module)
-	if err != nil {
-		return nil
-	}
-	return r
 }
 
 // sortPassing orders passing pieces by their first address for

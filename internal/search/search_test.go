@@ -413,6 +413,34 @@ func TestSearchExcludesUnsafeSinks(t *testing.T) {
 	}
 }
 
+// TestSearchAnalyzesOnce pins one dataflow analysis per Run: pruning and
+// the local runner's instrumenter share it (the from-scratch EngineOff
+// oracle instruments every configuration with it too), NoPrune still
+// analyzes once for the instrumenter, and NoAnalysis analyzes nothing.
+func TestSearchAnalyzesOnce(t *testing.T) {
+	m := mixedProgram(t)
+	v := refVerify(t, m, 1e-10)
+	for _, tc := range []struct {
+		name string
+		inst replace.InstrumentOptions
+		opts Options
+		want int64
+	}{
+		{"default", replace.InstrumentOptions{}, Options{}, 1},
+		{"noprune", replace.InstrumentOptions{}, Options{NoPrune: true}, 1},
+		{"engine off", replace.InstrumentOptions{}, Options{Engine: EngineOff}, 1},
+		{"noanalysis", replace.InstrumentOptions{NoAnalysis: true}, Options{}, 0},
+	} {
+		before := dataflow.Analyses()
+		if _, err := Run(Target{Module: m, Verify: v, InstOpts: tc.inst}, tc.opts); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := dataflow.Analyses() - before; got != tc.want {
+			t.Errorf("%s: %d dataflow analyses, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestSearchBaselineMustVerify(t *testing.T) {
 	m := mixedProgram(t)
 	tgt := Target{Module: m, Verify: func([]vm.OutVal) bool { return false }}

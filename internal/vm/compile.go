@@ -136,7 +136,7 @@ func endsBlock(op isa.Op) bool {
 // compileProgram builds the direct-threaded block stream for lp. It
 // requires lp.targets and lp.costs to be populated.
 func compileProgram(lp *Program) *compiled {
-	ops, fused := compileFrag(lp.instrs)
+	ops, fused := compileFrag(lp.instrs, false)
 	return compileProgramWith(lp, ops, fused, nil)
 }
 
@@ -490,31 +490,29 @@ func (m *Machine) flushBlockCounts(c *compiled) {
 }
 
 // Inline-friendly memory fast paths. Each computes the effective address
-// and performs the bounds-checked access with no call overhead; on a
-// bounds failure the caller re-runs the interpreter's load/store, which
-// deterministically reproduces the exact fault. Kept tiny so the
-// compiler inlines them into the closures.
+// and performs the access after one explicit range-and-wrap check, then
+// reads or writes through memU64 and its siblings (mem_direct.go), which
+// repeat no bounds check; on a bounds failure the caller re-runs the
+// interpreter's load/store, which deterministically reproduces the exact
+// fault. Kept tiny so the compiler inlines them into the closures.
 
-func loadU64(m *Machine, ref isa.MemRef) (uint64, bool) {
-	addr := m.GPR[ref.Base] + uint64(int64(ref.Disp))
-	if ref.HasIndex {
-		addr += m.GPR[ref.Index] * uint64(ref.Scale)
-	}
-	if addr+8 > uint64(len(m.Mem)) || addr+8 < addr {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint64(m.Mem[addr:]), true
-}
+func loadU64(m *Machine, ref isa.MemRef) (uint64, bool) { return load64At(m, m.ea(ref)) }
 
 func loadU32(m *Machine, ref isa.MemRef) (uint64, bool) {
-	addr := m.GPR[ref.Base] + uint64(int64(ref.Disp))
-	if ref.HasIndex {
-		addr += m.GPR[ref.Index] * uint64(ref.Scale)
-	}
+	addr := m.ea(ref)
 	if addr+4 > uint64(len(m.Mem)) || addr+4 < addr {
 		return 0, false
 	}
-	return uint64(binary.LittleEndian.Uint32(m.Mem[addr:])), true
+	return uint64(memU32(m.Mem, addr)), true
+}
+
+// load64At is loadU64 at an address the caller computed (the fused
+// index-access ops compute theirs from the index they just produced).
+func load64At(m *Machine, addr uint64) (uint64, bool) {
+	if addr+8 > uint64(len(m.Mem)) || addr+8 < addr {
+		return 0, false
+	}
+	return memU64(m.Mem, addr), true
 }
 
 // The store helpers return the effective address they computed so
@@ -522,26 +520,25 @@ func loadU32(m *Machine, ref isa.MemRef) (uint64, bool) {
 // second time (the address is meaningless when ok is false).
 
 func storeU64(m *Machine, ref isa.MemRef, v uint64) (uint64, bool) {
-	addr := m.GPR[ref.Base] + uint64(int64(ref.Disp))
-	if ref.HasIndex {
-		addr += m.GPR[ref.Index] * uint64(ref.Scale)
-	}
+	addr := m.ea(ref)
+	return addr, store64At(m, addr, v)
+}
+
+// store64At is storeU64 at an address the caller computed.
+func store64At(m *Machine, addr, v uint64) bool {
 	if addr+8 > uint64(len(m.Mem)) || addr+8 < addr {
-		return 0, false
+		return false
 	}
-	binary.LittleEndian.PutUint64(m.Mem[addr:], v)
-	return addr, true
+	putMemU64(m.Mem, addr, v)
+	return true
 }
 
 func storeU32(m *Machine, ref isa.MemRef, v uint64) (uint64, bool) {
-	addr := m.GPR[ref.Base] + uint64(int64(ref.Disp))
-	if ref.HasIndex {
-		addr += m.GPR[ref.Index] * uint64(ref.Scale)
-	}
+	addr := m.ea(ref)
 	if addr+4 > uint64(len(m.Mem)) || addr+4 < addr {
 		return 0, false
 	}
-	binary.LittleEndian.PutUint32(m.Mem[addr:], uint32(v))
+	putMemU32(m.Mem, addr, uint32(v))
 	return addr, true
 }
 

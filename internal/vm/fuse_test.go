@@ -25,47 +25,51 @@ import (
 
 // fusePatternNames names each pattern in test output.
 var fusePatternNames = [numFusePatterns]string{
-	fuseNone:             "none",
-	fuseLoadImmMul:       "load+movri+imulr",
-	fuseLoadImmAdd:       "load+movri+addr",
-	fuseLoadImmSub:       "load+movri+subr",
-	fuseLoadImmCmp:       "load+movri+cmpr",
-	fuseLoadAddLoadSD:    "load+addr+movsd-load",
-	fuseLoadImmAddLoadSD: "load+movri+addr+movsd-load",
-	fuseAddLoadSD:        "addr+movsd-load",
-	fuseImmLoadSD:        "movri+movsd-load",
-	fuseLoadLoadSD:       "load+movsd-load",
-	fuseLoadIncStore:     "load+addi+store",
-	fuseLoadAddSD:        "movsd-load+addsd",
-	fuseLoadSubSD:        "movsd-load+subsd",
-	fuseLoadMulSD:        "movsd-load+mulsd",
-	fuseConstSD:          "movri+movq-xmm",
-	fuseFlagTest:         "movq-gpr+movrr+shri+cmpi",
-	fuseStamp:            "movq-gpr+movri+andr+movri+orr+movq-xmm",
+	fuseNone:          "none",
+	fuseLoadImmMul:    "load+movri+imulr",
+	fuseLoadImmAdd:    "load+movri+addr",
+	fuseLoadImmSub:    "load+movri+subr",
+	fuseLoadImmCmp:    "load+movri+cmpr",
+	fuseIndex1Load:    "index-1d+movsd-load",
+	fuseIndex1Store:   "index-1d+movsd-store",
+	fuseIndex2Load:    "index-2d+movsd-load",
+	fuseIndex2Store:   "index-2d+movsd-store",
+	fuseLoadAddLoadSD: "load+addr+movsd-load",
+	fuseAddLoadSD:     "addr+movsd-load",
+	fuseImmLoadSD:     "movri+movsd-load",
+	fuseLoadIncStore:  "load+addi+store",
+	fuseLoadAddSD:     "movsd-load+addsd",
+	fuseLoadSubSD:     "movsd-load+subsd",
+	fuseLoadMulSD:     "movsd-load+mulsd",
+	fuseConstSD:       "movri+movq-xmm",
+	fuseFlagTest:      "movq-gpr+movrr+shri+cmpi",
+	fuseStamp:         "movq-gpr+movri+andr+movri+orr+movq-xmm",
 }
 
 // fuseCase is one instance of a pattern: build returns its constituents
-// with the first memory operand based on register bA and the second on
-// bB; fallible lists the constituents with memory operands, in order.
+// with the first memory operand based on register bA, the second on bB
+// and the third on bC; fallible lists the constituents with memory
+// operands, in order. The index-access patterns have one case per
+// closure and adjust combination.
 type fuseCase struct {
 	p        fusePattern
-	build    func(bA, bB uint8) []isa.Instr
+	build    func(bA, bB, bC uint8) []isa.Instr
 	fallible []int
 }
 
 var fuseCases = []fuseCase{
-	{fuseLoadImmMul, func(bA, _ uint8) []isa.Instr { return loadImm(isa.IMULR, bA) }, []int{0}},
-	{fuseLoadImmAdd, func(bA, _ uint8) []isa.Instr { return loadImm(isa.ADDR, bA) }, []int{0}},
-	{fuseLoadImmSub, func(bA, _ uint8) []isa.Instr { return loadImm(isa.SUBR, bA) }, []int{0}},
-	{fuseLoadImmCmp, func(bA, _ uint8) []isa.Instr { return loadImm(isa.CMPR, bA) }, []int{0}},
-	{fuseLoadAddLoadSD, func(bA, bB uint8) []isa.Instr {
+	{fuseLoadImmMul, func(bA, _, _ uint8) []isa.Instr { return loadImm(isa.IMULR, bA) }, []int{0}},
+	{fuseLoadImmAdd, func(bA, _, _ uint8) []isa.Instr { return loadImm(isa.ADDR, bA) }, []int{0}},
+	{fuseLoadImmSub, func(bA, _, _ uint8) []isa.Instr { return loadImm(isa.SUBR, bA) }, []int{0}},
+	{fuseLoadImmCmp, func(bA, _, _ uint8) []isa.Instr { return loadImm(isa.CMPR, bA) }, []int{0}},
+	{fuseLoadAddLoadSD, func(bA, bB, _ uint8) []isa.Instr {
 		return []isa.Instr{
 			isa.I(isa.LOAD, isa.Gpr(isa.RAX), isa.Mem(bA, 0)),
 			isa.I(isa.ADDR, isa.Gpr(isa.RAX), isa.Gpr(isa.RCX)),
 			isa.I(isa.MOVSD, isa.Xmm(1), isa.MemIdx(bB, isa.RAX, 8, 16)),
 		}
 	}, []int{0, 2}},
-	{fuseLoadImmAddLoadSD, func(bA, bB uint8) []isa.Instr {
+	{fuseIndex1Load, func(bA, bB, _ uint8) []isa.Instr {
 		return []isa.Instr{
 			isa.I(isa.LOAD, isa.Gpr(isa.RAX), isa.Mem(bA, 8)),
 			isa.I(isa.MOVRI, isa.Gpr(isa.RCX), isa.Imm(7)),
@@ -73,41 +77,41 @@ var fuseCases = []fuseCase{
 			isa.I(isa.MOVSD, isa.Xmm(1), isa.MemIdx(bB, isa.RAX, 8, 16)),
 		}
 	}, []int{0, 3}},
-	{fuseAddLoadSD, func(bA, _ uint8) []isa.Instr {
+	{fuseAddLoadSD, func(bA, _, _ uint8) []isa.Instr {
 		return []isa.Instr{
 			isa.I(isa.ADDR, isa.Gpr(isa.RAX), isa.Gpr(isa.RCX)),
 			isa.I(isa.MOVSD, isa.Xmm(1), isa.MemIdx(bA, isa.RAX, 8, 16)),
 		}
 	}, []int{1}},
-	{fuseImmLoadSD, func(bA, _ uint8) []isa.Instr {
+	{fuseImmLoadSD, func(bA, _, _ uint8) []isa.Instr {
 		return []isa.Instr{
 			isa.I(isa.MOVRI, isa.Gpr(isa.RSI), isa.Imm(4)),
 			isa.I(isa.MOVSD, isa.Xmm(1), isa.MemIdx(bA, isa.RSI, 8, 32)),
 		}
 	}, []int{1}},
-	{fuseLoadLoadSD, func(bA, bB uint8) []isa.Instr {
+	{fuseIndex1Load, func(bA, bB, _ uint8) []isa.Instr {
 		return []isa.Instr{
 			isa.I(isa.LOAD, isa.Gpr(isa.RDX), isa.Mem(bA, 0)),
 			isa.I(isa.MOVSD, isa.Xmm(2), isa.MemIdx(bB, isa.RDX, 8, 32)),
 		}
 	}, []int{0, 1}},
-	{fuseLoadIncStore, func(bA, bB uint8) []isa.Instr {
+	{fuseLoadIncStore, func(bA, bB, _ uint8) []isa.Instr {
 		return []isa.Instr{
 			isa.I(isa.LOAD, isa.Gpr(isa.RDX), isa.Mem(bA, 24)),
 			isa.I(isa.ADDI, isa.Gpr(isa.RDX), isa.Imm(1)),
 			isa.I(isa.STORE, isa.Mem(bB, 24), isa.Gpr(isa.RDX)),
 		}
 	}, []int{0, 2}},
-	{fuseLoadAddSD, func(bA, _ uint8) []isa.Instr { return loadArith(isa.ADDSD, bA) }, []int{0}},
-	{fuseLoadSubSD, func(bA, _ uint8) []isa.Instr { return loadArith(isa.SUBSD, bA) }, []int{0}},
-	{fuseLoadMulSD, func(bA, _ uint8) []isa.Instr { return loadArith(isa.MULSD, bA) }, []int{0}},
-	{fuseConstSD, func(_, _ uint8) []isa.Instr {
+	{fuseLoadAddSD, func(bA, _, _ uint8) []isa.Instr { return loadArith(isa.ADDSD, bA) }, []int{0}},
+	{fuseLoadSubSD, func(bA, _, _ uint8) []isa.Instr { return loadArith(isa.SUBSD, bA) }, []int{0}},
+	{fuseLoadMulSD, func(bA, _, _ uint8) []isa.Instr { return loadArith(isa.MULSD, bA) }, []int{0}},
+	{fuseConstSD, func(_, _, _ uint8) []isa.Instr {
 		return []isa.Instr{
 			isa.I(isa.MOVRI, isa.Gpr(isa.RSI), isa.Imm(int64(math.Float64bits(2.5)))),
 			isa.I(isa.MOVQ, isa.Xmm(3), isa.Gpr(isa.RSI)),
 		}
 	}, nil},
-	{fuseFlagTest, func(_, _ uint8) []isa.Instr {
+	{fuseFlagTest, func(_, _, _ uint8) []isa.Instr {
 		return []isa.Instr{
 			isa.I(isa.MOVQ, isa.Gpr(isa.R15), isa.Xmm(1)),
 			isa.I(isa.MOVRR, isa.Gpr(isa.R14), isa.Gpr(isa.R15)),
@@ -115,7 +119,7 @@ var fuseCases = []fuseCase{
 			isa.I(isa.CMPI, isa.Gpr(isa.R14), isa.Imm(int64(isa.ReplacedFlag))),
 		}
 	}, nil},
-	{fuseStamp, func(_, _ uint8) []isa.Instr {
+	{fuseStamp, func(_, _, _ uint8) []isa.Instr {
 		return []isa.Instr{
 			isa.I(isa.MOVQ, isa.Gpr(isa.R15), isa.Xmm(1)),
 			isa.I(isa.MOVRI, isa.Gpr(isa.R14), isa.Imm(0xFFFFFFFF)),
@@ -125,6 +129,88 @@ var fuseCases = []fuseCase{
 			isa.I(isa.MOVQ, isa.Xmm(1), isa.Gpr(isa.R15)),
 		}
 	}, nil},
+	{fuseIndex1Load, func(bA, bB, _ uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.LOAD, isa.Gpr(isa.RAX), isa.Mem(bA, 24)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.RCX), isa.Imm(3)),
+			isa.I(isa.SUBR, isa.Gpr(isa.RAX), isa.Gpr(isa.RCX)),
+			isa.I(isa.MOVSD, isa.Xmm(3), isa.MemIdx(bB, isa.RAX, 8, 0)),
+		}
+	}, []int{0, 3}},
+	{fuseIndex1Store, func(bA, bB, _ uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.LOAD, isa.Gpr(isa.RDX), isa.Mem(bA, 8)),
+			isa.I(isa.MOVSD, isa.MemIdx(bB, isa.RDX, 8, 32), isa.Xmm(2)),
+		}
+	}, []int{0, 1}},
+	{fuseIndex1Store, func(bA, bB, _ uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.LOAD, isa.Gpr(isa.RAX), isa.Mem(bA, 8)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.RCX), isa.Imm(2)),
+			isa.I(isa.SUBR, isa.Gpr(isa.RAX), isa.Gpr(isa.RCX)),
+			isa.I(isa.MOVSD, isa.MemIdx(bB, isa.RAX, 8, 64), isa.Xmm(1)),
+		}
+	}, []int{0, 3}},
+	{fuseIndex2Load, func(bA, bB, bC uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.LOAD, isa.Gpr(isa.RAX), isa.Mem(bA, 8)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.RCX), isa.Imm(1)),
+			isa.I(isa.SUBR, isa.Gpr(isa.RAX), isa.Gpr(isa.RCX)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.RCX), isa.Imm(6)),
+			isa.I(isa.IMULR, isa.Gpr(isa.RAX), isa.Gpr(isa.RCX)),
+			isa.I(isa.LOAD, isa.Gpr(isa.RCX), isa.Mem(bB, 0)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.RDX), isa.Imm(2)),
+			isa.I(isa.ADDR, isa.Gpr(isa.RCX), isa.Gpr(isa.RDX)),
+			isa.I(isa.ADDR, isa.Gpr(isa.RAX), isa.Gpr(isa.RCX)),
+			isa.I(isa.MOVSD, isa.Xmm(1), isa.MemIdx(bC, isa.RAX, 8, 32)),
+		}
+	}, []int{0, 5, 9}},
+	{fuseIndex2Load, func(bA, bB, bC uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.LOAD, isa.Gpr(isa.RSI), isa.Mem(bA, 0)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.RDI), isa.Imm(9)),
+			isa.I(isa.IMULR, isa.Gpr(isa.RSI), isa.Gpr(isa.RDI)),
+			isa.I(isa.LOAD, isa.Gpr(isa.RDI), isa.Mem(bB, 8)),
+			isa.I(isa.ADDR, isa.Gpr(isa.RSI), isa.Gpr(isa.RDI)),
+			isa.I(isa.MOVSD, isa.Xmm(2), isa.MemIdx(bC, isa.RSI, 8, 0)),
+		}
+	}, []int{0, 3, 5}},
+	{fuseIndex2Load, func(bA, bB, _ uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.LOAD, isa.Gpr(isa.RAX), isa.Mem(bA, 0)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.RCX), isa.Imm(2)),
+			isa.I(isa.ADDR, isa.Gpr(isa.RAX), isa.Gpr(isa.RCX)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.RCX), isa.Imm(5)),
+			isa.I(isa.IMULR, isa.Gpr(isa.RAX), isa.Gpr(isa.RCX)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.RCX), isa.Imm(3)),
+			isa.I(isa.ADDR, isa.Gpr(isa.RAX), isa.Gpr(isa.RCX)),
+			isa.I(isa.MOVSD, isa.Xmm(3), isa.MemIdx(bB, isa.RAX, 8, 8)),
+		}
+	}, []int{0, 7}},
+	{fuseIndex2Store, func(bA, bB, bC uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.LOAD, isa.Gpr(isa.RAX), isa.Mem(bA, 0)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.RCX), isa.Imm(7)),
+			isa.I(isa.IMULR, isa.Gpr(isa.RAX), isa.Gpr(isa.RCX)),
+			isa.I(isa.LOAD, isa.Gpr(isa.RCX), isa.Mem(bB, 24)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.RDX), isa.Imm(40)),
+			isa.I(isa.SUBR, isa.Gpr(isa.RCX), isa.Gpr(isa.RDX)),
+			isa.I(isa.ADDR, isa.Gpr(isa.RAX), isa.Gpr(isa.RCX)),
+			isa.I(isa.MOVSD, isa.MemIdx(bC, isa.RAX, 8, 32), isa.Xmm(1)),
+		}
+	}, []int{0, 3, 7}},
+	{fuseIndex2Store, func(bA, bB, _ uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.LOAD, isa.Gpr(isa.RAX), isa.Mem(bA, 8)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.RCX), isa.Imm(1)),
+			isa.I(isa.SUBR, isa.Gpr(isa.RAX), isa.Gpr(isa.RCX)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.RCX), isa.Imm(4)),
+			isa.I(isa.IMULR, isa.Gpr(isa.RAX), isa.Gpr(isa.RCX)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.RCX), isa.Imm(0)),
+			isa.I(isa.ADDR, isa.Gpr(isa.RAX), isa.Gpr(isa.RCX)),
+			isa.I(isa.MOVSD, isa.MemIdx(bB, isa.RAX, 8, 0), isa.Xmm(2)),
+		}
+	}, []int{0, 7}},
 }
 
 func loadImm(op isa.Op, bA uint8) []isa.Instr {
@@ -156,7 +242,7 @@ func fuseData() []byte {
 }
 
 // seedMachine gives m a deterministic register file: the base registers
-// R8..R11 point into the data segment, the rest hold small integers and
+// R8..R13 point into the data segment, the rest hold small integers and
 // doubles (xmm1 a flagged single, so the flag tests see both outcomes
 // across cases).
 func seedMachine(m *Machine, oob map[uint8]bool) {
@@ -165,7 +251,7 @@ func seedMachine(m *Machine, oob map[uint8]bool) {
 			m.GPR[r] = uint64(r + 2)
 		}
 	}
-	for _, r := range []uint8{isa.R8, isa.R9, isa.R10, isa.R11} {
+	for _, r := range []uint8{isa.R8, isa.R9, isa.R10, isa.R11, isa.R12, isa.R13} {
 		m.GPR[r] = prog.DataBase
 		if oob[r] {
 			m.GPR[r] = 1 << 40
@@ -217,8 +303,8 @@ func fusedFaultParity(t *testing.T, fc fuseCase, halt bool) {
 	name := fmt.Sprintf("%s (halt %v)", fusePatternNames[fc.p], halt)
 	// Two instances in one block, each after a NOP, so the fused ops sit
 	// at body indices 1 and 3 with instruction offsets 1 and n+2.
-	first := fc.build(isa.R8, isa.R9)
-	second := fc.build(isa.R10, isa.R11)
+	first := fc.build(isa.R8, isa.R9, isa.R10)
+	second := fc.build(isa.R11, isa.R12, isa.R13)
 	n := len(first)
 	instrs := []isa.Instr{isa.I(isa.NOP)}
 	instrs = append(instrs, first...)
@@ -248,7 +334,7 @@ func fusedFaultParity(t *testing.T, fc fuseCase, halt bool) {
 		oob     uint8
 	}
 	scenarios := []scenario{{inst: -1}}
-	for inst, bases := range [][2]uint8{{isa.R8, isa.R9}, {isa.R10, isa.R11}} {
+	for inst, bases := range [][3]uint8{{isa.R8, isa.R9, isa.R10}, {isa.R11, isa.R12, isa.R13}} {
 		for mi, k := range fc.fallible {
 			scenarios = append(scenarios, scenario{inst, k, bases[mi]})
 		}
@@ -295,7 +381,7 @@ func fusedFaultParity(t *testing.T, fc fuseCase, halt bool) {
 // fuseLoopProgram is a small kernel in the shape of hl's NAS codes: a
 // doubly nested loop over a row-major 2-D array with index arithmetic,
 // loads feeding FP operations and FP constants — every kernel-code
-// pattern fires in it.
+// pattern fires in it or in fuseLoopLegacy.
 func fuseLoopProgram(t *testing.T) *prog.Module {
 	t.Helper()
 	const n = 5
@@ -320,6 +406,40 @@ func fuseLoopProgram(t *testing.T) *prog.Module {
 			f.Set(s, hl.Add(hl.Mul(hl.At(a, hl.IConst(3)), hl.At(a, hl.ILoad(j))),
 				hl.At(a, hl.IAdd(hl.ILoad(i), hl.IConst(2)))))
 			f.Set(s, hl.Mul(hl.Load(s), at(hl.ILoad(i), hl.IMul(hl.ILoad(j), hl.IConst(1)))))
+			f.Store(a, hl.ISub(hl.ILoad(j), hl.IConst(0)), hl.Mul(hl.Load(s), hl.Const(0.125)))
+		})
+	})
+	f.Out(hl.Load(s))
+	f.Halt()
+	mod, err := p.Build("main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mod
+}
+
+// fuseLoopLegacy is fuseLoopProgram's loop with its index expressions
+// written in forms the index-access family does not match — an adjusted
+// row term added to a loaded column, a constant row — so the shorter
+// patterns that family subsumes on hl's usual shapes still run in a loop:
+// LOAD; MOVRI; ADDR|SUBR and LOAD; ADDR; MOVSD.
+func fuseLoopLegacy(t *testing.T) *prog.Module {
+	t.Helper()
+	const n = 5
+	p := hl.New("fuseloop-legacy", hl.ModeF64)
+	vals := make([]float64, n*n)
+	for i := range vals {
+		vals[i] = float64(i%5) + 0.5
+	}
+	a := p.ArrayInit("a", vals)
+	s := p.ScalarInit("s", 1)
+	i, j := p.Int("i"), p.Int("j")
+	f := p.Func("main")
+	f.For(i, hl.IConst(0), hl.IConst(n), func() {
+		f.For(j, hl.IConst(0), hl.IConst(n), func() {
+			f.Set(s, hl.Add(hl.At(a, hl.IAdd(hl.IAdd(hl.ILoad(i), hl.IConst(1)), hl.ILoad(j))),
+				hl.At(a, hl.IAdd(hl.ISub(hl.ILoad(j), hl.IConst(0)), hl.ILoad(i)))))
+			f.Set(s, hl.Mul(hl.Load(s), hl.At(a, hl.IAdd(hl.IMul(hl.IConst(2), hl.IConst(n)), hl.ILoad(j)))))
 		})
 	})
 	f.Out(hl.Load(s))
@@ -332,11 +452,12 @@ func fuseLoopProgram(t *testing.T) *prog.Module {
 }
 
 // fuseLoopVariants returns the loop kernel as built and wrapped all
-// double and all single, so the snippet patterns run inside loops too.
+// double and all single, so the snippet patterns run inside loops too,
+// plus its legacy-index form.
 func fuseLoopVariants(t *testing.T) map[string]*prog.Module {
 	t.Helper()
 	mod := fuseLoopProgram(t)
-	out := map[string]*prog.Module{"base": mod}
+	out := map[string]*prog.Module{"base": mod, "legacy": fuseLoopLegacy(t)}
 	for _, p := range []config.Precision{config.Double, config.Single} {
 		c, err := config.FromModule(mod)
 		if err != nil {
@@ -364,7 +485,8 @@ func firedPatterns(lp *Program, counts []uint64) map[fusePattern]bool {
 		}
 		for j, span := range bodySpans(c, b) {
 			if span > 1 {
-				fired[matchFuse(lp.instrs, int(c.opStart(b, int32(j))))] = true
+				p, _ := matchFuse(lp.instrs, int(c.opStart(b, int32(j))), false)
+				fired[p] = true
 			}
 		}
 	}
@@ -437,28 +559,91 @@ func TestFusedLoopBudgetAndMidBlockEntry(t *testing.T) {
 }
 
 // TestFusePatternMatching pins matchFuse: each case's constituents match
-// exactly its own pattern, and a proper prefix of them matches at most a
-// pattern no longer than the prefix.
+// exactly its own pattern over all of them, a proper prefix of them
+// matches at most a pattern no longer than the prefix, and every pattern
+// has a case.
 func TestFusePatternMatching(t *testing.T) {
+	cased := map[fusePattern]bool{}
 	for _, fc := range fuseCases {
+		cased[fc.p] = true
 		if fusePatternNames[fc.p] == "" {
 			t.Errorf("pattern %d has no name", fc.p)
 		}
-		c := fc.build(isa.R8, isa.R9)
-		if got := matchFuse(c, 0); got != fc.p {
-			t.Errorf("%s: matched %s", fusePatternNames[fc.p], fusePatternNames[got])
-		}
-		if int(fusePatternLen[fc.p]) != len(c) {
-			t.Errorf("%s: length %d, constituents %d", fusePatternNames[fc.p], fusePatternLen[fc.p], len(c))
+		c := fc.build(isa.R8, isa.R9, isa.R10)
+		if got, n := matchFuse(c, 0, false); got != fc.p || n != len(c) {
+			t.Errorf("%s: matched %s over %d of %d", fusePatternNames[fc.p], fusePatternNames[got], n, len(c))
 		}
 		for k := 1; k < len(c); k++ {
-			if got := matchFuse(c[:k], 0); got != fuseNone && int(fusePatternLen[got]) > k {
+			if got, n := matchFuse(c[:k], 0, false); got != fuseNone && n > k {
 				t.Errorf("%s: prefix of %d matched %s", fusePatternNames[fc.p], k, fusePatternNames[got])
 			}
 		}
 	}
-	if len(fuseCases) != int(numFusePatterns)-1 {
-		t.Errorf("%d fault-parity cases for %d patterns", len(fuseCases), numFusePatterns-1)
+	for p := fuseNone + 1; p < numFusePatterns; p++ {
+		if !cased[p] {
+			t.Errorf("pattern %s has no fault-parity case", fusePatternNames[p])
+		}
+	}
+}
+
+// TestFuseIndexAccessRejectsAliasing pins the aliasing the index-access
+// matcher refuses: each program is an index-access shape whose registers
+// alias so that a constituent reads a register the fused closure would
+// hold in a local. None may match the family; each still runs identically
+// on both tiers through whatever shorter patterns match it.
+func TestFuseIndexAccessRejectsAliasing(t *testing.T) {
+	load := func(r uint8, ref isa.Operand) isa.Instr { return isa.I(isa.LOAD, isa.Gpr(r), ref) }
+	movri := func(r uint8, k int64) isa.Instr { return isa.I(isa.MOVRI, isa.Gpr(r), isa.Imm(k)) }
+	rr := func(op isa.Op, d, s uint8) isa.Instr { return isa.I(op, isa.Gpr(d), isa.Gpr(s)) }
+	ldsd := func(ref isa.Operand) isa.Instr { return isa.I(isa.MOVSD, isa.Xmm(1), ref) }
+	stsd := func(ref isa.Operand) isa.Instr { return isa.I(isa.MOVSD, ref, isa.Xmm(1)) }
+	rows := func(col ...isa.Instr) []isa.Instr {
+		return append([]isa.Instr{load(isa.RAX, isa.Mem(isa.R8, 8)), movri(isa.RCX, 6), rr(isa.IMULR, isa.RAX, isa.RCX)}, col...)
+	}
+	a8 := isa.MemIdx(isa.R9, isa.RAX, 8, 32)
+	cases := map[string][]isa.Instr{
+		"adjust onto itself":              {load(isa.RAX, isa.Mem(isa.R8, 8)), movri(isa.RAX, 3), rr(isa.ADDR, isa.RAX, isa.RAX), ldsd(a8)},
+		"adjust of another register":      {load(isa.RAX, isa.Mem(isa.R8, 8)), movri(isa.RCX, 3), rr(isa.ADDR, isa.RDX, isa.RCX), ldsd(a8)},
+		"access not indexed by the index": {load(isa.RAX, isa.Mem(isa.R8, 8)), ldsd(isa.MemIdx(isa.R9, isa.RCX, 8, 32))},
+		"access unindexed":                {load(isa.RAX, isa.Mem(isa.R8, 8)), ldsd(isa.Mem(isa.RAX, 32))},
+		"access based on the index":       {load(isa.RAX, isa.Mem(isa.R8, 8)), stsd(isa.MemIdx(isa.RAX, isa.RAX, 8, 32))},
+		"access based on the adjust":      {load(isa.RAX, isa.Mem(isa.R8, 8)), movri(isa.RCX, 3), rr(isa.SUBR, isa.RAX, isa.RCX), ldsd(isa.MemIdx(isa.RCX, isa.RAX, 8, 32))},
+		"row length into the index":       {load(isa.RAX, isa.Mem(isa.R8, 8)), movri(isa.RAX, 6), rr(isa.IMULR, isa.RAX, isa.RAX), load(isa.RCX, isa.Mem(isa.R8, 0)), rr(isa.ADDR, isa.RAX, isa.RCX), ldsd(a8)},
+		"T adjust off the row register":   {load(isa.RAX, isa.Mem(isa.R8, 8)), movri(isa.RDX, 1), rr(isa.SUBR, isa.RAX, isa.RDX), movri(isa.RCX, 6), rr(isa.IMULR, isa.RAX, isa.RCX), load(isa.RCX, isa.Mem(isa.R8, 0)), rr(isa.ADDR, isa.RAX, isa.RCX), ldsd(a8)},
+		"column load into the index":      rows(load(isa.RAX, isa.Mem(isa.R8, 0)), rr(isa.ADDR, isa.RAX, isa.RCX), ldsd(a8)),
+		"column load based on the row":    rows(load(isa.RCX, isa.Mem(isa.RAX, 0)), rr(isa.ADDR, isa.RAX, isa.RCX), ldsd(a8)),
+		"column load based on itself":     rows(load(isa.RCX, isa.MemIdx(isa.R8, isa.RCX, 8, 0)), rr(isa.ADDR, isa.RAX, isa.RCX), ldsd(a8)),
+		"column adjust onto the row":      rows(load(isa.RCX, isa.Mem(isa.R8, 0)), movri(isa.RAX, 1), rr(isa.ADDR, isa.RCX, isa.RAX), rr(isa.ADDR, isa.RAX, isa.RCX), ldsd(a8)),
+		"column constant elsewhere":       rows(movri(isa.RDX, 3), rr(isa.ADDR, isa.RAX, isa.RCX), ldsd(a8)),
+		"sum into the column":             rows(load(isa.RCX, isa.Mem(isa.R8, 0)), rr(isa.ADDR, isa.RCX, isa.RAX), ldsd(a8)),
+		"access based on the column":      rows(load(isa.RCX, isa.Mem(isa.R8, 0)), rr(isa.ADDR, isa.RAX, isa.RCX), stsd(isa.MemIdx(isa.RCX, isa.RAX, 8, 32))),
+		"access based on the col adjust":  rows(load(isa.RCX, isa.Mem(isa.R8, 0)), movri(isa.RDX, 1), rr(isa.ADDR, isa.RCX, isa.RDX), rr(isa.ADDR, isa.RAX, isa.RCX), ldsd(isa.MemIdx(isa.RDX, isa.RAX, 8, 32))),
+	}
+	for name, c := range cases {
+		for i := range c {
+			if p, _ := matchFuse(c, i, false); p >= fuseIndex1Load && p <= fuseIndex2Store {
+				t.Errorf("%s: matched %s at %d", name, fusePatternNames[p], i)
+			}
+		}
+		f := &prog.Func{Name: "main", Instrs: append(slices.Clone(c), isa.I(isa.HALT))}
+		mod, err := prog.Build("alias", []*prog.Func{f}, fuseData(), prog.DataBase+4096, "main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lp, err := Link(mod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(noCompile bool) engineResult {
+			m := lp.NewMachine()
+			m.NoCompile = noCompile
+			m.TrackDirtyPages()
+			seedMachine(m, nil)
+			return engineResult{m, m.Run()}
+		}
+		a, b := run(false), run(true)
+		diffMachines(t, name, a, b)
+		sameDirtyPages(t, name, a.m, b.m)
 	}
 }
 

@@ -21,7 +21,9 @@ import (
 //
 // Input layout: byte 0 seeds the register file and data segment; byte 1
 // with its top bit set caps the run at (byte 1 & 63) steps; then three
-// bytes per instruction (selector, register byte, value byte).
+// bytes per instruction (selector, register byte, value byte). The last
+// selector (40 here) emits an index-access shape from its register and
+// value bytes and the three bytes after them (fuzzIndexAccess).
 func FuzzCompiledMatchesStep(f *testing.F) {
 	f.Add([]byte{1, 0, 20, 0, 0, 34, 0, 0, 21, 0, 0, 26, 0, 0, 29, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -135,9 +137,10 @@ func decodeFuzzProgram(data []byte) (mod *prog.Module, seed int64, max uint64, o
 	return decodeFuzz(data, false)
 }
 
-// decodeFuzz is decodeFuzzProgram, widened when ext is set: selectors past
-// the first 40 then pick from extFuzzOps, and the module gains a small
-// subroutine that every CALL targets.
+// decodeFuzz is decodeFuzzProgram, widened when ext is set: selectors
+// 40 and up then pick from extFuzzOps, the index-access selector moves to
+// the one after them, and the module gains a small subroutine that every
+// CALL targets.
 func decodeFuzz(data []byte, ext bool) (mod *prog.Module, seed int64, max uint64, ok bool) {
 	if len(data) < 2 {
 		return nil, 0, 0, false
@@ -156,11 +159,25 @@ func decodeFuzz(data []byte, ext bool) (mod *prog.Module, seed int64, max uint64
 			mem = isa.MemIdx(fuzzGPRs[(r>>5)&3], fuzzGPRs[v&7], 8, int32(int8(v)))
 		}
 		imm := isa.Imm(int64(int8(v)))
-		if n := byte(40 + len(extFuzzOps)); ext && sel%n >= 40 {
-			instrs = append(instrs, extFuzzOps[sel%n-40](g, x, x2, mem))
+		n := byte(41)
+		if ext {
+			n += byte(len(extFuzzOps))
+		}
+		s := sel % n
+		switch {
+		case s == n-1:
+			var w [3]byte
+			if len(rest) >= 6 {
+				copy(w[:], rest[3:6])
+				rest = rest[3:]
+			}
+			instrs = append(instrs, fuzzIndexAccess(r, v, w)...)
+			continue
+		case s >= 40:
+			instrs = append(instrs, extFuzzOps[s-40](g, x, x2, mem))
 			continue
 		}
-		switch sel % 40 {
+		switch s {
 		case 0:
 			instrs = append(instrs, isa.I(isa.LOAD, g, mem))
 		case 1:
@@ -203,8 +220,8 @@ func decodeFuzz(data []byte, ext bool) (mod *prog.Module, seed int64, max uint64
 			instrs = append(instrs, isa.I(isa.HALT))
 		default:
 			// A whole pattern instance, so fusion fires often.
-			fc := fuseCases[int(sel%40-20)%len(fuseCases)]
-			instrs = append(instrs, fc.build(fuzzGPRs[(r>>5)&3], fuzzGPRs[(v>>5)&3])...)
+			fc := fuseCases[int(s-20)%len(fuseCases)]
+			instrs = append(instrs, fc.build(fuzzGPRs[(r>>5)&3], fuzzGPRs[(v>>5)&3], fuzzGPRs[(r>>3)&3])...)
 		}
 	}
 	instrs = append(instrs, isa.I(isa.HALT))
@@ -241,6 +258,56 @@ func decodeFuzz(data []byte, ext bool) (mod *prog.Module, seed int64, max uint64
 		}
 	}
 	return mod, seed, max, true
+}
+
+// fuzzIndexAccess builds one index-access shape (matchIndex) from six
+// fuzz bytes. r picks the form: bit 0 the 2-D shape, bit 1 the store,
+// bits 2-3 T's adjust (none, ADDR, SUBR, none), bits 4-5 the 2-D column
+// (LOAD, LOAD with ADDR or SUBR adjust, MOVRI), bit 6 an access indexed
+// by rB instead of rA, bit 7 the XMM register. v picks rA (bits 0-2), rB
+// (bits 3-5) and the base of T's LOAD (bits 6-7). w[0] holds the adjusts'
+// constants, w[1] the row length, column constant and the column LOAD's
+// base, w[2] rC, the access's base and its displacement. Every register
+// comes from all of fuzzGPRs, so some instances alias in ways the
+// matcher must reject and run unfused.
+func fuzzIndexAccess(r, v byte, w [3]byte) []isa.Instr {
+	gpr := func(b byte) uint8 { return fuzzGPRs[b&7] }
+	base := func(b byte) uint8 { return fuzzGPRs[b&3] }
+	rA, rB, rC := gpr(v), gpr(v>>3), gpr(w[2])
+	k0, k1 := int64(int8(w[0]))>>4, int64(int8(w[0]<<4))>>4
+	adjust := func(sel byte, d, s uint8, k int64) []isa.Instr {
+		op := isa.ADDR
+		switch sel & 3 {
+		case 0, 3:
+			return nil
+		case 2:
+			op = isa.SUBR
+		}
+		return []isa.Instr{isa.I(isa.MOVRI, isa.Gpr(s), isa.Imm(k)), isa.I(op, isa.Gpr(d), isa.Gpr(s))}
+	}
+	out := []isa.Instr{isa.I(isa.LOAD, isa.Gpr(rA), isa.Mem(base(v>>6), 8*int32(w[0]&3)))}
+	out = append(out, adjust(r>>2, rA, rB, k0)...)
+	if r&1 != 0 {
+		out = append(out,
+			isa.I(isa.MOVRI, isa.Gpr(rB), isa.Imm(int64(w[1]&7))),
+			isa.I(isa.IMULR, isa.Gpr(rA), isa.Gpr(rB)))
+		if r>>4&3 == 3 {
+			out = append(out, isa.I(isa.MOVRI, isa.Gpr(rB), isa.Imm(int64(w[1]>>3&7))))
+		} else {
+			out = append(out, isa.I(isa.LOAD, isa.Gpr(rB), isa.Mem(base(w[1]>>6), 8*int32(w[1]>>3&3))))
+			out = append(out, adjust(r>>4, rB, rC, k1)...)
+		}
+		out = append(out, isa.I(isa.ADDR, isa.Gpr(rA), isa.Gpr(rB)))
+	}
+	idx := rA
+	if r&0x40 != 0 {
+		idx = rB
+	}
+	ref, x := isa.MemIdx(base(w[2]>>3), idx, 8, int32(int8(w[2])>>5)*8), isa.Xmm(r>>7)
+	if r&2 != 0 {
+		return append(out, isa.I(isa.MOVSD, ref, x))
+	}
+	return append(out, isa.I(isa.MOVSD, x, ref))
 }
 
 // extFuzzOps are the extra instruction shapes of the shadow fuzz target:

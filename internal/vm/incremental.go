@@ -65,7 +65,7 @@ func (f *ilFrag) compile() {
 	for i := range f.instrs {
 		f.costs[i] = cost(&f.instrs[i])
 	}
-	f.ops, f.fused = compileFrag(f.instrs)
+	f.ops, f.fused = compileFrag(f.instrs, false)
 }
 
 // ilUnit is one interleaving unit of the layout: a shared segment or a

@@ -193,7 +193,7 @@ func agreeWithLink(t *testing.T, label string, il *IncrementalLinker, sites []In
 	ops := make([]microOp, len(lpL.instrs))
 	var fused []fusedOp
 	for k := 0; k+1 < len(bound); k++ {
-		fo, ff := compileFrag(lpL.instrs[bound[k]:bound[k+1]])
+		fo, ff := compileFrag(lpL.instrs[bound[k]:bound[k+1]], false)
 		copy(ops[bound[k]:], fo)
 		for _, f := range ff {
 			f.at += int32(bound[k])

@@ -570,12 +570,15 @@ func shadowObserves(op isa.Op) bool {
 // shadowStep observes first materializes pcIdx (the hook's records are
 // indexed by it) and runs the hook on the pre-instruction state, exactly
 // as Step does; superinstructions spanning such an instruction are not
-// taken. The CALL terminator's hook runs in runCompiled. Blocks are the
-// same as lp.compiled's — every leader of it is passed on — so block
-// counters, stops and budget hand-offs behave identically.
+// taken. Every index-access superinstruction ends in an observed MOVSD,
+// so the stream matches without that family and keeps the shorter
+// arithmetic patterns its prefixes match. The CALL terminator's hook
+// runs in runCompiled. Blocks are the same as lp.compiled's — every
+// leader of it is passed on — so block counters, stops and budget
+// hand-offs behave identically.
 func (lp *Program) shadowStream() *compiled {
 	lp.shadowOnce.Do(func() {
-		ops, fused := compileFrag(lp.instrs)
+		ops, fused := compileFrag(lp.instrs, true)
 		for i, op := range ops {
 			if in := &lp.instrs[i]; op != nil && shadowObserves(in.Op) {
 				ops[i] = shadowOp(int32(i), in, op)
