@@ -16,7 +16,7 @@
 // remote.Transport. fpmixworker processes speak it over HTTP; the
 // daemon's own local workers run the same runtime over Direct, the
 // in-memory transport, and evaluate on the job's registered runner.
-// So leases, batching, epochs, affinity, quarantine and re-registration
+// So leases, batching, epochs, quarantine and re-registration
 // after a kill have one implementation. A worker may hold several
 // leases at once (batched delivery sized to its declared parallelism);
 // every lease carries its own owner+epoch idempotency token, so
@@ -31,16 +31,15 @@
 // live search can never receive an interrupted verdict. Drain stops new
 // leases and waits for held ones to deliver.
 //
-// Scheduling prefers fork affinity: units sharing a fork point (their
-// first single site) resume from the same donor snapshot under
-// fork-point evaluation, so the pool routes them to the worker that
-// already holds that snapshot when one exists, falling back to strict
-// FIFO whenever affinity would starve the queue head.
+// Leases go out in FIFO order, except that a unit whose lease broke
+// re-enters at the head. No unit is routed to a particular worker:
+// fork-point evaluation snapshots every candidate site of a job in one
+// donor pass per runner, so whichever worker has run one unit of a job
+// already holds every fork snapshot that job's units resume from.
 package fleet
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"strconv"
 	"sync"
@@ -80,28 +79,6 @@ type Options struct {
 	// skew between daemon and workers cannot break or extend a lease.
 	Clock func() time.Time
 }
-
-// Affinity scheduling bounds. A worker looks at most affinityWindow
-// deep into the queue for a unit whose fork site it owns, and the
-// queue head can be bypassed by such picks at most starveSkips times
-// before it must be taken regardless — affinity is a preference, never
-// a starvation source.
-const (
-	affinityWindow = 16
-	starveSkips    = 8
-	// affinityGrace is how long a queued unit whose fork site belongs to
-	// another worker is reserved for that owner. While the grace runs,
-	// non-owners with nothing else to take decline instead of stealing —
-	// the owner's parked claim collects the unit within microseconds, so
-	// the donor snapshot amortizes instead of re-running on a stranger.
-	// Once the grace expires (owner saturated, slow, or gone quiet) any
-	// worker takes the unit: affinity is a preference, never a fence.
-	affinityGrace = 50 * time.Millisecond
-	// affinityCap bounds the site-ownership table; past it the table
-	// resets (ownership is a routing hint — losing it costs at most one
-	// redundant donor run per worker, never correctness).
-	affinityCap = 8192
-)
 
 // WorkerState is a worker's position in its lifecycle.
 type WorkerState string
@@ -149,7 +126,6 @@ type Pool struct {
 	workers   map[string]*worker
 	jobs      map[string]*JobHandle // registered jobs whose context is live
 	queue     []*shard              // FIFO of unleased shards
-	aff       map[string]string     // fork-site key → owning worker ID
 	seq       int                   // worker IDs
 	epochs    int                   // lease epochs: unique pool-wide, so never reused by a unit key
 	fallbacks int
@@ -162,10 +138,6 @@ type worker struct {
 	name     string
 	state    WorkerState
 	parallel int // declared concurrent evaluations
-	// asked is the lease count the worker's last claim asked to reach
-	// (held + max, capped at its lease capacity): while it holds fewer,
-	// it has a claim parked or about to be, so affinity may wait for it.
-	asked int
 
 	done       int
 	discarded  int
@@ -185,13 +157,10 @@ type worker struct {
 type shard struct {
 	job  *JobHandle
 	unit search.EvalUnit
-	site string // fork-affinity key (job + fork site)
 
 	owner     string // worker holding the lease ("" = queued)
 	epoch     int    // the current lease's epoch, fresh at every assignment
 	reassigns int
-	skips     int       // times bypassed at the queue head by affinity picks
-	queued    time.Time // last (re-)enqueue, bounds the affinity-decline grace
 	delivered bool
 	done      chan shardResult // buffered 1
 }
@@ -225,7 +194,6 @@ func New(opts Options) *Pool {
 		workers: make(map[string]*worker),
 		jobs:    make(map[string]*JobHandle),
 		waitCh:  make(chan struct{}),
-		aff:     make(map[string]string),
 	}
 	go p.monitor()
 	return p
@@ -250,18 +218,6 @@ func (p *Pool) wakeLocked() {
 // two units of a job that share a unit key apart.
 func leaseKey(jobID, unitKey string, epoch int) string {
 	return jobID + "\x00" + unitKey + "\x00" + strconv.Itoa(epoch)
-}
-
-// siteKey derives a shard's fork-affinity key: the job plus the unit's
-// first single site. Units created by the search carry the site as a
-// hint; for any that don't, it is re-derived from the unit key, whose
-// byte image is the little-endian form of the sorted address set.
-func siteKey(jobID string, u search.EvalUnit) string {
-	site := u.ForkSite
-	if site == 0 && len(u.Key) >= 8 && !u.Final {
-		site = binary.LittleEndian.Uint64([]byte(u.Key[:8]))
-	}
-	return jobID + "\x00" + strconv.FormatUint(site, 16)
 }
 
 // Kill reports a worker dead: its leases are broken and the shards
@@ -475,7 +431,7 @@ func (j *JobHandle) EvaluateUnit(u search.EvalUnit) (search.Verdict, error) {
 		p.mu.Unlock()
 		return j.ev.Evaluate(u)
 	}
-	sh := &shard{job: j, unit: u, site: siteKey(j.id, u), queued: p.now(), done: make(chan shardResult, 1)}
+	sh := &shard{job: j, unit: u, done: make(chan shardResult, 1)}
 	p.queue = append(p.queue, sh)
 	p.wakeLocked()
 	p.mu.Unlock()
@@ -483,110 +439,21 @@ func (j *JobHandle) EvaluateUnit(u search.EvalUnit) (search.Verdict, error) {
 	return r.v, r.err
 }
 
-// takeLocked removes and returns the next shard for w, preferring fork
-// affinity inside a bounded window: first a shard whose site w already
-// owns, then a shard whose site has no live owner (w becomes its
-// owner), and otherwise the queue head — which can be bypassed at most
-// starveSkips times before it is taken unconditionally. Returns nil
-// when the queue is empty. Callers hold p.mu.
-func (p *Pool) takeLocked(w *worker) *shard {
-	if len(p.queue) == 0 {
-		return nil
-	}
-	head := p.queue[0]
-	pick := 0
-	if head.skips < starveSkips {
-		limit := len(p.queue)
-		if limit > affinityWindow {
-			limit = affinityWindow
-		}
-		fresh := -1
-		mine := -1
-		for i := 0; i < limit; i++ {
-			owner, owned := p.aff[p.queue[i].site]
-			if owned && owner == w.id {
-				mine = i
-				break
-			}
-			if fresh < 0 && (!owned || !p.ownerAssignableLocked(owner)) {
-				fresh = i
-			}
-		}
-		switch {
-		case mine >= 0:
-			pick = mine
-		case fresh > 0:
-			// Bypass the head for a fresh site only when the head belongs
-			// to another live worker that will come back for it; an
-			// unowned head is taken directly (fresh == 0 lands here too).
-			if owner, owned := p.aff[head.site]; owned && owner != w.id && p.ownerAssignableLocked(owner) {
-				pick = fresh
-			}
-		case fresh < 0:
-			// Everything in the window belongs to other workers. Taking
-			// the head now would strand its donor snapshot — the thief
-			// re-runs the donor the owner already paid for — so while the
-			// unit is inside its grace and the owner is positioned to
-			// collect it (a claim parked or about to be), decline and let
-			// the owner have it. The
-			// grace is a hard bound: past it the unit goes to whoever
-			// asks, because a stalled owner must never stall the queue.
-			if owner, owned := p.aff[head.site]; owned && owner != w.id &&
-				p.ownerWillClaimLocked(owner) && p.now().Sub(head.queued) < affinityGrace {
-				return nil
-			}
-		}
-	}
-	sh := p.queue[pick]
-	if pick > 0 {
-		head.skips++
-		p.queue = append(p.queue[:pick], p.queue[pick+1:]...)
-	} else {
-		p.queue = p.queue[1:]
-	}
-	return sh
-}
-
-// ownerWillClaimLocked reports whether the affinity owner is in a
-// position to collect more queued work promptly: it holds fewer leases
-// than its last claim asked for, so a claim of its is parked at the
-// pool or about to be. An owner holding everything it asked for is
-// busy evaluating — waiting on it would idle the queue, so a decline is
-// only worth it when this returns true. Callers hold p.mu.
-func (p *Pool) ownerWillClaimLocked(id string) bool {
-	w, ok := p.workers[id]
-	return ok && p.ownerAssignableLocked(id) && len(w.leases) < w.asked
-}
-
-// ownerAssignableLocked reports whether the worker behind an affinity
-// entry can still be assigned shards; callers hold p.mu.
-func (p *Pool) ownerAssignableLocked(id string) bool {
-	w, ok := p.workers[id]
-	return ok && assignable(w) && !p.draining
-}
-
 // assignable reports whether a worker may take leases at all.
 func assignable(w *worker) bool {
 	return w.state != WorkerDead && w.state != WorkerQuarantined
 }
 
-// assignLocked leases a shard (already removed from the queue) to w
-// and records fork-site ownership; callers hold p.mu.
+// assignLocked leases a shard (already removed from the queue) to w;
+// callers hold p.mu.
 func (p *Pool) assignLocked(w *worker, sh *shard) {
 	p.epochs++
 	sh.owner = w.id
 	sh.epoch = p.epochs
-	sh.skips = 0
 	w.leases[leaseKey(sh.job.id, sh.unit.Key, sh.epoch)] = sh
 	w.state = WorkerBusy
 	if w.firstLease.IsZero() {
 		w.firstLease = p.now()
-	}
-	if len(p.aff) >= affinityCap {
-		p.aff = make(map[string]string)
-	}
-	if cur, ok := p.aff[sh.site]; !ok || !p.ownerAssignableLocked(cur) {
-		p.aff[sh.site] = w.id
 	}
 }
 
@@ -643,14 +510,13 @@ func (p *Pool) sweep() bool {
 	return true
 }
 
-// markDeadLocked retires a worker, breaks all its leases and clears
-// its fork-site ownerships; callers hold p.mu.
+// markDeadLocked retires a worker and breaks all its leases; callers
+// hold p.mu.
 func (p *Pool) markDeadLocked(w *worker) {
 	if w.state == WorkerDead {
 		return
 	}
 	w.state = WorkerDead
-	p.disownSitesLocked(w)
 	for k, sh := range w.leases {
 		delete(w.leases, k)
 		if sh.owner == w.id {
@@ -659,16 +525,6 @@ func (p *Pool) markDeadLocked(w *worker) {
 	}
 	p.sweepUnassignableLocked()
 	p.wakeLocked()
-}
-
-// disownSitesLocked removes every fork-site ownership held by w, so
-// its sites route fresh; callers hold p.mu.
-func (p *Pool) disownSitesLocked(w *worker) {
-	for site, owner := range p.aff {
-		if owner == w.id {
-			delete(p.aff, site)
-		}
-	}
 }
 
 // sweepUnassignableLocked moves every queued shard to in-process
@@ -717,7 +573,6 @@ func (p *Pool) requeueLocked(sh *shard) {
 		go p.fallback(sh)
 		return
 	}
-	sh.queued = p.now()
 	p.queue = append([]*shard{sh}, p.queue...)
 	p.wakeLocked()
 }

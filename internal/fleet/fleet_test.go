@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
@@ -312,5 +313,82 @@ func TestPoolCloseFailsQueued(t *testing.T) {
 	close(g.gate) // let the in-flight evaluation finish and deliver
 	if err := <-first; err != nil {
 		t.Fatalf("in-flight shard should still deliver: %v", err)
+	}
+}
+
+// waitQueue blocks until at least n shards are queued.
+func waitQueue(t *testing.T, p *Pool, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for p.QueueLen() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue never reached %d shards", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestClaimFIFO: leases go out in queue order, whoever claims. A worker
+// that ran a unit of one fork site has no claim on that site's later
+// units, so a peer takes the head even when it is such a sibling and a
+// unit of another site waits behind it; and a shard whose lease broke
+// re-enters at the head, ahead of units queued before the break.
+func TestClaimFIFO(t *testing.T) {
+	p := New(quietOpts(newFakeClock()))
+	defer p.Close()
+	a, _, _ := p.Join("a", 1)
+	b, _, _ := p.Join("b", 1)
+	j := p.Register(context.Background(), "j0001", &fakeEval{})
+	// enqueue queues a piece lowering addrs, keyed like the search keys
+	// it: the byte image of the sorted address set, so its first eight
+	// bytes are its fork site.
+	enqueue := func(label string, addrs ...uint64) chan shardResult {
+		var key []byte
+		for _, addr := range addrs {
+			key = binary.LittleEndian.AppendUint64(key, addr)
+		}
+		n := p.QueueLen()
+		out := make(chan shardResult, 1)
+		go func() {
+			v, err := j.EvaluateUnit(search.EvalUnit{Key: string(key), Label: label, Addrs: addrs})
+			out <- shardResult{v: v, err: err}
+		}()
+		waitQueue(t, p, n+1)
+		return out
+	}
+	// claimNext claims one unit for id, checks it is want, and settles it.
+	claimNext := func(id, want string) {
+		t.Helper()
+		l := claimSoon(t, p, id)
+		if l.Unit.Label != want {
+			t.Fatalf("%s claimed %q, want %q", id, l.Unit.Label, want)
+		}
+		if acc, err := report(p, id, l, search.Verdict{Pass: true}, ""); err != nil || !acc {
+			t.Fatalf("report %s: accepted=%v err=%v", want, acc, err)
+		}
+	}
+	var results []chan shardResult
+
+	results = append(results, enqueue("s1a", 0x1000))
+	claimNext(a, "s1a")
+	results = append(results, enqueue("s1b", 0x1000, 0x1008), enqueue("s2a", 0x2000))
+	claimNext(b, "s1b")
+	claimNext(a, "s2a")
+
+	results = append(results, enqueue("held", 0x3000))
+	if l := claimSoon(t, p, b); l.Unit.Label != "held" {
+		t.Fatalf("b claimed %q, want held", l.Unit.Label)
+	}
+	results = append(results, enqueue("q1", 0x4000), enqueue("q2", 0x5000))
+	if err := p.Kill(b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"held", "q1", "q2"} {
+		claimNext(a, want)
+	}
+	for _, res := range results {
+		if r := <-res; r.err != nil || !r.v.Pass {
+			t.Fatalf("unit result %+v", r)
+		}
 	}
 }

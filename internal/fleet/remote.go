@@ -95,8 +95,8 @@ func leaseCapLocked(w *worker) int {
 // to wait or until ctx ends. The response always re-delivers every
 // lease the worker already holds (same epochs — the idempotency tokens
 // are unchanged, so whichever delivery the worker acts on, only one
-// report per unit is accepted) before topping up from the queue,
-// bounded by the worker's lease capacity. An empty slice with state
+// report per unit is accepted) before topping up from the queue head,
+// in FIFO order, bounded by the worker's lease capacity. An empty slice with state
 // WorkerIdle means no work was available; state WorkerQuarantined tells
 // the worker to drain.
 func (p *Pool) Claim(ctx context.Context, id string, wait time.Duration, max int) ([]Lease, WorkerState, error) {
@@ -105,7 +105,7 @@ func (p *Pool) Claim(ctx context.Context, id string, wait time.Duration, max int
 	}
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
-	for arrival := true; ; arrival = false {
+	for {
 		p.mu.Lock()
 		w, ok := p.workers[id]
 		if !ok || w.state == WorkerDead {
@@ -122,17 +122,10 @@ func (p *Pool) Claim(ctx context.Context, id string, wait time.Duration, max int
 			return nil, WorkerQuarantined, nil
 		}
 		limit := leaseCapLocked(w)
-		if arrival {
-			// What this claim asks to hold; reports landing while it is
-			// parked do not lower it (see ownerWillClaimLocked).
-			w.asked = min(len(w.leases)+max, limit)
-		}
 		leases := p.heldLeasesLocked(w)
-		for granted := 0; !p.draining && granted < max && len(w.leases) < limit; granted++ {
-			sh := p.takeLocked(w)
-			if sh == nil {
-				break
-			}
+		for granted := 0; !p.draining && granted < max && len(w.leases) < limit && len(p.queue) > 0; granted++ {
+			sh := p.queue[0]
+			p.queue = p.queue[1:]
 			p.assignLocked(w, sh)
 			leases = append(leases, Lease{Job: sh.job.id, Unit: sh.unit, Epoch: sh.epoch})
 			if sh.unit.Final {
@@ -240,8 +233,7 @@ func (p *Pool) ReportBatch(id string, reports []Report) ([]bool, error) {
 }
 
 // quarantineLocked drains a worker: no further shard is ever assigned
-// to it, its remaining leases break and requeue, and its fork-site
-// ownerships clear so siblings route to live workers. It stays
+// to it, and its remaining leases break and requeue. It stays
 // registered (and heartbeating) so the registry shows why it was
 // benched. Callers hold p.mu.
 func (p *Pool) quarantineLocked(w *worker) {
@@ -249,7 +241,6 @@ func (p *Pool) quarantineLocked(w *worker) {
 		return
 	}
 	w.state = WorkerQuarantined
-	p.disownSitesLocked(w)
 	for k, sh := range w.leases {
 		delete(w.leases, k)
 		if sh.owner == w.id {

@@ -78,27 +78,25 @@ type Lease struct {
 // the raw byte image of its sorted address set — generally not valid
 // UTF-8, which encoding/json silently coerces to U+FFFD, corrupting
 // the idempotency token and making every report of the unit
-// undeliverable — so the key travels hex-encoded.
+// undeliverable — so the key travels hex-encoded. Fields this version
+// does not know, such as the scheduling hints older daemons sent, are
+// ignored on decode.
 type WireUnit struct {
-	Key      string      `json:"key"` // hex-encoded search.EvalUnit.Key
-	Label    string      `json:"label,omitempty"`
-	Kind     config.Kind `json:"kind"`
-	Addrs    []uint64    `json:"addrs,omitempty"`
-	Final    bool        `json:"final,omitempty"`
-	ForkSite uint64      `json:"fork_site,omitempty"`
-	Weight   int         `json:"weight,omitempty"`
+	Key   string      `json:"key"` // hex-encoded search.EvalUnit.Key
+	Label string      `json:"label,omitempty"`
+	Kind  config.Kind `json:"kind"`
+	Addrs []uint64    `json:"addrs,omitempty"`
+	Final bool        `json:"final,omitempty"`
 }
 
 // ToWire hex-armors a unit for JSON transport.
 func ToWire(u search.EvalUnit) WireUnit {
 	return WireUnit{
-		Key:      hex.EncodeToString([]byte(u.Key)),
-		Label:    u.Label,
-		Kind:     u.Kind,
-		Addrs:    u.Addrs,
-		Final:    u.Final,
-		ForkSite: u.ForkSite,
-		Weight:   u.Weight,
+		Key:   hex.EncodeToString([]byte(u.Key)),
+		Label: u.Label,
+		Kind:  u.Kind,
+		Addrs: u.Addrs,
+		Final: u.Final,
 	}
 }
 
@@ -109,13 +107,11 @@ func (wu WireUnit) Unit() (search.EvalUnit, error) {
 		return search.EvalUnit{}, fmt.Errorf("remote: undecodable unit key %q: %v", wu.Key, err)
 	}
 	return search.EvalUnit{
-		Key:      string(key),
-		Label:    wu.Label,
-		Kind:     wu.Kind,
-		Addrs:    wu.Addrs,
-		Final:    wu.Final,
-		ForkSite: wu.ForkSite,
-		Weight:   wu.Weight,
+		Key:   string(key),
+		Label: wu.Label,
+		Kind:  wu.Kind,
+		Addrs: wu.Addrs,
+		Final: wu.Final,
 	}, nil
 }
 

@@ -2,8 +2,11 @@ package remote
 
 import (
 	"encoding/json"
+	"os"
+	"reflect"
 	"testing"
 
+	"fpmix/internal/config"
 	"fpmix/internal/search"
 )
 
@@ -40,5 +43,34 @@ func TestWireUnitBinaryKeyRoundTrip(t *testing.T) {
 func TestWireUnitBadHex(t *testing.T) {
 	if _, err := (WireUnit{Key: "zz"}).Unit(); err == nil {
 		t.Fatal("bad hex decoded without error")
+	}
+}
+
+// TestWireUnitIgnoresRetiredHints: testdata/old-daemon-lease.json is a
+// lease as an older daemon sent it, still carrying the fork-site and
+// weight scheduling hints. It must decode to the same unit as the lease
+// this version sends for that unit.
+func TestWireUnitIgnoresRetiredHints(t *testing.T) {
+	want := search.EvalUnit{Key: "\x00\x10\x00\x00\x00\x00\x00\x00", Label: "piece 1", Kind: config.KindInsn, Addrs: []uint64{4096}}
+	cur, err := json.Marshal(Lease{Job: "j1", Epoch: 2, Unit: ToWire(want)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile("testdata/old-daemon-lease.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range [][]byte{old, cur} {
+		var l Lease
+		if err := json.Unmarshal(body, &l); err != nil {
+			t.Fatal(err)
+		}
+		got, err := l.Unit.Unit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Job != "j1" || l.Epoch != 2 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("lease %s decoded to %s/%d %+v, want j1/2 %+v", body, l.Job, l.Epoch, got, want)
+		}
 	}
 }

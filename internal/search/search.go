@@ -588,7 +588,7 @@ func Run(t Target, opts Options) (*Result, error) {
 	launch := func(p *Piece, key string, speculative bool) {
 		inflight++
 		go func() {
-			v, err := evaluate(newEvalUnit(key, p.Label, p.Kind, p.Addrs, false))
+			v, err := evaluate(EvalUnit{Key: key, Label: p.Label, Kind: p.Kind, Addrs: p.Addrs})
 			results <- evalRes{p: p, key: key, v: v, err: err, speculative: speculative}
 		}()
 	}
@@ -856,7 +856,7 @@ func Run(t Target, opts Options) (*Result, error) {
 			return res, nil
 		}
 	}
-	fv, err := evaluate(newEvalUnit("final union", "final union", config.KindModule, singles, true))
+	fv, err := evaluate(EvalUnit{Key: "final union", Label: "final union", Kind: config.KindModule, Addrs: singles, Final: true})
 	if err != nil {
 		return fail(err)
 	}

@@ -20,7 +20,10 @@ import (
 // a worker wraps.
 
 // EvalUnit is one evaluation unit: an independently evaluable
-// configuration of the search (a piece, or the final union run).
+// configuration of the search (a piece, or the final union run). It
+// carries what evaluation needs and nothing for scheduling: a verdict
+// depends on the address set alone, so an executor may run units in
+// any order, on any worker.
 type EvalUnit struct {
 	// Key is the unit's canonical identity — the byte image of its
 	// sorted address set (addrKey), or the literal "final union" for the
@@ -37,31 +40,6 @@ type EvalUnit struct {
 	Addrs []uint64
 	// Final marks the final-union verification run.
 	Final bool
-	// ForkSite is the unit's first single site (its lowest candidate
-	// address). Under fork-point evaluation every unit resumes from the
-	// donor snapshot taken at that site, so schedulers can use it as an
-	// affinity key: units sharing a ForkSite restore from the same
-	// snapshot, and routing them to the worker that already holds it
-	// amortizes the donor run remotely the way it does in-process. Zero
-	// when the unit lowers nothing.
-	ForkSite uint64
-	// Weight is a relative cost hint — the number of sites the unit
-	// lowers. The final-union run carries every surviving single and is
-	// usually the heaviest unit of its search, so schedulers avoid
-	// packing it into a batch behind lighter units.
-	Weight int
-}
-
-// newEvalUnit builds a unit for an address set, deriving the ForkSite
-// and Weight scheduling hints from the set itself.
-func newEvalUnit(key, label string, kind config.Kind, addrs []uint64, final bool) EvalUnit {
-	u := EvalUnit{Key: key, Label: label, Kind: kind, Addrs: addrs, Final: final, Weight: len(addrs)}
-	for _, a := range addrs {
-		if u.ForkSite == 0 || a < u.ForkSite {
-			u.ForkSite = a
-		}
-	}
-	return u
 }
 
 // Verdict is the settled outcome of an evaluation unit, after retries,

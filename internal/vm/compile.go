@@ -290,7 +290,7 @@ func compileProgramWith(lp *Program, ops []microOp, fused []fusedOp, extraLeader
 // granularity is unobservable.
 func (m *Machine) compiledTier() bool {
 	return !m.NoCompile && m.lp != nil && m.lp.compiled != nil &&
-		m.inject == nil && !m.TrapUnreplaced
+		m.injectAt == 0 && !m.TrapUnreplaced
 }
 
 // runCompiled executes block to block until HALT, a fault, or budget

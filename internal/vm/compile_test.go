@@ -164,28 +164,6 @@ func TestInjectedTrapExactOnLinkedRun(t *testing.T) {
 	}
 }
 
-// TestInjectedTrapAtSiteOnLinkedRun covers the by-address arming used by
-// the MPI chaos harness: the n-th execution of a chosen site faults at
-// exactly that site.
-func TestInjectedTrapAtSiteOnLinkedRun(t *testing.T) {
-	lp := linkedLoop(t, 50)
-	addr := lp.instrs[2].Addr // the CMPI inside the loop
-	m := lp.NewMachine()
-	m.InjectTrapAt(addr, 13)
-	err := m.Run()
-	var f *Fault
-	if !errors.As(err, &f) || f.Kind != FaultInjected {
-		t.Fatalf("got %v, want injected fault", err)
-	}
-	if f.PC != addr || m.PC() != addr {
-		t.Fatalf("trap at %#x, want %#x", f.PC, addr)
-	}
-	// 13th execution of the site: counts must show exactly 13.
-	if got := m.Counts()[2]; got != 13 {
-		t.Fatalf("site executed %d times at trap, want 13", got)
-	}
-}
-
 // TestCompiledMaxStepsMidBlock expires budgets at every point of a run
 // and checks the compiled tier faults at the same step and PC as the
 // interpreter, including budgets landing inside fused blocks.

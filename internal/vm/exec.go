@@ -19,7 +19,7 @@ func (m *Machine) Step() error {
 	in := &m.instrs[m.pcIdx]
 	m.counts[m.pcIdx]++
 	m.Steps++
-	if m.inject != nil {
+	if m.injectAt != 0 {
 		if err := m.injectCheck(in); err != nil {
 			return err
 		}

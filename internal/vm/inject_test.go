@@ -52,23 +52,6 @@ func TestInjectTrapAfterSteps(t *testing.T) {
 	}
 }
 
-func TestInjectTrapAtAddress(t *testing.T) {
-	m, head := loopProgram(t, 1000)
-	// The loop-head ADDI executes once per iteration; arm its 7th hit.
-	m.InjectTrapAt(head, 7)
-	err := m.Run()
-	var f *Fault
-	if !errors.As(err, &f) || f.Kind != FaultInjected {
-		t.Fatalf("err = %v, want FaultInjected", err)
-	}
-	if f.PC != head {
-		t.Errorf("fault PC = %#x, want the armed site %#x", f.PC, head)
-	}
-	if got := m.Profile()[head]; got != 7 {
-		t.Errorf("armed site executed %d times before the trap, want 7", got)
-	}
-}
-
 func TestInjectTrapDisarmedByClearAndReset(t *testing.T) {
 	m, _ := loopProgram(t, 50)
 	m.InjectTrapAfter(10)

@@ -136,7 +136,7 @@ func (m *Machine) rewind() {
 	m.GPR = [isa.NumGPR]uint64{}
 	m.XMM = [isa.NumXMM][2]uint64{}
 	m.eq, m.ltS, m.ltU = false, false, false
-	m.inject = nil
+	m.injectAt = 0
 	m.Out = m.Out[:0]
 	m.Cycles = 0
 	m.Steps = 0

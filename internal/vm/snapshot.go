@@ -191,7 +191,7 @@ func (s *Snapshot) PC() uint64 { return s.pcAddr }
 // injected trap. With dirty-page tracking enabled, pages unchanged since
 // the previous Snapshot or RestoreFrom are shared, not copied.
 func (m *Machine) Snapshot() (*Snapshot, error) {
-	if m.inject != nil {
+	if m.injectAt != 0 {
 		return nil, fmt.Errorf("vm: snapshot with an armed injected trap")
 	}
 	if int(m.pcIdx) >= len(m.instrs) || m.pcIdx < 0 {
@@ -290,7 +290,7 @@ func (m *Machine) RestoreFrom(s *Snapshot) error {
 	m.Steps = s.steps
 	m.halted = s.halted
 	m.pcIdx = pcIdx
-	m.inject = nil
+	m.injectAt = 0
 	for i := range m.blkExec {
 		m.blkExec[i] = 0
 	}

@@ -163,10 +163,11 @@ type Machine struct {
 	// default) costs one pointer comparison per step.
 	cancelled *atomic.Bool
 
-	// inject, when non-nil, is an armed artificial trap (fault
-	// injection); nil (the default) costs one pointer comparison per
-	// step. Per-run state: rewind/ResetTo disarm it.
-	inject *injectState
+	// injectAt, when non-zero, arms an artificial trap (fault
+	// injection) at the first instruction whose step count reaches it;
+	// zero (the default) costs one comparison per step. Per-run state:
+	// rewind/ResetTo disarm it.
+	injectAt uint64
 
 	// Linked-program state (nil/absent on vm.New machines): the Program
 	// the machine executes plus its pre-resolved branch-target table (see
@@ -338,55 +339,24 @@ func (m *Machine) RunContext(ctx context.Context) error {
 	return err
 }
 
-// injectState is an armed artificial trap: execution faults with
-// FaultInjected either at a step-count threshold or on the n-th execution
-// of a chosen instruction address.
-type injectState struct {
-	step    uint64 // fault at the first instruction whose step count reaches this (0 = by address)
-	addr    uint64
-	hits    uint64 // by-address: remaining executions of addr before the fault
-	useAddr bool
-}
-
 // InjectTrapAfter arms an artificial trap: execution faults with
 // FaultInjected at the first instruction at or beyond the given step
 // count (1 faults the very first instruction). Fault-injection harnesses
 // use it to simulate FP traps at deterministic points of a run.
 func (m *Machine) InjectTrapAfter(steps uint64) {
-	if steps == 0 {
-		steps = 1
-	}
-	m.inject = &injectState{step: steps}
-}
-
-// InjectTrapAt arms an artificial trap at an instruction site: the n-th
-// execution of addr (counting from 1) faults with FaultInjected.
-func (m *Machine) InjectTrapAt(addr uint64, n uint64) {
-	if n == 0 {
-		n = 1
-	}
-	m.inject = &injectState{addr: addr, hits: n, useAddr: true}
+	m.injectAt = max(steps, 1)
 }
 
 // ClearInjected disarms any armed artificial trap.
-func (m *Machine) ClearInjected() { m.inject = nil }
+func (m *Machine) ClearInjected() { m.injectAt = 0 }
 
 // injectCheck reports whether the armed trap fires on this instruction,
 // building the fault and disarming when it does.
 func (m *Machine) injectCheck(in *isa.Instr) error {
-	st := m.inject
-	if st.useAddr {
-		if in.Addr != st.addr {
-			return nil
-		}
-		st.hits--
-		if st.hits > 0 {
-			return nil
-		}
-	} else if m.Steps < st.step {
+	if m.Steps < m.injectAt {
 		return nil
 	}
-	m.inject = nil
+	m.injectAt = 0
 	return m.fault(FaultInjected, in, fmt.Sprintf("armed trap fired at step %d", m.Steps))
 }
 
