@@ -171,38 +171,50 @@ func BenchmarkAMG(b *testing.B) {
 // BenchmarkSearchEvaluate measures end-to-end search throughput across
 // the evaluation backends: the fork-point engine on the compiled
 // direct-threaded VM tier (the default), the fork engine pinned to the
-// per-step interpreter (nocompile), and the from-scratch fallback. All
-// sub-benchmarks run the identical search; ns/op ratios are the
-// respective speedups.
+// per-step interpreter (nocompile), and the from-scratch fallback, on mg.
+// All three run the identical search; ns/op ratios are the respective
+// speedups. The fork-lu, fork-bt and fork-sp legs run the default engine
+// on the kernels whose searches evaluation dominates. Every leg reports
+// the compiled tier's census per search (vm.ReadCensus): blocks
+// dispatched, body micro-ops executed and the steps those blocks ran.
 func BenchmarkSearchEvaluate(b *testing.B) {
-	bench, err := kernels.Get("mg", kernels.ClassW)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name      string
-		mode      search.EngineMode
-		noCompile bool
+	for _, leg := range []struct {
+		name, kernel string
+		mode         search.EngineMode
+		noCompile    bool
 	}{
-		{"fork", search.EngineFork, false},
-		{"nocompile", search.EngineFork, true},
-		{"fallback", search.EngineOff, false},
+		{"fork", "mg", search.EngineFork, false},
+		{"nocompile", "mg", search.EngineFork, true},
+		{"fallback", "mg", search.EngineOff, false},
+		{"fork-lu", "lu", search.EngineFork, false},
+		{"fork-bt", "bt", search.EngineFork, false},
+		{"fork-sp", "sp", search.EngineFork, false},
 	} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
+		leg := leg
+		b.Run(leg.name, func(b *testing.B) {
+			bench, err := kernels.Get(leg.kernel, kernels.ClassW)
+			if err != nil {
+				b.Fatal(err)
+			}
 			var res *search.Result
+			before := vm.ReadCensus()
 			for i := 0; i < b.N; i++ {
 				res, err = search.Run(searchTarget(bench), search.Options{
 					Workers: 8, BinarySplit: true, Prioritize: true,
-					Engine: mode.mode, NoCompile: mode.noCompile,
+					Engine: leg.mode, NoCompile: leg.noCompile,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
+			after := vm.ReadCensus()
+			n := float64(b.N)
+			b.ReportMetric(float64(after.Blocks-before.Blocks)/n, "blocks/op")
+			b.ReportMetric(float64(after.MicroOps-before.MicroOps)/n, "microOps/op")
+			b.ReportMetric(float64(after.Steps-before.Steps)/n, "blockSteps/op")
 			b.ReportMetric(float64(res.Tested), "testedCfgs")
 			b.ReportMetric(float64(res.MemoHits), "memoHits")
-			if mode.mode == search.EngineFork {
+			if leg.mode == search.EngineFork {
 				b.ReportMetric(float64(res.Forked), "forkedCfgs")
 				b.ReportMetric(float64(res.PrefixInstrsSaved), "prefixInstrs")
 			}

@@ -572,7 +572,7 @@ type FlagAnalysis struct {
 }
 
 // NewFlagAnalysis builds the supergraph and memory model once, for many
-// CleanUnder queries.
+// CleanOperandsUnder queries.
 func NewFlagAnalysis(m *prog.Module) (*FlagAnalysis, error) {
 	a, err := build(m)
 	if err != nil {
@@ -581,54 +581,41 @@ func NewFlagAnalysis(m *prog.Module) (*FlagAnalysis, error) {
 	return &FlagAnalysis{a: a}, nil
 }
 
-// CleanUnder returns the candidate addresses whose floating-point inputs
-// are proven clean when exactly the given candidates are configured
-// single. A clean double site's wrapper is a checked no-op for this
-// configuration, so the bare original instruction is bit-identical to
-// it. CleanUnder(nil) restricts the sources to the empty set (no site
-// single), not the any-configuration abstraction — use Analyze for that.
-//
-// The query runs with the extent-precise memory model (memLocsPrec):
-// distinct arrays from the module's region table occupy distinct cells,
-// so a single site storing into one array poisons that array alone.
-func (fa *FlagAnalysis) CleanUnder(singles map[uint64]bool) map[uint64]bool {
-	clean := make(map[uint64]bool)
-	for addr, oc := range fa.CleanOperandsUnder(singles) {
-		if oc.Src && oc.Dst {
-			clean[addr] = true
-		}
-	}
-	return clean
-}
-
 // OperandClean is the per-operand refinement of a clean verdict: Src is
 // the source (B) operand, Dst the destination operand read as a source
 // by dst-is-source operations. An operand the instruction does not read
-// as floating-point input is trivially clean, so Src && Dst is exactly
-// CleanUnder's whole-site verdict.
+// as floating-point input is trivially clean, so Src && Dst is the
+// whole-site verdict.
 type OperandClean struct {
 	Src bool
 	Dst bool
 }
 
-// CleanOperandsUnder is CleanUnder at operand granularity: for every
-// candidate site it reports which of its floating-point inputs are
-// proven unflagged when exactly the given candidates are configured
-// single. A wrapper's check on a proven-clean operand is a guaranteed
-// no-op, so a narrowed wrapper that omits it (replace.DoubleSnippet
-// with CleanSrcInput/CleanDstInput) is bit-identical to the full one
-// under this configuration.
-func (fa *FlagAnalysis) CleanOperandsUnder(singles map[uint64]bool) map[uint64]OperandClean {
+// CleanOperandsUnder reports, for each address of sites, which of the
+// candidate's floating-point inputs are proven unflagged when exactly the
+// given candidates are configured single (out[k] is sites[k]'s; an
+// address that is not a candidate gets the zero value). Src && Dst is
+// the whole-site verdict: that double site's wrapper is a checked no-op
+// for this configuration, so the bare original instruction is
+// bit-identical to it. A wrapper's check on a single proven-clean
+// operand is a guaranteed no-op too, so a narrowed wrapper that omits it
+// (replace.DoubleSnippet with CleanSrcInput/CleanDstInput) is
+// bit-identical to the full one. A nil singles set means no site single,
+// not the any-configuration abstraction — use Analyze for that.
+//
+// The query runs with the extent-precise memory model (memLocsPrec):
+// distinct arrays from the module's region table occupy distinct cells,
+// so a single site storing into one array poisons that array alone.
+func (fa *FlagAnalysis) CleanOperandsUnder(singles map[uint64]bool, sites []uint64) []OperandClean {
 	if singles == nil {
 		singles = map[uint64]bool{}
 	}
 	flags := fa.a.flagReachFor(singles, true)
-	out := make(map[uint64]OperandClean)
-	for i, in := range fa.a.instrs {
-		if !isa.IsCandidate(in.Op) {
-			continue
+	out := make([]OperandClean, len(sites))
+	for k, addr := range sites {
+		if i, ok := fa.a.idx[addr]; ok && isa.IsCandidate(fa.a.instrs[i].Op) {
+			out[k] = fa.a.cleanOperandsPrec(i, flags, true)
 		}
-		out[in.Addr] = fa.a.cleanOperandsPrec(i, flags, true)
 	}
 	return out
 }

@@ -31,11 +31,25 @@ func (a *analysis) flagReach() []bitset {
 // never stamp a source and always produce plain double results. precise
 // additionally resolves array accesses through the module's region
 // table (memLocsPrec) instead of the everything blob.
+//
+// A nil flagIn[i] is bottom (nothing flagged): a state is allocated, from
+// one growing slab, only when flags first reach its instruction, so a
+// query with a small singles set allocates in proportion to the flagged
+// subgraph rather than the whole module.
 func (a *analysis) flagReachFor(singles map[uint64]bool, precise bool) []bitset {
 	n := len(a.instrs)
 	flagIn := make([]bitset, n)
-	for i := range flagIn {
-		flagIn[i] = newBitset(a.nLocs)
+	words := (a.nLocs + 63) / 64
+	var slab []uint64
+	chunk := 32 // states per slab, doubling up to n
+	alloc := func() bitset {
+		if len(slab) < words {
+			slab = make([]uint64, words*chunk)
+			chunk = min(2*chunk, max(n, 32))
+		}
+		b := slab[:words:words]
+		slab = slab[words:]
+		return b
 	}
 	inList := make([]bool, n)
 	var work []int
@@ -74,9 +88,19 @@ func (a *analysis) flagReachFor(singles map[uint64]bool, precise bool) []bitset 
 		work = work[:len(work)-1]
 		inList[i] = false
 
-		out.copyFrom(flagIn[i])
+		if flagIn[i] == nil {
+			clear(out)
+		} else {
+			out.copyFrom(flagIn[i])
+		}
 		a.flagStepFor(i, out, singles, precise)
+		if out.empty() {
+			continue // bottom changes no successor
+		}
 		for _, s := range a.succs[i] {
+			if flagIn[s] == nil {
+				flagIn[s] = alloc()
+			}
 			if flagIn[s].or(out) {
 				push(int(s))
 			}
@@ -371,6 +395,9 @@ func (a *analysis) cleanOperandsPrec(i int, flagIn []bitset, precise bool) Opera
 		resolve = a.memLocsPrec
 	}
 	st := flagIn[i]
+	if st == nil {
+		return oc // bottom: nothing reaches the instruction flagged
+	}
 	packed := isa.IsPacked(in.Op)
 	check := func(op isa.Operand) bool {
 		switch op.Kind {

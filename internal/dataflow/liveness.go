@@ -25,6 +25,16 @@ func (b bitset) or(src bitset) bool {
 
 func (b bitset) copyFrom(src bitset) { copy(b, src) }
 
+// empty reports whether no bit is set.
+func (b bitset) empty() bool {
+	for _, w := range b {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func laneLoc(xmm uint8, lane int) int { return locLane + 2*int(xmm) + lane }
 
 // regEffect describes an instruction's register reads and full

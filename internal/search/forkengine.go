@@ -67,6 +67,7 @@ type forkEngine struct {
 	t         Target
 	il        *vm.IncrementalLinker
 	sites     []replace.StableSite
+	oldAddrs  []uint64       // each site's candidate OldAddr, in site order
 	siteIdx   map[uint64]int // candidate OldAddr -> site index
 	addrIdx   map[uint64]int // stable slot address -> site index
 	noCompile bool
@@ -116,10 +117,12 @@ func newForkEngine(t Target, noCompile bool) (*forkEngine, error) {
 		return nil, err
 	}
 	vsites := make([]vm.IncrementalSite, len(sp.Sites))
+	oldAddrs := make([]uint64, len(sp.Sites))
 	siteIdx := make(map[uint64]int, len(sp.Sites))
 	addrIdx := make(map[uint64]int, len(sp.Sites))
 	for i, s := range sp.Sites {
 		vsites[i] = vm.IncrementalSite{Addr: s.Addr, Variants: s.Variants}
+		oldAddrs[i] = s.OldAddr
 		siteIdx[s.OldAddr] = i
 		addrIdx[s.Addr] = i
 	}
@@ -133,7 +136,7 @@ func newForkEngine(t Target, noCompile bool) (*forkEngine, error) {
 	}
 	e := &forkEngine{
 		t: t, il: il,
-		sites: sp.Sites, siteIdx: siteIdx, addrIdx: addrIdx,
+		sites: sp.Sites, oldAddrs: oldAddrs, siteIdx: siteIdx, addrIdx: addrIdx,
 		noCompile: noCompile, sourcePC: sp.SourceAddr, fa: fa,
 	}
 	e.pool.New = func() any { return &vm.Machine{} }
@@ -149,7 +152,7 @@ func newForkEngine(t Target, noCompile bool) (*forkEngine, error) {
 // sites with exactly one proven-clean operand take the narrowed wrapper
 // checking only the other one, when the site has a shorter one.
 func (e *forkEngine) choices(eff map[uint64]config.Precision, elide bool) ([]int, error) {
-	var oc map[uint64]dataflow.OperandClean
+	var oc []dataflow.OperandClean // per site
 	if elide && e.fa != nil {
 		singles := make(map[uint64]bool)
 		for a, p := range eff {
@@ -157,7 +160,7 @@ func (e *forkEngine) choices(eff map[uint64]config.Precision, elide bool) ([]int
 				singles[a] = true
 			}
 		}
-		oc = e.fa.CleanOperandsUnder(singles)
+		oc = e.fa.CleanOperandsUnder(singles, e.oldAddrs)
 	}
 	ch := make([]int, len(e.sites))
 	for i := range e.sites {
@@ -174,7 +177,7 @@ func (e *forkEngine) choices(eff map[uint64]config.Precision, elide bool) ([]int
 			return nil, fmt.Errorf("replace: %w", s.DoubleErr)
 		}
 		if v == replace.VariantDouble && oc != nil {
-			switch c := oc[s.OldAddr]; {
+			switch c := oc[i]; {
 			case c.Src && c.Dst:
 				v = replace.VariantBare
 			case c.Dst && s.Variants[replace.VariantDoubleSrcOnly] != nil:

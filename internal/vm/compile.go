@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"fpmix/internal/isa"
 )
@@ -71,6 +72,10 @@ type block struct {
 	in    *isa.Instr // terminator instruction; nil only for termFall
 	// condOp is the branch opcode a termCond block evaluates.
 	condOp isa.Op
+	// fold, when set, is the termCond block's final compare folded with
+	// its branch (fuseFold): it runs after the body, in place of the
+	// compare's micro-op and branchTaken.
+	fold foldOp
 	// takenBlk is the successor when the terminator's branch/call is
 	// taken; nil when the target address is not an instruction (following
 	// it then faults, exactly as the per-step interpreter does).
@@ -99,7 +104,9 @@ type compiled struct {
 }
 
 // bodyEnd is the index one past b's last body instruction: the
-// terminator, or the end of the block when it falls through.
+// terminator, or the end of the block when it falls through. It bounds
+// the superinstructions the block builder takes; a folded compare is one
+// of them, so it ends the body at its own first instruction.
 func (b *block) bodyEnd() int32 {
 	if b.term == termFall || b.term == termFallOff {
 		return b.start + b.n
@@ -249,6 +256,10 @@ func compileProgramWith(lp *Program, ops []microOp, fused []fusedOp, extraLeader
 		blo := len(bodies)
 		for i := int32(start); i < int32(bodyEnd); {
 			if f, ok := fc.take(i, int32(bodyEnd)); ok {
+				if f.fold != nil && i+f.n == int32(bodyEnd) && b.term == termCond {
+					b.fold = f.fold
+					break
+				}
 				bodies = append(bodies, f.op)
 				i += f.n
 			} else {
@@ -374,10 +385,9 @@ outer:
 				m.pcIdx = cur.start
 				return m.runInstrumented(max)
 			}
-			body := cur.body
-			for j := 0; j < len(body); j++ {
-				if err := body[j](m); err != nil {
-					m.settlePartial(c, cur, int32(j))
+			if len(cur.body) > 0 { // a folded compare may be the whole block
+				if j, err := m.runBody(cur.body); err != nil {
+					m.settlePartial(c, cur, j)
 					return err
 				}
 			}
@@ -396,7 +406,23 @@ outer:
 				m.pcIdx = cur.start + cur.n - 1
 				return nil
 			case termCond:
-				if m.branchTaken(cur.condOp) {
+				var taken bool
+				if cur.fold == nil {
+					taken = m.branchTaken(cur.condOp)
+				} else {
+					var err error
+					if taken, err = cur.fold(m); err != nil {
+						// The folded compare faulted, so the block did not
+						// complete: take back its batched accounting and
+						// settle the instructions that ran.
+						m.Steps -= uint64(cur.n)
+						m.Cycles -= cur.cost
+						m.blkExec[cur.id]--
+						m.settlePartial(c, cur, int32(len(cur.body)))
+						return err
+					}
+				}
+				if taken {
 					if cur.takenBlk == nil {
 						m.pcIdx = cur.start + cur.n - 1
 						return m.fault(FaultBadPC, cur.in, fmt.Sprintf("target %#x", cur.takenAddr))
@@ -456,11 +482,27 @@ outer:
 	return nil
 }
 
+// runBody runs a block body's micro-ops in order and returns the index
+// and error of the first that fails. It is a call of its own so that
+// each micro-op call spills and reloads only its few locals, not the
+// dispatch loop's state.
+//
+//go:noinline
+func (m *Machine) runBody(body []microOp) (int32, error) {
+	for j, op := range body {
+		if err := op(m); err != nil {
+			return int32(j), err
+		}
+	}
+	return 0, nil
+}
+
 // settlePartial accounts a block whose body faulted at body index j: the
 // faulting instruction executed (and is counted and charged), everything
-// after it did not. When body[j] is a superinstruction, the faulting
-// instruction is its constituent m.faultOff (set by the fused op), and
-// the constituents before it executed.
+// after it did not. When body[j] is a superinstruction (or, at j ==
+// len(body), the folded compare), the faulting instruction is its
+// constituent m.faultOff (set by the fused op), and the constituents
+// before it executed.
 func (m *Machine) settlePartial(c *compiled, b *block, j int32) {
 	last := c.opStart(b, j) + m.faultOff
 	m.faultOff = 0
@@ -476,7 +518,12 @@ func (m *Machine) settlePartial(c *compiled, b *block, j int32) {
 // per-instruction counts the rest of the system consumes (profiles,
 // search prioritization). Runs once per Run exit, so count accounting is
 // O(static blocks), not O(executed steps).
+//
+// It also adds the run's compiled-tier work to the process census
+// (ReadCensus): blocks dispatched, body micro-ops executed (each block's
+// executions times its body length) and the steps those blocks ran.
 func (m *Machine) flushBlockCounts(c *compiled) {
+	var blocks, ops, steps uint64
 	for bi, execs := range m.blkExec {
 		if execs == 0 {
 			continue
@@ -486,7 +533,32 @@ func (m *Machine) flushBlockCounts(c *compiled) {
 			m.counts[i] += execs
 		}
 		m.blkExec[bi] = 0
+		blocks += execs
+		ops += execs * uint64(len(b.body))
+		steps += execs * uint64(b.n)
 	}
+	census.blocks.Add(blocks)
+	census.microOps.Add(ops)
+	census.steps.Add(steps)
+}
+
+// Census is the work the compiled tier has executed in this process, in
+// whole blocks: a block whose body faults or whose budget expires inside
+// it is not counted. It is deterministic for a given sequence of runs,
+// so it measures what fusion and block partition changes remove
+// independently of the host.
+type Census struct {
+	Blocks   uint64 // blocks dispatched
+	MicroOps uint64 // body micro-ops executed
+	Steps    uint64 // instructions those blocks executed
+}
+
+var census struct{ blocks, microOps, steps atomic.Uint64 }
+
+// ReadCensus returns the compiled-tier census so far; the difference of
+// two readings is the work in between.
+func ReadCensus() Census {
+	return Census{Blocks: census.blocks.Load(), MicroOps: census.microOps.Load(), Steps: census.steps.Load()}
 }
 
 // Inline-friendly memory fast paths. Each computes the effective address
@@ -504,6 +576,25 @@ func loadU32(m *Machine, ref isa.MemRef) (uint64, bool) {
 		return 0, false
 	}
 	return uint64(memU32(m.Mem, addr)), true
+}
+
+// loadRef and storeRef are loadU64 and storeU64 through a pointer to the
+// memory operand, for the superinstructions' decoded structs: a MemRef
+// passed by value is copied through the stack on every call.
+func loadRef(m *Machine, ref *isa.MemRef) (uint64, bool) { return load64At(m, m.eaRef(ref)) }
+
+// eaRef is Machine.ea through a pointer to the operand.
+func (m *Machine) eaRef(ref *isa.MemRef) uint64 {
+	addr := m.GPR[ref.Base] + uint64(int64(ref.Disp))
+	if ref.HasIndex {
+		addr += m.GPR[ref.Index] * uint64(ref.Scale)
+	}
+	return addr
+}
+
+func storeRef(m *Machine, ref *isa.MemRef, v uint64) (uint64, bool) {
+	addr := m.eaRef(ref)
+	return addr, store64At(m, addr, v)
 }
 
 // load64At is loadU64 at an address the caller computed (the fused

@@ -13,8 +13,8 @@ import (
 // but every body instruction is still one indirect closure call. The
 // dynamic instruction mix of kernel code and replacement snippets is
 // dominated by a handful of short straight-line idioms — the array-index
-// arithmetic of hl code generation, loop tests and increments, a load
-// feeding an FP operation, and the snippet flag test run on every checked
+// arithmetic of hl code generation, loop tests and increments, loads
+// feeding FP arithmetic, and the snippet flag test run on every checked
 // operand — so fuse compiles each occurrence of those idioms into one
 // micro-op executing all of its constituents.
 //
@@ -28,6 +28,25 @@ import (
 // cover the index forms the family does not (a constant or computed row
 // term, an index feeding an integer op).
 //
+// The FP families (matchFP) extend those across the scalar double
+// arithmetic: an FP load of any form (a lone MOVSD, a constant or
+// computed index, the index-access family, an FP constant) with the one
+// to three ADDSD/SUBSD/MULSD/DIVSD/MINSD/MAXSD that follow it and an
+// optional MOVSD store after them; two- and three-op arithmetic chains;
+// one to three arithmetic ops with the MOVSD store that follows them (a
+// lone, constant-index or index-family store); and the single snippet's
+// CVTSD2SS with the stamp after it. Where an FP instance extends a
+// shorter pattern at the same index, both are kept, longest first, and
+// the block builder takes the longest whose span fits its body, so a
+// leader inside the extension (the donor pass's split slot bases) still
+// leaves the shorter one.
+//
+// A block's final compare — the snippet flag test or the loop test
+// LOAD; MOVRI; CMPR — folds into its conditional terminator (fuseFold):
+// one closure runs the compare's constituents, sets the flags and
+// returns whether the branch is taken, so the block has one micro-op
+// fewer and no branchTaken switch.
+//
 // A fused op leaves the machine exactly as its constituents would, in
 // order: every intermediate register write (including scratch registers
 // a later constituent overwrites), flags, memory and dirty-page marks.
@@ -39,9 +58,10 @@ import (
 // walk). Accounting, budget, stop and cancellation checks stay at block
 // boundaries, and the block builder (compileProgramWith) takes a fused op
 // only when its whole span lies inside one block body, so no fused op
-// spans a leader. compileFrag sees one immutable fragment at a time (an
-// incremental-linker cache fragment, or the whole stream for Link), so
-// none spans a fragment boundary either.
+// spans a leader. Every match reads at most maxFuseSpan instructions from
+// its start, so the superinstructions at an index are a function of that
+// window alone: the incremental linker matches the windows that reach
+// across a fragment boundary per assembly and gets exactly Link's.
 
 // fusePattern identifies one superinstruction pattern.
 type fusePattern uint8
@@ -66,12 +86,10 @@ const (
 	fuseLoadAddLoadSD
 	fuseAddLoadSD
 	fuseImmLoadSD
+	// MOVRI; MOVSD mem, xmm: a constant-index store.
+	fuseImmStoreSD
 	// LOAD; ADDI; STORE: the loop increment.
 	fuseLoadIncStore
-	// MOVSD xmm, mem; ADDSD/SUBSD/MULSD xmm, xmm: load-op.
-	fuseLoadAddSD
-	fuseLoadSubSD
-	fuseLoadMulSD
 	// MOVRI; MOVQ xmm, gpr: an FP constant.
 	fuseConstSD
 	// MOVQ gpr, xmm; MOVRR; SHRI; CMPI: the snippet flag test.
@@ -79,11 +97,16 @@ const (
 	// MOVQ gpr, xmm; MOVRI; ANDR; MOVRI; ORR; MOVQ xmm, gpr: a single
 	// snippet stamping the replacement flag into a lane-0 result.
 	fuseStamp
+	// The FP families (matchFP), whose instances vary in length.
+	fuseLoadOp     // FP load; 1-3 arithmetic [; MOVSD store]
+	fuseArithChain // 2-3 arithmetic
+	fuseArithStore // 1-3 arithmetic; MOVSD store of any form
+	fuseCvtStamp   // CVTSD2SS; the stamp
 	numFusePatterns
 )
 
 // fixedLen is the constituent count of each pattern outside the
-// index-access family, whose instances vary in length.
+// index-access and FP families, whose instances vary in length.
 var fixedLen = [numFusePatterns]int{
 	fuseLoadImmMul:    3,
 	fuseLoadImmAdd:    3,
@@ -92,37 +115,54 @@ var fixedLen = [numFusePatterns]int{
 	fuseLoadAddLoadSD: 3,
 	fuseAddLoadSD:     2,
 	fuseImmLoadSD:     2,
+	fuseImmStoreSD:    2,
 	fuseLoadIncStore:  3,
-	fuseLoadAddSD:     2,
-	fuseLoadSubSD:     2,
-	fuseLoadMulSD:     2,
 	fuseConstSD:       2,
 	fuseFlagTest:      4,
 	fuseStamp:         6,
 }
 
+const (
+	// maxChain bounds the arithmetic ops of one FP-family instance.
+	maxChain = 3
+	// maxFuseSpan is the most instructions a match reads from its start:
+	// a 2-D index load (ten), maxChain arithmetic ops and a store.
+	maxFuseSpan = 10 + maxChain + 1
+)
+
 // fusedOp is a superinstruction: a micro-op executing the n consecutive
-// instructions starting at index at.
+// instructions starting at index at. fold is set when the instance is a
+// compare that a conditional branch follows (fuseFold).
 type fusedOp struct {
-	op microOp
-	at int32
-	n  int32
+	op   microOp
+	fold foldOp
+	at   int32
+	n    int32
 }
+
+// foldOp runs a block's final compare and reports whether the
+// conditional branch after it is taken.
+type foldOp func(m *Machine) (taken bool, err error)
 
 // fuseCursor walks an index-ordered superinstruction list in step with
 // the block builder, and with opStart's replay of it, so both take the
 // same superinstructions.
 type fuseCursor []fusedOp
 
-// take returns the superinstruction starting at index i when its whole
-// span ends by end (the end of the body being built), first skipping
-// every entry before i. Calls must come in non-decreasing i.
+// take returns the longest superinstruction starting at index i whose
+// whole span ends by end (the end of the body being built), first
+// skipping every entry before i. Calls must come in non-decreasing i.
 func (fc *fuseCursor) take(i, end int32) (fusedOp, bool) {
 	for len(*fc) > 0 && (*fc)[0].at < i {
 		*fc = (*fc)[1:]
 	}
-	if len(*fc) > 0 && (*fc)[0].at == i && i+(*fc)[0].n <= end {
-		return (*fc)[0], true
+	for _, f := range *fc {
+		if f.at != i {
+			break
+		}
+		if i+f.n <= end {
+			return f, true
+		}
 	}
 	return fusedOp{}, false
 }
@@ -138,23 +178,55 @@ func isXmmXmm(in *isa.Instr) bool { return in.A.Kind == isa.KindXMM && in.B.Kind
 func isXmmGpr(in *isa.Instr) bool { return in.A.Kind == isa.KindXMM && in.B.Kind == isa.KindGPR }
 func isGprXmm(in *isa.Instr) bool { return in.A.Kind == isa.KindGPR && in.B.Kind == isa.KindXMM }
 
-// isLoadSD matches the memory-load form of MOVSD.
+// isLoadSD and isStoreSD match the memory forms of MOVSD.
 func isLoadSD(in *isa.Instr) bool { return in.Op == isa.MOVSD && isXmmMem(in) }
+func isStoreSD(in *isa.Instr) bool {
+	return in.Op == isa.MOVSD && in.A.Kind == isa.KindMem && in.B.Kind == isa.KindXMM
+}
 
-// matchFuse reports the pattern whose constituents start at instrs[i],
-// and how many instructions it spans, or fuseNone. When one pattern
-// extends another (LOAD; MOVRI; ADDR and LOAD; MOVRI; ADDR; MOVSD), the
-// longer one matches. With noIndex set the index-access family is not
-// tried, so its prefixes match instead (see shadowStream).
-func matchFuse(instrs []isa.Instr, i int, noIndex bool) (fusePattern, int) {
-	rest := instrs[i:]
-	if !noIndex {
-		if s, ok := matchIndex(rest); ok {
-			return s.pattern(), s.n
-		}
+// isArithSD matches the scalar double reg-reg arithmetic the FP families
+// chain.
+func isArithSD(in *isa.Instr) bool {
+	switch in.Op {
+	case isa.ADDSD, isa.SUBSD, isa.MULSD, isa.DIVSD, isa.MINSD, isa.MAXSD:
+		return isXmmXmm(in)
+	}
+	return false
+}
+
+// fuseMatch is one matched instance: pattern p over n constituents.
+type fuseMatch struct {
+	p fusePattern
+	n int
+}
+
+// window is the stretch of instrs a match at index i may read.
+func window(instrs []isa.Instr, i int) []isa.Instr {
+	return instrs[i:min(len(instrs), i+maxFuseSpan)]
+}
+
+// matchAt matches at the start of rest, a match window: long is the FP
+// family instance there (fuseNone when none matches), short the longest
+// other pattern. With noIndex set neither the index-access family nor
+// the FP families are tried, so the prefixes they extend match instead
+// (see shadowStream).
+func matchAt(rest []isa.Instr, noIndex bool) (long, short fuseMatch) {
+	if noIndex {
+		p := matchFixed(rest)
+		return long, fuseMatch{p, fixedLen[p]}
+	}
+	short = matchShort(rest)
+	return matchFP(rest, short), short
+}
+
+// matchShort matches the longest pattern outside the FP families at the
+// start of rest.
+func matchShort(rest []isa.Instr) fuseMatch {
+	if s, ok := matchIndex(rest); ok {
+		return fuseMatch{s.pattern(), s.n}
 	}
 	p := matchFixed(rest)
-	return p, fixedLen[p]
+	return fuseMatch{p, fixedLen[p]}
 }
 
 // matchFixed matches the patterns of fixed length at the start of rest.
@@ -182,56 +254,155 @@ func matchFixed(rest []isa.Instr) fusePattern {
 		}
 	case a.Op == isa.ADDR && isGprGpr(a) && len(rest) >= 2 && isLoadSD(&rest[1]):
 		return fuseAddLoadSD
-	case a.Op == isa.MOVSD && isXmmMem(a) && len(rest) >= 2 && isXmmXmm(&rest[1]):
-		switch rest[1].Op {
-		case isa.ADDSD:
-			return fuseLoadAddSD
-		case isa.SUBSD:
-			return fuseLoadSubSD
-		case isa.MULSD:
-			return fuseLoadMulSD
-		}
 	case a.Op == isa.MOVRI && isGprImm(a) && len(rest) >= 2:
-		if b := &rest[1]; b.Op == isa.MOVQ && isXmmGpr(b) {
+		switch b := &rest[1]; {
+		case b.Op == isa.MOVQ && isXmmGpr(b):
 			return fuseConstSD
-		}
-		if isLoadSD(&rest[1]) {
+		case isLoadSD(b):
 			return fuseImmLoadSD
+		case isStoreSD(b):
+			return fuseImmStoreSD
 		}
 	case a.Op == isa.MOVQ && isGprXmm(a) && len(rest) >= 4:
-		b, c, d := &rest[1], &rest[2], &rest[3]
+		// The snippet compiler's register shapes only (r0 the lane's
+		// scratch, r1 the other), so the closures compute in locals.
+		r0, b, c, d := a.A.Reg, &rest[1], &rest[2], &rest[3]
+		r1 := b.A.Reg
 		if b.Op == isa.MOVRR && isGprGpr(b) && c.Op == isa.SHRI && isGprImm(c) &&
-			d.Op == isa.CMPI && isGprImm(d) {
+			d.Op == isa.CMPI && isGprImm(d) &&
+			r1 != r0 && b.B.Reg == r0 && c.A.Reg == r1 && d.A.Reg == r1 {
 			return fuseFlagTest
 		}
 		if len(rest) >= 6 && b.Op == isa.MOVRI && isGprImm(b) && c.Op == isa.ANDR && isGprGpr(c) &&
 			d.Op == isa.MOVRI && isGprImm(d) && rest[4].Op == isa.ORR && isGprGpr(&rest[4]) &&
-			rest[5].Op == isa.MOVQ && isXmmGpr(&rest[5]) {
+			rest[5].Op == isa.MOVQ && isXmmGpr(&rest[5]) &&
+			r1 != r0 && c.A.Reg == r0 && c.B.Reg == r1 && d.A.Reg == r1 &&
+			rest[4].A.Reg == r0 && rest[4].B.Reg == r1 && rest[5].B.Reg == r0 {
 			return fuseStamp
 		}
 	}
 	return fuseNone
 }
 
-// compileFrag pre-decodes an immutable straight-line fragment: ops[i] is
-// instruction i's micro-op (nil for block terminators, which never run
-// as micro-ops), and fused lists, in index order, the superinstruction
-// starting at every index where a pattern matches. Every index is matched
-// independently, so whichever leaders an assembly places inside the
-// fragment, the block builder finds the superinstructions of each body
-// starting at its first instruction. noIndex is matchFuse's.
-func compileFrag(instrs []isa.Instr, noIndex bool) (ops []microOp, fused []fusedOp) {
-	ops = make([]microOp, len(instrs))
-	for i := range instrs {
-		if endsBlock(instrs[i].Op) {
-			continue
+// matchFP matches the FP families at the start of rest, where short
+// (matchShort) matched.
+func matchFP(rest []isa.Instr, short fuseMatch) fuseMatch {
+	switch a := &rest[0]; {
+	case isArithSD(a):
+		k := arithRun(rest)
+		if n := storeLen(rest[k:]); n > 0 {
+			return fuseMatch{fuseArithStore, k + n}
 		}
-		ops[i] = compileOp(&instrs[i])
-		if p, n := matchFuse(instrs, i, noIndex); p != fuseNone {
-			fused = append(fused, fusedOp{op: fuse(p, instrs[i:i+n]), at: int32(i), n: int32(n)})
+		if k >= 2 {
+			return fuseMatch{fuseArithChain, k}
+		}
+	case a.Op == isa.CVTSD2SS && isXmmXmm(a):
+		if len(rest) > 1 && matchFixed(rest[1:]) == fuseStamp {
+			return fuseMatch{fuseCvtStamp, 1 + fixedLen[fuseStamp]}
+		}
+	default:
+		if _, h := loadHead(rest, short); h > 0 {
+			if k := arithRun(rest[h:]); k > 0 {
+				n := h + k
+				if n < len(rest) && isStoreSD(&rest[n]) {
+					n++
+				}
+				return fuseMatch{fuseLoadOp, n}
+			}
 		}
 	}
-	return ops, fused
+	return fuseMatch{}
+}
+
+// arithRun counts the arithmetic ops leading rest, at most maxChain.
+func arithRun(rest []isa.Instr) int {
+	k := 0
+	for k < len(rest) && k < maxChain && isArithSD(&rest[k]) {
+		k++
+	}
+	return k
+}
+
+// loadHead matches the FP load that heads a fuseLoadOp instance, given
+// short (matchShort) at the start of rest: an index-access load, LOAD;
+// ADDR; MOVSD, ADDR; MOVSD, MOVRI; MOVSD, an FP constant, or (pattern
+// fuseNone) a lone MOVSD load. It returns the head's pattern and length,
+// 0 when rest starts with none.
+func loadHead(rest []isa.Instr, short fuseMatch) (fusePattern, int) {
+	switch short.p {
+	case fuseIndex1Load, fuseIndex2Load, fuseLoadAddLoadSD, fuseAddLoadSD, fuseImmLoadSD, fuseConstSD:
+		return short.p, short.n
+	case fuseNone:
+		if isLoadSD(&rest[0]) {
+			return fuseNone, 1
+		}
+	}
+	return fuseNone, 0
+}
+
+// storeLen matches the store that ends a fuseArithStore instance: an
+// index-access store, MOVRI; MOVSD store, or a lone MOVSD store. It
+// returns the store's length, 0 when rest starts with none.
+func storeLen(rest []isa.Instr) int {
+	if len(rest) == 0 {
+		return 0
+	}
+	if s, ok := matchIndex(rest); ok {
+		if s.store {
+			return s.n
+		}
+		return 0
+	}
+	if matchFixed(rest) == fuseImmStoreSD {
+		return fixedLen[fuseImmStoreSD]
+	}
+	if isStoreSD(&rest[0]) {
+		return 1
+	}
+	return 0
+}
+
+// compileOps pre-decodes an immutable straight-line fragment: ops[i] is
+// instruction i's micro-op (nil for block terminators, which never run
+// as micro-ops).
+func compileOps(instrs []isa.Instr) []microOp {
+	ops := make([]microOp, len(instrs))
+	for i := range instrs {
+		if !endsBlock(instrs[i].Op) {
+			ops[i] = compileOp(&instrs[i])
+		}
+	}
+	return ops
+}
+
+// matchRange lists, in index order and longest first at each index, the
+// superinstructions starting at indices from..to-1 of instrs. Every index
+// is matched independently, so whichever leaders an assembly places,
+// the block builder finds the superinstructions of each body starting
+// at its first instruction. noIndex is matchAt's.
+func matchRange(instrs []isa.Instr, from, to int, noIndex bool) []fusedOp {
+	var fused []fusedOp
+	for i := from; i < to; i++ {
+		rest := window(instrs, i)
+		long, short := matchAt(rest, noIndex)
+		if long.p != fuseNone {
+			fused = append(fused, fusedOp{op: fuse(long.p, rest[:long.n]), at: int32(i), n: int32(long.n)})
+		}
+		if short.p != fuseNone {
+			f := fusedOp{op: fuse(short.p, rest[:short.n]), at: int32(i), n: int32(short.n)}
+			if short.n < len(rest) && rest[short.n].Op.IsCondBranch() {
+				f.fold = fuseFold(short.p, rest[:short.n], rest[short.n].Op)
+			}
+			fused = append(fused, f)
+		}
+	}
+	return fused
+}
+
+// compileFrag pre-decodes a whole stream: its micro-ops (compileOps) and
+// superinstructions (matchRange).
+func compileFrag(instrs []isa.Instr, noIndex bool) (ops []microOp, fused []fusedOp) {
+	return compileOps(instrs), matchRange(instrs, 0, len(instrs), noIndex)
 }
 
 // loadFault replays constituent k's out-of-bounds 8-byte load on the
@@ -243,6 +414,12 @@ func (m *Machine) loadFault(k int32, in *isa.Instr, ref isa.MemRef) error {
 	return err
 }
 
+// storeFault is loadFault for an 8-byte store of v.
+func (m *Machine) storeFault(k int32, in *isa.Instr, ref isa.MemRef, v uint64) error {
+	m.faultOff = k
+	return m.store(in, ref, v, 8)
+}
+
 // fuse compiles the constituents c (which match pattern p) into one
 // micro-op. The captured instruction pointers are consulted only on
 // fault paths, where the interpreter's access is replayed.
@@ -252,110 +429,376 @@ func fuse(p fusePattern, c []isa.Instr) microOp {
 		return fuseLoadImm(p, c)
 	case fuseIndex1Load, fuseIndex1Store, fuseIndex2Load, fuseIndex2Store:
 		s, _ := matchIndex(c)
-		return fuseIndex(s, c)
-	case fuseLoadAddLoadSD:
-		ld, d0, ref0 := &c[0], c[0].A.Reg, c[0].B.Mem
-		d1, s1 := c[1].A.Reg, c[1].B.Reg
-		fl, x2, ref2 := &c[2], c[2].A.Reg, c[2].B.Mem
-		return func(m *Machine) error {
-			v, ok := loadU64(m, ref0)
-			if !ok {
-				return m.loadFault(0, ld, ref0)
-			}
-			m.GPR[d0] = v
-			m.GPR[d1] += m.GPR[s1]
-			x, ok := loadU64(m, ref2)
-			if !ok {
-				return m.loadFault(2, fl, ref2)
-			}
-			m.XMM[x2][0], m.XMM[x2][1] = x, 0
-			return nil
-		}
-	case fuseAddLoadSD:
-		d0, s0 := c[0].A.Reg, c[0].B.Reg
-		fl, x1, ref1 := &c[1], c[1].A.Reg, c[1].B.Mem
-		return func(m *Machine) error {
-			m.GPR[d0] += m.GPR[s0]
-			x, ok := loadU64(m, ref1)
-			if !ok {
-				return m.loadFault(1, fl, ref1)
-			}
-			m.XMM[x1][0], m.XMM[x1][1] = x, 0
-			return nil
-		}
-	case fuseImmLoadSD:
-		d0, imm := c[0].A.Reg, uint64(c[0].B.Imm)
-		fl, x1, ref1 := &c[1], c[1].A.Reg, c[1].B.Mem
-		return func(m *Machine) error {
-			m.GPR[d0] = imm
-			x, ok := loadU64(m, ref1)
-			if !ok {
-				return m.loadFault(1, fl, ref1)
-			}
-			m.XMM[x1][0], m.XMM[x1][1] = x, 0
-			return nil
-		}
+		return fuseIndex(s, c, 0, nil, nil)
+	case fuseLoadAddLoadSD, fuseAddLoadSD, fuseImmLoadSD, fuseConstSD:
+		return fuseLoadHead(p, c, nil)
+	case fuseImmStoreSD:
+		return fuseStore(c, nil, 0)
 	case fuseLoadIncStore:
-		ld, d0, ref0 := &c[0], c[0].A.Reg, c[0].B.Mem
-		d1, imm := c[1].A.Reg, uint64(c[1].B.Imm)
-		st, ref2, s2 := &c[2], c[2].A.Mem, c[2].B.Reg
+		o := &memOp{ld: &c[0], d0: c[0].A.Reg, ref0: c[0].B.Mem}
+		o.d1, o.imm = c[1].A.Reg, uint64(c[1].B.Imm)
+		o.fl, o.ref, o.s1 = &c[2], c[2].A.Mem, c[2].B.Reg
 		return func(m *Machine) error {
-			v, ok := loadU64(m, ref0)
+			v, ok := loadRef(m, &o.ref0)
 			if !ok {
-				return m.loadFault(0, ld, ref0)
+				return m.loadFault(0, o.ld, o.ref0)
 			}
-			m.GPR[d0] = v
-			m.GPR[d1] += imm
-			addr, ok := storeU64(m, ref2, m.GPR[s2])
+			m.GPR[o.d0] = v
+			m.GPR[o.d1] += o.imm
+			addr, ok := storeRef(m, &o.ref, m.GPR[o.s1])
 			if !ok {
-				m.faultOff = 2
-				return m.store(st, ref2, m.GPR[s2], 8)
+				return m.storeFault(2, o.fl, o.ref, m.GPR[o.s1])
 			}
 			if m.track != nil {
 				m.track.markRange(addr, 8)
 			}
 			return nil
 		}
-	case fuseLoadAddSD, fuseLoadSubSD, fuseLoadMulSD:
-		return fuseLoadArith(p, c)
-	case fuseConstSD:
-		d0, imm := c[0].A.Reg, uint64(c[0].B.Imm)
-		x1, s1 := c[1].A.Reg, c[1].B.Reg
-		return func(m *Machine) error {
-			m.GPR[d0] = imm
-			m.XMM[x1][0] = m.GPR[s1]
-			return nil
-		}
 	case fuseFlagTest:
-		d0, x0 := c[0].A.Reg, c[0].B.Reg
-		d1, s1 := c[1].A.Reg, c[1].B.Reg
-		d2, sh := c[2].A.Reg, uint64(c[2].B.Imm)&63
-		a3, imm := c[3].A.Reg, uint64(c[3].B.Imm)
+		f := newFlagTestOp(c)
 		return func(m *Machine) error {
-			m.GPR[d0] = m.XMM[x0][0]
-			m.GPR[d1] = m.GPR[s1]
-			m.GPR[d2] >>= sh
-			m.setCmp(m.GPR[a3], imm)
+			f.run(m)
 			return nil
 		}
 	case fuseStamp:
-		d0, x0 := c[0].A.Reg, c[0].B.Reg
-		d1, mask := c[1].A.Reg, uint64(c[1].B.Imm)
-		d2, s2 := c[2].A.Reg, c[2].B.Reg
-		d3, flag := c[3].A.Reg, uint64(c[3].B.Imm)
-		d4, s4 := c[4].A.Reg, c[4].B.Reg
-		x5, s5 := c[5].A.Reg, c[5].B.Reg
+		return fuseStampOp(c, nil)
+	case fuseLoadOp:
+		hp, h := loadHead(c, matchShort(c))
+		k := arithRun(c[h:])
+		t := &fpTail{ops: sdOps(c[h : h+k])}
+		if h+k < len(c) {
+			t.st, t.at = &c[h+k], int32(h+k)
+		}
+		if hp == fuseIndex1Load || hp == fuseIndex2Load {
+			s, _ := matchIndex(c)
+			return fuseIndex(s, c[:h], 0, nil, t)
+		}
+		return fuseLoadHead(hp, c[:h], t)
+	case fuseArithChain:
+		ops := sdOps(c)
 		return func(m *Machine) error {
-			m.GPR[d0] = m.XMM[x0][0]
-			m.GPR[d1] = mask
-			m.GPR[d2] &= m.GPR[s2]
-			m.GPR[d3] = flag
-			m.GPR[d4] |= m.GPR[s4]
-			m.XMM[x5][0] = m.GPR[s5]
+			m.runSD(ops)
+			return nil
+		}
+	case fuseArithStore:
+		k := arithRun(c)
+		return fuseStore(c[k:], sdOps(c[:k]), int32(k))
+	case fuseCvtStamp:
+		return fuseStampOp(c[1:], &c[0])
+	}
+	panic("vm: fuse: unknown pattern")
+}
+
+// stampOp is the stamp MOVQ r0,x; MOVRI r1,mask; ANDR r0,r1; MOVRI
+// r1,flag; ORR r0,r1; MOVQ x',r0, decoded.
+type stampOp struct {
+	r0, x, r1, x5 uint8
+	mask, flag    uint64
+}
+
+func (s *stampOp) run(m *Machine) {
+	v := m.XMM[s.x][0]&s.mask | s.flag
+	m.GPR[s.r0], m.GPR[s.r1] = v, s.flag
+	m.XMM[s.x5][0] = v
+}
+
+// fuseStampOp compiles the stamp c, after the CVTSD2SS cvt when cvt is
+// not nil.
+func fuseStampOp(c []isa.Instr, cvt *isa.Instr) microOp {
+	s := &stampOp{r0: c[0].A.Reg, x: c[0].B.Reg, r1: c[1].A.Reg, x5: c[5].A.Reg,
+		mask: uint64(c[1].B.Imm), flag: uint64(c[3].B.Imm)}
+	if cvt == nil {
+		return func(m *Machine) error {
+			s.run(m)
 			return nil
 		}
 	}
-	panic("vm: fuse: unknown pattern")
+	xc, yc := cvt.A.Reg, cvt.B.Reg
+	return func(m *Machine) error {
+		m.setLow32(xc, math.Float32bits(float32(math.Float64frombits(m.XMM[yc][0]))))
+		s.run(m)
+		return nil
+	}
+}
+
+// sdOp is one arithmetic constituent of an FP-family instance: xmm d op=
+// xmm s in lane 0.
+type sdOp struct {
+	op   isa.Op
+	d, s uint8
+}
+
+func sdOps(c []isa.Instr) []sdOp {
+	ops := make([]sdOp, len(c))
+	for i := range c {
+		ops[i] = sdOp{op: c[i].Op, d: c[i].A.Reg, s: c[i].B.Reg}
+	}
+	return ops
+}
+
+// runSD executes arithmetic constituents in order, as compileOp's
+// reg-reg closures do.
+func (m *Machine) runSD(ops []sdOp) {
+	for _, o := range ops {
+		a := math.Float64frombits(m.XMM[o.d][0])
+		b := math.Float64frombits(m.XMM[o.s][0])
+		m.XMM[o.d][0] = math.Float64bits(arith64(o.op, a, b))
+	}
+}
+
+// fpTail is what a fuseLoadOp instance runs after its load: the
+// arithmetic, then the MOVSD store st (constituent at) when not nil.
+type fpTail struct {
+	ops []sdOp
+	st  *isa.Instr
+	at  int32
+}
+
+// tail runs t, if any, after a load head.
+func (m *Machine) tail(t *fpTail) error {
+	if t == nil {
+		return nil
+	}
+	return m.runTail(t)
+}
+
+func (m *Machine) runTail(t *fpTail) error {
+	for _, o := range t.ops { // runSD, written out: one call, not two
+		a := math.Float64frombits(m.XMM[o.d][0])
+		b := math.Float64frombits(m.XMM[o.s][0])
+		m.XMM[o.d][0] = math.Float64bits(arith64(o.op, a, b))
+	}
+	if t.st == nil {
+		return nil
+	}
+	x := t.st.B.Reg
+	addr, ok := storeRef(m, &t.st.A.Mem, m.XMM[x][0])
+	if !ok {
+		return m.storeFault(t.at, t.st, t.st.A.Mem, m.XMM[x][0])
+	}
+	if m.track != nil {
+		m.track.markRange(addr, 8)
+	}
+	return nil
+}
+
+// memOp is a load head, store or loop increment, decoded for its
+// closure (see indexOp): the first memory constituent ld and ref0, the
+// second fl and ref at constituent at, registers, a constant, and the
+// arithmetic pre before a store or the tail t after a load.
+type memOp struct {
+	ld, fl        *isa.Instr
+	ref0, ref     isa.MemRef
+	d0, d1, s1, x uint8
+	imm           uint64
+	at            int32
+	pre           []sdOp
+	t             *fpTail
+}
+
+// fuseLoadHead compiles the load head c of pattern p (fuseNone: a lone
+// MOVSD load), followed by tail t when not nil.
+func fuseLoadHead(p fusePattern, c []isa.Instr, t *fpTail) microOp {
+	o := &memOp{t: t}
+	switch p {
+	case fuseLoadAddLoadSD:
+		o.ld, o.d0, o.ref0 = &c[0], c[0].A.Reg, c[0].B.Mem
+		o.d1, o.s1 = c[1].A.Reg, c[1].B.Reg
+		o.fl, o.x, o.ref = &c[2], c[2].A.Reg, c[2].B.Mem
+		return func(m *Machine) error {
+			v, ok := loadRef(m, &o.ref0)
+			if !ok {
+				return m.loadFault(0, o.ld, o.ref0)
+			}
+			m.GPR[o.d0] = v
+			m.GPR[o.d1] += m.GPR[o.s1]
+			w, ok := loadRef(m, &o.ref)
+			if !ok {
+				return m.loadFault(2, o.fl, o.ref)
+			}
+			m.XMM[o.x][0], m.XMM[o.x][1] = w, 0
+			return m.tail(o.t)
+		}
+	case fuseAddLoadSD:
+		o.d0, o.s1 = c[0].A.Reg, c[0].B.Reg
+		o.fl, o.x, o.ref = &c[1], c[1].A.Reg, c[1].B.Mem
+		return func(m *Machine) error {
+			m.GPR[o.d0] += m.GPR[o.s1]
+			w, ok := loadRef(m, &o.ref)
+			if !ok {
+				return m.loadFault(1, o.fl, o.ref)
+			}
+			m.XMM[o.x][0], m.XMM[o.x][1] = w, 0
+			return m.tail(o.t)
+		}
+	case fuseImmLoadSD:
+		o.d0, o.imm = c[0].A.Reg, uint64(c[0].B.Imm)
+		o.fl, o.x, o.ref = &c[1], c[1].A.Reg, c[1].B.Mem
+		return func(m *Machine) error {
+			m.GPR[o.d0] = o.imm
+			w, ok := loadRef(m, &o.ref)
+			if !ok {
+				return m.loadFault(1, o.fl, o.ref)
+			}
+			m.XMM[o.x][0], m.XMM[o.x][1] = w, 0
+			return m.tail(o.t)
+		}
+	case fuseConstSD:
+		o.d0, o.imm = c[0].A.Reg, uint64(c[0].B.Imm)
+		o.x, o.s1 = c[1].A.Reg, c[1].B.Reg
+		return func(m *Machine) error {
+			m.GPR[o.d0] = o.imm
+			m.XMM[o.x][0] = m.GPR[o.s1]
+			return m.tail(o.t)
+		}
+	}
+	o.fl, o.x, o.ref = &c[0], c[0].A.Reg, c[0].B.Mem
+	return func(m *Machine) error {
+		w, ok := loadRef(m, &o.ref)
+		if !ok {
+			return m.loadFault(0, o.fl, o.ref)
+		}
+		m.XMM[o.x][0], m.XMM[o.x][1] = w, 0
+		return m.tail(o.t)
+	}
+}
+
+// fuseStore compiles the store c — an index-access store, MOVRI; MOVSD
+// store, or a lone MOVSD store — at constituent off of its instance,
+// after the arithmetic pre.
+func fuseStore(c []isa.Instr, pre []sdOp, off int32) microOp {
+	if s, ok := matchIndex(c); ok {
+		return fuseIndex(s, c, off, pre, nil)
+	}
+	o := &memOp{pre: pre}
+	o.fl = &c[len(c)-1]
+	o.at, o.ref, o.x = off+int32(len(c)-1), o.fl.A.Mem, o.fl.B.Reg
+	if len(c) == 1 {
+		return func(m *Machine) error {
+			m.runSD(o.pre)
+			addr, ok := storeRef(m, &o.ref, m.XMM[o.x][0])
+			if !ok {
+				return m.storeFault(o.at, o.fl, o.ref, m.XMM[o.x][0])
+			}
+			if m.track != nil {
+				m.track.markRange(addr, 8)
+			}
+			return nil
+		}
+	}
+	o.d0, o.imm = c[0].A.Reg, uint64(c[0].B.Imm)
+	return func(m *Machine) error {
+		if len(o.pre) > 0 {
+			m.runSD(o.pre)
+		}
+		m.GPR[o.d0] = o.imm
+		addr, ok := storeRef(m, &o.ref, m.XMM[o.x][0])
+		if !ok {
+			return m.storeFault(o.at, o.fl, o.ref, m.XMM[o.x][0])
+		}
+		if m.track != nil {
+			m.track.markRange(addr, 8)
+		}
+		return nil
+	}
+}
+
+// flagTestOp is the flag test MOVQ r0,x; MOVRR r1,r0; SHRI r1,sh; CMPI
+// r1,imm, decoded.
+type flagTestOp struct {
+	r0, x, r1 uint8
+	sh, imm   uint64
+}
+
+func newFlagTestOp(c []isa.Instr) *flagTestOp {
+	return &flagTestOp{r0: c[0].A.Reg, x: c[0].B.Reg, r1: c[1].A.Reg,
+		sh: uint64(c[2].B.Imm) & 63, imm: uint64(c[3].B.Imm)}
+}
+
+func (f *flagTestOp) run(m *Machine) {
+	v := m.XMM[f.x][0]
+	t := v >> f.sh
+	m.GPR[f.r0], m.GPR[f.r1] = v, t
+	m.setCmp(t, f.imm)
+}
+
+// loadCmpOp is the loop test's constituents, decoded.
+type loadCmpOp struct {
+	ld             *isa.Instr
+	ref            isa.MemRef
+	d0, d1, a2, b2 uint8
+	imm            uint64
+}
+
+// set writes the constituents' effects given the loaded value v.
+func (l *loadCmpOp) set(m *Machine, v uint64) {
+	m.GPR[l.d0] = v
+	m.GPR[l.d1] = l.imm
+	m.setCmp(m.GPR[l.a2], m.GPR[l.b2])
+}
+
+// fuseFold compiles a block's final compare c (pattern p) together with
+// the conditional branch j after it, or returns nil when p is not a
+// compare the fold covers. The closure runs the compare's constituents,
+// setting every register and flag they would, and evaluates j on the
+// flags it just set; the common conditions get their own closure, so
+// only the rest go through branchTaken's switch.
+func fuseFold(p fusePattern, c []isa.Instr, j isa.Op) foldOp {
+	switch p {
+	case fuseFlagTest:
+		f := newFlagTestOp(c)
+		switch j {
+		case isa.JE:
+			return func(m *Machine) (bool, error) {
+				f.run(m)
+				return m.eq, nil
+			}
+		case isa.JNE:
+			return func(m *Machine) (bool, error) {
+				f.run(m)
+				return !m.eq, nil
+			}
+		}
+		return func(m *Machine) (bool, error) {
+			f.run(m)
+			return m.branchTaken(j), nil
+		}
+	case fuseLoadImmCmp:
+		l := &loadCmpOp{
+			ld: &c[0], ref: c[0].B.Mem, d0: c[0].A.Reg,
+			d1: c[1].A.Reg, imm: uint64(c[1].B.Imm),
+			a2: c[2].A.Reg, b2: c[2].B.Reg,
+		}
+		switch j {
+		case isa.JL:
+			return func(m *Machine) (bool, error) {
+				v, ok := loadRef(m, &l.ref)
+				if !ok {
+					return false, m.loadFault(0, l.ld, l.ref)
+				}
+				l.set(m, v)
+				return m.ltS, nil
+			}
+		case isa.JGE:
+			return func(m *Machine) (bool, error) {
+				v, ok := loadRef(m, &l.ref)
+				if !ok {
+					return false, m.loadFault(0, l.ld, l.ref)
+				}
+				l.set(m, v)
+				return !m.ltS, nil
+			}
+		}
+		return func(m *Machine) (bool, error) {
+			v, ok := loadRef(m, &l.ref)
+			if !ok {
+				return false, m.loadFault(0, l.ld, l.ref)
+			}
+			l.set(m, v)
+			return m.branchTaken(j), nil
+		}
+	}
+	return nil
 }
 
 // indexShape is one matched instance of the index-access family. With
@@ -501,42 +944,62 @@ func adjust(op *isa.Instr, k int64) uint64 {
 	return uint64(k)
 }
 
-// fuseIndex compiles an index-access instance c (shape s) into one
-// branch-free micro-op per shape. Each adjust folds into a signed add of
-// its constant (0 when absent); an absent adjust's scratch register is
-// the register written after it, so its write is overwritten rather than
-// branched around. Every scratch write a later constituent overwrites
-// (T's rB, the row length) is skipped on the success path and made on
-// the fault path that observes it. The matcher guarantees the memory
-// operands read none of the registers written before them except the
-// access's index, so the closures compute from locals.
-func fuseIndex(s indexShape, c []isa.Instr) microOp {
-	ld, rA, ref0 := &c[0], c[0].A.Reg, c[0].B.Mem
-	rB, k0, adj0 := rA, uint64(0), uint64(0)
+// indexOp is an index-access instance, decoded for its closure. The
+// closures capture only a pointer to it: a Go closure loads every
+// captured variable on entry, so one pointer keeps their prologue short.
+type indexOp struct {
+	ld, ld1, acc     *isa.Instr // T's LOAD, the column LOAD, the access
+	ref0, ref1, ref  isa.MemRef
+	rA, rB, rC, x    uint8
+	base             uint8
+	k0, adj0, n      uint64
+	rowOff, k1, adj1 uint64 // rowOff+col for a constant column
+	col, scale, disp uint64
+	off, col1, at    int32 // constituent indices within the superinstruction
+	pre              []sdOp
+	t                *fpTail
+}
+
+// fuseIndex compiles an index-access instance c (shape s), constituent
+// off of its superinstruction, into one branch-free micro-op per shape; a
+// store runs the arithmetic pre first, a load the tail t (when not nil)
+// after. Each adjust folds into a signed add of its constant (0 when
+// absent); an absent adjust's scratch register is the register written
+// after it, so its write is overwritten rather than branched around.
+// Every scratch write a later constituent overwrites (T's rB, the row
+// length) is skipped on the success path and made on the fault path that
+// observes it. The matcher guarantees the memory operands read none of
+// the registers written before them except the access's index, so the
+// closures compute from locals.
+func fuseIndex(s indexShape, c []isa.Instr, off int32, pre []sdOp, t *fpTail) microOp {
+	o := &indexOp{ld: &c[0], rA: c[0].A.Reg, ref0: c[0].B.Mem, off: off, pre: pre, t: t}
+	o.rB = o.rA
 	if s.adj0 {
-		rB, k0, adj0 = c[1].A.Reg, uint64(c[1].B.Imm), adjust(&c[2], c[1].B.Imm)
+		o.rB, o.k0, o.adj0 = c[1].A.Reg, uint64(c[1].B.Imm), adjust(&c[2], c[1].B.Imm)
 	}
-	at := int32(s.n - 1)
-	acc := &c[at]
-	ref, x := acc.B.Mem, acc.A.Reg
+	o.at = off + int32(s.n-1)
+	o.acc = &c[s.n-1]
+	o.ref, o.x = o.acc.B.Mem, o.acc.A.Reg
 	if s.store {
-		ref, x = acc.A.Mem, acc.B.Reg
+		o.ref, o.x = o.acc.A.Mem, o.acc.B.Reg
 	}
-	base, scale, disp := ref.Base, uint64(ref.Scale), uint64(int64(ref.Disp))
+	o.base, o.scale, o.disp = o.ref.Base, uint64(o.ref.Scale), uint64(int64(o.ref.Disp))
 	if !s.twoD {
 		if s.store {
 			return func(m *Machine) error {
-				v, ok := loadU64(m, ref0)
-				if !ok {
-					return m.loadFault(0, ld, ref0)
+				if len(o.pre) > 0 {
+					m.runSD(o.pre)
 				}
-				a := v + adj0
-				m.GPR[rB] = k0
-				m.GPR[rA] = a
-				addr := m.GPR[base] + disp + a*scale
-				if !store64At(m, addr, m.XMM[x][0]) {
-					m.faultOff = at
-					return m.store(acc, ref, m.XMM[x][0], 8)
+				v, ok := loadRef(m, &o.ref0)
+				if !ok {
+					return m.loadFault(o.off, o.ld, o.ref0)
+				}
+				a := v + o.adj0
+				m.GPR[o.rB] = o.k0
+				m.GPR[o.rA] = a
+				addr := m.GPR[o.base] + o.disp + a*o.scale
+				if !store64At(m, addr, m.XMM[o.x][0]) {
+					return m.storeFault(o.at, o.acc, o.ref, m.XMM[o.x][0])
 				}
 				if m.track != nil {
 					m.track.markRange(addr, 8)
@@ -545,40 +1008,42 @@ func fuseIndex(s indexShape, c []isa.Instr) microOp {
 			}
 		}
 		return func(m *Machine) error {
-			v, ok := loadU64(m, ref0)
+			v, ok := loadRef(m, &o.ref0)
 			if !ok {
-				return m.loadFault(0, ld, ref0)
+				return m.loadFault(o.off, o.ld, o.ref0)
 			}
-			a := v + adj0
-			m.GPR[rB] = k0
-			m.GPR[rA] = a
-			w, ok := load64At(m, m.GPR[base]+disp+a*scale)
+			a := v + o.adj0
+			m.GPR[o.rB] = o.k0
+			m.GPR[o.rA] = a
+			w, ok := load64At(m, m.GPR[o.base]+o.disp+a*o.scale)
 			if !ok {
-				return m.loadFault(at, acc, ref)
+				return m.loadFault(o.at, o.acc, o.ref)
 			}
-			m.XMM[x][0], m.XMM[x][1] = w, 0
-			return nil
+			m.XMM[o.x][0], m.XMM[o.x][1] = w, 0
+			return m.tail(o.t)
 		}
 	}
-	rB = c[s.col].A.Reg
-	n := uint64(c[s.col-2].B.Imm)
-	rowOff := adj0 * n // (v+adj0)*n == v*n + adj0*n modulo 2^64
+	o.rB = c[s.col].A.Reg
+	o.n = uint64(c[s.col-2].B.Imm)
+	o.rowOff = o.adj0 * o.n // (v+adj0)*n == v*n + adj0*n modulo 2^64
 	if s.colConst {
-		col := uint64(c[s.col].B.Imm)
-		off := rowOff + col
+		o.col = uint64(c[s.col].B.Imm)
+		o.rowOff += o.col
 		if s.store {
 			return func(m *Machine) error {
-				v, ok := loadU64(m, ref0)
-				if !ok {
-					return m.loadFault(0, ld, ref0)
+				if len(o.pre) > 0 {
+					m.runSD(o.pre)
 				}
-				a := v*n + off
-				m.GPR[rB] = col
-				m.GPR[rA] = a
-				addr := m.GPR[base] + disp + a*scale
-				if !store64At(m, addr, m.XMM[x][0]) {
-					m.faultOff = at
-					return m.store(acc, ref, m.XMM[x][0], 8)
+				v, ok := loadRef(m, &o.ref0)
+				if !ok {
+					return m.loadFault(o.off, o.ld, o.ref0)
+				}
+				a := v*o.n + o.rowOff
+				m.GPR[o.rB] = o.col
+				m.GPR[o.rA] = a
+				addr := m.GPR[o.base] + o.disp + a*o.scale
+				if !store64At(m, addr, m.XMM[o.x][0]) {
+					return m.storeFault(o.at, o.acc, o.ref, m.XMM[o.x][0])
 				}
 				if m.track != nil {
 					m.track.markRange(addr, 8)
@@ -587,47 +1052,49 @@ func fuseIndex(s indexShape, c []isa.Instr) microOp {
 			}
 		}
 		return func(m *Machine) error {
-			v, ok := loadU64(m, ref0)
+			v, ok := loadRef(m, &o.ref0)
 			if !ok {
-				return m.loadFault(0, ld, ref0)
+				return m.loadFault(o.off, o.ld, o.ref0)
 			}
-			a := v*n + off
-			m.GPR[rB] = col
-			m.GPR[rA] = a
-			w, ok := load64At(m, m.GPR[base]+disp+a*scale)
+			a := v*o.n + o.rowOff
+			m.GPR[o.rB] = o.col
+			m.GPR[o.rA] = a
+			w, ok := load64At(m, m.GPR[o.base]+o.disp+a*o.scale)
 			if !ok {
-				return m.loadFault(at, acc, ref)
+				return m.loadFault(o.at, o.acc, o.ref)
 			}
-			m.XMM[x][0], m.XMM[x][1] = w, 0
-			return nil
+			m.XMM[o.x][0], m.XMM[o.x][1] = w, 0
+			return m.tail(o.t)
 		}
 	}
-	ld1, ref1, col1 := &c[s.col], c[s.col].B.Mem, int32(s.col)
-	rC, k1, adj1 := rB, uint64(0), uint64(0)
+	o.ld1, o.ref1, o.col1 = &c[s.col], c[s.col].B.Mem, off+int32(s.col)
+	o.rC = o.rB
 	if s.adj1 {
-		rC, k1, adj1 = c[s.col+1].A.Reg, uint64(c[s.col+1].B.Imm), adjust(&c[s.col+2], c[s.col+1].B.Imm)
+		o.rC, o.k1, o.adj1 = c[s.col+1].A.Reg, uint64(c[s.col+1].B.Imm), adjust(&c[s.col+2], c[s.col+1].B.Imm)
 	}
 	if s.store {
 		return func(m *Machine) error {
-			v, ok := loadU64(m, ref0)
-			if !ok {
-				return m.loadFault(0, ld, ref0)
+			if len(o.pre) > 0 {
+				m.runSD(o.pre)
 			}
-			row := v*n + rowOff
-			w, ok := loadU64(m, ref1)
+			v, ok := loadRef(m, &o.ref0)
 			if !ok {
-				m.GPR[rA], m.GPR[rB] = row, n
-				return m.loadFault(col1, ld1, ref1)
+				return m.loadFault(o.off, o.ld, o.ref0)
 			}
-			col := w + adj1
+			row := v*o.n + o.rowOff
+			w, ok := loadRef(m, &o.ref1)
+			if !ok {
+				m.GPR[o.rA], m.GPR[o.rB] = row, o.n
+				return m.loadFault(o.col1, o.ld1, o.ref1)
+			}
+			col := w + o.adj1
 			a := row + col
-			m.GPR[rC] = k1
-			m.GPR[rB] = col
-			m.GPR[rA] = a
-			addr := m.GPR[base] + disp + a*scale
-			if !store64At(m, addr, m.XMM[x][0]) {
-				m.faultOff = at
-				return m.store(acc, ref, m.XMM[x][0], 8)
+			m.GPR[o.rC] = o.k1
+			m.GPR[o.rB] = col
+			m.GPR[o.rA] = a
+			addr := m.GPR[o.base] + o.disp + a*o.scale
+			if !store64At(m, addr, m.XMM[o.x][0]) {
+				return m.storeFault(o.at, o.acc, o.ref, m.XMM[o.x][0])
 			}
 			if m.track != nil {
 				m.track.markRange(addr, 8)
@@ -636,119 +1103,79 @@ func fuseIndex(s indexShape, c []isa.Instr) microOp {
 		}
 	}
 	return func(m *Machine) error {
-		v, ok := loadU64(m, ref0)
+		v, ok := loadRef(m, &o.ref0)
 		if !ok {
-			return m.loadFault(0, ld, ref0)
+			return m.loadFault(o.off, o.ld, o.ref0)
 		}
-		row := v*n + rowOff
-		w, ok := loadU64(m, ref1)
+		row := v*o.n + o.rowOff
+		w, ok := loadRef(m, &o.ref1)
 		if !ok {
-			m.GPR[rA], m.GPR[rB] = row, n
-			return m.loadFault(col1, ld1, ref1)
+			m.GPR[o.rA], m.GPR[o.rB] = row, o.n
+			return m.loadFault(o.col1, o.ld1, o.ref1)
 		}
-		col := w + adj1
+		col := w + o.adj1
 		a := row + col
-		m.GPR[rC] = k1
-		m.GPR[rB] = col
-		m.GPR[rA] = a
-		u, ok := load64At(m, m.GPR[base]+disp+a*scale)
+		m.GPR[o.rC] = o.k1
+		m.GPR[o.rB] = col
+		m.GPR[o.rA] = a
+		u, ok := load64At(m, m.GPR[o.base]+o.disp+a*o.scale)
 		if !ok {
-			return m.loadFault(at, acc, ref)
+			return m.loadFault(o.at, o.acc, o.ref)
 		}
-		m.XMM[x][0], m.XMM[x][1] = u, 0
-		return nil
+		m.XMM[o.x][0], m.XMM[o.x][1] = u, 0
+		return m.tail(o.t)
 	}
 }
 
 // fuseLoadImm compiles LOAD; MOVRI; IMULR|ADDR|SUBR|CMPR, one closure per
 // final opcode so the hot path carries no opcode switch.
 func fuseLoadImm(p fusePattern, c []isa.Instr) microOp {
-	ld, d0, ref := &c[0], c[0].A.Reg, c[0].B.Mem
-	d1, imm := c[1].A.Reg, uint64(c[1].B.Imm)
-	d2, s2 := c[2].A.Reg, c[2].B.Reg
+	o := &memOp{ld: &c[0], d0: c[0].A.Reg, ref0: c[0].B.Mem}
+	o.d1, o.imm = c[1].A.Reg, uint64(c[1].B.Imm)
+	o.x, o.s1 = c[2].A.Reg, c[2].B.Reg // x: the final op's destination
 	switch p {
 	case fuseLoadImmMul:
 		return func(m *Machine) error {
-			v, ok := loadU64(m, ref)
+			v, ok := loadRef(m, &o.ref0)
 			if !ok {
-				return m.loadFault(0, ld, ref)
+				return m.loadFault(0, o.ld, o.ref0)
 			}
-			m.GPR[d0] = v
-			m.GPR[d1] = imm
-			m.GPR[d2] = uint64(int64(m.GPR[d2]) * int64(m.GPR[s2]))
+			m.GPR[o.d0] = v
+			m.GPR[o.d1] = o.imm
+			m.GPR[o.x] = uint64(int64(m.GPR[o.x]) * int64(m.GPR[o.s1]))
 			return nil
 		}
 	case fuseLoadImmAdd:
 		return func(m *Machine) error {
-			v, ok := loadU64(m, ref)
+			v, ok := loadRef(m, &o.ref0)
 			if !ok {
-				return m.loadFault(0, ld, ref)
+				return m.loadFault(0, o.ld, o.ref0)
 			}
-			m.GPR[d0] = v
-			m.GPR[d1] = imm
-			m.GPR[d2] += m.GPR[s2]
+			m.GPR[o.d0] = v
+			m.GPR[o.d1] = o.imm
+			m.GPR[o.x] += m.GPR[o.s1]
 			return nil
 		}
 	case fuseLoadImmSub:
 		return func(m *Machine) error {
-			v, ok := loadU64(m, ref)
+			v, ok := loadRef(m, &o.ref0)
 			if !ok {
-				return m.loadFault(0, ld, ref)
+				return m.loadFault(0, o.ld, o.ref0)
 			}
-			m.GPR[d0] = v
-			m.GPR[d1] = imm
-			m.GPR[d2] -= m.GPR[s2]
+			m.GPR[o.d0] = v
+			m.GPR[o.d1] = o.imm
+			m.GPR[o.x] -= m.GPR[o.s1]
 			return nil
 		}
 	default: // fuseLoadImmCmp
 		return func(m *Machine) error {
-			v, ok := loadU64(m, ref)
+			v, ok := loadRef(m, &o.ref0)
 			if !ok {
-				return m.loadFault(0, ld, ref)
+				return m.loadFault(0, o.ld, o.ref0)
 			}
-			m.GPR[d0] = v
-			m.GPR[d1] = imm
-			m.setCmp(m.GPR[d2], m.GPR[s2])
-			return nil
-		}
-	}
-}
-
-// fuseLoadArith compiles MOVSD xmm, mem; ADDSD|SUBSD|MULSD xmm, xmm. The
-// load zeroes the high lane, as MOVSD's memory form does; the arithmetic
-// writes lane 0 only.
-func fuseLoadArith(p fusePattern, c []isa.Instr) microOp {
-	ld, x0, ref := &c[0], c[0].A.Reg, c[0].B.Mem
-	d1, s1 := c[1].A.Reg, c[1].B.Reg
-	switch p {
-	case fuseLoadAddSD:
-		return func(m *Machine) error {
-			v, ok := loadU64(m, ref)
-			if !ok {
-				return m.loadFault(0, ld, ref)
-			}
-			m.XMM[x0][0], m.XMM[x0][1] = v, 0
-			m.XMM[d1][0] = math.Float64bits(arith64(isa.ADDSD, math.Float64frombits(m.XMM[d1][0]), math.Float64frombits(m.XMM[s1][0])))
-			return nil
-		}
-	case fuseLoadSubSD:
-		return func(m *Machine) error {
-			v, ok := loadU64(m, ref)
-			if !ok {
-				return m.loadFault(0, ld, ref)
-			}
-			m.XMM[x0][0], m.XMM[x0][1] = v, 0
-			m.XMM[d1][0] = math.Float64bits(arith64(isa.SUBSD, math.Float64frombits(m.XMM[d1][0]), math.Float64frombits(m.XMM[s1][0])))
-			return nil
-		}
-	default: // fuseLoadMulSD
-		return func(m *Machine) error {
-			v, ok := loadU64(m, ref)
-			if !ok {
-				return m.loadFault(0, ld, ref)
-			}
-			m.XMM[x0][0], m.XMM[x0][1] = v, 0
-			m.XMM[d1][0] = math.Float64bits(arith64(isa.MULSD, math.Float64frombits(m.XMM[d1][0]), math.Float64frombits(m.XMM[s1][0])))
+			m.GPR[o.d0] = v
+			m.GPR[o.d1] = o.imm
+			m.setCmp(m.GPR[o.x], m.GPR[o.s1])
 			return nil
 		}
 	}

@@ -37,13 +37,15 @@ var fusePatternNames = [numFusePatterns]string{
 	fuseLoadAddLoadSD: "load+addr+movsd-load",
 	fuseAddLoadSD:     "addr+movsd-load",
 	fuseImmLoadSD:     "movri+movsd-load",
+	fuseImmStoreSD:    "movri+movsd-store",
 	fuseLoadIncStore:  "load+addi+store",
-	fuseLoadAddSD:     "movsd-load+addsd",
-	fuseLoadSubSD:     "movsd-load+subsd",
-	fuseLoadMulSD:     "movsd-load+mulsd",
 	fuseConstSD:       "movri+movq-xmm",
 	fuseFlagTest:      "movq-gpr+movrr+shri+cmpi",
 	fuseStamp:         "movq-gpr+movri+andr+movri+orr+movq-xmm",
+	fuseLoadOp:        "fp-load+arith",
+	fuseArithChain:    "arith-chain",
+	fuseArithStore:    "arith+movsd-store",
+	fuseCvtStamp:      "cvtsd2ss+stamp",
 }
 
 // fuseCase is one instance of a pattern: build returns its constituents
@@ -102,9 +104,9 @@ var fuseCases = []fuseCase{
 			isa.I(isa.STORE, isa.Mem(bB, 24), isa.Gpr(isa.RDX)),
 		}
 	}, []int{0, 2}},
-	{fuseLoadAddSD, func(bA, _, _ uint8) []isa.Instr { return loadArith(isa.ADDSD, bA) }, []int{0}},
-	{fuseLoadSubSD, func(bA, _, _ uint8) []isa.Instr { return loadArith(isa.SUBSD, bA) }, []int{0}},
-	{fuseLoadMulSD, func(bA, _, _ uint8) []isa.Instr { return loadArith(isa.MULSD, bA) }, []int{0}},
+	{fuseLoadOp, func(bA, _, _ uint8) []isa.Instr { return loadArith(isa.ADDSD, bA) }, []int{0}},
+	{fuseLoadOp, func(bA, _, _ uint8) []isa.Instr { return loadArith(isa.SUBSD, bA) }, []int{0}},
+	{fuseLoadOp, func(bA, _, _ uint8) []isa.Instr { return loadArith(isa.MULSD, bA) }, []int{0}},
 	{fuseConstSD, func(_, _, _ uint8) []isa.Instr {
 		return []isa.Instr{
 			isa.I(isa.MOVRI, isa.Gpr(isa.RSI), isa.Imm(int64(math.Float64bits(2.5)))),
@@ -211,6 +213,153 @@ var fuseCases = []fuseCase{
 			isa.I(isa.MOVSD, isa.MemIdx(bB, isa.RAX, 8, 0), isa.Xmm(2)),
 		}
 	}, []int{0, 7}},
+	// The FP families, after every earlier case so the fuzz selectors
+	// that pick cases by index decode as before.
+	{fuseImmStoreSD, func(bA, _, _ uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.MOVRI, isa.Gpr(isa.RSI), isa.Imm(4)),
+			isa.I(isa.MOVSD, isa.MemIdx(bA, isa.RSI, 8, 32), isa.Xmm(1)),
+		}
+	}, []int{1}},
+	{fuseLoadOp, func(bA, bB, _ uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.MOVSD, isa.Xmm(2), isa.Mem(bA, 32)),
+			isa.I(isa.MULSD, isa.Xmm(1), isa.Xmm(2)),
+			isa.I(isa.ADDSD, isa.Xmm(1), isa.Xmm(3)),
+			isa.I(isa.SUBSD, isa.Xmm(2), isa.Xmm(1)),
+			isa.I(isa.MOVSD, isa.Mem(bB, 40), isa.Xmm(2)),
+		}
+	}, []int{0, 4}},
+	{fuseLoadOp, func(bA, _, _ uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.MOVRI, isa.Gpr(isa.RSI), isa.Imm(4)),
+			isa.I(isa.MOVSD, isa.Xmm(2), isa.MemIdx(bA, isa.RSI, 8, 0)),
+			isa.I(isa.MULSD, isa.Xmm(1), isa.Xmm(2)),
+		}
+	}, []int{1}},
+	{fuseLoadOp, func(bA, bB, bC uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.LOAD, isa.Gpr(isa.RAX), isa.Mem(bA, 8)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.RCX), isa.Imm(1)),
+			isa.I(isa.ADDR, isa.Gpr(isa.RAX), isa.Gpr(isa.RCX)),
+			isa.I(isa.MOVSD, isa.Xmm(2), isa.MemIdx(bB, isa.RAX, 8, 32)),
+			isa.I(isa.ADDSD, isa.Xmm(1), isa.Xmm(2)),
+			isa.I(isa.DIVSD, isa.Xmm(1), isa.Xmm(3)),
+			isa.I(isa.MOVSD, isa.Mem(bC, 16), isa.Xmm(1)),
+		}
+	}, []int{0, 3, 6}},
+	{fuseLoadOp, func(bA, bB, bC uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.LOAD, isa.Gpr(isa.RAX), isa.Mem(bA, 0)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.RCX), isa.Imm(5)),
+			isa.I(isa.IMULR, isa.Gpr(isa.RAX), isa.Gpr(isa.RCX)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.RCX), isa.Imm(3)),
+			isa.I(isa.ADDR, isa.Gpr(isa.RAX), isa.Gpr(isa.RCX)),
+			isa.I(isa.MOVSD, isa.Xmm(2), isa.MemIdx(bB, isa.RAX, 8, 8)),
+			isa.I(isa.MULSD, isa.Xmm(2), isa.Xmm(1)),
+			isa.I(isa.SUBSD, isa.Xmm(3), isa.Xmm(2)),
+			isa.I(isa.MAXSD, isa.Xmm(3), isa.Xmm(0)),
+			isa.I(isa.MOVSD, isa.Mem(bC, 8), isa.Xmm(3)),
+		}
+	}, []int{0, 5, 9}},
+	{fuseLoadOp, func(bA, bB, bC uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.LOAD, isa.Gpr(isa.RSI), isa.Mem(bA, 0)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.RDI), isa.Imm(9)),
+			isa.I(isa.IMULR, isa.Gpr(isa.RSI), isa.Gpr(isa.RDI)),
+			isa.I(isa.LOAD, isa.Gpr(isa.RDI), isa.Mem(bB, 8)),
+			isa.I(isa.ADDR, isa.Gpr(isa.RSI), isa.Gpr(isa.RDI)),
+			isa.I(isa.MOVSD, isa.Xmm(2), isa.MemIdx(bC, isa.RSI, 8, 0)),
+			isa.I(isa.MULSD, isa.Xmm(1), isa.Xmm(2)),
+		}
+	}, []int{0, 3, 5}},
+	{fuseLoadOp, func(bA, _, _ uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.ADDR, isa.Gpr(isa.RAX), isa.Gpr(isa.RCX)),
+			isa.I(isa.MOVSD, isa.Xmm(1), isa.MemIdx(bA, isa.RAX, 8, 16)),
+			isa.I(isa.ADDSD, isa.Xmm(3), isa.Xmm(1)),
+		}
+	}, []int{1}},
+	{fuseLoadOp, func(bA, bB, bC uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.LOAD, isa.Gpr(isa.RAX), isa.Mem(bA, 0)),
+			isa.I(isa.ADDR, isa.Gpr(isa.RAX), isa.Gpr(isa.RCX)),
+			isa.I(isa.MOVSD, isa.Xmm(1), isa.MemIdx(bB, isa.RAX, 8, 16)),
+			isa.I(isa.MULSD, isa.Xmm(3), isa.Xmm(1)),
+			isa.I(isa.MOVSD, isa.Mem(bC, 24), isa.Xmm(3)),
+		}
+	}, []int{0, 2, 4}},
+	{fuseLoadOp, func(_, _, _ uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.MOVRI, isa.Gpr(isa.RSI), isa.Imm(int64(math.Float64bits(2.5)))),
+			isa.I(isa.MOVQ, isa.Xmm(3), isa.Gpr(isa.RSI)),
+			isa.I(isa.MULSD, isa.Xmm(1), isa.Xmm(3)),
+			isa.I(isa.MINSD, isa.Xmm(1), isa.Xmm(2)),
+		}
+	}, nil},
+	{fuseArithChain, func(_, _, _ uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.MULSD, isa.Xmm(1), isa.Xmm(2)),
+			isa.I(isa.SUBSD, isa.Xmm(3), isa.Xmm(1)),
+			isa.I(isa.ADDSD, isa.Xmm(1), isa.Xmm(3)),
+		}
+	}, nil},
+	{fuseArithStore, func(bA, _, _ uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.SUBSD, isa.Xmm(1), isa.Xmm(2)),
+			isa.I(isa.MOVSD, isa.Mem(bA, 16), isa.Xmm(1)),
+		}
+	}, []int{1}},
+	{fuseArithStore, func(bA, _, _ uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.MULSD, isa.Xmm(1), isa.Xmm(2)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.RSI), isa.Imm(2)),
+			isa.I(isa.MOVSD, isa.MemIdx(bA, isa.RSI, 8, 8), isa.Xmm(1)),
+		}
+	}, []int{2}},
+	{fuseArithStore, func(bA, bB, _ uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.ADDSD, isa.Xmm(1), isa.Xmm(2)),
+			isa.I(isa.DIVSD, isa.Xmm(1), isa.Xmm(3)),
+			isa.I(isa.LOAD, isa.Gpr(isa.RDX), isa.Mem(bA, 8)),
+			isa.I(isa.MOVSD, isa.MemIdx(bB, isa.RDX, 8, 32), isa.Xmm(1)),
+		}
+	}, []int{2, 3}},
+	{fuseArithStore, func(bA, bB, bC uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.MULSD, isa.Xmm(2), isa.Xmm(3)),
+			isa.I(isa.LOAD, isa.Gpr(isa.RAX), isa.Mem(bA, 0)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.RCX), isa.Imm(7)),
+			isa.I(isa.IMULR, isa.Gpr(isa.RAX), isa.Gpr(isa.RCX)),
+			isa.I(isa.LOAD, isa.Gpr(isa.RCX), isa.Mem(bB, 24)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.RDX), isa.Imm(40)),
+			isa.I(isa.SUBR, isa.Gpr(isa.RCX), isa.Gpr(isa.RDX)),
+			isa.I(isa.ADDR, isa.Gpr(isa.RAX), isa.Gpr(isa.RCX)),
+			isa.I(isa.MOVSD, isa.MemIdx(bC, isa.RAX, 8, 32), isa.Xmm(2)),
+		}
+	}, []int{1, 4, 8}},
+	{fuseArithStore, func(bA, bB, _ uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.ADDSD, isa.Xmm(2), isa.Xmm(1)),
+			isa.I(isa.LOAD, isa.Gpr(isa.RAX), isa.Mem(bA, 8)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.RCX), isa.Imm(4)),
+			isa.I(isa.IMULR, isa.Gpr(isa.RAX), isa.Gpr(isa.RCX)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.RCX), isa.Imm(0)),
+			isa.I(isa.ADDR, isa.Gpr(isa.RAX), isa.Gpr(isa.RCX)),
+			isa.I(isa.MOVSD, isa.MemIdx(bB, isa.RAX, 8, 0), isa.Xmm(2)),
+		}
+	}, []int{1, 6}},
+	{fuseCvtStamp, func(_, _, _ uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.CVTSD2SS, isa.Xmm(1), isa.Xmm(2)),
+			isa.I(isa.MOVQ, isa.Gpr(isa.R15), isa.Xmm(1)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.R14), isa.Imm(0xFFFFFFFF)),
+			isa.I(isa.ANDR, isa.Gpr(isa.R15), isa.Gpr(isa.R14)),
+			isa.I(isa.MOVRI, isa.Gpr(isa.R14), isa.Imm(int64(uint64(isa.ReplacedFlag)<<32))),
+			isa.I(isa.ORR, isa.Gpr(isa.R15), isa.Gpr(isa.R14)),
+			isa.I(isa.MOVQ, isa.Xmm(1), isa.Gpr(isa.R15)),
+		}
+	}, nil},
 }
 
 func loadImm(op isa.Op, bA uint8) []isa.Instr {
@@ -267,13 +416,32 @@ func seedMachine(m *Machine, oob map[uint8]bool) {
 func bodySpans(c *compiled, b *block) []int32 {
 	spans := make([]int32, len(b.body))
 	for j := range spans {
-		next := b.bodyEnd()
-		if j+1 < len(spans) {
-			next = c.opStart(b, int32(j+1))
-		}
-		spans[j] = next - c.opStart(b, int32(j))
+		spans[j] = c.opStart(b, int32(j+1)) - c.opStart(b, int32(j))
 	}
 	return spans
+}
+
+// matchFuse reports the longest pattern whose constituents start at
+// instrs[i], and how many instructions it spans, or fuseNone.
+func matchFuse(instrs []isa.Instr, i int, noIndex bool) (fusePattern, int) {
+	long, short := matchAt(window(instrs, i), noIndex)
+	if long.p != fuseNone {
+		return long.p, long.n
+	}
+	return short.p, short.n
+}
+
+// fusedAt returns the pattern of the superinstruction of instrs at index
+// i spanning n instructions.
+func fusedAt(instrs []isa.Instr, i, n int32) fusePattern {
+	long, short := matchAt(window(instrs, int(i)), false)
+	if long.p != fuseNone && long.n == int(n) {
+		return long.p
+	}
+	if short.n == int(n) {
+		return short.p
+	}
+	return fuseNone
 }
 
 // hasFused reports whether b's body holds a superinstruction.
@@ -407,6 +575,7 @@ func fuseLoopProgram(t *testing.T) *prog.Module {
 				hl.At(a, hl.IAdd(hl.ILoad(i), hl.IConst(2)))))
 			f.Set(s, hl.Mul(hl.Load(s), at(hl.ILoad(i), hl.IMul(hl.ILoad(j), hl.IConst(1)))))
 			f.Store(a, hl.ISub(hl.ILoad(j), hl.IConst(0)), hl.Mul(hl.Load(s), hl.Const(0.125)))
+			f.Set(s, hl.Sqrt(hl.Sub(hl.Mul(hl.Load(s), hl.Const(0.5)), hl.Mul(hl.Load(s), hl.Load(s)))))
 		})
 	})
 	f.Out(hl.Load(s))
@@ -422,7 +591,8 @@ func fuseLoopProgram(t *testing.T) *prog.Module {
 // written in forms the index-access family does not match — an adjusted
 // row term added to a loaded column, a constant row — so the shorter
 // patterns that family subsumes on hl's usual shapes still run in a loop:
-// LOAD; MOVRI; ADDR|SUBR and LOAD; ADDR; MOVSD.
+// LOAD; MOVRI; ADDR|SUBR and LOAD; ADDR; MOVSD. It also stores to a
+// constant index.
 func fuseLoopLegacy(t *testing.T) *prog.Module {
 	t.Helper()
 	const n = 5
@@ -440,6 +610,7 @@ func fuseLoopLegacy(t *testing.T) *prog.Module {
 			f.Set(s, hl.Add(hl.At(a, hl.IAdd(hl.IAdd(hl.ILoad(i), hl.IConst(1)), hl.ILoad(j))),
 				hl.At(a, hl.IAdd(hl.ISub(hl.ILoad(j), hl.IConst(0)), hl.ILoad(i)))))
 			f.Set(s, hl.Mul(hl.Load(s), hl.At(a, hl.IAdd(hl.IMul(hl.IConst(2), hl.IConst(n)), hl.ILoad(j)))))
+			f.Store(a, hl.IConst(2), hl.Load(s))
 		})
 	})
 	f.Out(hl.Load(s))
@@ -473,10 +644,11 @@ func fuseLoopVariants(t *testing.T) map[string]*prog.Module {
 	return out
 }
 
-// firedPatterns reports the patterns of the fused ops in blocks a
-// finished compiled run executed.
-func firedPatterns(lp *Program, counts []uint64) map[fusePattern]bool {
-	fired := map[fusePattern]bool{}
+// firedPatterns reports, by name, the superinstructions in blocks a
+// finished compiled run executed: each fused op's pattern, and for a
+// folded terminator both the compare's pattern and its fold (foldName).
+func firedPatterns(lp *Program, counts []uint64) map[string]bool {
+	fired := map[string]bool{}
 	c := lp.compiled
 	for bi := range c.blocks {
 		b := &c.blocks[bi]
@@ -485,21 +657,68 @@ func firedPatterns(lp *Program, counts []uint64) map[fusePattern]bool {
 		}
 		for j, span := range bodySpans(c, b) {
 			if span > 1 {
-				p, _ := matchFuse(lp.instrs, int(c.opStart(b, int32(j))), false)
-				fired[p] = true
+				fired[fusePatternNames[fusedAt(lp.instrs, c.opStart(b, int32(j)), span)]] = true
 			}
+		}
+		if b.fold != nil {
+			i := c.opStart(b, int32(len(b.body)))
+			p := fusedAt(lp.instrs, i, b.start+b.n-1-i)
+			fired[fusePatternNames[p]] = true
+			fired[foldName(p)] = true
 		}
 	}
 	return fired
 }
 
-func TestFusedLoopBudgetAndMidBlockEntry(t *testing.T) {
-	fired := map[fusePattern]bool{}
+// foldName names the fold of compare pattern p into its branch.
+func foldName(p fusePattern) string { return fusePatternNames[p] + "+jcc" }
+
+// fuseNames lists every pattern and fold by name.
+func fuseNames() []string {
+	names := slices.Clone(fusePatternNames[fuseNone+1:])
+	return append(names, foldName(fuseLoadImmCmp), foldName(fuseFlagTest))
+}
+
+// fuseLoopPrograms links every fuseLoopVariants module and assembles the
+// loop kernel's stable layout as the fork-point engine does, so FP
+// arithmetic alone in a slot meets the loads, arithmetic and stores
+// around it: every site bare, wrapped and bare sites alternating (a
+// wrapped site's operation begins a block, so the bare arithmetic after
+// it chains), and mixed variants.
+func fuseLoopPrograms(t *testing.T) map[string]*Program {
+	t.Helper()
+	out := map[string]*Program{}
 	for name, mod := range fuseLoopVariants(t) {
 		lp, err := Link(mod)
 		if err != nil {
 			t.Fatal(err)
 		}
+		out[name] = lp
+	}
+	il, sites := stableLinker(t, fuseLoopProgram(t))
+	chs := agreementChoices(sites, rand.New(rand.NewSource(28)))[replace.VariantBare:]
+	for phase := 0; phase < 2; phase++ {
+		ch := make([]int, len(sites))
+		for k := range ch {
+			if k%2 == phase {
+				ch[k] = replace.VariantBare
+			}
+		}
+		chs = append(chs, ch)
+	}
+	for ci, ch := range chs {
+		lp, err := il.Assemble(ch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[fmt.Sprintf("assembled %d", ci)] = lp
+	}
+	return out
+}
+
+func TestFusedLoopBudgetAndMidBlockEntry(t *testing.T) {
+	fired := map[string]bool{}
+	for name, lp := range fuseLoopPrograms(t) {
 		full := lp.NewMachine()
 		if err := full.Run(); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -551,9 +770,9 @@ func TestFusedLoopBudgetAndMidBlockEntry(t *testing.T) {
 			t.FailNow()
 		}
 	}
-	for p := fuseNone + 1; p < numFusePatterns; p++ {
+	for _, p := range fuseNames() {
 		if !fired[p] {
-			t.Errorf("pattern %s never fired in the loop kernel", fusePatternNames[p])
+			t.Errorf("pattern %s never fired in the loop kernel", p)
 		}
 	}
 }
@@ -644,6 +863,67 @@ func TestFuseIndexAccessRejectsAliasing(t *testing.T) {
 		a, b := run(false), run(true)
 		diffMachines(t, name, a, b)
 		sameDirtyPages(t, name, a.m, b.m)
+	}
+}
+
+// TestFuseSnippetShapesOnly pins that the flag test and the stamp fuse
+// only in the snippet compiler's register shape, whose closures compute
+// in locals: every other register assignment of the same opcodes, with
+// and without a conditional branch after the flag test, runs unfused and
+// identically on both tiers.
+func TestFuseSnippetShapesOnly(t *testing.T) {
+	movq := func(d uint8) isa.Instr { return isa.I(isa.MOVQ, isa.Gpr(d), isa.Xmm(1)) }
+	rr := func(op isa.Op, d, s uint8) isa.Instr { return isa.I(op, isa.Gpr(d), isa.Gpr(s)) }
+	ri := func(op isa.Op, d uint8, k int64) isa.Instr { return isa.I(op, isa.Gpr(d), isa.Imm(k)) }
+	flag := int64(isa.ReplacedFlag)
+	test := func(d0, d1, s1, d2, a3 uint8) []isa.Instr {
+		return []isa.Instr{movq(d0), rr(isa.MOVRR, d1, s1), ri(isa.SHRI, d2, 32), ri(isa.CMPI, a3, flag)}
+	}
+	stamp := func(d0, d1, d2, s2, d4, s5 uint8) []isa.Instr {
+		return []isa.Instr{movq(d0), ri(isa.MOVRI, d1, 0xFFFFFFFF), rr(isa.ANDR, d2, s2),
+			ri(isa.MOVRI, d1, flag<<32), rr(isa.ORR, d4, d1), isa.I(isa.MOVQ, isa.Xmm(2), isa.Gpr(s5))}
+	}
+	r15, r14, rax := uint8(isa.R15), uint8(isa.R14), uint8(isa.RAX)
+	cases := map[string][]isa.Instr{
+		"test copies itself":       test(r15, r15, r15, r15, r15),
+		"test copies another":      test(r15, r14, rax, r14, r14),
+		"test shifts another":      test(r15, r14, r15, rax, r14),
+		"test compares another":    test(r15, r14, r15, r14, r15),
+		"stamp into one register":  stamp(r15, r15, r15, r15, r15, r15),
+		"stamp masks another":      stamp(r15, r14, rax, r14, r15, r15),
+		"stamp ands the wrong way": stamp(r15, r14, r14, r15, r15, r15),
+		"stamp ors another":        stamp(r15, r14, r15, r14, rax, r15),
+		"stamp writes another":     stamp(r15, r14, r15, r14, r15, rax),
+	}
+	for name, c := range cases {
+		if p, _ := matchFuse(c, 0, false); p == fuseFlagTest || p == fuseStamp {
+			t.Errorf("%s: matched %s", name, fusePatternNames[p])
+		}
+		for _, branch := range []bool{false, true} {
+			instrs := slices.Clone(c)
+			if branch {
+				instrs = append(instrs, isa.I(isa.JNE, isa.Imm(0)))
+			}
+			f := &prog.Func{Name: "main", Instrs: append(instrs, isa.I(isa.HALT))}
+			mod, err := prog.Build("shape", []*prog.Func{f}, fuseData(), prog.DataBase+4096, "main")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if branch {
+				f.Instrs[len(c)].A.Imm = int64(f.Instrs[len(c)+1].Addr)
+			}
+			lp, err := Link(mod)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(noCompile bool) engineResult {
+				m := lp.NewMachine()
+				m.NoCompile = noCompile
+				seedMachine(m, nil)
+				return engineResult{m, m.Run()}
+			}
+			diffMachines(t, fmt.Sprintf("%s (branch %v)", name, branch), run(false), run(true))
+		}
 	}
 }
 

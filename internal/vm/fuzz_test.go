@@ -21,9 +21,11 @@ import (
 //
 // Input layout: byte 0 seeds the register file and data segment; byte 1
 // with its top bit set caps the run at (byte 1 & 63) steps; then three
-// bytes per instruction (selector, register byte, value byte). The last
-// selector (40 here) emits an index-access shape from its register and
-// value bytes and the three bytes after them (fuzzIndexAccess).
+// bytes per instruction (selector, register byte, value byte). Selector
+// 40 emits an index-access shape from its register and value bytes and
+// the three bytes after them (fuzzIndexAccess), selector 41 an FP-family
+// shape (fuzzFPShape) and selector 42 a compare ending in a conditional
+// branch (fuzzFold), each from six bytes the same way.
 func FuzzCompiledMatchesStep(f *testing.F) {
 	f.Add([]byte{1, 0, 20, 0, 0, 34, 0, 0, 21, 0, 0, 26, 0, 0, 29, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -139,8 +141,8 @@ func decodeFuzzProgram(data []byte) (mod *prog.Module, seed int64, max uint64, o
 
 // decodeFuzz is decodeFuzzProgram, widened when ext is set: selectors
 // 40 and up then pick from extFuzzOps, the index-access selector moves to
-// the one after them, and the module gains a small subroutine that every
-// CALL targets.
+// the one after them (and is the last), and the module gains a small
+// subroutine that every CALL targets.
 func decodeFuzz(data []byte, ext bool) (mod *prog.Module, seed int64, max uint64, ok bool) {
 	if len(data) < 2 {
 		return nil, 0, 0, false
@@ -150,6 +152,17 @@ func decodeFuzz(data []byte, ext bool) (mod *prog.Module, seed int64, max uint64
 		max = uint64(data[1]&63) + 1
 	}
 	var instrs []isa.Instr
+	// branches holds each fuzzFold branch's index and how many
+	// instructions it skips forward, patched once addresses exist.
+	var branches [][2]int
+	idxSel := byte(40)
+	if ext {
+		idxSel += byte(len(extFuzzOps))
+	}
+	n := idxSel + 1
+	if !ext {
+		n += 2 // the FP-family and fold selectors
+	}
 	for rest := data[2:]; len(rest) >= 3 && len(instrs) < 64; rest = rest[3:] {
 		sel, r, v := rest[0], rest[1], rest[2]
 		g, g2 := isa.Gpr(fuzzGPRs[r&7]), isa.Gpr(fuzzGPRs[v&7])
@@ -159,20 +172,26 @@ func decodeFuzz(data []byte, ext bool) (mod *prog.Module, seed int64, max uint64
 			mem = isa.MemIdx(fuzzGPRs[(r>>5)&3], fuzzGPRs[v&7], 8, int32(int8(v)))
 		}
 		imm := isa.Imm(int64(int8(v)))
-		n := byte(41)
-		if ext {
-			n += byte(len(extFuzzOps))
-		}
 		s := sel % n
-		switch {
-		case s == n-1:
+		if s >= idxSel {
 			var w [3]byte
 			if len(rest) >= 6 {
 				copy(w[:], rest[3:6])
 				rest = rest[3:]
 			}
-			instrs = append(instrs, fuzzIndexAccess(r, v, w)...)
+			switch s - idxSel {
+			case 0:
+				instrs = append(instrs, fuzzIndexAccess(r, v, w)...)
+			case 1:
+				instrs = append(instrs, fuzzFPShape(r, v, w)...)
+			default:
+				fold, skip := fuzzFold(r, v, w)
+				instrs = append(instrs, fold...)
+				branches = append(branches, [2]int{len(instrs) - 1, skip})
+			}
 			continue
+		}
+		switch {
 		case s >= 40:
 			instrs = append(instrs, extFuzzOps[s-40](g, x, x2, mem))
 			continue
@@ -257,7 +276,123 @@ func decodeFuzz(data []byte, ext bool) (mod *prog.Module, seed int64, max uint64
 			instrs[i].A.Imm = int64(funcs[1].Addr)
 		}
 	}
+	for _, b := range branches {
+		instrs[b[0]].A.Imm = int64(instrs[min(b[0]+1+b[1], len(instrs)-1)].Addr)
+	}
 	return mod, seed, max, true
+}
+
+// fuzzArith are the arithmetic ops the FP families chain.
+var fuzzArith = [...]isa.Op{isa.ADDSD, isa.SUBSD, isa.MULSD, isa.DIVSD, isa.MINSD, isa.MAXSD}
+
+// fuzzFPShape builds one FP-family shape (matchFP) from six fuzz bytes.
+// r picks the form: bits 0-2 the head (none, a lone MOVSD load, a
+// constant-index load, an FP constant, ADDR; MOVSD, LOAD; ADDR; MOVSD,
+// and an index-access load twice), bits 3-4 the arithmetic count (1, 2,
+// 3, 1), bits 5-6 the store (none, lone, constant-index, index-access)
+// and bit 7 a fault: w[2]'s low bits then pick one memory constituent
+// whose displacement runs past the end of memory. v and w seed the
+// registers, ops, constants and displacements, and feed the index-access
+// constituents, so some instances alias and run unfused.
+func fuzzFPShape(r, v byte, w [3]byte) []isa.Instr {
+	rnd := rand.New(rand.NewSource(int64(v)<<24 | int64(w[0])<<16 | int64(w[1])<<8 | int64(w[2])))
+	gpr := func() uint8 { return fuzzGPRs[rnd.Intn(len(fuzzGPRs))] }
+	base := func() uint8 { return fuzzGPRs[rnd.Intn(4)] }
+	xmm := func() isa.Operand { return isa.Xmm(uint8(rnd.Intn(4))) }
+	disp := func() int32 { return int32(rnd.Intn(64)) * 4 }
+	var out []isa.Instr
+	switch r & 7 {
+	case 1:
+		out = append(out, isa.I(isa.MOVSD, xmm(), isa.Mem(base(), disp())))
+	case 2:
+		g := gpr()
+		out = append(out, isa.I(isa.MOVRI, isa.Gpr(g), isa.Imm(int64(rnd.Intn(16)))),
+			isa.I(isa.MOVSD, xmm(), isa.MemIdx(base(), g, 8, disp())))
+	case 3:
+		g := gpr()
+		out = append(out, isa.I(isa.MOVRI, isa.Gpr(g), isa.Imm(int64(math.Float64bits(rnd.NormFloat64())))),
+			isa.I(isa.MOVQ, xmm(), isa.Gpr(g)))
+	case 4:
+		g := gpr()
+		out = append(out, isa.I(isa.ADDR, isa.Gpr(g), isa.Gpr(gpr())),
+			isa.I(isa.MOVSD, xmm(), isa.MemIdx(base(), g, 8, disp())))
+	case 5:
+		g := gpr()
+		out = append(out, isa.I(isa.LOAD, isa.Gpr(g), isa.Mem(base(), disp())),
+			isa.I(isa.ADDR, isa.Gpr(g), isa.Gpr(gpr())),
+			isa.I(isa.MOVSD, xmm(), isa.MemIdx(base(), g, 8, disp())))
+	case 6, 7:
+		out = append(out, fuzzIndexAccess(v&^2, v, w)...)
+	}
+	for k := 0; k < max(1, int(r>>3&3)); k++ {
+		out = append(out, isa.I(fuzzArith[rnd.Intn(len(fuzzArith))], xmm(), xmm()))
+	}
+	switch r >> 5 & 3 {
+	case 1:
+		out = append(out, isa.I(isa.MOVSD, isa.Mem(base(), disp()), xmm()))
+	case 2:
+		g := gpr()
+		out = append(out, isa.I(isa.MOVRI, isa.Gpr(g), isa.Imm(int64(rnd.Intn(16)))),
+			isa.I(isa.MOVSD, isa.MemIdx(base(), g, 8, disp()), xmm()))
+	case 3:
+		out = append(out, fuzzIndexAccess(w[1]|2, w[0], [3]byte{v, w[2], w[1]})...)
+	}
+	if r&0x80 != 0 {
+		var mem []int
+		for i := range out {
+			if out[i].A.Kind == isa.KindMem || out[i].B.Kind == isa.KindMem {
+				mem = append(mem, i)
+			}
+		}
+		if len(mem) > 0 {
+			in := &out[mem[int(w[2]&3)%len(mem)]]
+			ref := &in.B.Mem
+			if in.A.Kind == isa.KindMem {
+				ref = &in.A.Mem
+			}
+			ref.Disp = int32(fuzzMemSize)
+		}
+	}
+	return out
+}
+
+// fuzzFoldConds are the conditional branches a fuzzFold compare ends in.
+var fuzzFoldConds = [...]isa.Op{isa.JE, isa.JNE, isa.JL, isa.JLE, isa.JG, isa.JGE, isa.JB, isa.JAE, isa.JA, isa.JBE}
+
+// fuzzFold builds a compare the compiled tier folds into its block's
+// conditional terminator, and the branch, from six fuzz bytes; skip is
+// how many instructions the branch jumps over (forward only, so every
+// program ends). r bit 0 picks the loop test LOAD; MOVRI; CMPR or the
+// snippet flag test MOVQ; MOVRR; SHRI; CMPI, bits 1-4 the condition,
+// bits 5-6 skip and bit 7, for the loop test, a LOAD past the end of
+// memory. v and w pick the registers, constants and displacement; the
+// flag test compares against the replacement flag unless w[1]'s top bit
+// is set.
+func fuzzFold(r, v byte, w [3]byte) (out []isa.Instr, skip int) {
+	g, g2 := isa.Gpr(fuzzGPRs[v&7]), isa.Gpr(fuzzGPRs[v>>3&7])
+	if r&1 == 0 {
+		ref := isa.Mem(fuzzGPRs[v>>6], int32(w[0]&63)*4)
+		if r&0x80 != 0 {
+			ref.Mem.Disp = int32(fuzzMemSize)
+		}
+		out = []isa.Instr{
+			isa.I(isa.LOAD, g, ref),
+			isa.I(isa.MOVRI, g2, isa.Imm(int64(int8(w[1])))),
+			isa.I(isa.CMPR, isa.Gpr(fuzzGPRs[w[2]&7]), isa.Gpr(fuzzGPRs[w[2]>>3&7])),
+		}
+	} else {
+		flag := int64(isa.ReplacedFlag)
+		if w[1]&0x80 != 0 {
+			flag = int64(int8(w[1]))
+		}
+		out = []isa.Instr{
+			isa.I(isa.MOVQ, g, isa.Xmm(w[0]&3)),
+			isa.I(isa.MOVRR, g2, g),
+			isa.I(isa.SHRI, g2, isa.Imm(int64(w[2]&63))),
+			isa.I(isa.CMPI, g2, isa.Imm(flag)),
+		}
+	}
+	return append(out, isa.I(fuzzFoldConds[int(r>>1&15)%len(fuzzFoldConds)], isa.Imm(0))), int(r >> 5 & 3)
 }
 
 // fuzzIndexAccess builds one index-access shape (matchIndex) from six

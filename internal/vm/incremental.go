@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"fpmix/internal/isa"
 	"fpmix/internal/prog"
@@ -22,6 +23,17 @@ import (
 // whose variant differs from a previous assembly contribute new content —
 // everything else is a copy of immutable cache — so assembling a sibling
 // configuration is two orders of magnitude cheaper than a full Link.
+//
+// Superinstructions follow Link exactly. A match reads at most
+// maxFuseSpan instructions (fuse.go), so each fragment caches the
+// superinstructions whose whole window lies inside it, and the last
+// maxFuseSpan-1 indices of every fragment but the stream's last are
+// matched per assembly over the window reaching into the fragments after
+// it. Those boundary matches are cached too, per fragment and per variant
+// choice of every site the window reaches, so a warm assembly creates no
+// closures and the fused spans are exactly those Link finds in the same
+// flattened stream — FP arithmetic alone in its slot fuses with the load
+// before it and the arithmetic and store after it.
 //
 // The skeleton module handed to NewIncrementalLinker comes from a slotted
 // rewrite (cfg.RewriteSlotted): it deliberately fails prog.Validate when a
@@ -51,7 +63,10 @@ type ilBranch struct {
 // ilFrag is one compiled cache fragment: an immutable instruction sequence
 // with its per-instruction costs, pre-decoded micro-ops, pattern
 // superinstructions (fuse.go; indexed within the fragment) and
-// pre-resolved branches.
+// pre-resolved branches. fused holds the superinstructions starting at
+// indices whose match window lies inside the fragment: all of them for
+// the stream's last unit, every index but the last maxFuseSpan-1
+// otherwise.
 type ilFrag struct {
 	instrs   []isa.Instr
 	costs    []uint64
@@ -60,13 +75,22 @@ type ilFrag struct {
 	branches []ilBranch
 }
 
-func (f *ilFrag) compile() {
+func (f *ilFrag) compile(last bool) {
 	f.costs = make([]uint64, len(f.instrs))
 	for i := range f.instrs {
 		f.costs[i] = cost(&f.instrs[i])
 	}
-	f.ops, f.fused = compileFrag(f.instrs, false)
+	f.ops = compileOps(f.instrs)
+	to := len(f.instrs)
+	if !last {
+		to = tailStart(len(f.instrs))
+	}
+	f.fused = matchRange(f.instrs, 0, to, false)
 }
+
+// tailStart is the first index of an n-instruction fragment whose match
+// window may reach past its end.
+func tailStart(n int) int { return max(0, n-(maxFuseSpan-1)) }
 
 // ilUnit is one interleaving unit of the layout: a shared segment or a
 // replacement site (with one fragment per variant).
@@ -74,10 +98,15 @@ type ilUnit struct {
 	site     int      // site index, or -1 for a shared segment
 	frag     ilFrag   // segments only
 	variants []ilFrag // sites only; nil instrs = unavailable variant
+	// cross caches the superinstructions at the unit's tail indices,
+	// keyed by the variant choices of the sites their windows reach
+	// (crossFused); guarded by IncrementalLinker.mu.
+	cross map[string][]fusedOp
 }
 
 // IncrementalLinker assembles Programs of a stable slotted layout from
-// cached compiled fragments. It is immutable after construction and safe
+// cached compiled fragments. Apart from the boundary superinstruction
+// cache, which mu guards, it is immutable after construction; it is safe
 // for concurrent Assemble calls.
 type IncrementalLinker struct {
 	mod        *prog.Module
@@ -85,6 +114,8 @@ type IncrementalLinker struct {
 	siteUnit   []int32 // unit index of each site
 	entryUnit  int32
 	entryLocal int32
+
+	mu sync.RWMutex
 }
 
 type ilLoc struct {
@@ -129,6 +160,9 @@ func NewIncrementalLinker(skeleton *prog.Module, sites []IncrementalSite) (*Incr
 				instrs: append([]isa.Instr(nil), flat[pos:start]...),
 			}})
 		}
+		if len(s.Variants) > 256 {
+			return nil, fmt.Errorf("vm: incremental link: site %#x has %d variants, at most 256", s.Addr, len(s.Variants))
+		}
 		u := ilUnit{site: si, variants: make([]ilFrag, len(s.Variants))}
 		for v, seq := range s.Variants {
 			if seq == nil {
@@ -153,8 +187,9 @@ func NewIncrementalLinker(skeleton *prog.Module, sites []IncrementalSite) (*Incr
 	locs := make(map[uint64]ilLoc, len(flat))
 	for ui := range il.units {
 		u := &il.units[ui]
+		last := ui == len(il.units)-1
 		if u.site < 0 {
-			u.frag.compile()
+			u.frag.compile(last)
 			for i := range u.frag.instrs {
 				locs[u.frag.instrs[i].Addr] = ilLoc{unit: int32(ui), local: int32(i)}
 			}
@@ -164,7 +199,7 @@ func NewIncrementalLinker(skeleton *prog.Module, sites []IncrementalSite) (*Incr
 			if u.variants[v].instrs == nil {
 				continue
 			}
-			u.variants[v].compile()
+			u.variants[v].compile(last)
 		}
 		locs[sites[u.site].Addr] = ilLoc{unit: int32(ui), local: 0}
 	}
@@ -221,7 +256,8 @@ func (il *IncrementalLinker) Module() *prog.Module { return il.mod }
 
 // Assemble splices the Program selecting variant choices[k] for site k.
 // The result behaves exactly like vm.Link of the equivalently instrumented
-// module — same verdicts, outputs and accounting — with the stable slotted
+// module — same verdicts, outputs and accounting, and the superinstructions
+// Link finds in the same flattened stream — with the stable slotted
 // address map shared by every assembly.
 //
 // split names the sites whose slot bases must begin a basic block: a
@@ -239,7 +275,7 @@ func (il *IncrementalLinker) Assemble(choices []int, split ...int) (*Program, er
 	// Pass 1: pick fragments, lay out unit start indices.
 	frags := make([]*ilFrag, len(il.units))
 	starts := make([]int32, len(il.units)+1)
-	n, nfused := int32(0), 0
+	n := int32(0)
 	for ui := range il.units {
 		u := &il.units[ui]
 		f := &u.frag
@@ -253,9 +289,13 @@ func (il *IncrementalLinker) Assemble(choices []int, split ...int) (*Program, er
 		frags[ui] = f
 		starts[ui] = n
 		n += int32(len(f.instrs))
-		nfused += len(f.fused)
 	}
 	starts[len(il.units)] = n
+	cross := il.crossFused(frags, choices)
+	nfused := 0
+	for ui, f := range frags {
+		nfused += len(f.fused) + len(cross[ui])
+	}
 
 	// Pass 2: concatenate the cached arrays and re-base branch targets.
 	instrs := make([]isa.Instr, n)
@@ -272,6 +312,10 @@ func (il *IncrementalLinker) Assemble(choices []int, split ...int) (*Program, er
 		copy(costs[base:], f.costs)
 		copy(ops[base:], f.ops)
 		for _, fo := range f.fused {
+			fo.at += base
+			fused = append(fused, fo)
+		}
+		for _, fo := range cross[ui] {
 			fo.at += base
 			fused = append(fused, fo)
 		}
@@ -298,4 +342,75 @@ func (il *IncrementalLinker) Assemble(choices []int, split ...int) (*Program, er
 	}
 	lp.compiled = compileProgramWith(lp, ops, fused, slotLeaders)
 	return lp, nil
+}
+
+// crossFused returns, per unit, the superinstructions at its tail indices
+// (tailStart on; indexed within the unit's fragment), whose match windows
+// reach into the units after it; frags are the assembly's fragments. A
+// window's content is fixed by the variant choices of its unit (when a
+// site) and of every site until maxFuseSpan-1 instructions past the
+// unit's end, so those choices key the unit's cache. Every lookup runs
+// under one read lock; a miss matches its window once, outside the lock.
+func (il *IncrementalLinker) crossFused(frags []*ilFrag, choices []int) [][]fusedOp {
+	cross := make([][]fusedOp, len(frags))
+	type miss struct {
+		ui, last int
+		key      string
+	}
+	var misses []miss
+	key := make([]byte, 0, maxFuseSpan)
+	il.mu.RLock()
+	for ui := 0; ui+1 < len(frags); ui++ {
+		key = key[:0]
+		if s := il.units[ui].site; s >= 0 {
+			key = append(key, byte(choices[s]))
+		}
+		need, last := maxFuseSpan-1, ui
+		for k := ui + 1; k < len(frags) && need > 0; k++ {
+			if s := il.units[k].site; s >= 0 {
+				key = append(key, byte(choices[s]))
+			}
+			need -= len(frags[k].instrs)
+			last = k
+		}
+		f, ok := il.units[ui].cross[string(key)]
+		if !ok {
+			misses = append(misses, miss{ui, last, string(key)})
+		}
+		cross[ui] = f
+	}
+	il.mu.RUnlock()
+	if len(misses) == 0 {
+		return cross
+	}
+
+	for _, ms := range misses {
+		f := frags[ms.ui]
+		from := tailStart(len(f.instrs))
+		tail := len(f.instrs) - from
+		win := make([]isa.Instr, 0, tail+maxFuseSpan-1)
+		win = append(win, f.instrs[from:]...)
+		for k := ms.ui + 1; k <= ms.last; k++ {
+			win = append(win, frags[k].instrs[:min(len(frags[k].instrs), cap(win)-len(win))]...)
+		}
+		fused := matchRange(win, 0, tail, false)
+		for i := range fused {
+			fused[i].at += int32(from)
+		}
+		cross[ms.ui] = fused
+	}
+	il.mu.Lock()
+	defer il.mu.Unlock()
+	for _, ms := range misses {
+		u := &il.units[ms.ui]
+		if prev, ok := u.cross[ms.key]; ok {
+			cross[ms.ui] = prev // another assembly cached it first
+			continue
+		}
+		if u.cross == nil {
+			u.cross = make(map[string][]fusedOp)
+		}
+		u.cross[ms.key] = cross[ms.ui]
+	}
+	return cross
 }

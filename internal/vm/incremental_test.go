@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"fpmix/internal/hl"
@@ -75,13 +76,14 @@ type blockShape struct {
 	start, n      int32
 	cost          uint64
 	term          termKind
+	fold          bool
 	taken, fall   int32 // successor block ids, -1 when nil
 	takenAddr, rt uint64
 	spans         string
 }
 
 func shapeOf(c *compiled, b *block) blockShape {
-	s := blockShape{start: b.start, n: b.n, cost: b.cost, term: b.term,
+	s := blockShape{start: b.start, n: b.n, cost: b.cost, term: b.term, fold: b.fold != nil,
 		taken: -1, fall: -1, takenAddr: b.takenAddr, rt: b.ret,
 		spans: fmt.Sprint(bodySpans(c, b))}
 	if b.takenBlk != nil {
@@ -98,10 +100,11 @@ func shapeOf(c *compiled, b *block) blockShape {
 // scratch, in two legs. With no split sites — every assembly but the
 // donor pass's — the block partition must be exactly Link's; with every
 // site split — the donor's shape — it must be Link's plus every slot
-// base. In both legs block costs must agree, and the fused spans must be
-// exactly those of the flattened stream compiled with the split slot
-// bases as extra leaders and superinstructions confined to the
-// assembly's fragments (no fused op spans a fragment boundary). Both
+// base. In both legs block costs must agree, the superinstruction list
+// must be exactly the one Link matches in the flattened stream (so FP
+// arithmetic alone in its slot fuses across the slot boundary), and the
+// blocks, fused spans and folded terminators must be those of that
+// stream compiled with the split slot bases as extra leaders. Both
 // programs must also run to identical machines.
 func TestIncrementalAssembleAgreesWithLink(t *testing.T) {
 	mods := map[string]*prog.Module{"loop": fuseLoopProgram(t), "calls": agreementCallProgram(t)}
@@ -112,11 +115,15 @@ func TestIncrementalAssembleAgreesWithLink(t *testing.T) {
 			t.Fatalf("%s: no replacement sites", name)
 		}
 		all := everySite(len(sites))
+		cross := 0
 		for ci, ch := range agreementChoices(sites, r) {
 			for _, split := range [][]int{nil, all} {
 				label := fmt.Sprintf("%s choices %d split %d", name, ci, len(split))
-				agreeWithLink(t, label, il, sites, ch, split)
+				cross += agreeWithLink(t, label, il, sites, ch, split)
 			}
+		}
+		if cross == 0 {
+			t.Errorf("%s: no superinstruction spans a fragment boundary", name)
 		}
 	}
 }
@@ -133,7 +140,8 @@ func everySite(n int) []int {
 
 // agreeWithLink checks one assembly of the agreement test: choices ch
 // with every site of split (nil or all of them) split at its slot base.
-func agreeWithLink(t *testing.T, label string, il *IncrementalLinker, sites []IncrementalSite, ch, split []int) {
+// It returns how many superinstructions span a fragment boundary.
+func agreeWithLink(t *testing.T, label string, il *IncrementalLinker, sites []IncrementalSite, ch, split []int) int {
 	t.Helper()
 	lpA, err := il.Assemble(ch, split...)
 	if err != nil {
@@ -186,25 +194,18 @@ func agreeWithLink(t *testing.T, label string, il *IncrementalLinker, sites []In
 		}
 	}
 
-	// Fused spans: the reference compiles the flattened stream with
-	// fusion confined to the fragments.
-	slices.Sort(bound)
-	bound = slices.Compact(bound)
-	ops := make([]microOp, len(lpL.instrs))
-	var fused []fusedOp
-	for k := 0; k+1 < len(bound); k++ {
-		fo, ff := compileFrag(lpL.instrs[bound[k]:bound[k+1]], false)
-		copy(ops[bound[k]:], fo)
-		for _, f := range ff {
-			f.at += int32(bound[k])
-			fused = append(fused, f)
-		}
+	// Superinstructions: exactly Link's, and the blocks built from them
+	// are those of the flattened stream with the split slot bases as
+	// extra leaders.
+	ops, fused := compileFrag(lpL.instrs, false)
+	if got, want := fusedShapes(a.fused), fusedShapes(fused); !slices.Equal(got, want) {
+		t.Fatalf("%s: assembled superinstructions differ from Link's (%d vs %d)", label, len(got), len(want))
 	}
 	ref := compileProgramWith(lpL, ops, fused, slotLeaders)
 	if len(ref.blocks) != len(a.blocks) {
 		t.Fatalf("%s: %d assembled blocks, reference %d", label, len(a.blocks), len(ref.blocks))
 	}
-	nfused := 0
+	nfused, cross := 0, 0
 	for bi := range a.blocks {
 		if got, want := shapeOf(a, &a.blocks[bi]), shapeOf(ref, &ref.blocks[bi]); got != want {
 			t.Fatalf("%s: block %d: assembled %+v, reference %+v", label, bi, got, want)
@@ -213,27 +214,44 @@ func agreeWithLink(t *testing.T, label string, il *IncrementalLinker, sites []In
 			nfused++
 		}
 	}
+	for _, f := range a.fused {
+		if i, _ := slices.BinarySearch(bound, int(f.at)+1); i < len(bound) && bound[i] < int(f.at+f.n) {
+			cross++
+		}
+	}
 	if nfused == 0 {
 		t.Errorf("%s: no block holds a superinstruction", label)
 	}
-	// Where a block is the same in Link's own stream and lies in one
-	// fragment, Link fused it identically.
+	// Where a block is the same in Link's own stream, Link fused it
+	// identically.
 	for bi := range a.blocks {
 		ab := &a.blocks[bi]
 		lb := &l.blocks[l.blockOf[ab.start]]
 		if lb.start != ab.start || lb.n != ab.n {
 			continue
 		}
-		if i, _ := slices.BinarySearch(bound, int(ab.start)+1); i < len(bound) && bound[i] < int(ab.start+ab.n) {
-			continue
-		}
-		if got, want := fmt.Sprint(bodySpans(a, ab)), fmt.Sprint(bodySpans(l, lb)); got != want {
-			t.Fatalf("%s: block at %d: assembled spans %s, linked %s", label, ab.start, got, want)
+		if got, want := shapeOf(a, ab), shapeOf(l, lb); got.spans != want.spans || got.fold != want.fold {
+			t.Fatalf("%s: block at %d: assembled %+v, linked %+v", label, ab.start, got, want)
 		}
 	}
 
 	ma, ml := lpA.NewMachine(), lpL.NewMachine()
 	diffMachines(t, label, engineResult{ma, ma.Run()}, engineResult{ml, ml.Run()})
+	return cross
+}
+
+// fusedShape is the comparable content of a superinstruction.
+type fusedShape struct {
+	at, n int32
+	fold  bool
+}
+
+func fusedShapes(fused []fusedOp) []fusedShape {
+	out := make([]fusedShape, len(fused))
+	for i, f := range fused {
+		out[i] = fusedShape{f.at, f.n, f.fold != nil}
+	}
+	return out
 }
 
 // agreementCallProgram adds calls, returns and data-dependent branches
@@ -361,4 +379,61 @@ func TestIncrementalUnsplitDispatchesFewerBlocks(t *testing.T) {
 			t.Errorf("%s: no snapshot restored the unsplit program mid-block", name)
 		}
 	}
+}
+
+// TestIncrementalConcurrentAssemble assembles the same configurations
+// from several goroutines sharing one linker, so its boundary
+// superinstruction cache fills concurrently (run under -race), and
+// requires every assembly to match the one a fresh linker builds alone:
+// same superinstructions and blocks. A second round over the warm cache
+// must match too.
+func TestIncrementalConcurrentAssemble(t *testing.T) {
+	mod := fuseLoopProgram(t)
+	shared, sites := stableLinker(t, mod)
+	fresh, _ := stableLinker(t, mod)
+	chs := agreementChoices(sites, rand.New(rand.NewSource(2802)))
+	want := make([]string, len(chs))
+	for i, ch := range chs {
+		lp, err := fresh.Assemble(ch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = compiledShape(lp.compiled)
+	}
+	for round := 0; round < 2; round++ {
+		var wg sync.WaitGroup
+		errs := make(chan string, 4*len(chs))
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for k := range chs {
+					i := (k + g*len(chs)/4) % len(chs)
+					lp, err := shared.Assemble(chs[i])
+					if err != nil {
+						errs <- err.Error()
+						return
+					}
+					if got := compiledShape(lp.compiled); got != want[i] {
+						errs <- fmt.Sprintf("round %d goroutine %d: choices %d assembled differently", round, g, i)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
+		}
+	}
+}
+
+// compiledShape renders a compiled stream's superinstructions and
+// blocks for comparison.
+func compiledShape(c *compiled) string {
+	shapes := make([]blockShape, len(c.blocks))
+	for i := range c.blocks {
+		shapes[i] = shapeOf(c, &c.blocks[i])
+	}
+	return fmt.Sprint(fusedShapes(c.fused), shapes)
 }
