@@ -176,7 +176,8 @@ func BenchmarkAMG(b *testing.B) {
 // speedups. The fork-lu, fork-bt and fork-sp legs run the default engine
 // on the kernels whose searches evaluation dominates. Every leg reports
 // the compiled tier's census per search (vm.ReadCensus): blocks
-// dispatched, body micro-ops executed and the steps those blocks ran.
+// dispatched, micro-ops executed and the steps compiled-tier runs
+// executed.
 func BenchmarkSearchEvaluate(b *testing.B) {
 	for _, leg := range []struct {
 		name, kernel string
@@ -211,7 +212,7 @@ func BenchmarkSearchEvaluate(b *testing.B) {
 			n := float64(b.N)
 			b.ReportMetric(float64(after.Blocks-before.Blocks)/n, "blocks/op")
 			b.ReportMetric(float64(after.MicroOps-before.MicroOps)/n, "microOps/op")
-			b.ReportMetric(float64(after.Steps-before.Steps)/n, "blockSteps/op")
+			b.ReportMetric(float64(after.Steps-before.Steps)/n, "steps/op")
 			b.ReportMetric(float64(res.Tested), "testedCfgs")
 			b.ReportMetric(float64(res.MemoHits), "memoHits")
 			if leg.mode == search.EngineFork {

@@ -22,8 +22,13 @@ import (
 // faults, HALT and tier transitions), and step/cycle/count accounting
 // batched per block instead of per instruction. Per-instruction counts
 // are reconstructed exactly from per-block execution counters when the
-// run ends, because every instruction of a basic block executes the same
-// number of times.
+// run ends, because every instruction of a basic block's main path
+// executes the same number of times. The snippet's flag-test diamonds
+// are the exception the block builder makes on purpose: a guard
+// (guard.go) compiles the flag test, its branch and the conversion arm
+// into one micro-op inside the enclosing block, so the arm and the join
+// begin no blocks, and the arm keeps a counter and settles its own
+// steps and cycles when it runs.
 //
 // The engine is a pure speedup: a compiled run produces a machine
 // byte-identical to the per-step interpreter — same Steps, Cycles,
@@ -63,13 +68,20 @@ const (
 // block is one compiled basic block: its whole straight-line body runs
 // before accounting settles once.
 type block struct {
-	start int32     // instruction index of the first instruction
-	n     int32     // total instructions in the block (body + terminator)
-	id    int32     // index in compiled.blocks (the blkExec slot)
-	cost  uint64    // summed cycle cost of all n instructions
-	body  []microOp // pre-decoded straight-line micro-ops, in order
-	term  termKind
-	in    *isa.Instr // terminator instruction; nil only for termFall
+	start int32 // instruction index of the first instruction
+	n     int32 // total instructions in the block (body + terminator)
+	id    int32 // index in compiled.blocks (the blkExec slot)
+	// steps and cost are the instruction count and summed cycle cost of
+	// the main path: all n instructions but the guarded arms, which
+	// account for themselves when they run (guard.go).
+	steps uint64
+	cost  uint64
+	// arm0 and arms locate the block's guarded arms, in order, in
+	// compiled.arms.
+	arm0, arms int32
+	body       []microOp // pre-decoded straight-line micro-ops, in order
+	term       termKind
+	in         *isa.Instr // terminator instruction; nil only for termFall
 	// condOp is the branch opcode a termCond block evaluates.
 	condOp isa.Op
 	// fold, when set, is the termCond block's final compare folded with
@@ -98,9 +110,13 @@ type compiled struct {
 	blockOf []int32
 	// leader marks instruction indices that begin a basic block.
 	leader []bool
-	// fused lists the program's pattern superinstructions in index order,
-	// kept to map a faulting body micro-op back to its instructions.
+	// fused lists the program's pattern superinstructions and legal
+	// guards in index order, kept to map a faulting body micro-op back to
+	// its instructions.
 	fused []fusedOp
+	// arms lists the guarded arms of every block, in index order; arm k's
+	// executions count in Machine.armExec[k].
+	arms []armSpan
 }
 
 // bodyEnd is the index one past b's last body instruction: the
@@ -148,13 +164,16 @@ func compileProgram(lp *Program) *compiled {
 }
 
 // compileProgramWith is compileProgram over pre-compiled micro-ops: ops[i]
-// is instruction i's micro-op and fused the pattern superinstructions in
-// index order. The incremental linker passes the concatenation of its
-// immutable fragment caches (valid for any assembly because instruction
-// content and address are stable), so re-assembling a configuration skips
-// closure creation entirely. A superinstruction is taken only when its
-// whole span lies inside the block body, so no fused op ever spans a
-// leader.
+// is instruction i's micro-op and fused the pattern superinstructions and
+// guard candidates in index order. The incremental linker passes the
+// concatenation of its immutable fragment caches (valid for any assembly
+// because instruction content and address are stable), so re-assembling a
+// configuration skips closure creation entirely. fused is the caller's to
+// give away: the guards not legal in lp are dropped from it in place
+// (legalGuards), and each legal guard's arm and join stop being leaders,
+// so the whole diamond compiles into one micro-op of its block. A
+// superinstruction is taken only when its whole span lies inside the block
+// body, so no fused op ever spans a leader.
 //
 // extraLeaders lists additional instruction indices to begin basic blocks
 // at. The incremental linker passes the slot bases of the sites its
@@ -170,10 +189,21 @@ func compileProgramWith(lp *Program, ops []microOp, fused []fusedOp, extraLeader
 	if n == 0 {
 		return c
 	}
-	c.leader[lp.entry] = true
+	// Leaders. refs, blockOf until the blocks exist, watches the guard
+	// candidates' spans: each target or pinned leader landing in one
+	// takes one off (watchGuards, legalGuards).
+	refs := c.blockOf
+	watchGuards(fused, refs)
+	lead := func(i int32) {
+		c.leader[i] = true
+		if refs[i] < 0 {
+			refs[i]--
+		}
+	}
+	lead(lp.entry)
 	for _, i := range extraLeaders {
 		if i >= 0 && int(i) < n {
-			c.leader[i] = true
+			lead(i)
 		}
 	}
 	for i := range instrs {
@@ -184,14 +214,17 @@ func compileProgramWith(lp *Program, ops []microOp, fused []fusedOp, extraLeader
 			c.leader[i+1] = true
 		}
 		if t := lp.targets[i]; t >= 0 {
-			c.leader[t] = true
+			lead(t)
 		}
 	}
+	fused, guards := legalGuards(lp, fused, refs, c.leader)
+	c.fused = fused
+	c.arms = make([]armSpan, 0, guards)
 	// Every block's body is carved out of one slab (a body never holds
 	// more micro-ops than instructions). Blocks are built in index order,
 	// so one cursor walks the superinstructions.
 	bodies := make([]microOp, 0, n)
-	fc := fuseCursor(fused)
+	fc, gc := fuseCursor(fused), fuseCursor(fused)
 	// takenIdx[id] remembers each block's taken-target instruction index
 	// until every block exists and pointers can be resolved.
 	var takenIdx []int32
@@ -205,15 +238,21 @@ func compileProgramWith(lp *Program, ops []microOp, fused []fusedOp, extraLeader
 		end := start
 		for {
 			if endsBlock(instrs[end].Op) {
+				g, ok := gc.guardAt(int32(end - (guardArm - 1)))
+				if !ok {
+					end++
+					break
+				}
+				end = int(g.at + g.n) // the guard absorbs its branch
+			} else {
 				end++
-				break
 			}
-			end++
 			if end >= n || c.leader[end] {
 				break
 			}
 		}
-		b := block{start: int32(start), n: int32(end - start), id: int32(len(c.blocks))}
+		b := block{start: int32(start), n: int32(end - start), id: int32(len(c.blocks)), arm0: int32(len(c.arms))}
+		b.steps = uint64(b.n)
 		taken := int32(-1)
 		for i := start; i < end; i++ {
 			b.cost += lp.costs[i]
@@ -260,6 +299,11 @@ func compileProgramWith(lp *Program, ops []microOp, fused []fusedOp, extraLeader
 					b.fold = f.fold
 					break
 				}
+				if g := f.guard; g != nil {
+					c.arms = append(c.arms, armSpan{start: f.at + guardArm, n: f.n - guardArm, ops: int32(len(g.arm))})
+					b.steps -= g.steps
+					b.cost -= g.cost
+				}
 				bodies = append(bodies, f.op)
 				i += f.n
 			} else {
@@ -268,6 +312,7 @@ func compileProgramWith(lp *Program, ops []microOp, fused []fusedOp, extraLeader
 			}
 		}
 		b.body = bodies[blo:len(bodies):len(bodies)]
+		b.arms = int32(len(c.arms)) - b.arm0
 		c.blocks = append(c.blocks, b)
 		takenIdx = append(takenIdx, taken)
 	}
@@ -311,6 +356,13 @@ func (m *Machine) runCompiled(max uint64) error {
 	if m.shadow != nil {
 		c = m.lp.shadowStream()
 	}
+	if len(m.blkExec) != len(c.blocks) {
+		m.blkExec = make([]uint64, len(c.blocks))
+	}
+	if len(m.armExec) != len(c.arms) {
+		m.armExec = make([]uint64, len(c.arms))
+	}
+	defer m.flushBlockCounts(c, m.Steps)
 	// An armed stop set is served at block dispatch when every stop
 	// address that is an instruction begins a block (the donor pass's
 	// assembly splits each stopped slot base for exactly this). The check
@@ -332,10 +384,6 @@ func (m *Machine) runCompiled(max uint64) error {
 			stopBlk[c.blockOf[idx]] = true
 		}
 	}
-	if len(m.blkExec) != len(c.blocks) {
-		m.blkExec = make([]uint64, len(c.blocks))
-	}
-	defer m.flushBlockCounts(c)
 outer:
 	for !m.halted {
 		if int(m.pcIdx) >= len(m.instrs) || m.pcIdx < 0 {
@@ -386,16 +434,18 @@ outer:
 				return m.runInstrumented(max)
 			}
 			if len(cur.body) > 0 { // a folded compare may be the whole block
+				m.armNext = cur.arm0
 				if j, err := m.runBody(cur.body); err != nil {
 					m.settlePartial(c, cur, j)
 					return err
 				}
 			}
-			// The whole block executed: settle accounting in one batch.
+			// The whole block executed: settle its main path's
+			// accounting in one batch (the guards settled their arms).
 			// The terminator below is part of the block — if it faults,
 			// it has executed (and is counted), matching the per-step
 			// tier.
-			m.Steps += uint64(cur.n)
+			m.Steps += cur.steps
 			m.Cycles += cur.cost
 			m.blkExec[cur.id]++
 			switch cur.term {
@@ -415,7 +465,7 @@ outer:
 						// The folded compare faulted, so the block did not
 						// complete: take back its batched accounting and
 						// settle the instructions that ran.
-						m.Steps -= uint64(cur.n)
+						m.Steps -= cur.steps
 						m.Cycles -= cur.cost
 						m.blkExec[cur.id]--
 						m.settlePartial(c, cur, int32(len(cur.body)))
@@ -502,55 +552,90 @@ func (m *Machine) runBody(body []microOp) (int32, error) {
 // after it did not. When body[j] is a superinstruction (or, at j ==
 // len(body), the folded compare), the faulting instruction is its
 // constituent m.faultOff (set by the fused op), and the constituents
-// before it executed.
+// before it executed. Guards never fault, and their arms accounted for
+// themselves when they ran, so arm instructions are skipped.
 func (m *Machine) settlePartial(c *compiled, b *block, j int32) {
 	last := c.opStart(b, j) + m.faultOff
 	m.faultOff = 0
-	for i := b.start; i <= last; i++ {
-		m.counts[i]++
-		m.Cycles += m.costs[i]
-	}
-	m.Steps += uint64(last - b.start + 1)
+	c.mainPath(b, last+1, func(lo, hi int32) {
+		for i := lo; i < hi; i++ {
+			m.counts[i]++
+			m.Cycles += m.costs[i]
+		}
+		m.Steps += uint64(hi - lo)
+	})
 	m.pcIdx = last
 }
 
-// flushBlockCounts expands the per-block execution counters into the
-// per-instruction counts the rest of the system consumes (profiles,
-// search prioritization). Runs once per Run exit, so count accounting is
-// O(static blocks), not O(executed steps).
+// mainPath calls f on each stretch [lo, hi) of b's instructions before
+// end that lies outside its guarded arms, in order.
+func (c *compiled) mainPath(b *block, end int32, f func(lo, hi int32)) {
+	lo := b.start
+	for _, a := range c.arms[b.arm0 : b.arm0+b.arms] {
+		if a.start >= end {
+			break
+		}
+		f(lo, a.start)
+		lo = a.start + a.n
+	}
+	f(lo, end)
+}
+
+// flushBlockCounts expands the per-block and per-arm execution counters
+// into the per-instruction counts the rest of the system consumes
+// (profiles, search prioritization). Runs once per Run exit, so count
+// accounting is O(static blocks), not O(executed steps).
 //
 // It also adds the run's compiled-tier work to the process census
-// (ReadCensus): blocks dispatched, body micro-ops executed (each block's
-// executions times its body length) and the steps those blocks ran.
-func (m *Machine) flushBlockCounts(c *compiled) {
-	var blocks, ops, steps uint64
+// (ReadCensus): blocks dispatched, micro-ops executed (each block's
+// executions times its body length, plus each arm's executions times its
+// micro-ops) and every instruction the run executed since Steps read
+// steps.
+func (m *Machine) flushBlockCounts(c *compiled, steps uint64) {
+	var blocks, ops uint64
 	for bi, execs := range m.blkExec {
 		if execs == 0 {
 			continue
 		}
 		b := &c.blocks[bi]
-		for i := b.start; i < b.start+b.n; i++ {
-			m.counts[i] += execs
-		}
+		c.mainPath(b, b.start+b.n, func(lo, hi int32) {
+			for i := lo; i < hi; i++ {
+				m.counts[i] += execs
+			}
+		})
 		m.blkExec[bi] = 0
 		blocks += execs
 		ops += execs * uint64(len(b.body))
-		steps += execs * uint64(b.n)
+	}
+	for k, execs := range m.armExec {
+		if execs == 0 {
+			continue
+		}
+		a := &c.arms[k]
+		for i := a.start; i < a.start+a.n; i++ {
+			m.counts[i] += execs
+		}
+		m.armExec[k] = 0
+		ops += execs * uint64(a.ops)
 	}
 	census.blocks.Add(blocks)
 	census.microOps.Add(ops)
-	census.steps.Add(steps)
+	census.steps.Add(m.Steps - steps)
 }
 
-// Census is the work the compiled tier has executed in this process, in
-// whole blocks: a block whose body faults or whose budget expires inside
-// it is not counted. It is deterministic for a given sequence of runs,
-// so it measures what fusion and block partition changes remove
-// independently of the host.
+// Census is the work the compiled tier has executed in this process.
+// Blocks and MicroOps count whole blocks: a block whose body faults or
+// whose budget expires inside it is not counted. Steps counts every
+// instruction of a compiled-tier run, the per-step stretches included
+// (mid-block entries, budget-expiry finishes, runs a mid-block stop
+// routes per-step), so it does not depend on the block partition. The
+// census is deterministic for a given sequence of runs, so it measures
+// what fusion and block partition changes remove independently of the
+// host.
 type Census struct {
 	Blocks   uint64 // blocks dispatched
-	MicroOps uint64 // body micro-ops executed
-	Steps    uint64 // instructions those blocks executed
+	MicroOps uint64 // micro-ops executed: block bodies and guarded arms
+	Steps    uint64 // instructions executed by compiled-tier runs
 }
 
 var census struct{ blocks, microOps, steps atomic.Uint64 }

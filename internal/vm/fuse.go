@@ -41,11 +41,14 @@ import (
 // leader inside the extension (the donor pass's split slot bases) still
 // leaves the shorter one.
 //
-// A block's final compare — the snippet flag test or the loop test
-// LOAD; MOVRI; CMPR — folds into its conditional terminator (fuseFold):
-// one closure runs the compare's constituents, sets the flags and
-// returns whether the branch is taken, so the block has one micro-op
-// fewer and no branchTaken switch.
+// A block's final compare — the snippet flag test or a loop test, LOAD;
+// MOVRI; CMPR or LOAD; CMPR against a loaded bound — folds into its
+// conditional terminator (fuseFold): one closure runs the compare's
+// constituents, sets the flags and returns whether the branch is taken,
+// so the block has one micro-op fewer and no branchTaken switch. Where
+// the flag test's branch only skips a conversion arm, matchRange lists a
+// guard (guard.go) before the flag test, and a block that may take it
+// runs the whole diamond as one micro-op instead.
 //
 // A fused op leaves the machine exactly as its constituents would, in
 // order: every intermediate register write (including scratch registers
@@ -58,10 +61,11 @@ import (
 // walk). Accounting, budget, stop and cancellation checks stay at block
 // boundaries, and the block builder (compileProgramWith) takes a fused op
 // only when its whole span lies inside one block body, so no fused op
-// spans a leader. Every match reads at most maxFuseSpan instructions from
-// its start, so the superinstructions at an index are a function of that
-// window alone: the incremental linker matches the windows that reach
-// across a fragment boundary per assembly and gets exactly Link's.
+// spans a leader (a legal guard's arm and join are no leaders). Every
+// match reads at most maxFuseSpan instructions from its start, so the
+// superinstructions at an index are a function of that window alone: the
+// incremental linker matches the windows that reach across a fragment
+// boundary per assembly and gets exactly Link's.
 
 // fusePattern identifies one superinstruction pattern.
 type fusePattern uint8
@@ -102,6 +106,8 @@ const (
 	fuseArithChain // 2-3 arithmetic
 	fuseArithStore // 1-3 arithmetic; MOVSD store of any form
 	fuseCvtStamp   // CVTSD2SS; the stamp
+	// LOAD; CMPR: the loop test against a loaded bound.
+	fuseLoadCmp
 	numFusePatterns
 )
 
@@ -120,6 +126,7 @@ var fixedLen = [numFusePatterns]int{
 	fuseConstSD:       2,
 	fuseFlagTest:      4,
 	fuseStamp:         6,
+	fuseLoadCmp:       2,
 }
 
 const (
@@ -132,12 +139,14 @@ const (
 
 // fusedOp is a superinstruction: a micro-op executing the n consecutive
 // instructions starting at index at. fold is set when the instance is a
-// compare that a conditional branch follows (fuseFold).
+// compare that a conditional branch follows (fuseFold), guard when it is
+// a flag-test diamond (guard.go), whose span ends before its join.
 type fusedOp struct {
-	op   microOp
-	fold foldOp
-	at   int32
-	n    int32
+	op    microOp
+	fold  foldOp
+	guard *guardOp
+	at    int32
+	n     int32
 }
 
 // foldOp runs a block's final compare and reports whether the
@@ -163,6 +172,19 @@ func (fc *fuseCursor) take(i, end int32) (fusedOp, bool) {
 		if i+f.n <= end {
 			return f, true
 		}
+	}
+	return fusedOp{}, false
+}
+
+// guardAt returns the guard starting at index i, if any, first skipping
+// every entry before i; a guard is the longest superinstruction at its
+// index, so it comes first. Calls must come in non-decreasing i.
+func (fc *fuseCursor) guardAt(i int32) (fusedOp, bool) {
+	for len(*fc) > 0 && (*fc)[0].at < i {
+		*fc = (*fc)[1:]
+	}
+	if len(*fc) > 0 && (*fc)[0].at == i && (*fc)[0].guard != nil {
+		return (*fc)[0], true
 	}
 	return fusedOp{}, false
 }
@@ -233,8 +255,15 @@ func matchShort(rest []isa.Instr) fuseMatch {
 func matchFixed(rest []isa.Instr) fusePattern {
 	a := &rest[0]
 	switch {
-	case a.Op == isa.LOAD && isGprMem(a) && len(rest) >= 3:
-		b, c := &rest[1], &rest[2]
+	case a.Op == isa.LOAD && isGprMem(a) && len(rest) >= 2:
+		b := &rest[1]
+		if b.Op == isa.CMPR && isGprGpr(b) {
+			return fuseLoadCmp
+		}
+		if len(rest) < 3 {
+			break
+		}
+		c := &rest[2]
 		switch {
 		case b.Op == isa.MOVRI && isGprImm(b) && isGprGpr(c):
 			switch c.Op {
@@ -376,15 +405,22 @@ func compileOps(instrs []isa.Instr) []microOp {
 }
 
 // matchRange lists, in index order and longest first at each index, the
-// superinstructions starting at indices from..to-1 of instrs. Every index
-// is matched independently, so whichever leaders an assembly places,
-// the block builder finds the superinstructions of each body starting
-// at its first instruction. noIndex is matchAt's.
+// superinstructions starting at indices from..to-1 of instrs, flag-test
+// guards (guard.go) included. Every index is matched independently, so
+// whichever leaders an assembly places, the block builder finds the
+// superinstructions of each body starting at its first instruction.
+// noIndex is matchAt's, and also matches no guard.
 func matchRange(instrs []isa.Instr, from, to int, noIndex bool) []fusedOp {
 	var fused []fusedOp
 	for i := from; i < to; i++ {
 		rest := window(instrs, i)
 		long, short := matchAt(rest, noIndex)
+		if short.p == fuseFlagTest && !noIndex {
+			if n := matchGuard(rest); n > 0 {
+				g := newGuard(rest[:n])
+				fused = append(fused, fusedOp{op: g.op(), guard: g, at: int32(i), n: int32(n)})
+			}
+		}
 		if long.p != fuseNone {
 			fused = append(fused, fusedOp{op: fuse(long.p, rest[:long.n]), at: int32(i), n: int32(long.n)})
 		}
@@ -485,6 +521,16 @@ func fuse(p fusePattern, c []isa.Instr) microOp {
 		return fuseStore(c[k:], sdOps(c[:k]), int32(k))
 	case fuseCvtStamp:
 		return fuseStampOp(c[1:], &c[0])
+	case fuseLoadCmp:
+		l := newLoadCmpOp(p, c)
+		return func(m *Machine) error {
+			v, ok := loadRef(m, &l.ref)
+			if !ok {
+				return m.loadFault(0, l.ld, l.ref)
+			}
+			l.set(m, v)
+			return nil
+		}
 	}
 	panic("vm: fuse: unknown pattern")
 }
@@ -722,18 +768,35 @@ func (f *flagTestOp) run(m *Machine) {
 	m.setCmp(t, f.imm)
 }
 
-// loadCmpOp is the loop test's constituents, decoded.
+// loadCmpOp is a loop test's constituents, decoded: LOAD d0,[ref], for
+// LOAD; MOVRI; CMPR the MOVRI d1,imm, and the CMPR a2,b2.
 type loadCmpOp struct {
 	ld             *isa.Instr
 	ref            isa.MemRef
 	d0, d1, a2, b2 uint8
+	movri          bool
 	imm            uint64
+}
+
+// newLoadCmpOp decodes c, an instance of fuseLoadImmCmp or fuseLoadCmp
+// (p).
+func newLoadCmpOp(p fusePattern, c []isa.Instr) *loadCmpOp {
+	l := &loadCmpOp{ld: &c[0], ref: c[0].B.Mem, d0: c[0].A.Reg}
+	cmp := &c[1]
+	if p == fuseLoadImmCmp {
+		l.movri, l.d1, l.imm = true, c[1].A.Reg, uint64(c[1].B.Imm)
+		cmp = &c[2]
+	}
+	l.a2, l.b2 = cmp.A.Reg, cmp.B.Reg
+	return l
 }
 
 // set writes the constituents' effects given the loaded value v.
 func (l *loadCmpOp) set(m *Machine, v uint64) {
 	m.GPR[l.d0] = v
-	m.GPR[l.d1] = l.imm
+	if l.movri {
+		m.GPR[l.d1] = l.imm
+	}
 	m.setCmp(m.GPR[l.a2], m.GPR[l.b2])
 }
 
@@ -763,12 +826,8 @@ func fuseFold(p fusePattern, c []isa.Instr, j isa.Op) foldOp {
 			f.run(m)
 			return m.branchTaken(j), nil
 		}
-	case fuseLoadImmCmp:
-		l := &loadCmpOp{
-			ld: &c[0], ref: c[0].B.Mem, d0: c[0].A.Reg,
-			d1: c[1].A.Reg, imm: uint64(c[1].B.Imm),
-			a2: c[2].A.Reg, b2: c[2].B.Reg,
-		}
+	case fuseLoadImmCmp, fuseLoadCmp:
+		l := newLoadCmpOp(p, c)
 		switch j {
 		case isa.JL:
 			return func(m *Machine) (bool, error) {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"fpmix/internal/config"
@@ -46,7 +47,11 @@ var fusePatternNames = [numFusePatterns]string{
 	fuseArithChain:    "arith-chain",
 	fuseArithStore:    "arith+movsd-store",
 	fuseCvtStamp:      "cvtsd2ss+stamp",
+	fuseLoadCmp:       "load+cmpr",
 }
+
+// guardName names the flag-test guard (guard.go) in pattern lists.
+const guardName = "flag-test-guard"
 
 // fuseCase is one instance of a pattern: build returns its constituents
 // with the first memory operand based on register bA, the second on bB
@@ -360,6 +365,12 @@ var fuseCases = []fuseCase{
 			isa.I(isa.MOVQ, isa.Xmm(1), isa.Gpr(isa.R15)),
 		}
 	}, nil},
+	{fuseLoadCmp, func(bA, _, _ uint8) []isa.Instr {
+		return []isa.Instr{
+			isa.I(isa.LOAD, isa.Gpr(isa.R9), isa.Mem(bA, 8)),
+			isa.I(isa.CMPR, isa.Gpr(isa.RAX), isa.Gpr(isa.R9)),
+		}
+	}, []int{0}},
 }
 
 func loadImm(op isa.Op, bA uint8) []isa.Instr {
@@ -592,7 +603,8 @@ func fuseLoopProgram(t *testing.T) *prog.Module {
 // row term added to a loaded column, a constant row — so the shorter
 // patterns that family subsumes on hl's usual shapes still run in a loop:
 // LOAD; MOVRI; ADDR|SUBR and LOAD; ADDR; MOVSD. It also stores to a
-// constant index.
+// constant index, and its inner loop tests against a loaded bound (LOAD;
+// CMPR).
 func fuseLoopLegacy(t *testing.T) *prog.Module {
 	t.Helper()
 	const n = 5
@@ -603,10 +615,10 @@ func fuseLoopLegacy(t *testing.T) *prog.Module {
 	}
 	a := p.ArrayInit("a", vals)
 	s := p.ScalarInit("s", 1)
-	i, j := p.Int("i"), p.Int("j")
+	i, j, bound := p.Int("i"), p.Int("j"), p.IntInit("n", n)
 	f := p.Func("main")
 	f.For(i, hl.IConst(0), hl.IConst(n), func() {
-		f.For(j, hl.IConst(0), hl.IConst(n), func() {
+		f.For(j, hl.IConst(0), hl.ILoad(bound), func() {
 			f.Set(s, hl.Add(hl.At(a, hl.IAdd(hl.IAdd(hl.ILoad(i), hl.IConst(1)), hl.ILoad(j))),
 				hl.At(a, hl.IAdd(hl.ISub(hl.ILoad(j), hl.IConst(0)), hl.ILoad(i)))))
 			f.Set(s, hl.Mul(hl.Load(s), hl.At(a, hl.IAdd(hl.IMul(hl.IConst(2), hl.IConst(n)), hl.ILoad(j)))))
@@ -622,13 +634,48 @@ func fuseLoopLegacy(t *testing.T) *prog.Module {
 	return mod
 }
 
+// fuseLoopStray is a loop over a double snippet's flag-test diamond that
+// a stray branch into its join keeps unguarded, so the standalone
+// flag-test fold runs in a loop; the arm runs in the first iteration.
+func fuseLoopStray(t *testing.T) *prog.Module {
+	t.Helper()
+	flag := int64(isa.ReplacedFlag)
+	f := &prog.Func{Name: "main", Instrs: []isa.Instr{
+		isa.I(isa.MOVRI, isa.Gpr(isa.R15), isa.Imm(flag<<32|int64(math.Float32bits(1.5)))), // 0
+		isa.I(isa.MOVQ, isa.Xmm(1), isa.Gpr(isa.R15)),                                      // 1
+		isa.I(isa.MOVRI, isa.Gpr(isa.RBX), isa.Imm(0)),                                     // 2
+		isa.I(isa.MOVQ, isa.Gpr(isa.R15), isa.Xmm(1)),                                      // 3: loop head
+		isa.I(isa.MOVRR, isa.Gpr(isa.R14), isa.Gpr(isa.R15)),                               // 4
+		isa.I(isa.SHRI, isa.Gpr(isa.R14), isa.Imm(32)),                                     // 5
+		isa.I(isa.CMPI, isa.Gpr(isa.R14), isa.Imm(flag)),                                   // 6
+		isa.I(isa.JNE, isa.Imm(0)),                                                         // 7: to the join
+		isa.I(isa.CVTSS2SD, isa.Xmm(1), isa.Xmm(1)),                                        // 8: the arm
+		isa.I(isa.ADDSD, isa.Xmm(0), isa.Xmm(1)),                                           // 9: the join
+		isa.I(isa.ADDI, isa.Gpr(isa.RBX), isa.Imm(1)),                                      // 10
+		isa.I(isa.CMPI, isa.Gpr(isa.RBX), isa.Imm(4)),                                      // 11
+		isa.I(isa.JL, isa.Imm(0)),                                                          // 12: to the head
+		isa.I(isa.CMPI, isa.Gpr(isa.RBX), isa.Imm(100)),                                    // 13
+		isa.I(isa.JE, isa.Imm(0)),                                                          // 14: the stray branch, never taken
+		isa.I(isa.HALT),                                                                    // 15
+	}}
+	mod, err := prog.Build("stray", []*prog.Func{f}, fuseData(), prog.DataBase+4096, "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for at, to := range map[int]int{7: 9, 12: 3, 14: 9} {
+		f.Instrs[at].A.Imm = int64(f.Instrs[to].Addr)
+	}
+	return mod
+}
+
 // fuseLoopVariants returns the loop kernel as built and wrapped all
 // double and all single, so the snippet patterns run inside loops too,
-// plus its legacy-index form.
+// plus its legacy-index form and the unguarded diamond of
+// fuseLoopStray.
 func fuseLoopVariants(t *testing.T) map[string]*prog.Module {
 	t.Helper()
 	mod := fuseLoopProgram(t)
-	out := map[string]*prog.Module{"base": mod, "legacy": fuseLoopLegacy(t)}
+	out := map[string]*prog.Module{"base": mod, "legacy": fuseLoopLegacy(t), "stray": fuseLoopStray(t)}
 	for _, p := range []config.Precision{config.Double, config.Single} {
 		c, err := config.FromModule(mod)
 		if err != nil {
@@ -645,8 +692,10 @@ func fuseLoopVariants(t *testing.T) map[string]*prog.Module {
 }
 
 // firedPatterns reports, by name, the superinstructions in blocks a
-// finished compiled run executed: each fused op's pattern, and for a
-// folded terminator both the compare's pattern and its fold (foldName).
+// finished compiled run executed: each fused op's pattern, for a folded
+// terminator both the compare's pattern and its fold (foldName), and for
+// a guard the guard, its flag test and the flag-test fold, plus the
+// patterns compiled into its arm when the arm ran.
 func firedPatterns(lp *Program, counts []uint64) map[string]bool {
 	fired := map[string]bool{}
 	c := lp.compiled
@@ -656,8 +705,28 @@ func firedPatterns(lp *Program, counts []uint64) map[string]bool {
 			continue
 		}
 		for j, span := range bodySpans(c, b) {
+			i := c.opStart(b, int32(j))
+			if isGuard(c, i, span) {
+				fired[guardName] = true
+				fired[fusePatternNames[fuseFlagTest]] = true
+				fired[foldName(fuseFlagTest)] = true
+				if counts[i+guardArm] > 0 {
+					arm := lp.instrs[i+guardArm : i+span]
+					for k := 0; k < len(arm); {
+						p, n := matchFuse(arm, k, false)
+						if p == fuseNone {
+							n = 1
+						}
+						if n > 1 {
+							fired[fusePatternNames[p]] = true
+						}
+						k += n
+					}
+				}
+				continue
+			}
 			if span > 1 {
-				fired[fusePatternNames[fusedAt(lp.instrs, c.opStart(b, int32(j)), span)]] = true
+				fired[fusePatternNames[fusedAt(lp.instrs, i, span)]] = true
 			}
 		}
 		if b.fold != nil {
@@ -670,13 +739,25 @@ func firedPatterns(lp *Program, counts []uint64) map[string]bool {
 	return fired
 }
 
+// isGuard reports whether c's superinstruction at index i spanning n
+// instructions is a guard.
+func isGuard(c *compiled, i, n int32) bool {
+	k := sort.Search(len(c.fused), func(k int) bool { return c.fused[k].at >= i })
+	for ; k < len(c.fused) && c.fused[k].at == i; k++ {
+		if c.fused[k].n == n && c.fused[k].guard != nil {
+			return true
+		}
+	}
+	return false
+}
+
 // foldName names the fold of compare pattern p into its branch.
 func foldName(p fusePattern) string { return fusePatternNames[p] + "+jcc" }
 
-// fuseNames lists every pattern and fold by name.
+// fuseNames lists every pattern, fold and the guard by name.
 func fuseNames() []string {
 	names := slices.Clone(fusePatternNames[fuseNone+1:])
-	return append(names, foldName(fuseLoadImmCmp), foldName(fuseFlagTest))
+	return append(names, foldName(fuseLoadImmCmp), foldName(fuseLoadCmp), foldName(fuseFlagTest), guardName)
 }
 
 // fuseLoopPrograms links every fuseLoopVariants module and assembles the

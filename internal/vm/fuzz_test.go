@@ -24,8 +24,10 @@ import (
 // bytes per instruction (selector, register byte, value byte). Selector
 // 40 emits an index-access shape from its register and value bytes and
 // the three bytes after them (fuzzIndexAccess), selector 41 an FP-family
-// shape (fuzzFPShape) and selector 42 a compare ending in a conditional
-// branch (fuzzFold), each from six bytes the same way.
+// shape (fuzzFPShape), selector 42 a compare ending in a conditional
+// branch (fuzzFold), selector 43 a snippet flag-test diamond
+// (fuzzDiamond) and selector 44 a loop test against a loaded bound
+// (fuzzLoadCmp), each from six bytes the same way.
 func FuzzCompiledMatchesStep(f *testing.F) {
 	f.Add([]byte{1, 0, 20, 0, 0, 34, 0, 0, 21, 0, 0, 26, 0, 0, 29, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -161,7 +163,7 @@ func decodeFuzz(data []byte, ext bool) (mod *prog.Module, seed int64, max uint64
 	}
 	n := idxSel + 1
 	if !ext {
-		n += 2 // the FP-family and fold selectors
+		n += 4 // the FP-family, fold, diamond and loaded-bound selectors
 	}
 	for rest := data[2:]; len(rest) >= 3 && len(instrs) < 64; rest = rest[3:] {
 		sel, r, v := rest[0], rest[1], rest[2]
@@ -184,8 +186,18 @@ func decodeFuzz(data []byte, ext bool) (mod *prog.Module, seed int64, max uint64
 				instrs = append(instrs, fuzzIndexAccess(r, v, w)...)
 			case 1:
 				instrs = append(instrs, fuzzFPShape(r, v, w)...)
-			default:
+			case 2:
 				fold, skip := fuzzFold(r, v, w)
+				instrs = append(instrs, fold...)
+				branches = append(branches, [2]int{len(instrs) - 1, skip})
+			case 3:
+				d, bs := fuzzDiamond(r, v, w)
+				for _, b := range bs {
+					branches = append(branches, [2]int{len(instrs) + b[0], b[1]})
+				}
+				instrs = append(instrs, d...)
+			default:
+				fold, skip := fuzzLoadCmp(r, v, w)
 				instrs = append(instrs, fold...)
 				branches = append(branches, [2]int{len(instrs) - 1, skip})
 			}
@@ -393,6 +405,102 @@ func fuzzFold(r, v byte, w [3]byte) (out []isa.Instr, skip int) {
 		}
 	}
 	return append(out, isa.I(fuzzFoldConds[int(r>>1&15)%len(fuzzFoldConds)], isa.Imm(0))), int(r >> 5 & 3)
+}
+
+// fuzzDiamond builds a snippet flag-test diamond (guard.go) from six
+// fuzz bytes, and its forward branches as (index in out, instructions
+// skipped) pairs. r picks the form: bit 0 the arm's lane (lane 1
+// converts through a scratch XMM register), bit 1 an
+// upcast (CVTSS2SD) or downcast (CVTSD2SS and the stamp) arm, bit 2 the
+// branch (the snippet's JNE over an upcast and JE over a downcast, or
+// the other), bits 3-4 a stray conditional branch before the diamond
+// into its flag test, its arm or its join, bit 5 a LOAD past the end of
+// memory after the join, and bits 6-7 the XMM register. v picks the two
+// scratch registers, w[0] where in the flag test or arm the stray branch
+// lands, w[1] a shift other than 32 when its top bit is set and, with
+// bit 6 set, a flag test of lane 1 (MOVHQ) before a lane-1 arm, as the
+// snippet compiler emits it (otherwise the test reads lane 0), and w[2]
+// the stray branch's compare and condition, so some diamonds alias,
+// shift elsewhere or are entered mid-way and stay unguarded.
+func fuzzDiamond(r, v byte, w [3]byte) (out []isa.Instr, branches [][2]int) {
+	x, xs := isa.Xmm(r>>6), isa.Xmm((r>>6+1)&3)
+	r0, r1 := isa.Gpr(fuzzGPRs[v&7]), isa.Gpr(fuzzGPRs[v>>3&7])
+	mov, test := isa.MOVQ, isa.MOVQ
+	if r&1 != 0 {
+		mov = isa.MOVHQ
+		if w[1]&0x40 != 0 {
+			test = isa.MOVHQ
+		}
+	}
+	sh := int64(32)
+	if w[1]&0x80 != 0 {
+		sh = int64(w[1] & 63)
+	}
+	stray := int(r >> 3 & 3)
+	if stray != 0 {
+		out = append(out, isa.I(isa.CMPI, isa.Gpr(fuzzGPRs[w[2]&7]), isa.Imm(int64(w[2]>>3&7))),
+			isa.I(fuzzFoldConds[w[2]>>6], isa.Imm(0)))
+	}
+	h := len(out)
+	out = append(out, isa.I(test, r0, x), isa.I(isa.MOVRR, r1, r0), isa.I(isa.SHRI, r1, isa.Imm(sh)),
+		isa.I(isa.CMPI, r1, isa.Imm(int64(isa.ReplacedFlag))))
+	up := r&2 == 0
+	jcc, cvt := isa.JE, isa.CVTSD2SS
+	if up {
+		jcc, cvt = isa.JNE, isa.CVTSS2SD
+	}
+	if r&4 != 0 {
+		if jcc == isa.JE {
+			jcc = isa.JNE
+		} else {
+			jcc = isa.JE
+		}
+	}
+	out = append(out, isa.I(jcc, isa.Imm(0)))
+	if r&1 == 0 {
+		out = append(out, isa.I(cvt, x, x))
+	} else {
+		out = append(out, isa.I(isa.MOVHQ, r0, x), isa.I(isa.MOVQ, xs, r0), isa.I(cvt, xs, xs),
+			isa.I(isa.MOVQ, r0, xs), isa.I(isa.MOVHQ, x, r0))
+	}
+	if !up {
+		out = append(out, isa.I(mov, r0, x), isa.I(isa.MOVRI, r1, isa.Imm(0xFFFFFFFF)), isa.I(isa.ANDR, r0, r1),
+			isa.I(isa.MOVRI, r1, isa.Imm(int64(uint64(isa.ReplacedFlag)<<32))), isa.I(isa.ORR, r0, r1), isa.I(mov, x, r0))
+	}
+	join := len(out)
+	branches = append(branches, [2]int{h + 4, join - h - 5})
+	if stray != 0 {
+		t := join
+		switch stray {
+		case 1:
+			t = h + 1 + int(w[0])%4
+		case 2:
+			t = h + 5 + int(w[0])%(join-h-5)
+		}
+		branches = append(branches, [2]int{h - 1, t - h})
+	}
+	out = append(out, isa.I(isa.ADDSD, isa.Xmm(0), x))
+	if r&0x20 != 0 {
+		out = append(out, isa.I(isa.LOAD, r1, isa.Mem(fuzzGPRs[w[1]&3], int32(fuzzMemSize))))
+	}
+	return out, branches
+}
+
+// fuzzLoadCmp builds the loop test against a loaded bound, LOAD; CMPR,
+// and a conditional branch after it from six fuzz bytes, as fuzzFold
+// does for its compares: r bits 1-4 the condition, bits 5-6 how many
+// instructions the branch skips and bit 7 a LOAD past the end of memory;
+// v and w pick the registers and displacement.
+func fuzzLoadCmp(r, v byte, w [3]byte) (out []isa.Instr, skip int) {
+	ref := isa.Mem(fuzzGPRs[v>>6], int32(w[0]&63)*4)
+	if r&0x80 != 0 {
+		ref.Mem.Disp = int32(fuzzMemSize)
+	}
+	return []isa.Instr{
+		isa.I(isa.LOAD, isa.Gpr(fuzzGPRs[v&7]), ref),
+		isa.I(isa.CMPR, isa.Gpr(fuzzGPRs[w[2]&7]), isa.Gpr(fuzzGPRs[w[2]>>3&7])),
+		isa.I(fuzzFoldConds[int(r>>1&15)%len(fuzzFoldConds)], isa.Imm(0)),
+	}, int(r >> 5 & 3)
 }
 
 // fuzzIndexAccess builds one index-access shape (matchIndex) from six

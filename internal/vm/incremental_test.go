@@ -71,21 +71,22 @@ func agreementChoices(sites []IncrementalSite, r *rand.Rand) [][]int {
 	return out
 }
 
-// blockShape is the comparable content of a compiled block.
+// blockShape is the comparable content of a compiled block: arms lists
+// its guarded arms' spans.
 type blockShape struct {
 	start, n      int32
-	cost          uint64
+	steps, cost   uint64
 	term          termKind
 	fold          bool
 	taken, fall   int32 // successor block ids, -1 when nil
 	takenAddr, rt uint64
-	spans         string
+	spans, arms   string
 }
 
 func shapeOf(c *compiled, b *block) blockShape {
-	s := blockShape{start: b.start, n: b.n, cost: b.cost, term: b.term, fold: b.fold != nil,
+	s := blockShape{start: b.start, n: b.n, steps: b.steps, cost: b.cost, term: b.term, fold: b.fold != nil,
 		taken: -1, fall: -1, takenAddr: b.takenAddr, rt: b.ret,
-		spans: fmt.Sprint(bodySpans(c, b))}
+		spans: fmt.Sprint(bodySpans(c, b)), arms: fmt.Sprint(c.arms[b.arm0 : b.arm0+b.arms])}
 	if b.takenBlk != nil {
 		s.taken = b.takenBlk.id
 	}
@@ -101,11 +102,12 @@ func shapeOf(c *compiled, b *block) blockShape {
 // donor pass's — the block partition must be exactly Link's; with every
 // site split — the donor's shape — it must be Link's plus every slot
 // base. In both legs block costs must agree, the superinstruction list
-// must be exactly the one Link matches in the flattened stream (so FP
-// arithmetic alone in its slot fuses across the slot boundary), and the
-// blocks, fused spans and folded terminators must be those of that
-// stream compiled with the split slot bases as extra leaders. Both
-// programs must also run to identical machines.
+// must be exactly the one Link keeps in the flattened stream with the
+// same split slot bases (so FP arithmetic alone in its slot fuses across
+// the slot boundary, and the same flag-test guards are legal), and the
+// blocks, fused spans, guarded arms and folded terminators must be those
+// of that stream compiled with the split slot bases as extra leaders.
+// Both programs must also run to identical machines.
 func TestIncrementalAssembleAgreesWithLink(t *testing.T) {
 	mods := map[string]*prog.Module{"loop": fuseLoopProgram(t), "calls": agreementCallProgram(t)}
 	r := rand.New(rand.NewSource(1401))
@@ -115,15 +117,23 @@ func TestIncrementalAssembleAgreesWithLink(t *testing.T) {
 			t.Fatalf("%s: no replacement sites", name)
 		}
 		all := everySite(len(sites))
-		cross := 0
+		cross, guards := 0, 0
 		for ci, ch := range agreementChoices(sites, r) {
 			for _, split := range [][]int{nil, all} {
 				label := fmt.Sprintf("%s choices %d split %d", name, ci, len(split))
 				cross += agreeWithLink(t, label, il, sites, ch, split)
+				lp, err := il.Assemble(ch, split...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				guards += len(lp.compiled.arms)
 			}
 		}
 		if cross == 0 {
 			t.Errorf("%s: no superinstruction spans a fragment boundary", name)
+		}
+		if guards == 0 {
+			t.Errorf("%s: no assembly guards a flag-test diamond", name)
 		}
 	}
 }
@@ -194,14 +204,14 @@ func agreeWithLink(t *testing.T, label string, il *IncrementalLinker, sites []In
 		}
 	}
 
-	// Superinstructions: exactly Link's, and the blocks built from them
-	// are those of the flattened stream with the split slot bases as
-	// extra leaders.
+	// Superinstructions: exactly those Link keeps with the split slot
+	// bases pinned, and the blocks built from them are those of the
+	// flattened stream with the split slot bases as extra leaders.
 	ops, fused := compileFrag(lpL.instrs, false)
-	if got, want := fusedShapes(a.fused), fusedShapes(fused); !slices.Equal(got, want) {
+	ref := compileProgramWith(lpL, ops, fused, slotLeaders)
+	if got, want := fusedShapes(a.fused), fusedShapes(ref.fused); !slices.Equal(got, want) {
 		t.Fatalf("%s: assembled superinstructions differ from Link's (%d vs %d)", label, len(got), len(want))
 	}
-	ref := compileProgramWith(lpL, ops, fused, slotLeaders)
 	if len(ref.blocks) != len(a.blocks) {
 		t.Fatalf("%s: %d assembled blocks, reference %d", label, len(a.blocks), len(ref.blocks))
 	}
@@ -242,14 +252,14 @@ func agreeWithLink(t *testing.T, label string, il *IncrementalLinker, sites []In
 
 // fusedShape is the comparable content of a superinstruction.
 type fusedShape struct {
-	at, n int32
-	fold  bool
+	at, n       int32
+	fold, guard bool
 }
 
 func fusedShapes(fused []fusedOp) []fusedShape {
 	out := make([]fusedShape, len(fused))
 	for i, f := range fused {
-		out[i] = fusedShape{f.at, f.n, f.fold != nil}
+		out[i] = fusedShape{f.at, f.n, f.fold != nil, f.guard != nil}
 	}
 	return out
 }
@@ -385,8 +395,9 @@ func TestIncrementalUnsplitDispatchesFewerBlocks(t *testing.T) {
 // from several goroutines sharing one linker, so its boundary
 // superinstruction cache fills concurrently (run under -race), and
 // requires every assembly to match the one a fresh linker builds alone:
-// same superinstructions and blocks. A second round over the warm cache
-// must match too.
+// same superinstructions, guards and blocks. A second round over the
+// warm cache must match too, and the guards must come from the cache:
+// every assembly of one configuration holds the same guard instances.
 func TestIncrementalConcurrentAssemble(t *testing.T) {
 	mod := fuseLoopProgram(t)
 	shared, sites := stableLinker(t, mod)
@@ -425,6 +436,31 @@ func TestIncrementalConcurrentAssemble(t *testing.T) {
 		for e := range errs {
 			t.Error(e)
 		}
+	}
+	guarded := 0
+	for i, ch := range chs {
+		var first []*guardOp
+		for n := 0; n < 2; n++ {
+			lp, err := shared.Assemble(ch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var guards []*guardOp
+			for _, f := range lp.compiled.fused {
+				if f.guard != nil {
+					guards = append(guards, f.guard)
+				}
+			}
+			if n == 0 {
+				first = guards
+			} else if !slices.Equal(guards, first) {
+				t.Errorf("choices %d: a warm assembly built new guards", i)
+			}
+		}
+		guarded += len(first)
+	}
+	if guarded == 0 {
+		t.Error("no assembly holds a guard")
 	}
 }
 

@@ -572,9 +572,11 @@ func shadowObserves(op isa.Op) bool {
 // as Step does; superinstructions spanning such an instruction are not
 // taken. Every index-access superinstruction ends in an observed MOVSD,
 // so the stream matches without that family and keeps the shorter
-// arithmetic patterns its prefixes match. The CALL terminator's hook
-// runs in runCompiled. Blocks are the same as lp.compiled's — every
-// leader of it is passed on — so block counters, stops and budget
+// arithmetic patterns its prefixes match, and it matches no flag-test
+// guard (the hook observes the test's MOVQ and the arm's conversions).
+// The CALL terminator's hook runs in runCompiled. Every leader of
+// lp.compiled is passed on, so the blocks are lp.compiled's with each
+// guarded diamond split back at its branch, and stops and budget
 // hand-offs behave identically.
 func (lp *Program) shadowStream() *compiled {
 	lp.shadowOnce.Do(func() {

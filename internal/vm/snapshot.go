@@ -291,9 +291,8 @@ func (m *Machine) RestoreFrom(s *Snapshot) error {
 	m.halted = s.halted
 	m.pcIdx = pcIdx
 	m.injectAt = 0
-	for i := range m.blkExec {
-		m.blkExec[i] = 0
-	}
+	clear(m.blkExec)
+	clear(m.armExec)
 	if s.shadow != nil {
 		s.shadow.restoreInto(m.shadow)
 	}

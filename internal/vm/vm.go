@@ -184,6 +184,11 @@ type Machine struct {
 	// blkExec is the compiled tier's per-block execution counter scratch,
 	// expanded into counts when a compiled run ends (see compile.go).
 	blkExec []uint64
+	// armExec counts the compiled tier's guarded-arm executions the same
+	// way, one slot per compiled.arms entry; armNext is the slot of the
+	// next guard the running block executes (see guard.go).
+	armExec []uint64
+	armNext int32
 
 	// faultOff is the constituent index at which a pattern
 	// superinstruction faulted, handed to settlePartial (see fuse.go);
