@@ -177,7 +177,7 @@ func BenchmarkAMG(b *testing.B) {
 // on the kernels whose searches evaluation dominates. Every leg reports
 // the compiled tier's census per search (vm.ReadCensus): blocks
 // dispatched, micro-ops executed and the steps compiled-tier runs
-// executed.
+// executed — next to the bytes and allocations per search.
 func BenchmarkSearchEvaluate(b *testing.B) {
 	for _, leg := range []struct {
 		name, kernel string
@@ -193,6 +193,7 @@ func BenchmarkSearchEvaluate(b *testing.B) {
 	} {
 		leg := leg
 		b.Run(leg.name, func(b *testing.B) {
+			b.ReportAllocs()
 			bench, err := kernels.Get(leg.kernel, kernels.ClassW)
 			if err != nil {
 				b.Fatal(err)

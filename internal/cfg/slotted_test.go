@@ -134,7 +134,7 @@ func TestRewriteSlottedSlotSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lp, err := il.Assemble([]int{1})
+	lp, err := il.Assemble(nil, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}

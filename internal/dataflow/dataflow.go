@@ -148,6 +148,13 @@ type analysis struct {
 	regionOf   map[int32]int // indexed-access base displacement -> region index
 	extents    []extent      // sorted, disjoint array extents (module region table)
 	nLocs      int           // nRegLocs + slots + regions + summary + stack + extents
+	// memAll is every memory location: what an unresolved access may
+	// touch.
+	memAll []int
+
+	// flagMem is each memory operand resolved for the flag pass under
+	// one memory model (resolveFlagMem).
+	flagMem []memLoc
 }
 
 // extent is one array's byte range off the stable base, from the
@@ -175,6 +182,7 @@ func Analyze(m *prog.Module) (*Result, error) {
 		return nil, err
 	}
 	live := a.liveness()
+	a.resolveFlagMem(false)
 	flags := a.flagReach()
 	pairs, taint := a.convTaint()
 	unsafe := a.classify(pairs, taint)
@@ -278,6 +286,10 @@ func build(m *prog.Module) (*analysis, error) {
 	a.findSlots()
 	a.buildExtents()
 	a.nLocs = nRegLocs + len(a.slotOf) + len(a.regionOf) + 2 + len(a.extents)
+	a.memAll = make([]int, 0, a.nLocs-nRegLocs)
+	for l := nRegLocs; l < a.nLocs; l++ {
+		a.memAll = append(a.memAll, l)
+	}
 
 	// Reachability from the module entry.
 	a.reachable = make([]bool, n)
@@ -432,28 +444,17 @@ func (a *analysis) extentAt(d int32) int {
 
 // memLocs resolves a memory operand to location indices for the
 // soundness-critical flag analysis. For a direct stable-base access it
-// returns the slot(s); otherwise every slot, region and array extent
-// plus the summary and stack cells (an unresolved access may touch
-// anything). wide selects 16-byte accesses (MOVAPD).
+// returns the slot(s); otherwise memAll, every slot, region and array
+// extent plus the summary and stack cells (an unresolved access may touch
+// anything), which callers must not modify. wide selects 16-byte
+// accesses (MOVAPD).
 func (a *analysis) memLocs(m isa.MemRef, wide bool) (locs []int, direct bool) {
-	if s, ok, wideOK := a.directSlot(m, wide); ok {
-		locs = append(locs, s...)
-		if !wide || wideOK {
-			return locs, true
-		}
-		// fall through conservatively if the second half is untracked
+	if s, ok, wideOK := a.directSlot(m, wide); ok && (!wide || wideOK) {
+		return s, true
 	}
-	for _, s := range a.slotOf {
-		locs = append(locs, nRegLocs+s)
-	}
-	for _, r := range a.regionOf {
-		locs = append(locs, a.regionLoc(r))
-	}
-	locs = append(locs, a.summaryLoc(), a.stackLoc())
-	for e := range a.extents {
-		locs = append(locs, a.extentLoc(e))
-	}
-	return locs, false
+	// A wide access whose second half is untracked falls through
+	// conservatively; memAll holds its first slot too.
+	return a.memAll, false
 }
 
 // memLocsPrec is memLocs refined by the module's array extents: an
@@ -565,19 +566,20 @@ func gprDefs(in isa.Instr) []int {
 // piece at a time wants the much sharper per-configuration question
 // ("could it see one when only these sites are single?"), whose clean
 // set licenses assembling the bare original instruction — no wrapper at
-// all — at every other double site. The handle is safe for concurrent
-// use: each query allocates its own fixpoint state.
+// all — at every other double site. The handle is immutable and safe for
+// concurrent use; each querying goroutine owns a FlagQuery.
 type FlagAnalysis struct {
 	a *analysis
 }
 
 // NewFlagAnalysis builds the supergraph and memory model once, for many
-// CleanOperandsUnder queries.
+// queries, resolving every memory operand up front.
 func NewFlagAnalysis(m *prog.Module) (*FlagAnalysis, error) {
 	a, err := build(m)
 	if err != nil {
 		return nil, err
 	}
+	a.resolveFlagMem(true)
 	return &FlagAnalysis{a: a}, nil
 }
 
@@ -591,31 +593,64 @@ type OperandClean struct {
 	Dst bool
 }
 
+// FlagQuery asks a FlagAnalysis which operands are clean under one single
+// set at a time. It keeps the marked set, the fixpoint state and the
+// answers between queries, so a warm query allocates nothing. A FlagQuery
+// is not safe for concurrent use.
+type FlagQuery struct {
+	a      *analysis
+	single []bool  // per instruction: marked single
+	marked []int32 // the marked instructions, to unmark
+	fs     flagState
+	out    []OperandClean
+}
+
+// NewQuery returns a query with no site marked single.
+func (fa *FlagAnalysis) NewQuery() *FlagQuery {
+	return &FlagQuery{a: fa.a, single: make([]bool, len(fa.a.instrs))}
+}
+
+// Single marks the candidate at addr single for the next
+// CleanOperandsUnder; other addresses are ignored.
+func (q *FlagQuery) Single(addr uint64) {
+	if i, ok := q.a.idx[addr]; ok && isa.IsCandidate(q.a.instrs[i].Op) && !q.single[i] {
+		q.single[i] = true
+		q.marked = append(q.marked, int32(i))
+	}
+}
+
 // CleanOperandsUnder reports, for each address of sites, which of the
 // candidate's floating-point inputs are proven unflagged when exactly the
-// given candidates are configured single (out[k] is sites[k]'s; an
-// address that is not a candidate gets the zero value). Src && Dst is
-// the whole-site verdict: that double site's wrapper is a checked no-op
-// for this configuration, so the bare original instruction is
-// bit-identical to it. A wrapper's check on a single proven-clean
-// operand is a guaranteed no-op too, so a narrowed wrapper that omits it
-// (replace.DoubleSnippet with CleanSrcInput/CleanDstInput) is
-// bit-identical to the full one. A nil singles set means no site single,
-// not the any-configuration abstraction — use Analyze for that.
+// candidates marked Single are configured single (out[k] is sites[k]'s;
+// an address that is not a candidate gets the zero value), and unmarks
+// them. Src && Dst is the whole-site verdict: that double site's wrapper
+// is a checked no-op for this configuration, so the bare original
+// instruction is bit-identical to it. A wrapper's check on a single
+// proven-clean operand is a guaranteed no-op too, so a narrowed wrapper
+// that omits it (replace.DoubleSnippet with CleanSrcInput/CleanDstInput)
+// is bit-identical to the full one. No marked site means no site single,
+// not the any-configuration abstraction — use Analyze for that. The
+// result is valid until the query's next CleanOperandsUnder.
 //
 // The query runs with the extent-precise memory model (memLocsPrec):
 // distinct arrays from the module's region table occupy distinct cells,
 // so a single site storing into one array poisons that array alone.
-func (fa *FlagAnalysis) CleanOperandsUnder(singles map[uint64]bool, sites []uint64) []OperandClean {
-	if singles == nil {
-		singles = map[uint64]bool{}
+func (q *FlagQuery) CleanOperandsUnder(sites []uint64) []OperandClean {
+	a := q.a
+	flags := a.flagReachFor(&q.fs, q.single)
+	if cap(q.out) < len(sites) {
+		q.out = make([]OperandClean, len(sites))
 	}
-	flags := fa.a.flagReachFor(singles, true)
-	out := make([]OperandClean, len(sites))
+	q.out = q.out[:len(sites)]
 	for k, addr := range sites {
-		if i, ok := fa.a.idx[addr]; ok && isa.IsCandidate(fa.a.instrs[i].Op) {
-			out[k] = fa.a.cleanOperandsPrec(i, flags, true)
+		q.out[k] = OperandClean{}
+		if i, ok := a.idx[addr]; ok && isa.IsCandidate(a.instrs[i].Op) {
+			q.out[k] = a.cleanOperands(i, flags)
 		}
 	}
-	return out
+	for _, i := range q.marked {
+		q.single[i] = false
+	}
+	q.marked = q.marked[:0]
+	return q.out
 }

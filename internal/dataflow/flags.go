@@ -20,43 +20,32 @@ import "fpmix/internal/isa"
 // registers, so they conservatively poison all of memory; allreduce
 // writes back plain reduced doubles and is flag-transparent.
 func (a *analysis) flagReach() []bitset {
-	return a.flagReachFor(nil, false)
+	return a.flagReachFor(&flagState{}, nil)
 }
 
 // flagReachFor is flagReach with the sentinel sources restricted to the
-// given single-configured candidate addresses; nil means every candidate
-// may be single (the any-configuration abstraction above). Under a
-// restricted source set, candidates outside it are double sites: their
-// wrappers (or, when their inputs are proven clean, the bare originals)
-// never stamp a source and always produce plain double results. precise
-// additionally resolves array accesses through the module's region
-// table (memLocsPrec) instead of the everything blob.
+// candidates single marks (indexed by instruction); nil means every
+// candidate may be single (the any-configuration abstraction above).
+// Under a restricted source set, candidates outside it are double sites:
+// their wrappers (or, when their inputs are proven clean, the bare
+// originals) never stamp a source and always produce plain double
+// results. Memory operands resolve through the table resolveFlagMem
+// filled, under the conservative model for Analyze and the precise one,
+// which refines array accesses by the module's region table, for
+// FlagAnalysis.
 //
-// A nil flagIn[i] is bottom (nothing flagged): a state is allocated, from
-// one growing slab, only when flags first reach its instruction, so a
-// query with a small singles set allocates in proportion to the flagged
-// subgraph rather than the whole module.
-func (a *analysis) flagReachFor(singles map[uint64]bool, precise bool) []bitset {
+// A nil flagIn[i] is bottom (nothing flagged): a state is taken, from
+// fs's growing slabs, only when flags first reach its instruction, so a
+// query with a small singles set touches memory in proportion to the
+// flagged subgraph rather than the whole module. The result lives in fs
+// and stays valid until fs's next fixpoint, which reuses its storage.
+func (a *analysis) flagReachFor(fs *flagState, single []bool) []bitset {
 	n := len(a.instrs)
-	flagIn := make([]bitset, n)
-	words := (a.nLocs + 63) / 64
-	var slab []uint64
-	chunk := 32 // states per slab, doubling up to n
-	alloc := func() bitset {
-		if len(slab) < words {
-			slab = make([]uint64, words*chunk)
-			chunk = min(2*chunk, max(n, 32))
-		}
-		b := slab[:words:words]
-		slab = slab[words:]
-		return b
-	}
-	inList := make([]bool, n)
-	var work []int
+	fs.reset(n, (a.nLocs+63)/64)
 	push := func(i int) {
-		if !inList[i] {
-			inList[i] = true
-			work = append(work, i)
+		if !fs.inList[i] {
+			fs.inList[i] = true
+			fs.work = append(fs.work, i)
 		}
 	}
 	// Seed only the instructions that can generate a flag from bottom
@@ -66,10 +55,10 @@ func (a *analysis) flagReachFor(singles map[uint64]bool, precise bool) []bitset 
 	// keeps the fixpoint proportional to the flagged subgraph rather
 	// than the whole module.
 	for i := n - 1; i >= 0; i-- {
-		in := a.instrs[i]
+		in := &a.instrs[i]
 		switch {
 		case isa.IsCandidate(in.Op):
-			if singles == nil || singles[in.Addr] {
+			if single == nil || single[i] {
 				push(i)
 			}
 		case in.Op == isa.MOVRI:
@@ -82,24 +71,24 @@ func (a *analysis) flagReachFor(singles map[uint64]bool, precise bool) []bitset 
 			}
 		}
 	}
-	out := newBitset(a.nLocs)
-	for len(work) > 0 {
-		i := work[len(work)-1]
-		work = work[:len(work)-1]
-		inList[i] = false
+	flagIn, out := fs.flagIn, fs.out
+	for len(fs.work) > 0 {
+		i := fs.work[len(fs.work)-1]
+		fs.work = fs.work[:len(fs.work)-1]
+		fs.inList[i] = false
 
 		if flagIn[i] == nil {
 			clear(out)
 		} else {
 			out.copyFrom(flagIn[i])
 		}
-		a.flagStepFor(i, out, singles, precise)
+		a.flagStepFor(i, out, single)
 		if out.empty() {
 			continue // bottom changes no successor
 		}
 		for _, s := range a.succs[i] {
 			if flagIn[s] == nil {
-				flagIn[s] = alloc()
+				flagIn[s] = fs.state(s)
 			}
 			if flagIn[s].or(out) {
 				push(int(s))
@@ -109,20 +98,70 @@ func (a *analysis) flagReachFor(singles map[uint64]bool, precise bool) []bitset 
 	return flagIn
 }
 
-// flagStep applies instruction i's transfer function to state in place.
-func (a *analysis) flagStep(i int, st bitset) {
-	a.flagStepFor(i, st, nil, false)
+// flagState is the fixpoint scratch of flagReachFor. Between fixpoints
+// inList is all false and work empty; flagIn holds the last result.
+type flagState struct {
+	flagIn []bitset
+	inList []bool
+	work   []int
+	out    bitset
+	// live lists the instructions whose flagIn the last fixpoint set.
+	live []int32
+	// slabs hold the states, handed out in order: slab k is the next
+	// slab to carve, used the words already taken from it.
+	slabs [][]uint64
+	k     int
+	used  int
+	words int
 }
 
-// flagStepFor is flagStep under a restricted single-candidate set (nil =
-// any configuration) and an optional precise memory model. It takes only
-// per-call state, so concurrent analyses over the same supergraph are
-// safe.
-func (a *analysis) flagStepFor(i int, st bitset, singles map[uint64]bool, precise bool) {
-	in := a.instrs[i]
+// reset prepares fs for a fixpoint over n instructions with states of
+// words words, dropping the previous result.
+func (fs *flagState) reset(n, words int) {
+	if len(fs.flagIn) != n {
+		fs.flagIn = make([]bitset, n)
+		fs.inList = make([]bool, n)
+	} else {
+		for _, i := range fs.live {
+			fs.flagIn[i] = nil
+		}
+	}
+	if fs.words != words {
+		fs.slabs, fs.out = nil, newBitset(64*words)
+	}
+	fs.words, fs.k, fs.used, fs.live = words, 0, 0, fs.live[:0]
+}
+
+// state returns a cleared state for instruction i: 32 states per slab,
+// doubling up to one per instruction.
+func (fs *flagState) state(i int32) bitset {
+	w := fs.words
+	for fs.k < len(fs.slabs) && fs.used+w > len(fs.slabs[fs.k]) {
+		fs.k, fs.used = fs.k+1, 0
+	}
+	if fs.k == len(fs.slabs) {
+		chunk := 32
+		if k := len(fs.slabs); k > 0 {
+			chunk = min(2*len(fs.slabs[k-1])/w, max(len(fs.flagIn), 32))
+		}
+		fs.slabs = append(fs.slabs, make([]uint64, w*chunk))
+	}
+	b := bitset(fs.slabs[fs.k][fs.used : fs.used+w : fs.used+w])
+	fs.used += w
+	clear(b)
+	fs.live = append(fs.live, i)
+	return b
+}
+
+// flagStepFor applies instruction i's transfer function to state st in
+// place, under a restricted single-candidate set (nil = any
+// configuration). It takes only per-call state, so concurrent analyses
+// over the same supergraph are safe.
+func (a *analysis) flagStepFor(i int, st bitset, single []bool) {
+	in := &a.instrs[i]
 
 	if isa.IsCandidate(in.Op) {
-		if singles == nil || singles[in.Addr] {
+		if single == nil || single[i] {
 			a.flagCandidate(in, st)
 		} else {
 			a.flagDouble(in, st)
@@ -133,28 +172,23 @@ func (a *analysis) flagStepFor(i int, st bitset, singles map[uint64]bool, precis
 	lane0 := func(op isa.Operand) int { return laneLoc(op.Reg, 0) }
 	lane1 := func(op isa.Operand) int { return laneLoc(op.Reg, 1) }
 	gpr := func(op isa.Operand) int { return locGPR + int(op.Reg) }
-	resolve := a.memLocs
-	if precise {
-		resolve = a.memLocsPrec
-	}
-	// join of a memory operand's possible locations
-	memGet := func(m isa.MemRef, wide bool) bool {
-		locs, _ := resolve(m, wide)
-		for _, l := range locs {
+	// join of memory operand k's (0: A, 1: B) possible locations
+	memGet := func(k int) bool {
+		for _, l := range a.flagMem[2*i+k].locs {
 			if st.get(l) {
 				return true
 			}
 		}
 		return false
 	}
-	// write v to a memory operand: strong update when the address
+	// write v to memory operand k: strong update when the address
 	// resolves to one slot, weak otherwise
-	memSet := func(m isa.MemRef, wide, v bool) {
-		locs, direct := resolve(m, wide)
-		for _, l := range locs {
+	memSet := func(k int, v bool) {
+		ml := &a.flagMem[2*i+k]
+		for _, l := range ml.locs {
 			if v {
 				st.set(l)
-			} else if direct {
+			} else if ml.direct {
 				st.clear(l)
 			}
 		}
@@ -182,9 +216,9 @@ func (a *analysis) flagStepFor(i int, st bitset, singles map[uint64]bool, precis
 	case isa.MOVRR:
 		assign(gpr(in.A), st.get(gpr(in.B)))
 	case isa.LOAD:
-		assign(gpr(in.A), memGet(in.B.Mem, false))
+		assign(gpr(in.A), memGet(1))
 	case isa.STORE:
-		memSet(in.A.Mem, false, st.get(gpr(in.B)))
+		memSet(0, st.get(gpr(in.B)))
 	case isa.LEA:
 		st.clear(gpr(in.A)) // addresses are clean
 
@@ -215,10 +249,10 @@ func (a *analysis) flagStepFor(i int, st bitset, singles map[uint64]bool, precis
 		case in.A.Kind == isa.KindXMM && in.B.Kind == isa.KindXMM:
 			assign(lane0(in.A), st.get(lane0(in.B)))
 		case in.A.Kind == isa.KindXMM: // load zeroes the upper lane
-			assign(lane0(in.A), memGet(in.B.Mem, false))
+			assign(lane0(in.A), memGet(1))
 			st.clear(lane1(in.A))
 		default:
-			memSet(in.A.Mem, false, st.get(lane0(in.B)))
+			memSet(0, st.get(lane0(in.B)))
 		}
 	case isa.MOVSS:
 		// 32-bit moves never transport the sentinel (it lives in the
@@ -239,11 +273,11 @@ func (a *analysis) flagStepFor(i int, st bitset, singles map[uint64]bool, precis
 			assign(lane0(in.A), st.get(lane0(in.B)))
 			assign(lane1(in.A), st.get(lane1(in.B)))
 		case in.A.Kind == isa.KindXMM:
-			v := memGet(in.B.Mem, true)
+			v := memGet(1)
 			assign(lane0(in.A), v)
 			assign(lane1(in.A), v)
 		default:
-			memSet(in.A.Mem, true, st.get(lane0(in.B)) || st.get(lane1(in.B)))
+			memSet(0, st.get(lane0(in.B)) || st.get(lane1(in.B)))
 		}
 	case isa.MOVQ:
 		if in.A.Kind == isa.KindXMM {
@@ -269,7 +303,7 @@ func (a *analysis) flagStepFor(i int, st bitset, singles map[uint64]bool, precis
 		if in.B.Kind == isa.KindXMM {
 			b0, b1 = st.get(lane0(in.B)), st.get(lane1(in.B))
 		} else {
-			v := memGet(in.B.Mem, true)
+			v := memGet(1)
 			b0, b1 = v, v
 		}
 		assign(lane0(in.A), st.get(lane0(in.A)) || b0)
@@ -318,7 +352,7 @@ func (a *analysis) flagStepFor(i int, st bitset, singles map[uint64]bool, precis
 // destination may be stamped; a GPR destination (CVTTSD2SI) receives a
 // plain integer. Memory sources are promoted by the snippet, never
 // stamped in place.
-func (a *analysis) flagCandidate(in isa.Instr, st bitset) {
+func (a *analysis) flagCandidate(in *isa.Instr, st bitset) {
 	packed := isa.IsPacked(in.Op)
 	mark := func(op isa.Operand) {
 		if op.Kind != isa.KindXMM {
@@ -351,7 +385,7 @@ func (a *analysis) flagCandidate(in isa.Instr, st bitset) {
 // any flagged input first) or a plain integer — is clean. Memory
 // destinations are left untouched, conservatively preserving any prior
 // maybe-flagged state.
-func (a *analysis) flagDouble(in isa.Instr, st bitset) {
+func (a *analysis) flagDouble(in *isa.Instr, st bitset) {
 	if !isa.WritesDst(in.Op) {
 		return
 	}
@@ -367,39 +401,29 @@ func (a *analysis) flagDouble(in isa.Instr, st bitset) {
 }
 
 // cleanInputs reports whether no floating-point input of candidate i can
-// be flagged under any configuration.
+// be flagged under the flagReach result flagIn.
 func (a *analysis) cleanInputs(i int, flagIn []bitset) bool {
-	return a.cleanInputsPrec(i, flagIn, false)
-}
-
-// cleanInputsPrec is cleanInputs with the memory model matching the
-// flagReachFor call that produced flagIn.
-func (a *analysis) cleanInputsPrec(i int, flagIn []bitset, precise bool) bool {
-	oc := a.cleanOperandsPrec(i, flagIn, precise)
+	oc := a.cleanOperands(i, flagIn)
 	return oc.Src && oc.Dst
 }
 
-// cleanOperandsPrec splits cleanInputsPrec per operand: Src is the B
-// (source) operand, Dst the destination-read-as-source operand of
-// dst-is-source ops. An operand the instruction does not read as
-// floating-point input is trivially clean.
-func (a *analysis) cleanOperandsPrec(i int, flagIn []bitset, precise bool) OperandClean {
-	in := a.instrs[i]
+// cleanOperands splits cleanInputs per operand: Src is the B (source)
+// operand, Dst the destination-read-as-source operand of dst-is-source
+// ops. An operand the instruction does not read as floating-point input
+// is trivially clean.
+func (a *analysis) cleanOperands(i int, flagIn []bitset) OperandClean {
+	in := &a.instrs[i]
 	oc := OperandClean{Src: true, Dst: true}
 	if !isa.ConsumesFP(in.Op) {
 		// Producers (CVTSI2SD) read an integer register: trivially clean.
 		return oc
-	}
-	resolve := a.memLocs
-	if precise {
-		resolve = a.memLocsPrec
 	}
 	st := flagIn[i]
 	if st == nil {
 		return oc // bottom: nothing reaches the instruction flagged
 	}
 	packed := isa.IsPacked(in.Op)
-	check := func(op isa.Operand) bool {
+	check := func(op isa.Operand, k int) bool {
 		switch op.Kind {
 		case isa.KindXMM:
 			if st.get(laneLoc(op.Reg, 0)) {
@@ -409,8 +433,7 @@ func (a *analysis) cleanOperandsPrec(i int, flagIn []bitset, precise bool) Opera
 				return false
 			}
 		case isa.KindMem:
-			locs, _ := resolve(op.Mem, packed)
-			for _, l := range locs {
+			for _, l := range a.flagMem[2*i+k].locs {
 				if st.get(l) {
 					return false
 				}
@@ -418,9 +441,43 @@ func (a *analysis) cleanOperandsPrec(i int, flagIn []bitset, precise bool) Opera
 		}
 		return true
 	}
-	oc.Src = check(in.B)
+	oc.Src = check(in.B, 1)
 	if isa.DstIsSource(in.Op) {
-		oc.Dst = check(in.A)
+		oc.Dst = check(in.A, 0)
 	}
 	return oc
+}
+
+// memLoc is a memory operand resolved for the flag pass: the locations
+// it may touch, and whether a store may strongly update them.
+type memLoc struct {
+	locs   []int
+	direct bool
+}
+
+// resolveFlagMem resolves every memory operand of the module once, under
+// the precise (memLocsPrec) or the conservative (memLocs) model, into
+// flagMem: entry 2i is instruction i's A operand, 2i+1 its B operand.
+// The flag pass reads a 16-byte access (MOVAPD, the packed bitwise ops
+// and packed candidates) as wide.
+func (a *analysis) resolveFlagMem(precise bool) {
+	resolve := a.memLocs
+	if precise {
+		resolve = a.memLocsPrec
+	}
+	a.flagMem = make([]memLoc, 2*len(a.instrs))
+	for i := range a.instrs {
+		in := &a.instrs[i]
+		wide := isa.IsPacked(in.Op)
+		switch in.Op {
+		case isa.MOVAPD, isa.ANDPD, isa.ORPD, isa.XORPD:
+			wide = true
+		}
+		for k, op := range [2]*isa.Operand{&in.A, &in.B} {
+			if op.Kind == isa.KindMem {
+				locs, direct := resolve(op.Mem, wide)
+				a.flagMem[2*i+k] = memLoc{locs: locs, direct: direct}
+			}
+		}
+	}
 }

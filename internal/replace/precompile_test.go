@@ -112,7 +112,7 @@ func TestPrecompileMatchesInstrumentMap(t *testing.T) {
 				}
 				oracle.MaxSteps = bench.MaxSteps
 				oerr := oracle.Run()
-				lp, err := il.Assemble(ch)
+				lp, err := il.Assemble(nil, ch)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -22,7 +22,7 @@ const (
 	// run of the base configuration is snapshotted at every candidate
 	// site's first execution, each sibling configuration is assembled
 	// incrementally over a stable slotted layout and evaluated from its
-	// fork-point snapshot on a pooled machine, and duplicate address
+	// fork-point snapshot on a kept evaluation slot, and duplicate address
 	// sets are memoized. Chaos-armed runs, retries and a failed donor
 	// pass run the same assembly, fully wrapped, from the entry point.
 	// Deterministic failing verdicts skip the confirmation re-run

@@ -78,12 +78,10 @@ type forkEngine struct {
 	// scratch path always does.
 	fa *dataflow.FlagAnalysis
 
-	// pool holds the evaluation machines, dirty-page tracked: a forked
-	// run never snapshots, but tracking keeps every restore differential
-	// — cheaper than re-copying the full page vector per evaluation,
-	// since a run leaves the read-mostly pages clean. A scratch run
-	// rewinds the same machines (ResetTo forgets page provenance).
-	pool sync.Pool // *vm.Machine, dirty-page tracked
+	// slots are the evaluation slots not in use, kept for the engine's
+	// lifetime (see evalSlot); slotMu guards the list.
+	slotMu sync.Mutex
+	slots  []*evalSlot
 
 	mu         sync.Mutex
 	donorTried bool
@@ -91,15 +89,53 @@ type forkEngine struct {
 }
 
 // donorState is the completed donor pass: the base configuration's
-// verdict, its per-site variant vector (what every sibling is diffed
-// against to find its fork point) and, per site, the step count and
-// snapshot at its first dynamic execution (snap nil when the donor never
-// executed the site).
+// verdict and, per site, the step count and snapshot at its first
+// dynamic execution (snap nil when the donor never executed the site).
 type donorState struct {
 	pass  bool
 	steps uint64
-	ch    []int
 	touch []donorTouch
+}
+
+// evalSlot is what one evaluation in flight owns: its machine, dirty-page
+// tracked, its assembly buffer, its flag query and its variant vector.
+// The engine keeps every slot it made on a free list for its lifetime,
+// so a warm evaluation allocates nothing. A sync.Pool would not do: every
+// GC empties it, and a fresh machine pays a full memory image and a
+// restore that copies every page, where a kept machine's restore stays
+// differential — a forked run never snapshots, but tracking leaves the
+// read-mostly pages clean, so a restore copies only what the previous
+// run wrote. A scratch run rewinds the same machine (ResetTo forgets
+// page provenance).
+type evalSlot struct {
+	m  vm.Machine
+	lp *vm.Program // the assembly buffer; nil before the first assembly
+	fq *dataflow.FlagQuery
+	ch []int
+}
+
+// getSlot takes a free slot, or makes one.
+func (e *forkEngine) getSlot() *evalSlot {
+	e.slotMu.Lock()
+	defer e.slotMu.Unlock()
+	n := len(e.slots)
+	if n == 0 {
+		s := &evalSlot{ch: make([]int, len(e.sites))}
+		if e.fa != nil {
+			s.fq = e.fa.NewQuery()
+		}
+		return s
+	}
+	s := e.slots[n-1]
+	e.slots = e.slots[:n-1]
+	return s
+}
+
+// putSlot returns a slot to the free list.
+func (e *forkEngine) putSlot(s *evalSlot) {
+	e.slotMu.Lock()
+	e.slots = append(e.slots, s)
+	e.slotMu.Unlock()
 }
 
 type donorTouch struct {
@@ -134,13 +170,11 @@ func newForkEngine(t Target, noCompile bool) (*forkEngine, error) {
 	if err != nil {
 		fa = nil // no elision: every double site keeps its wrapper
 	}
-	e := &forkEngine{
+	return &forkEngine{
 		t: t, il: il,
 		sites: sp.Sites, oldAddrs: oldAddrs, siteIdx: siteIdx, addrIdx: addrIdx,
 		noCompile: noCompile, sourcePC: sp.SourceAddr, fa: fa,
-	}
-	e.pool.New = func() any { return &vm.Machine{} }
-	return e, nil
+	}, nil
 }
 
 // choices maps an effective-precision map to the per-site variant vector,
@@ -150,19 +184,19 @@ func newForkEngine(t Target, noCompile bool) (*forkEngine, error) {
 // this configuration's single set take the bare variant instead of the
 // wrapper — bit-identical outputs, roughly half the instructions — and
 // sites with exactly one proven-clean operand take the narrowed wrapper
-// checking only the other one, when the site has a shorter one.
-func (e *forkEngine) choices(eff map[uint64]config.Precision, elide bool) ([]int, error) {
+// checking only the other one, when the site has a shorter one. The
+// vector is the slot's, valid until its next choices.
+func (e *forkEngine) choices(slot *evalSlot, eff map[uint64]config.Precision, elide bool) ([]int, error) {
 	var oc []dataflow.OperandClean // per site
-	if elide && e.fa != nil {
-		singles := make(map[uint64]bool)
+	if elide && slot.fq != nil {
 		for a, p := range eff {
 			if p == config.Single {
-				singles[a] = true
+				slot.fq.Single(a)
 			}
 		}
-		oc = e.fa.CleanOperandsUnder(singles, e.oldAddrs)
+		oc = slot.fq.CleanOperandsUnder(e.oldAddrs)
 	}
-	ch := make([]int, len(e.sites))
+	ch := slot.ch
 	for i := range e.sites {
 		s := &e.sites[i]
 		p, ok := eff[s.OldAddr]
@@ -196,8 +230,11 @@ func (e *forkEngine) choices(eff map[uint64]config.Precision, elide bool) ([]int
 // under dirty-page tracking, stopping at every candidate slot to snapshot
 // the shared prefix. Any donor irregularity — assembly failure, a faulting
 // base run — disables forking for the whole search rather than erroring:
-// every evaluation then runs from scratch.
-func (e *forkEngine) ensureDonor(eff map[uint64]config.Precision) *donorState {
+// every evaluation then runs from scratch. The pass runs on slot's
+// machine, which the slot's evaluation then restores: its memory image
+// and page provenance are the last snapshot's, so that restore copies
+// only what differs.
+func (e *forkEngine) ensureDonor(slot *evalSlot, eff map[uint64]config.Precision) *donorState {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.donorTried {
@@ -217,18 +254,21 @@ func (e *forkEngine) ensureDonor(eff map[uint64]config.Precision) *donorState {
 		}
 		stops = append(stops, i)
 	}
-	ch, err := e.choices(donorEff, true)
-	if err != nil {
-		return nil
-	}
 	// Only the donor splits blocks at the slot bases: its stops are then
 	// served from the compiled dispatch loop. Siblings run Link's
-	// partition and enter their fork slot mid-block.
-	lp, err := e.il.Assemble(ch, stops...)
+	// partition and enter their fork slot mid-block. The donor's program
+	// is not assembled into a slot buffer: its snapshots index its
+	// stream.
+	ch, err := e.choices(slot, donorEff, true)
 	if err != nil {
 		return nil
 	}
-	m := &vm.Machine{}
+	lp, err := e.il.Assemble(nil, ch, stops...)
+	if err != nil {
+		return nil
+	}
+	m := &slot.m
+	defer m.ClearStops()
 	m.ResetTo(lp)
 	m.TrackDirtyPages()
 	m.MaxSteps = e.t.MaxSteps
@@ -257,18 +297,28 @@ func (e *forkEngine) ensureDonor(eff map[uint64]config.Precision) *donorState {
 		touch[i] = donorTouch{steps: st.Steps, snap: snap}
 		m.ClearStop(st.PC)
 	}
-	e.donor = &donorState{pass: e.t.Verify(m.Out), steps: m.Steps, ch: ch, touch: touch}
+	e.donor = &donorState{pass: e.t.Verify(m.Out), steps: m.Steps, touch: touch}
 	return e.donor
 }
 
+// evaluate runs one request on a free slot. A slot goes back to the free
+// list only when its evaluation returns: one a panic left mid-assembly
+// or mid-query is dropped (the settler recovers the panic).
 func (e *forkEngine) evaluate(req evalRequest) (outcome, error) {
+	s := e.getSlot()
+	out, err := e.evaluateOn(s, req)
+	e.putSlot(s)
+	return out, err
+}
+
+func (e *forkEngine) evaluateOn(s *evalSlot, req evalRequest) (outcome, error) {
 	// Chaos-armed runs and post-fault retries evaluate from scratch,
 	// never from a snapshot.
 	var d *donorState
 	if req.trapAfter == 0 && req.attempt == 0 {
-		d = e.ensureDonor(req.eff)
+		d = e.ensureDonor(s, req.eff)
 	}
-	ch, err := e.choices(req.eff, d != nil)
+	ch, err := e.choices(s, req.eff, d != nil)
 	if err != nil {
 		return outcome{}, err
 	}
@@ -298,12 +348,12 @@ func (e *forkEngine) evaluate(req evalRequest) (outcome, error) {
 		snap = d.touch[fork].snap
 	}
 
-	lp, err := e.il.Assemble(ch)
+	lp, err := e.il.Assemble(s.lp, ch)
 	if err != nil {
 		return outcome{}, err
 	}
-	m := e.pool.Get().(*vm.Machine)
-	defer e.pool.Put(m)
+	s.lp = lp
+	m := &s.m
 	m.TrackDirtyPages()
 	if snap == nil {
 		m.ResetTo(lp)

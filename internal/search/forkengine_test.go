@@ -163,7 +163,7 @@ func TestForkWholeMachineIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := fe.ensureDonor(map[uint64]config.Precision{})
+	d := fe.ensureDonor(fe.getSlot(), map[uint64]config.Precision{})
 	if d == nil {
 		t.Fatal("donor pass unavailable")
 	}
@@ -174,11 +174,11 @@ func TestForkWholeMachineIdentity(t *testing.T) {
 		}
 		tested++
 		eff := map[uint64]config.Precision{fe.sites[i].OldAddr: config.Single}
-		ch, err := fe.choices(eff, true)
+		ch, err := fe.choices(fe.getSlot(), eff, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lp, err := fe.il.Assemble(ch)
+		lp, err := fe.il.Assemble(nil, ch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,11 +262,11 @@ func TestStableLayoutDifferential(t *testing.T) {
 		effs = append(effs, eff)
 	}
 	run := func(elide bool, eff map[uint64]config.Precision, max uint64) (*vm.Machine, error) {
-		ch, err := fe.choices(eff, elide)
+		ch, err := fe.choices(fe.getSlot(), eff, elide)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lp, err := fe.il.Assemble(ch)
+		lp, err := fe.il.Assemble(nil, ch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -515,7 +515,7 @@ func TestForkFaultPCsAreSourceAddresses(t *testing.T) {
 	}
 	site := fe.siteIdx[f.Instrs[3].Addr]
 	eff := map[uint64]config.Precision{f.Instrs[3].Addr: config.Single}
-	d := fe.ensureDonor(eff)
+	d := fe.ensureDonor(fe.getSlot(), eff)
 	if d == nil || d.touch[site].snap == nil {
 		t.Fatal("donor pass did not reach the site")
 	}
@@ -585,7 +585,7 @@ func TestForkMidBlockRestoreOnKernels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d := fe.ensureDonor(map[uint64]config.Precision{})
+			d := fe.ensureDonor(fe.getSlot(), map[uint64]config.Precision{})
 			if d == nil {
 				t.Fatal("donor pass unavailable")
 			}
@@ -596,11 +596,11 @@ func TestForkMidBlockRestoreOnKernels(t *testing.T) {
 					continue
 				}
 				tested++
-				ch, err := fe.choices(map[uint64]config.Precision{fe.sites[i].OldAddr: config.Single}, true)
+				ch, err := fe.choices(fe.getSlot(), map[uint64]config.Precision{fe.sites[i].OldAddr: config.Single}, true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				lp, err := fe.il.Assemble(ch)
+				lp, err := fe.il.Assemble(nil, ch)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -66,7 +66,7 @@ type Options struct {
 	// Engine selects the evaluation backend (default EngineFork: the
 	// fork-point engine; EngineOff: the from-scratch oracle).
 	Engine EngineMode
-	// NoCompile keeps the fork engine but forces its pooled machines
+	// NoCompile keeps the fork engine but forces its slot machines
 	// onto the per-step interpreter tier instead of the compiled
 	// direct-threaded engine (fpsearch -nocompile). Differential-testing
 	// escape hatch: results are byte-identical either way, only slower.
@@ -585,6 +585,17 @@ func Run(t Target, opts Options) (*Result, error) {
 	}
 	results := make(chan evalRes)
 	inflight := 0
+	// parked holds the speculative verdicts waiting on the analysis off
+	// the loop; each comes back through resolved once it has finished.
+	resolved := make(chan evalRes)
+	parked := 0
+	park := func(r evalRes) {
+		parked++
+		go func() {
+			<-analyzed
+			resolved <- r
+		}()
+	}
 	launch := func(p *Piece, key string, speculative bool) {
 		inflight++
 		go func() {
@@ -599,6 +610,9 @@ func Run(t Target, opts Options) (*Result, error) {
 	fail := func(err error) (*Result, error) {
 		for ; inflight > 0; inflight-- {
 			<-results
+		}
+		for ; parked > 0; parked-- {
+			<-resolved
 		}
 		sortPassing(res.Passing)
 		res.Final = nil
@@ -682,7 +696,7 @@ func Run(t Target, opts Options) (*Result, error) {
 				if err := opts.Checkpoint.record(key, jv); err != nil {
 					return fmt.Errorf("search: checkpoint write: %w", err)
 				}
-				if st == stEval && inflight == 0 {
+				if st == stEval && inflight+parked == 0 {
 					// A write-batch boundary: every launched unit has
 					// settled, so fsync the batch.
 					if err := opts.Checkpoint.Sync(); err != nil {
@@ -734,7 +748,7 @@ func Run(t Target, opts Options) (*Result, error) {
 		return nil
 	}
 
-	for q.Len() > 0 || inflight > 0 {
+	for q.Len() > 0 || inflight > 0 || parked > 0 {
 		for q.Len() > 0 && inflight < opts.Workers && !interrupted() {
 			p := heap.Pop(q).(*Piece)
 			key := addrKey(p.Addrs)
@@ -754,14 +768,33 @@ func Run(t Target, opts Options) (*Result, error) {
 				return fail(err)
 			}
 		}
-		if inflight == 0 {
+		if inflight+parked == 0 {
 			if interrupted() {
 				break
 			}
 			continue // memo replay may have emptied or refilled the queue
 		}
-		r := <-results
-		inflight--
+		var r evalRes
+		select {
+		case r = <-results:
+			inflight--
+		case r = <-resolved:
+			parked--
+		}
+		if r.speculative && !proverReady() && inflight+parked > 0 {
+			// Other units are running or waiting: keep settling and
+			// launching while the analysis finishes. A proved piece's run
+			// is bit for bit the verified baseline's, so a clean run that
+			// fails verification is never proved and settles now; every
+			// other verdict waits for the analysis off the loop. With no
+			// other unit in flight the loop waits for it below, as a
+			// single-worker search always does.
+			if r.err != nil || r.v.Failure != FailVerify {
+				park(r)
+				continue
+			}
+			r.speculative = false
+		}
 		if r.speculative {
 			// Resolve the speculation exactly as the prover stage would
 			// have: a proved piece settles as proved whatever its unit

@@ -13,7 +13,9 @@ import (
 
 	"fpmix/internal/config"
 	"fpmix/internal/errbound"
+	"fpmix/internal/kernels"
 	"fpmix/internal/prog"
+	"fpmix/internal/shadow"
 )
 
 // The prover's analysis runs beside evaluation: pieces reaching the
@@ -107,6 +109,91 @@ func TestSpeculativeProverDeterministic(t *testing.T) {
 				t.Errorf("-noprove search ran the analysis")
 			}
 		})
+	}
+}
+
+// earlyUnits evaluates units through r, counting the piece units
+// launched while the prover's analysis is pending; the third closes
+// third.
+type earlyUnits struct {
+	r       *UnitRunner
+	pending atomic.Bool
+	early   atomic.Int32
+	third   chan struct{}
+}
+
+func (e *earlyUnits) EvaluateUnit(u EvalUnit) (Verdict, error) {
+	if !u.Final && e.pending.Load() && e.early.Add(1) == 3 {
+		close(e.third)
+	}
+	return e.r.Evaluate(u)
+}
+
+// TestSpeculativeFailuresDoNotWaitForProver: on mg under sensitivity
+// guidance the gate splits the root, both module halves launch while the
+// prover's analysis is pending, and both fail verification. A failing
+// clean run is never a proved piece, so the first half to fail settles
+// while the other is in flight, and its children launch before the
+// analysis ends: the held-back analysis waits for a third piece unit to
+// launch (for at most a minute). The search still composes the final
+// configuration, tested and proved counts of one whose analysis finished
+// first.
+func TestSpeculativeFailuresDoNotWaitForProver(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two mg searches")
+	}
+	bench, err := kernels.Get("mg", kernels.ClassW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt := kernelTarget(t, "mg")
+	sh, err := shadow.Collect("mg.W", tgt.Module, tgt.MaxSteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{
+		Workers: 2, Granularity: config.KindInsn, BinarySplit: true, Prioritize: true,
+		Engine: EngineFork, Shadow: sh, SensThreshold: bench.SensTol,
+	}
+	var calls atomic.Int32
+	fast := opts
+	fast.testAnalyze = analyzeHook(0, &calls)
+	want, err := Run(tgt, fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	runner, err := NewUnitRunner(tgt, Options{Engine: EngineFork})
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := &earlyUnits{r: runner, third: make(chan struct{})}
+	units.pending.Store(true)
+	var waited atomic.Bool
+	slow := opts
+	slow.Units = units
+	slow.testAnalyze = func(m *prog.Module) (*errbound.Analysis, error) {
+		select {
+		case <-units.third:
+		case <-time.After(time.Minute):
+			waited.Store(true)
+		}
+		defer units.pending.Store(false)
+		return errbound.Analyze(m, errbound.Options{})
+	}
+	got, err := Run(tgt, slow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if waited.Load() {
+		t.Errorf("only %d piece units launched while the analysis was pending, want 3", units.early.Load())
+	}
+	if got.Final.String() != want.Final.String() || got.FinalPass != want.FinalPass {
+		t.Error("final configuration depends on analysis timing")
+	}
+	if got.Tested != want.Tested || got.Proved != want.Proved {
+		t.Errorf("tested/proved %d/%d with the analysis held back, %d/%d without",
+			got.Tested, got.Proved, want.Tested, want.Proved)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -101,8 +102,8 @@ type block struct {
 }
 
 // compiled is the direct-threaded form of a linked program. Like the
-// Program that owns it, it is immutable after Link and shared by every
-// machine executing the program.
+// Program that owns it, it is immutable after Link (or an assembly) and
+// shared by every machine executing the program.
 type compiled struct {
 	blocks []block
 	// blockOf maps an instruction index to the index of the block
@@ -117,6 +118,10 @@ type compiled struct {
 	// arms lists the guarded arms of every block, in index order; arm k's
 	// executions count in Machine.armExec[k].
 	arms []armSpan
+	// bodies is the slab every block's body is carved from, and takenIdx
+	// the builder's scratch; both are kept for a rebuild to reuse.
+	bodies   []microOp
+	takenIdx []int32
 }
 
 // bodyEnd is the index one past b's last body instruction: the
@@ -160,7 +165,7 @@ func endsBlock(op isa.Op) bool {
 // requires lp.targets and lp.costs to be populated.
 func compileProgram(lp *Program) *compiled {
 	ops, fused := compileFrag(lp.instrs, false)
-	return compileProgramWith(lp, ops, fused, nil)
+	return compileProgramWith(nil, lp, ops, fused, nil)
 }
 
 // compileProgramWith is compileProgram over pre-compiled micro-ops: ops[i]
@@ -175,6 +180,10 @@ func compileProgram(lp *Program) *compiled {
 // superinstruction is taken only when its whole span lies inside the block
 // body, so no fused op ever spans a leader.
 //
+// c is the stream to rebuild: nil allocates a new one, and the incremental
+// linker passes its buffer's previous stream, whose leader, blockOf,
+// block, body and arm arrays are refilled in place.
+//
 // extraLeaders lists additional instruction indices to begin basic blocks
 // at. The incremental linker passes the slot bases of the sites its
 // caller splits — only the donor pass, which arms a breakpoint stop at
@@ -182,10 +191,19 @@ func compileProgram(lp *Program) *compiled {
 // the compiled tier (see runCompiled). Each extra split costs one more
 // dispatch every time a run crosses it, so every other assembly passes
 // none. The shadow stream passes its program's own leaders.
-func compileProgramWith(lp *Program, ops []microOp, fused []fusedOp, extraLeaders []int32) *compiled {
+func compileProgramWith(c *compiled, lp *Program, ops []microOp, fused []fusedOp, extraLeaders []int32) *compiled {
 	instrs := lp.instrs
 	n := len(instrs)
-	c := &compiled{leader: make([]bool, n), blockOf: make([]int32, n), fused: fused}
+	if c == nil {
+		c = new(compiled)
+	}
+	c.leader = grow(c.leader, n)
+	clear(c.leader)
+	c.blockOf = grow(c.blockOf, n)
+	clear(c.blockOf)
+	c.fused = fused
+	c.blocks = c.blocks[:0]
+	c.arms = c.arms[:0]
 	if n == 0 {
 		return c
 	}
@@ -217,17 +235,16 @@ func compileProgramWith(lp *Program, ops []microOp, fused []fusedOp, extraLeader
 			lead(t)
 		}
 	}
-	fused, guards := legalGuards(lp, fused, refs, c.leader)
+	fused = legalGuards(lp, fused, refs, c.leader)
 	c.fused = fused
-	c.arms = make([]armSpan, 0, guards)
 	// Every block's body is carved out of one slab (a body never holds
-	// more micro-ops than instructions). Blocks are built in index order,
-	// so one cursor walks the superinstructions.
-	bodies := make([]microOp, 0, n)
+	// more micro-ops than instructions, so it never moves). Blocks are
+	// built in index order, so one cursor walks the superinstructions.
+	bodies := slices.Grow(c.bodies[:0], n)
 	fc, gc := fuseCursor(fused), fuseCursor(fused)
 	// takenIdx[id] remembers each block's taken-target instruction index
 	// until every block exists and pointers can be resolved.
-	var takenIdx []int32
+	takenIdx := c.takenIdx[:0]
 	for start := 0; start < n; start++ {
 		if !c.leader[start] {
 			// Instructions not reachable by fall-through from any leader
@@ -316,6 +333,7 @@ func compileProgramWith(lp *Program, ops []microOp, fused []fusedOp, extraLeader
 		c.blocks = append(c.blocks, b)
 		takenIdx = append(takenIdx, taken)
 	}
+	c.bodies, c.takenIdx = bodies, takenIdx
 	// Second pass: resolve successor pointers now that the block array is
 	// stable. Branch/call targets and fall-through continuations are
 	// always leaders by construction, so blockOf addresses them exactly.
@@ -357,10 +375,12 @@ func (m *Machine) runCompiled(max uint64) error {
 		c = m.lp.shadowStream()
 	}
 	if len(m.blkExec) != len(c.blocks) {
-		m.blkExec = make([]uint64, len(c.blocks))
+		m.blkExec = grow(m.blkExec, len(c.blocks))
+		clear(m.blkExec)
 	}
 	if len(m.armExec) != len(c.arms) {
-		m.armExec = make([]uint64, len(c.arms))
+		m.armExec = grow(m.armExec, len(c.arms))
+		clear(m.armExec)
 	}
 	defer m.flushBlockCounts(c, m.Steps)
 	// An armed stop set is served at block dispatch when every stop

@@ -24,10 +24,11 @@ func CrossSlotPatterns() []string {
 	}
 }
 
-// AgreeWithLink checks that il.Assemble(ch, split...) equals Link of the
-// same flattened stream — blocks, superinstructions, folds and the final
-// machine — as TestIncrementalAssembleAgreesWithLink does, and returns
-// how many superinstructions span a fragment boundary.
-func AgreeWithLink(t *testing.T, label string, il *IncrementalLinker, sites []IncrementalSite, ch, split []int) int {
-	return agreeWithLink(t, label, il, sites, ch, split)
+// AgreeWithLink checks that il.Assemble(dst, ch, split...) equals Link of
+// the same flattened stream — blocks, superinstructions, folds and the
+// final machine — and, into a buffer, a fresh assembly, as
+// TestIncrementalAssembleAgreesWithLink does, and returns how many
+// superinstructions span a fragment boundary.
+func AgreeWithLink(t *testing.T, label string, il *IncrementalLinker, sites []IncrementalSite, dst *Program, ch, split []int) int {
+	return agreeWithLink(t, label, il, sites, dst, ch, split)
 }

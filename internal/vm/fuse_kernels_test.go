@@ -85,7 +85,7 @@ func TestFusePatternsFireOnKernels(t *testing.T) {
 					ch[k] = replace.VariantDouble
 				}
 			}
-			lp, err := il.Assemble(ch)
+			lp, err := il.Assemble(nil, ch)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -788,7 +788,7 @@ func fuseLoopPrograms(t *testing.T) map[string]*Program {
 		chs = append(chs, ch)
 	}
 	for ci, ch := range chs {
-		lp, err := il.Assemble(ch)
+		lp, err := il.Assemble(nil, ch)
 		if err != nil {
 			t.Fatal(err)
 		}

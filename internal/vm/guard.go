@@ -192,7 +192,7 @@ func watchGuards(fused []fusedOp, refs []int32) {
 }
 
 // legalGuards returns fused without the guard candidates not legal in lp,
-// reusing fused's array, and how many guards it kept. A guard is kept when
+// reusing fused's array. A guard is kept when
 // its branch resolves to its join, refs (watchGuards) shows nothing but
 // that branch entering (head, join], and no other superinstruction
 // starting before its head reaches past it (so the block builder's walk
@@ -201,8 +201,8 @@ func watchGuards(fused []fusedOp, refs []int32) {
 // right after its check: an earlier candidate's span overlaps a later
 // one's only with its join inside it, which already makes the later one
 // illegal.
-func legalGuards(lp *Program, fused []fusedOp, refs []int32, leader []bool) ([]fusedOp, int) {
-	w, kept := 0, 0   // fused[:w] is kept; entries move only after a drop
+func legalGuards(lp *Program, fused []fusedOp, refs []int32, leader []bool) []fusedOp {
+	w := 0            // fused[:w] is kept; entries move only after a drop
 	reach := int32(0) // the furthest end of the other superinstructions so far
 	for k := range fused {
 		f := &fused[k]
@@ -218,7 +218,6 @@ func legalGuards(lp *Program, fused []fusedOp, refs []int32, leader []bool) ([]f
 			clear(refs[f.at+1 : join+1])
 			if ok {
 				leader[f.at+guardArm], leader[join] = false, false
-				kept++
 			}
 		}
 		if ok {
@@ -228,5 +227,5 @@ func legalGuards(lp *Program, fused []fusedOp, refs []int32, leader []bool) ([]f
 			w++
 		}
 	}
-	return fused[:w], kept
+	return fused[:w]
 }

@@ -113,7 +113,7 @@ func TestGuardLegalityAndParity(t *testing.T) {
 		lp, _ := guardProgram(t, a.jcc, a.arm, -1)
 		for pin := 1; pin <= join; pin++ {
 			ops, fused := compileFrag(lp.instrs, false)
-			c := compileProgramWith(lp, ops, fused, []int32{int32(pin)})
+			c := compileProgramWith(nil, lp, ops, fused, []int32{int32(pin)})
 			if got, want := len(c.arms) == 1, a.guarded && pin < 2; got != want {
 				t.Errorf("%s, leader pinned at %d: guarded %v, want %v", name, pin, got, want)
 			}

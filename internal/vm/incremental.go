@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -260,6 +261,16 @@ func (il *IncrementalLinker) Module() *prog.Module { return il.mod }
 // Link finds in the same flattened stream — with the stable slotted
 // address map shared by every assembly.
 //
+// dst is the buffer to assemble into: nil allocates a new Program, and a
+// Program from an earlier Assemble is overwritten in place, its
+// instruction, cost, target, micro-op and superinstruction arrays and its
+// compiled blocks reused, so a warm assembly into a buffer allocates
+// nothing. A Program assembled into a buffer stays valid until that
+// buffer's next assembly: the caller must not assemble into a buffer
+// while a machine runs its program or another goroutine reads it. A
+// failed assembly leaves dst unchanged when the choices or split sites
+// are out of range.
+//
 // split names the sites whose slot bases must begin a basic block: a
 // breakpoint stop there is then served from the compiled tier's dispatch
 // loop instead of routing the run per-step. Only a run that arms such
@@ -268,13 +279,22 @@ func (il *IncrementalLinker) Module() *prog.Module { return il.mod }
 // the same flattened stream, so a run crosses each slot without an extra
 // dispatch; a machine restored at a slot base that lies mid-block steps
 // to the next leader, as after a RET into a block body.
-func (il *IncrementalLinker) Assemble(choices []int, split ...int) (*Program, error) {
+func (il *IncrementalLinker) Assemble(dst *Program, choices []int, split ...int) (*Program, error) {
 	if len(choices) != len(il.siteUnit) {
 		return nil, fmt.Errorf("vm: assemble: %d choices for %d sites", len(choices), len(il.siteUnit))
 	}
+	for _, k := range split {
+		if k < 0 || k >= len(il.siteUnit) {
+			return nil, fmt.Errorf("vm: assemble: split site %d of %d", k, len(il.siteUnit))
+		}
+	}
 	// Pass 1: pick fragments, lay out unit start indices.
-	frags := make([]*ilFrag, len(il.units))
-	starts := make([]int32, len(il.units)+1)
+	var scratch assembly
+	if dst != nil {
+		scratch = dst.asm
+	}
+	frags := grow(scratch.frags, len(il.units))
+	starts := grow(scratch.starts, len(il.units)+1)
 	n := int32(0)
 	for ui := range il.units {
 		u := &il.units[ui]
@@ -291,18 +311,26 @@ func (il *IncrementalLinker) Assemble(choices []int, split ...int) (*Program, er
 		n += int32(len(f.instrs))
 	}
 	starts[len(il.units)] = n
-	cross := il.crossFused(frags, choices)
+	lp := dst
+	if lp == nil {
+		lp = new(Program)
+	}
+	cross := il.crossFused(grow(scratch.cross, len(frags)), frags, choices)
 	nfused := 0
 	for ui, f := range frags {
 		nfused += len(f.fused) + len(cross[ui])
 	}
 
 	// Pass 2: concatenate the cached arrays and re-base branch targets.
-	instrs := make([]isa.Instr, n)
-	costs := make([]uint64, n)
-	ops := make([]microOp, n)
-	fused := make([]fusedOp, 0, nfused)
-	targets := make([]int32, n)
+	instrs := grow(lp.instrs, int(n))
+	costs := grow(lp.costs, int(n))
+	ops := grow(scratch.ops, int(n))
+	targets := grow(lp.targets, int(n))
+	var fused []fusedOp
+	if lp.compiled != nil {
+		fused = lp.compiled.fused[:0]
+	}
+	fused = slices.Grow(fused, nfused)
 	for i := range targets {
 		targets[i] = -1
 	}
@@ -325,34 +353,53 @@ func (il *IncrementalLinker) Assemble(choices []int, split ...int) (*Program, er
 			}
 		}
 	}
-
-	lp := &Program{
-		mod:     il.mod,
-		instrs:  instrs,
-		entry:   starts[il.entryUnit] + il.entryLocal,
-		targets: targets,
-		costs:   costs,
-	}
-	var slotLeaders []int32
+	slotLeaders := scratch.leaders[:0]
 	for _, k := range split {
-		if k < 0 || k >= len(il.siteUnit) {
-			return nil, fmt.Errorf("vm: assemble: split site %d of %d", k, len(il.siteUnit))
-		}
 		slotLeaders = append(slotLeaders, starts[il.siteUnit[k]])
 	}
-	lp.compiled = compileProgramWith(lp, ops, fused, slotLeaders)
+
+	lp.mod = il.mod
+	lp.instrs = instrs
+	lp.entry = starts[il.entryUnit] + il.entryLocal
+	lp.targets = targets
+	lp.costs = costs
+	// A reused buffer's shadow stream compiled its previous content.
+	lp.shadowOnce = sync.Once{}
+	lp.shadowed = nil
+	lp.compiled = compileProgramWith(lp.compiled, lp, ops, fused, slotLeaders)
+	lp.asm = assembly{frags: frags, starts: starts, cross: cross, ops: ops, leaders: slotLeaders}
 	return lp, nil
 }
 
-// crossFused returns, per unit, the superinstructions at its tail indices
-// (tailStart on; indexed within the unit's fragment), whose match windows
-// reach into the units after it; frags are the assembly's fragments. A
-// window's content is fixed by the variant choices of its unit (when a
-// site) and of every site until maxFuseSpan-1 instructions past the
-// unit's end, so those choices key the unit's cache. Every lookup runs
-// under one read lock; a miss matches its window once, outside the lock.
-func (il *IncrementalLinker) crossFused(frags []*ilFrag, choices []int) [][]fusedOp {
-	cross := make([][]fusedOp, len(frags))
+// assembly is the scratch Assemble keeps in the Program it assembles, so
+// the next assembly into that buffer reuses it.
+type assembly struct {
+	frags   []*ilFrag
+	starts  []int32
+	cross   [][]fusedOp
+	ops     []microOp
+	leaders []int32
+}
+
+// grow returns s resized to n elements, reusing its array when it is
+// large enough; the contents are the array's previous ones.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// crossFused fills cross (one entry per unit) with each unit's
+// superinstructions at its tail indices (tailStart on; indexed within the
+// unit's fragment), whose match windows reach into the units after it;
+// frags are the assembly's fragments. A window's content is fixed by the
+// variant choices of its unit (when a site) and of every site until
+// maxFuseSpan-1 instructions past the unit's end, so those choices key
+// the unit's cache. Every lookup runs under one read lock; a miss matches
+// its window once, outside the lock.
+func (il *IncrementalLinker) crossFused(cross [][]fusedOp, frags []*ilFrag, choices []int) [][]fusedOp {
+	clear(cross)
 	type miss struct {
 		ui, last int
 		key      string

@@ -107,7 +107,10 @@ func shapeOf(c *compiled, b *block) blockShape {
 // the slot boundary, and the same flag-test guards are legal), and the
 // blocks, fused spans, guarded arms and folded terminators must be those
 // of that stream compiled with the split slot bases as extra leaders.
-// Both programs must also run to identical machines.
+// Both programs must also run to identical machines. Every assembly is
+// repeated into a buffer last used for another configuration, which
+// must equal the fresh one and agree with Link the same way — its
+// shadow stream included.
 func TestIncrementalAssembleAgreesWithLink(t *testing.T) {
 	mods := map[string]*prog.Module{"loop": fuseLoopProgram(t), "calls": agreementCallProgram(t)}
 	r := rand.New(rand.NewSource(1401))
@@ -117,16 +120,29 @@ func TestIncrementalAssembleAgreesWithLink(t *testing.T) {
 			t.Fatalf("%s: no replacement sites", name)
 		}
 		all := everySite(len(sites))
+		chs := agreementChoices(sites, r)
+		buf, err := il.Assemble(nil, chs[len(chs)-1], all...)
+		if err != nil {
+			t.Fatal(err)
+		}
 		cross, guards := 0, 0
-		for ci, ch := range agreementChoices(sites, r) {
+		for ci, ch := range chs {
 			for _, split := range [][]int{nil, all} {
 				label := fmt.Sprintf("%s choices %d split %d", name, ci, len(split))
-				cross += agreeWithLink(t, label, il, sites, ch, split)
-				lp, err := il.Assemble(ch, split...)
+				cross += agreeWithLink(t, label, il, sites, nil, ch, split)
+				lp, err := il.Assemble(nil, ch, split...)
 				if err != nil {
 					t.Fatal(err)
 				}
 				guards += len(lp.compiled.arms)
+
+				// Build the buffer's shadow stream before reusing it: the
+				// assembly must drop it.
+				shadowRun(buf)
+				agreeWithLink(t, label+" into a reused buffer", il, sites, buf, ch, split)
+				if got, want := fmt.Sprint(shadowRun(buf)), fmt.Sprint(shadowRun(lp)); got != want {
+					t.Fatalf("%s: reused buffer's shadow records differ from a fresh assembly's", label)
+				}
 			}
 		}
 		if cross == 0 {
@@ -136,6 +152,14 @@ func TestIncrementalAssembleAgreesWithLink(t *testing.T) {
 			t.Errorf("%s: no assembly guards a flag-test diamond", name)
 		}
 	}
+}
+
+// shadowRun runs lp with the shadow pass on and returns its records.
+func shadowRun(lp *Program) []ShadowRecord {
+	m := lp.NewMachine()
+	m.EnableShadow()
+	_ = m.Run()
+	return m.ShadowRecords()
 }
 
 // everySite lists the indices of n sites: the donor pass's split set
@@ -149,13 +173,33 @@ func everySite(n int) []int {
 }
 
 // agreeWithLink checks one assembly of the agreement test: choices ch
-// with every site of split (nil or all of them) split at its slot base.
-// It returns how many superinstructions span a fragment boundary.
-func agreeWithLink(t *testing.T, label string, il *IncrementalLinker, sites []IncrementalSite, ch, split []int) int {
+// with every site of split (nil or all of them) split at its slot base,
+// assembled into dst (nil: a fresh program). An assembly into a buffer
+// must also equal a fresh one: instructions, costs, targets, leaders,
+// superinstructions and blocks. It returns how many superinstructions
+// span a fragment boundary.
+func agreeWithLink(t *testing.T, label string, il *IncrementalLinker, sites []IncrementalSite, dst *Program, ch, split []int) int {
 	t.Helper()
-	lpA, err := il.Assemble(ch, split...)
+	lpA, err := il.Assemble(dst, ch, split...)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if dst != nil {
+		if lpA != dst {
+			t.Fatalf("%s: assembly into a buffer returned another program", label)
+		}
+		fresh, err := il.Assemble(nil, ch, split...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(lpA.instrs, fresh.instrs) || !slices.Equal(lpA.costs, fresh.costs) ||
+			!slices.Equal(lpA.targets, fresh.targets) || lpA.entry != fresh.entry ||
+			!slices.Equal(lpA.compiled.leader, fresh.compiled.leader) {
+			t.Fatalf("%s: buffer assembly's instructions, costs, targets, entry or leaders differ from a fresh one", label)
+		}
+		if got, want := compiledShape(lpA.compiled), compiledShape(fresh.compiled); got != want {
+			t.Fatalf("%s: buffer assembly's superinstructions or blocks differ from a fresh one", label)
+		}
 	}
 	lpL, err := linkStream(il.Module(), slices.Clone(lpA.instrs))
 	if err != nil {
@@ -208,7 +252,7 @@ func agreeWithLink(t *testing.T, label string, il *IncrementalLinker, sites []In
 	// bases pinned, and the blocks built from them are those of the
 	// flattened stream with the split slot bases as extra leaders.
 	ops, fused := compileFrag(lpL.instrs, false)
-	ref := compileProgramWith(lpL, ops, fused, slotLeaders)
+	ref := compileProgramWith(nil, lpL, ops, fused, slotLeaders)
 	if got, want := fusedShapes(a.fused), fusedShapes(ref.fused); !slices.Equal(got, want) {
 		t.Fatalf("%s: assembled superinstructions differ from Link's (%d vs %d)", label, len(got), len(want))
 	}
@@ -322,11 +366,11 @@ func TestIncrementalUnsplitDispatchesFewerBlocks(t *testing.T) {
 		midBlock := 0
 		for ci, ch := range agreementChoices(sites, r) {
 			label := fmt.Sprintf("%s choices %d", name, ci)
-			split, err := il.Assemble(ch, all...)
+			split, err := il.Assemble(nil, ch, all...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			unsplit, err := il.Assemble(ch)
+			unsplit, err := il.Assemble(nil, ch)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -395,21 +439,29 @@ func TestIncrementalUnsplitDispatchesFewerBlocks(t *testing.T) {
 // from several goroutines sharing one linker, so its boundary
 // superinstruction cache fills concurrently (run under -race), and
 // requires every assembly to match the one a fresh linker builds alone:
-// same superinstructions, guards and blocks. A second round over the
-// warm cache must match too, and the guards must come from the cache:
-// every assembly of one configuration holds the same guard instances.
+// same superinstructions, guards and blocks. Each goroutine assembles
+// into its own buffer, as each fork-engine evaluation slot does, and runs
+// the program it assembled. A second round over the warm cache must match
+// too, and the guards must come from the cache: every assembly of one
+// configuration holds the same guard instances.
 func TestIncrementalConcurrentAssemble(t *testing.T) {
 	mod := fuseLoopProgram(t)
 	shared, sites := stableLinker(t, mod)
 	fresh, _ := stableLinker(t, mod)
 	chs := agreementChoices(sites, rand.New(rand.NewSource(2802)))
 	want := make([]string, len(chs))
+	wantOut := make([][]OutVal, len(chs))
 	for i, ch := range chs {
-		lp, err := fresh.Assemble(ch)
+		lp, err := fresh.Assemble(nil, ch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = compiledShape(lp.compiled)
+		m := lp.NewMachine()
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		wantOut[i] = m.Out
 	}
 	for round := 0; round < 2; round++ {
 		var wg sync.WaitGroup
@@ -418,15 +470,22 @@ func TestIncrementalConcurrentAssemble(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
+				var buf *Program
+				var m Machine
 				for k := range chs {
 					i := (k + g*len(chs)/4) % len(chs)
-					lp, err := shared.Assemble(chs[i])
+					lp, err := shared.Assemble(buf, chs[i])
 					if err != nil {
 						errs <- err.Error()
 						return
 					}
+					buf = lp
 					if got := compiledShape(lp.compiled); got != want[i] {
 						errs <- fmt.Sprintf("round %d goroutine %d: choices %d assembled differently", round, g, i)
+					}
+					m.ResetTo(lp)
+					if err := m.Run(); err != nil || !slices.Equal(m.Out, wantOut[i]) {
+						errs <- fmt.Sprintf("round %d goroutine %d: choices %d ran differently (%v)", round, g, i, err)
 					}
 				}
 			}(g)
@@ -441,7 +500,7 @@ func TestIncrementalConcurrentAssemble(t *testing.T) {
 	for i, ch := range chs {
 		var first []*guardOp
 		for n := 0; n < 2; n++ {
-			lp, err := shared.Assemble(ch)
+			lp, err := shared.Assemble(nil, ch)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -20,7 +20,9 @@ import (
 // concurrently; all mutable state lives in the Machine. Because the
 // compiled stream is immutable per program, Reset/ResetTo/rewind
 // invalidate nothing — a reset machine re-enters the same compiled
-// blocks.
+// blocks. The one exception is a buffer the incremental linker assembles
+// into (IncrementalLinker.Assemble): its next assembly overwrites it, so
+// its owner rebinds its machines (ResetTo, RestoreTo) after each one.
 type Program struct {
 	mod    *prog.Module
 	instrs []isa.Instr
@@ -40,6 +42,9 @@ type Program struct {
 	// on first use: most programs never run with the shadow on.
 	shadowOnce sync.Once
 	shadowed   *compiled
+	// asm is the incremental linker's scratch, reused by the next
+	// assembly into this program (zero on linked programs).
+	asm assembly
 }
 
 // Link validates m and builds its linked program.

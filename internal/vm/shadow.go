@@ -595,7 +595,7 @@ func (lp *Program) shadowStream() *compiled {
 				leaders = append(leaders, int32(i))
 			}
 		}
-		lp.shadowed = compileProgramWith(lp, ops, fused, leaders)
+		lp.shadowed = compileProgramWith(nil, lp, ops, fused, leaders)
 	})
 	return lp.shadowed
 }
