@@ -472,6 +472,31 @@ func BenchmarkVMThroughputCompiled(b *testing.B) {
 	}
 }
 
+// linked keeps BenchmarkLink's result live.
+var linked *vm.Program
+
+// BenchmarkLink measures vm.Link, which compiles a module into the
+// compiled tier's micro-ops, on the class-W base builds of lu, bt and
+// mg. Its allocs/op is the baseline for changes to the fusion families:
+// every fused instance costs closures and decoded structs at link time.
+func BenchmarkLink(b *testing.B) {
+	for _, name := range []string{"lu", "bt", "mg"} {
+		b.Run(name, func(b *testing.B) {
+			bench, err := kernels.Get(name, kernels.ClassW)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if linked, err = vm.Link(bench.Module); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkInstrument measures the binary rewriter itself.
 func BenchmarkInstrument(b *testing.B) {
 	bench, err := kernels.Get("bt", kernels.ClassW)

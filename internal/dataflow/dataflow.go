@@ -96,7 +96,9 @@ type RoundTrip struct {
 	Cyclic bool   // the widened value can flow back into the truncation's input
 }
 
-// Result holds the analysis of one module.
+// Result holds the analysis of one module. Analyze computes it once per
+// module and hands every caller the same value, so it is read-only: a
+// caller that wants a doctored result copies it and its Sites map first.
 type Result struct {
 	Module *prog.Module
 	Sites  map[uint64]Site
@@ -151,10 +153,6 @@ type analysis struct {
 	// memAll is every memory location: what an unresolved access may
 	// touch.
 	memAll []int
-
-	// flagMem is each memory operand resolved for the flag pass under
-	// one memory model (resolveFlagMem).
-	flagMem []memLoc
 }
 
 // extent is one array's byte range off the stable base, from the
@@ -166,24 +164,56 @@ func (a *analysis) summaryLoc() int     { return nRegLocs + len(a.slotOf) + len(
 func (a *analysis) stackLoc() int       { return a.summaryLoc() + 1 }
 func (a *analysis) extentLoc(e int) int { return a.stackLoc() + 1 + e }
 
-// analyses counts Analyze calls in this process.
-var analyses atomic.Int64
+// analyses and graphBuilds count, in this process, the dataflow results
+// and the supergraphs actually computed (memo hits excluded).
+var analyses, graphBuilds atomic.Int64
 
-// Analyses reports how many times Analyze has run in this process, so
-// callers can check that a pipeline analyzes each module once.
+// Analyses reports how many dataflow results have been computed in this
+// process, so callers can check that a pipeline analyzes each module
+// once. A memoized Analyze does not count.
 func Analyses() int64 { return analyses.Load() }
 
+// GraphBuilds reports how many supergraphs have been built in this
+// process. Analyze, NewFlagAnalysis and BuildGraph share one per module,
+// so a pipeline over one module builds at most one.
+func GraphBuilds() int64 { return graphBuilds.Load() }
+
+// memoKey names this package's entries in a module's analysis memo.
+type memoKey uint8
+
+const (
+	graphKey memoKey = iota
+	resultKey
+	flagsKey
+)
+
+// graph returns m's supergraph and memory model, building them on the
+// module's first use. The analysis is shared by every pass over m and
+// is not modified after build returns.
+func graph(m *prog.Module) (*analysis, error) {
+	return prog.Memo(m, graphKey, func() (*analysis, error) {
+		graphBuilds.Add(1)
+		return build(m)
+	})
+}
+
 // Analyze runs every analysis over m and returns the per-candidate
-// summaries.
+// summaries, computed on the module's first Analyze and shared after it
+// (see Result).
 func Analyze(m *prog.Module) (*Result, error) {
+	return prog.Memo(m, resultKey, func() (*Result, error) { return analyze(m) })
+}
+
+// analyze computes Analyze's result on the module's shared supergraph.
+func analyze(m *prog.Module) (*Result, error) {
 	analyses.Add(1)
-	a, err := build(m)
+	a, err := graph(m)
 	if err != nil {
 		return nil, err
 	}
 	live := a.liveness()
-	a.resolveFlagMem(false)
-	flags := a.flagReach()
+	mem := a.resolveFlagMem(false)
+	flags := a.flagReachFor(&flagState{}, nil, mem)
 	pairs, taint := a.convTaint()
 	unsafe := a.classify(pairs, taint)
 
@@ -204,7 +234,7 @@ func Analyze(m *prog.Module) (*Result, error) {
 		res.Sites[in.Addr] = Site{
 			Addr:        in.Addr,
 			ScratchDead: a.scratchDead(i, live),
-			CleanInputs: a.cleanInputs(i, flags),
+			CleanInputs: a.cleanInputs(i, flags, mem),
 			Unsafe:      unsafe[i],
 			Dead:        !a.reachable[i],
 		}
@@ -569,18 +599,21 @@ func gprDefs(in isa.Instr) []int {
 // all — at every other double site. The handle is immutable and safe for
 // concurrent use; each querying goroutine owns a FlagQuery.
 type FlagAnalysis struct {
-	a *analysis
+	a   *analysis
+	mem []memLoc // every memory operand under the precise model
 }
 
-// NewFlagAnalysis builds the supergraph and memory model once, for many
-// queries, resolving every memory operand up front.
+// NewFlagAnalysis returns m's flag analysis, made once per module for
+// many queries on the module's shared supergraph, with every memory
+// operand resolved up front.
 func NewFlagAnalysis(m *prog.Module) (*FlagAnalysis, error) {
-	a, err := build(m)
-	if err != nil {
-		return nil, err
-	}
-	a.resolveFlagMem(true)
-	return &FlagAnalysis{a: a}, nil
+	return prog.Memo(m, flagsKey, func() (*FlagAnalysis, error) {
+		a, err := graph(m)
+		if err != nil {
+			return nil, err
+		}
+		return &FlagAnalysis{a: a, mem: a.resolveFlagMem(true)}, nil
+	})
 }
 
 // OperandClean is the per-operand refinement of a clean verdict: Src is
@@ -599,6 +632,7 @@ type OperandClean struct {
 // is not safe for concurrent use.
 type FlagQuery struct {
 	a      *analysis
+	mem    []memLoc
 	single []bool  // per instruction: marked single
 	marked []int32 // the marked instructions, to unmark
 	fs     flagState
@@ -607,7 +641,7 @@ type FlagQuery struct {
 
 // NewQuery returns a query with no site marked single.
 func (fa *FlagAnalysis) NewQuery() *FlagQuery {
-	return &FlagQuery{a: fa.a, single: make([]bool, len(fa.a.instrs))}
+	return &FlagQuery{a: fa.a, mem: fa.mem, single: make([]bool, len(fa.a.instrs))}
 }
 
 // Single marks the candidate at addr single for the next
@@ -637,7 +671,7 @@ func (q *FlagQuery) Single(addr uint64) {
 // so a single site storing into one array poisons that array alone.
 func (q *FlagQuery) CleanOperandsUnder(sites []uint64) []OperandClean {
 	a := q.a
-	flags := a.flagReachFor(&q.fs, q.single)
+	flags := a.flagReachFor(&q.fs, q.single, q.mem)
 	if cap(q.out) < len(sites) {
 		q.out = make([]OperandClean, len(sites))
 	}
@@ -645,7 +679,7 @@ func (q *FlagQuery) CleanOperandsUnder(sites []uint64) []OperandClean {
 	for k, addr := range sites {
 		q.out[k] = OperandClean{}
 		if i, ok := a.idx[addr]; ok && isa.IsCandidate(a.instrs[i].Op) {
-			q.out[k] = a.cleanOperands(i, flags)
+			q.out[k] = a.cleanOperands(i, flags, q.mem)
 		}
 	}
 	for _, i := range q.marked {

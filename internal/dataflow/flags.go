@@ -2,7 +2,7 @@ package dataflow
 
 import "fpmix/internal/isa"
 
-// flagReach computes, for every instruction, which locations may hold a
+// flagReachFor computes, for every instruction, which locations may hold a
 // value carrying the 0x7FF4DEAD replacement sentinel immediately before
 // it executes (forward may-analysis).
 //
@@ -19,27 +19,24 @@ import "fpmix/internal/isa"
 // (possibly flagged by the sender's snippets) at addresses held in
 // registers, so they conservatively poison all of memory; allreduce
 // writes back plain reduced doubles and is flag-transparent.
-func (a *analysis) flagReach() []bitset {
-	return a.flagReachFor(&flagState{}, nil)
-}
-
-// flagReachFor is flagReach with the sentinel sources restricted to the
-// candidates single marks (indexed by instruction); nil means every
-// candidate may be single (the any-configuration abstraction above).
-// Under a restricted source set, candidates outside it are double sites:
+//
+// single restricts the sentinel sources to the candidates it marks
+// (indexed by instruction); nil means every candidate may be single (the
+// any-configuration abstraction above). Under a restricted source set,
+// candidates outside it are double sites:
 // their wrappers (or, when their inputs are proven clean, the bare
 // originals) never stamp a source and always produce plain double
-// results. Memory operands resolve through the table resolveFlagMem
-// filled, under the conservative model for Analyze and the precise one,
-// which refines array accesses by the module's region table, for
-// FlagAnalysis.
+// results. Memory operands resolve through mem, the table resolveFlagMem
+// returns: under the conservative model for Analyze, and under the
+// precise one, which refines array accesses by the module's region
+// table, for FlagAnalysis.
 //
 // A nil flagIn[i] is bottom (nothing flagged): a state is taken, from
 // fs's growing slabs, only when flags first reach its instruction, so a
 // query with a small singles set touches memory in proportion to the
 // flagged subgraph rather than the whole module. The result lives in fs
 // and stays valid until fs's next fixpoint, which reuses its storage.
-func (a *analysis) flagReachFor(fs *flagState, single []bool) []bitset {
+func (a *analysis) flagReachFor(fs *flagState, single []bool, mem []memLoc) []bitset {
 	n := len(a.instrs)
 	fs.reset(n, (a.nLocs+63)/64)
 	push := func(i int) {
@@ -82,7 +79,7 @@ func (a *analysis) flagReachFor(fs *flagState, single []bool) []bitset {
 		} else {
 			out.copyFrom(flagIn[i])
 		}
-		a.flagStepFor(i, out, single)
+		a.flagStepFor(i, out, single, mem)
 		if out.empty() {
 			continue // bottom changes no successor
 		}
@@ -155,9 +152,10 @@ func (fs *flagState) state(i int32) bitset {
 
 // flagStepFor applies instruction i's transfer function to state st in
 // place, under a restricted single-candidate set (nil = any
-// configuration). It takes only per-call state, so concurrent analyses
-// over the same supergraph are safe.
-func (a *analysis) flagStepFor(i int, st bitset, single []bool) {
+// configuration), with memory operands resolved through mem. It takes
+// only per-call state, so concurrent analyses over the same supergraph
+// are safe.
+func (a *analysis) flagStepFor(i int, st bitset, single []bool, mem []memLoc) {
 	in := &a.instrs[i]
 
 	if isa.IsCandidate(in.Op) {
@@ -174,7 +172,7 @@ func (a *analysis) flagStepFor(i int, st bitset, single []bool) {
 	gpr := func(op isa.Operand) int { return locGPR + int(op.Reg) }
 	// join of memory operand k's (0: A, 1: B) possible locations
 	memGet := func(k int) bool {
-		for _, l := range a.flagMem[2*i+k].locs {
+		for _, l := range mem[2*i+k].locs {
 			if st.get(l) {
 				return true
 			}
@@ -184,7 +182,7 @@ func (a *analysis) flagStepFor(i int, st bitset, single []bool) {
 	// write v to memory operand k: strong update when the address
 	// resolves to one slot, weak otherwise
 	memSet := func(k int, v bool) {
-		ml := &a.flagMem[2*i+k]
+		ml := &mem[2*i+k]
 		for _, l := range ml.locs {
 			if v {
 				st.set(l)
@@ -401,9 +399,9 @@ func (a *analysis) flagDouble(in *isa.Instr, st bitset) {
 }
 
 // cleanInputs reports whether no floating-point input of candidate i can
-// be flagged under the flagReach result flagIn.
-func (a *analysis) cleanInputs(i int, flagIn []bitset) bool {
-	oc := a.cleanOperands(i, flagIn)
+// be flagged under the flagReachFor result flagIn over mem.
+func (a *analysis) cleanInputs(i int, flagIn []bitset, mem []memLoc) bool {
+	oc := a.cleanOperands(i, flagIn, mem)
 	return oc.Src && oc.Dst
 }
 
@@ -411,7 +409,7 @@ func (a *analysis) cleanInputs(i int, flagIn []bitset) bool {
 // operand, Dst the destination-read-as-source operand of dst-is-source
 // ops. An operand the instruction does not read as floating-point input
 // is trivially clean.
-func (a *analysis) cleanOperands(i int, flagIn []bitset) OperandClean {
+func (a *analysis) cleanOperands(i int, flagIn []bitset, mem []memLoc) OperandClean {
 	in := &a.instrs[i]
 	oc := OperandClean{Src: true, Dst: true}
 	if !isa.ConsumesFP(in.Op) {
@@ -433,7 +431,7 @@ func (a *analysis) cleanOperands(i int, flagIn []bitset) OperandClean {
 				return false
 			}
 		case isa.KindMem:
-			for _, l := range a.flagMem[2*i+k].locs {
+			for _, l := range mem[2*i+k].locs {
 				if st.get(l) {
 					return false
 				}
@@ -456,16 +454,16 @@ type memLoc struct {
 }
 
 // resolveFlagMem resolves every memory operand of the module once, under
-// the precise (memLocsPrec) or the conservative (memLocs) model, into
-// flagMem: entry 2i is instruction i's A operand, 2i+1 its B operand.
+// the precise (memLocsPrec) or the conservative (memLocs) model, for the
+// flag pass: entry 2i is instruction i's A operand, 2i+1 its B operand.
 // The flag pass reads a 16-byte access (MOVAPD, the packed bitwise ops
 // and packed candidates) as wide.
-func (a *analysis) resolveFlagMem(precise bool) {
+func (a *analysis) resolveFlagMem(precise bool) []memLoc {
 	resolve := a.memLocs
 	if precise {
 		resolve = a.memLocsPrec
 	}
-	a.flagMem = make([]memLoc, 2*len(a.instrs))
+	mem := make([]memLoc, 2*len(a.instrs))
 	for i := range a.instrs {
 		in := &a.instrs[i]
 		wide := isa.IsPacked(in.Op)
@@ -476,8 +474,9 @@ func (a *analysis) resolveFlagMem(precise bool) {
 		for k, op := range [2]*isa.Operand{&in.A, &in.B} {
 			if op.Kind == isa.KindMem {
 				locs, direct := resolve(op.Mem, wide)
-				a.flagMem[2*i+k] = memLoc{locs: locs, direct: direct}
+				mem[2*i+k] = memLoc{locs: locs, direct: direct}
 			}
 		}
 	}
+	return mem
 }

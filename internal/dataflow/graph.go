@@ -15,9 +15,10 @@ type Graph struct {
 	a *analysis
 }
 
-// BuildGraph constructs the supergraph and memory model for m.
+// BuildGraph returns the supergraph and memory model of m: the one that
+// Analyze and NewFlagAnalysis share, built on the module's first use.
 func BuildGraph(m *prog.Module) (*Graph, error) {
-	a, err := build(m)
+	a, err := graph(m)
 	if err != nil {
 		return nil, err
 	}

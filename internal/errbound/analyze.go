@@ -2,6 +2,7 @@ package errbound
 
 import (
 	"math"
+	"sync/atomic"
 
 	"fpmix/internal/dataflow"
 	"fpmix/internal/isa"
@@ -184,9 +185,34 @@ type Analysis struct {
 	Transfers int
 }
 
+// analyses counts the error-bound analyses computed in this process.
+var analyses atomic.Int64
+
+// Analyses reports how many error-bound analyses have been computed in
+// this process. A memoized Analyze does not count.
+func Analyses() int64 { return analyses.Load() }
+
+// memoKey names the default-options analysis in a module's memo.
+type memoKey struct{}
+
 // Analyze runs the sound error-bound analysis on the all-double module m
-// and returns per-candidate-site exactness verdicts.
+// and returns per-candidate-site exactness verdicts. With the default
+// options (the zero Options) the analysis is computed once per module and
+// every caller gets the same value, which is read-only; other options
+// compute afresh.
 func Analyze(m *prog.Module, opts Options) (*Analysis, error) {
+	if opts.Format != (Format{}) || opts.Budget != 0 || opts.WidenDelay != 0 || len(opts.Ranges) != 0 {
+		return analyze(m, opts)
+	}
+	return prog.Memo(m, memoKey{}, func() (*Analysis, error) { return analyze(m, opts) })
+}
+
+// Memoized reports whether Analyze(m, Options{}) is already computed, so
+// that it returns at once.
+func Memoized(m *prog.Module) bool { return m.Memoized(memoKey{}) }
+
+func analyze(m *prog.Module, opts Options) (*Analysis, error) {
+	analyses.Add(1)
 	g, err := dataflow.BuildGraph(m)
 	if err != nil {
 		return nil, err

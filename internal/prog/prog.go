@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"fpmix/internal/isa"
 )
@@ -34,6 +35,13 @@ type Func struct {
 }
 
 // Module is a complete program.
+//
+// A module carries a memo of the static analyses computed over it (see
+// Memo), so every search of one image shares one supergraph, one
+// dataflow result, one flag analysis and one error-bound analysis. A
+// module must therefore not be modified once it has been analyzed, and
+// the analyses it hands out are read-only: code that needs an edited
+// image edits a Clone, whose memo starts empty.
 type Module struct {
 	Name    string
 	Funcs   []*Func // sorted by address
@@ -54,6 +62,67 @@ type Module struct {
 	// otherwise share one summary memory cell. May be nil (analyses then
 	// fall back to the fully conservative memory model).
 	Regions []Region
+
+	memo memo // analyses of this image, one per key; see Memo
+}
+
+// memo holds a module's analyses. Each entry is computed once; ready is
+// closed when its value is set.
+type memo struct {
+	mu      sync.Mutex
+	entries map[any]*memoEntry // created on first use
+}
+
+type memoEntry struct {
+	ready chan struct{}
+	v     any
+	err   error
+}
+
+// Memo returns the value of m's analysis memo under key, calling
+// compute to make it on the key's first use; a failure is kept like a
+// value. Concurrent first calls make one value: one caller computes it
+// and the others wait for it. compute may itself call Memo with other
+// keys, as long as no key's computation comes back to that key. Keys
+// are comparable values of an analysis package's own unexported type,
+// so packages cannot collide. The value is shared by every caller and
+// must be treated as read-only.
+func Memo[T any](m *Module, key any, compute func() (T, error)) (T, error) {
+	m.memo.mu.Lock()
+	e, ok := m.memo.entries[key]
+	if !ok {
+		if m.memo.entries == nil {
+			m.memo.entries = make(map[any]*memoEntry)
+		}
+		e = &memoEntry{ready: make(chan struct{})}
+		m.memo.entries[key] = e
+	}
+	m.memo.mu.Unlock()
+	if ok {
+		<-e.ready
+	} else {
+		defer close(e.ready)
+		e.v, e.err = compute()
+	}
+	v, _ := e.v.(T)
+	return v, e.err
+}
+
+// Memoized reports whether m's memo value under key is already
+// computed, so that Memo would return it without computing or waiting.
+func (m *Module) Memoized(key any) bool {
+	m.memo.mu.Lock()
+	e, ok := m.memo.entries[key]
+	m.memo.mu.Unlock()
+	if !ok {
+		return false
+	}
+	select {
+	case <-e.ready:
+		return true
+	default:
+		return false
+	}
 }
 
 // Region is a named allocation in the data segment: [Off, Off+Size)
@@ -157,7 +226,7 @@ func (m *Module) Candidates() []uint64 {
 	return out
 }
 
-// Clone returns a deep copy of the module.
+// Clone returns a deep copy of the module, with an empty analysis memo.
 func (m *Module) Clone() *Module {
 	c := &Module{
 		Name:    m.Name,

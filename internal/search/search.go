@@ -415,15 +415,13 @@ func Run(t Target, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("search: profiling run failed: %w", err)
 	}
 
-	// The dataflow analysis is resolved once per search: pruning reads
-	// it, and the local runner's instrumenter reuses it through
-	// InstOpts.Analysis instead of analyzing the module a second time. A
-	// failed analysis leaves it nil, which disables pruning and keeps
-	// every snippet fully checked.
-	if (!opts.NoPrune || opts.Units == nil) && !t.InstOpts.NoAnalysis && t.InstOpts.Analysis == nil {
-		if r, err := dataflow.Analyze(t.Module); err == nil {
-			t.InstOpts.Analysis = r
-		}
+	// Pruning reads the module's dataflow analysis, which the module
+	// memoizes, so the local runner's instrumenter shares it. A failed
+	// analysis leaves it nil, which disables pruning and keeps every
+	// snippet fully checked.
+	ana := t.InstOpts.Analysis
+	if ana == nil && !opts.NoPrune && !t.InstOpts.NoAnalysis {
+		ana, _ = dataflow.Analyze(t.Module)
 	}
 
 	// Static pruning (the paper §2.5's "static data flow analysis",
@@ -449,7 +447,7 @@ func Run(t Target, opts Options) (*Result, error) {
 	skip := ignored
 	if !opts.NoPrune {
 		excluded := make(map[uint64]bool)
-		if ana := t.InstOpts.Analysis; ana != nil && !t.InstOpts.NoAnalysis {
+		if ana != nil && !t.InstOpts.NoAnalysis {
 			for _, a := range ana.UnsafeAddrs() {
 				if !ignored[a] {
 					excluded[a] = true
@@ -542,16 +540,22 @@ func Run(t Target, opts Options) (*Result, error) {
 		}
 	}()
 	// proverReady reports whether the analysis finished, starting it on
-	// first use.
+	// first use. An analysis the module already memoizes is taken at
+	// once, so no piece launches speculatively for it.
 	proverReady := func() bool {
 		if analyzed == nil {
 			analyzed = make(chan struct{})
-			go func() {
+			prove := func() {
 				defer close(analyzed)
 				if an, err := analyze(t.Module); err == nil && an.Converged {
 					bounds = an
 				}
-			}()
+			}
+			if opts.testAnalyze == nil && errbound.Memoized(t.Module) {
+				prove()
+			} else {
+				go prove()
+			}
 		}
 		select {
 		case <-analyzed:

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"maps"
 	"math"
 	"testing"
 
@@ -370,12 +371,15 @@ func TestSearchPrunesZeroWeightPieces(t *testing.T) {
 func TestSearchExcludesUnsafeSinks(t *testing.T) {
 	// Inject an analysis result that classifies one safe-function
 	// candidate as an exact-integer sink; the search must keep it double,
-	// report it, and leave every other decision unchanged.
+	// report it, and leave every other decision unchanged. The module's
+	// memoized result is shared, so the doctored one is a copy.
 	m := mixedProgram(t)
-	ana, err := dataflow.Analyze(m)
+	memo, err := dataflow.Analyze(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ana := *memo
+	ana.Sites = maps.Clone(memo.Sites)
 	var victim uint64
 	for a := range ana.Sites {
 		if victim == 0 || a < victim {
@@ -388,7 +392,7 @@ func TestSearchExcludesUnsafeSinks(t *testing.T) {
 
 	v := refVerify(t, m, 1e-10)
 	pruned, err := Run(Target{Module: m, Verify: v,
-		InstOpts: replace.InstrumentOptions{Analysis: ana}}, Options{})
+		InstOpts: replace.InstrumentOptions{Analysis: &ana}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,30 +417,44 @@ func TestSearchExcludesUnsafeSinks(t *testing.T) {
 	}
 }
 
-// TestSearchAnalyzesOnce pins one dataflow analysis per Run: pruning and
-// the local runner's instrumenter share it (the from-scratch EngineOff
-// oracle instruments every configuration with it too), NoPrune still
-// analyzes once for the instrumenter, and NoAnalysis analyzes nothing.
+// TestSearchAnalyzesOnce pins one dataflow analysis per Run of a fresh
+// module: pruning and the local runner's instrumenter share it (the
+// from-scratch EngineOff oracle instruments every configuration with it
+// too), NoPrune still analyzes once for the instrumenter, and NoAnalysis
+// analyzes nothing. Every analysis of the module, the fork engine's flag
+// analysis and the prover's included, shares one supergraph. A repeat
+// search of an analyzed module analyzes nothing and builds no
+// supergraph: the module keeps both.
 func TestSearchAnalyzesOnce(t *testing.T) {
-	m := mixedProgram(t)
-	v := refVerify(t, m, 1e-10)
+	v := refVerify(t, mixedProgram(t), 1e-10)
+	analyzed := mixedProgram(t)
+	if _, err := Run(Target{Module: analyzed, Verify: v}, Options{}); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
+		m    *prog.Module
 		inst replace.InstrumentOptions
 		opts Options
 		want int64
+		// graphs is the supergraph builds.
+		graphs int64
 	}{
-		{"default", replace.InstrumentOptions{}, Options{}, 1},
-		{"noprune", replace.InstrumentOptions{}, Options{NoPrune: true}, 1},
-		{"engine off", replace.InstrumentOptions{}, Options{Engine: EngineOff}, 1},
-		{"noanalysis", replace.InstrumentOptions{NoAnalysis: true}, Options{}, 0},
+		{"default", mixedProgram(t), replace.InstrumentOptions{}, Options{}, 1, 1},
+		{"noprune", mixedProgram(t), replace.InstrumentOptions{}, Options{NoPrune: true}, 1, 1},
+		{"engine off", mixedProgram(t), replace.InstrumentOptions{}, Options{Engine: EngineOff}, 1, 1},
+		{"noanalysis", mixedProgram(t), replace.InstrumentOptions{NoAnalysis: true}, Options{}, 0, 1},
+		{"repeat", analyzed, replace.InstrumentOptions{}, Options{}, 0, 0},
 	} {
-		before := dataflow.Analyses()
-		if _, err := Run(Target{Module: m, Verify: v, InstOpts: tc.inst}, tc.opts); err != nil {
+		before, graphs := dataflow.Analyses(), dataflow.GraphBuilds()
+		if _, err := Run(Target{Module: tc.m, Verify: v, InstOpts: tc.inst}, tc.opts); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if got := dataflow.Analyses() - before; got != tc.want {
 			t.Errorf("%s: %d dataflow analyses, want %d", tc.name, got, tc.want)
+		}
+		if got := dataflow.GraphBuilds() - graphs; got != tc.graphs {
+			t.Errorf("%s: %d supergraph builds, want %d", tc.name, got, tc.graphs)
 		}
 	}
 }

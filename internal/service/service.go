@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fpmix/internal/dataflow"
 	"fpmix/internal/faultinject"
 	"fpmix/internal/fleet"
 	"fpmix/internal/jobs"
@@ -70,17 +69,19 @@ type Server struct {
 }
 
 // imageMemoCap bounds the spec memo; past it the memo resets (losing an
-// entry costs one target build, shadow pass and dataflow analysis on
-// the spec's next job, never correctness).
+// entry costs one target build, shadow pass and set of static analyses
+// on the spec's next job, never correctness).
 const imageMemoCap = 32
 
 // specMemo holds what every job over one spec build identity
 // (jobs.Spec.BuildKey) shares, read-only: the built target with its
 // base configuration resolved, the gate tolerance and the image digest,
 // then the image's shadow profile (whose collection run is the search's
-// profiling run too) and its dataflow result. Each is a deterministic
-// function of the key and is computed on first use; a failed build is
-// kept like a result, since rebuilding would fail the same way.
+// profiling run too). Each is a deterministic function of the key and is
+// computed on first use; a failed build is kept like a result, since
+// rebuilding would fail the same way. The image's static analyses live
+// in the built module's own memo (prog.Memo), so they are shared
+// exactly as long as the target is.
 type specMemo struct {
 	buildOnce sync.Once
 	built     jobs.Built
@@ -89,15 +90,12 @@ type specMemo struct {
 	shOnce sync.Once
 	sh     *shadow.Profile
 	shErr  error
-
-	dfOnce sync.Once
-	df     *dataflow.Result // nil when the analysis failed
 }
 
 // work counts the expensive per-job steps a job's lifecycle takes, so
 // tests can pin what a warm job skips.
 var work struct {
-	targetBuilds, shadowCollects, profileRuns, dataflowRuns, runnerBuilds atomic.Int64
+	targetBuilds, shadowCollects, profileRuns, runnerBuilds atomic.Int64
 }
 
 // build returns the spec's built target, building it on first use.
@@ -323,10 +321,11 @@ func (s *Server) runJob(id string, ctx context.Context, cancel context.CancelFun
 	st.close()
 }
 
-// execute runs the search itself: the spec's target, sensitivity
-// profile and dataflow result (from the spec memo, built there on the
-// spec's first job), journal open (fresh or resumed), unit runner
-// registration with the fleet, then the coordinator. Options mirror
+// execute runs the search itself: the spec's target and sensitivity
+// profile (from the spec memo, built there on the spec's first job; the
+// target's module memoizes its analyses), journal open (fresh or
+// resumed), unit runner registration with the fleet, then the
+// coordinator. Options mirror
 // fpsearch's defaults so a service job composes the identical final
 // configuration.
 func (s *Server) execute(ctx context.Context, id string, st *stream, m *specMemo) (*search.Result, *shadow.Profile, error) {
@@ -353,11 +352,6 @@ func (s *Server) execute(ctx context.Context, id string, st *stream, m *specMemo
 		}
 		sh = m.sh
 	}
-	m.dfOnce.Do(func() {
-		work.dataflowRuns.Add(1)
-		m.df, _ = dataflow.Analyze(target.Module) // a failure leaves search and instrumenter to fall back
-	})
-	target.InstOpts.Analysis = m.df
 	journal, resumed, err := s.store.OpenJournal(id, j.Fingerprint())
 	if err != nil {
 		return nil, nil, err

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"fpmix/internal/config"
+	"fpmix/internal/dataflow"
 	"fpmix/internal/fleet"
 	"fpmix/internal/jobs"
 	"fpmix/internal/kernels"
@@ -392,14 +393,15 @@ func TestServiceCrossJobDedup(t *testing.T) {
 	}
 }
 
-// workCounts snapshots the package's per-job work counters.
-func workCounts() [5]int64 {
-	return [5]int64{work.targetBuilds.Load(), work.shadowCollects.Load(), work.profileRuns.Load(),
-		work.dataflowRuns.Load(), work.runnerBuilds.Load()}
+// workCounts snapshots the package's per-job work counters, the
+// process's dataflow analyses and its supergraph builds.
+func workCounts() [6]int64 {
+	return [6]int64{work.targetBuilds.Load(), work.shadowCollects.Load(), work.profileRuns.Load(),
+		dataflow.Analyses(), work.runnerBuilds.Load(), dataflow.GraphBuilds()}
 }
 
 // workSince is the work done since the snapshot before.
-func workSince(before [5]int64) [5]int64 {
+func workSince(before [6]int64) [6]int64 {
 	after := workCounts()
 	for i := range after {
 		after[i] -= before[i]
@@ -409,17 +411,17 @@ func workSince(before [5]int64) [5]int64 {
 
 // TestServiceWarmJobSkipsWork: a cold job builds its target, runs the
 // shadow pass (which doubles as the profiling run, so the search makes
-// none of its own), analyses the image's dataflow and builds a unit
-// runner, once each. A warm resubmission does none of it: the spec memo
-// holds the target and the analyses, and the verdict cache every
-// verdict.
+// none of its own), analyses the image's dataflow, builds a unit runner
+// and builds one supergraph, shared by every analysis of the image. A
+// warm resubmission does none of it: the spec memo holds the target,
+// whose module holds the analyses, and the verdict cache every verdict.
 func TestServiceWarmJobSkipsWork(t *testing.T) {
 	srv, err := New(Options{Dir: t.TempDir(), Workers: 2, Fleet: fastFleet})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	run := func() [5]int64 {
+	run := func() [6]int64 {
 		before := workCounts()
 		j, err := srv.Submit(jobs.Spec{Kernel: "ep"})
 		if err != nil {
@@ -428,11 +430,11 @@ func TestServiceWarmJobSkipsWork(t *testing.T) {
 		waitState(t, srv, j.ID, jobs.StateDone)
 		return workSince(before)
 	}
-	const names = "target builds/shadow passes/profiling runs/dataflow analyses/runner builds"
-	if got, want := run(), [5]int64{1, 1, 0, 1, 1}; got != want {
+	const names = "target builds/shadow passes/profiling runs/dataflow analyses/runner builds/supergraph builds"
+	if got, want := run(), [6]int64{1, 1, 0, 1, 1, 1}; got != want {
 		t.Errorf("cold job: %s = %v, want %v", names, got, want)
 	}
-	if got := run(); got != [5]int64{} {
+	if got := run(); got != [6]int64{} {
 		t.Errorf("warm job: %s = %v, want none", names, got)
 	}
 }
