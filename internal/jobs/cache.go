@@ -1,13 +1,13 @@
 package jobs
 
 import (
-	"bufio"
 	"encoding/hex"
 	"fmt"
-	"os"
+	"slices"
 	"strings"
 	"sync"
 
+	"fpmix/internal/applog"
 	"fpmix/internal/search"
 )
 
@@ -26,73 +26,42 @@ const cacheSyncBatch = 64
 // is what makes re-submitting a search cheap: the second job replays
 // the first's evaluations as cache hits.
 //
-// The cache is append-only on disk (one atomic O_APPEND line per
-// verdict, fsynced in batches and at Close; a torn final line is
-// truncated away on load, so the next append starts a fresh line) and
-// fully mirrored in memory, so lookups never touch the disk.
+// On disk the cache is an applog line log, fsynced every cacheSyncBatch
+// appends and at Close; in memory it is mirrored in full, so lookups
+// never touch the disk. Persistence is best-effort: after a failed write
+// or fsync the cache keeps serving and may stop persisting.
 type Cache struct {
 	mu      sync.Mutex
-	f       *os.File
+	log     *applog.Log
 	entries map[string]search.CachedVerdict // scope + "\x00" + key
-	pending int
 }
 
 // OpenCache opens (or creates) the verdict cache at path, loading every
 // complete entry and truncating a torn final line.
 func OpenCache(path string) (*Cache, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	c := &Cache{f: f, entries: make(map[string]search.CachedVerdict)}
-	br := bufio.NewReader(f)
-	header, err := br.ReadString('\n')
-	if err != nil {
-		if header == "" {
-			// Fresh file: write the header.
-			if _, werr := fmt.Fprintf(f, "%s\n", cacheMagic); werr != nil {
-				f.Close()
-				return nil, werr
-			}
-			return c, nil
-		}
-		f.Close()
-		return nil, fmt.Errorf("jobs: %s: torn verdict-cache header %q", path, header)
-	}
-	if strings.TrimSuffix(header, "\n") != cacheMagic {
-		f.Close()
-		return nil, fmt.Errorf("jobs: %s is not a verdict cache (header %q)", path, strings.TrimSuffix(header, "\n"))
-	}
-	good := int64(len(header)) // offset past the last complete line
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil || !strings.HasSuffix(line, "\n") {
-			break // EOF or torn final append: truncate it away below
-		}
-		good += int64(len(line))
-		// Split on the single spaces Store writes, not on runs of
-		// whitespace: an empty key is an empty hex field.
-		fields := strings.Split(strings.TrimSuffix(line, "\n"), " ")
-		if len(fields) < 3 || (fields[2] != "pass" && fields[2] != "fail") {
-			continue // unknown line shape: tolerate, future fields may appear
-		}
-		key, err := hex.DecodeString(fields[1])
-		if err != nil {
-			continue
-		}
-		v := search.CachedVerdict{Pass: fields[2] == "pass"}
-		for _, fl := range fields[3:] {
-			if fl == "proved" {
-				v.Proved = true
-			}
-		}
-		c.entries[fields[0]+"\x00"+string(key)] = v
-	}
-	if err := f.Truncate(good); err != nil {
-		f.Close()
+	c := &Cache{entries: make(map[string]search.CachedVerdict)}
+	var err error
+	if c.log, err = applog.Open(path, cacheMagic, nil, c.load); err != nil {
 		return nil, err
 	}
 	return c, nil
+}
+
+// load parses one cache line as Store writes it.
+func (c *Cache) load(line string) applog.Action {
+	// Split on the single spaces Store writes, not on runs of
+	// whitespace: an empty key is an empty hex field.
+	fields := strings.Split(line, " ")
+	if len(fields) < 3 || (fields[2] != "pass" && fields[2] != "fail") {
+		return applog.Skip // unknown line shape: tolerate, future fields may appear
+	}
+	key, err := hex.DecodeString(fields[1])
+	if err != nil {
+		return applog.Skip
+	}
+	v := search.CachedVerdict{Pass: fields[2] == "pass", Proved: slices.Contains(fields[3:], "proved")}
+	c.entries[fields[0]+"\x00"+string(key)] = v
+	return applog.Keep
 }
 
 // Len is the number of cached verdicts (across all scopes).
@@ -103,39 +72,11 @@ func (c *Cache) Len() int {
 }
 
 // Sync forces pending appends to disk.
-func (c *Cache) Sync() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.syncLocked()
-}
-
-func (c *Cache) syncLocked() error {
-	if c.f == nil || c.pending == 0 {
-		return nil
-	}
-	if err := c.f.Sync(); err != nil {
-		return err
-	}
-	c.pending = 0
-	return nil
-}
+func (c *Cache) Sync() error { return c.log.Sync() }
 
 // Close syncs and releases the cache file; the in-memory view keeps
 // serving (a closed cache just stops persisting).
-func (c *Cache) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.f == nil {
-		return nil
-	}
-	serr := c.syncLocked()
-	err := c.f.Close()
-	c.f = nil
-	if err == nil {
-		err = serr
-	}
-	return err
-}
+func (c *Cache) Close() error { return c.log.Close() }
 
 // Scope returns the cache view a search consults: lookups and stores
 // bound to one image fingerprint, implementing search.VerdictCache.
@@ -163,9 +104,6 @@ func (s scoped) Store(key string, v search.CachedVerdict) {
 		return // already persisted
 	}
 	s.c.entries[mk] = v
-	if s.c.f == nil {
-		return
-	}
 	verdict := "fail"
 	if v.Pass {
 		verdict = "pass"
@@ -174,11 +112,8 @@ func (s scoped) Store(key string, v search.CachedVerdict) {
 	if v.Proved {
 		line += " proved"
 	}
-	if _, err := fmt.Fprintln(s.c.f, line); err != nil {
-		return // cache persistence is best-effort; memory stays authoritative
-	}
-	s.c.pending++
-	if s.c.pending >= cacheSyncBatch {
-		_ = s.c.syncLocked()
+	// Best-effort: memory stays authoritative; a failed fsync sticks.
+	if n, err := s.c.log.Append(line); err == nil && n >= cacheSyncBatch {
+		_ = s.c.log.Sync()
 	}
 }

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -261,16 +262,11 @@ func (s *Store) SummaryPath(id string) string {
 // many settled verdicts the journal carries forward.
 func (s *Store) OpenJournal(id string, fp search.Fingerprint) (j *search.Journal, resumed int, err error) {
 	path := s.JournalPath(id)
-	if _, serr := os.Stat(path); serr == nil {
-		jr, err := search.ResumeJournal(path, fp)
-		if err != nil {
-			return nil, 0, err
-		}
-		return jr, jr.Prior(), nil
+	if j, err = search.ResumeJournal(path, fp); errors.Is(err, os.ErrNotExist) {
+		j, err = search.NewJournal(path, fp)
 	}
-	jr, err := search.NewJournal(path, fp)
 	if err != nil {
 		return nil, 0, err
 	}
-	return jr, 0, nil
+	return j, j.Prior(), nil
 }
