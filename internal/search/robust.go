@@ -32,21 +32,13 @@ const (
 	FailCrash
 )
 
+var failureNames = [...]string{"none", "verify", "trap", "timeout", "crash"}
+
 func (f Failure) String() string {
-	switch f {
-	case FailNone:
-		return "none"
-	case FailVerify:
-		return "verify"
-	case FailTrap:
-		return "trap"
-	case FailTimeout:
-		return "timeout"
-	case FailCrash:
-		return "crash"
-	default:
-		return "failure?"
+	if int(f) < len(failureNames) {
+		return failureNames[f]
 	}
+	return "failure?"
 }
 
 // defaultBackoff spaces retries of transient failures.

@@ -9,12 +9,20 @@
 // prioritization of candidate configurations by profiled execution count.
 // Evaluations are independent full program runs, so the search evaluates
 // configurations on a parallel worker pool.
+//
+// Run drives an unexported searcher: recall runs the verdict stages that
+// need neither the prover nor a run, prove the error-bound prover, launch
+// and park hold the units in flight, settle lands every verdict and
+// expand queues a failed piece's children, fail drains the units after an
+// error, and compose builds the final configuration and runs its union.
 package search
 
 import (
 	"container/heap"
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -27,9 +35,6 @@ import (
 	"fpmix/internal/shadow"
 	"fpmix/internal/vm"
 )
-
-// Each piece's verdict comes from the first stage of the verdict chain
-// that settles it (see stage), and lands in Run's one settle step.
 
 // Target describes the program under search.
 type Target struct {
@@ -58,9 +63,6 @@ type Options struct {
 	// BinarySplit enables splitting large failed aggregates into two
 	// intermediate partitions instead of expanding every child at once.
 	BinarySplit bool
-	// SplitThreshold is the child count above which binary splitting
-	// applies (default 8).
-	SplitThreshold int
 	// Prioritize orders the work queue by profiled execution weight.
 	Prioritize bool
 	// Engine selects the evaluation backend (default EngineFork: the
@@ -225,23 +227,13 @@ const (
 	ProvProved
 )
 
+var provNames = [...]string{"evaluated", "memo", "pruned", "predicted", "checkpoint", "proved"}
+
 func (p Provenance) String() string {
-	switch p {
-	case ProvEvaluated:
-		return "evaluated"
-	case ProvMemo:
-		return "memo"
-	case ProvPruned:
-		return "pruned"
-	case ProvPredicted:
-		return "predicted"
-	case ProvCheckpoint:
-		return "checkpoint"
-	case ProvProved:
-		return "proved"
-	default:
-		return "provenance?"
+	if int(p) < len(provNames) {
+		return provNames[p]
 	}
+	return "provenance?"
 }
 
 // stage is one step of the verdict chain, in chain order: a piece's
@@ -390,21 +382,98 @@ type Result struct {
 // accumulated so far), so completed work is not discarded; Final is only
 // set when the search runs to completion.
 func Run(t Target, opts Options) (*Result, error) {
+	s, err := newSearcher(t, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if s.analyzed != nil {
+			<-s.analyzed // an early return must not leave the analysis running
+		}
+	}()
+	for s.q.Len() > 0 || s.inflight+s.parked > 0 {
+		for s.q.Len() > 0 && s.inflight < s.opts.Workers && !s.interrupted() {
+			p := heap.Pop(s.q).(*Piece)
+			key := addrKey(p.Addrs)
+			st, prov, v, ok := s.recall(p, key)
+			ready := true
+			if !ok && !s.opts.NoProve && len(p.Addrs) > 0 {
+				st, prov, v = stProve, ProvProved, Verdict{Pass: true}
+				ready, ok = s.prove(p, false)
+			}
+			if !ok {
+				s.launch(p, key, !ready)
+			} else if err := s.settle(p, key, st, prov, v); err != nil {
+				return s.fail(err)
+			}
+		}
+		if s.inflight+s.parked == 0 {
+			if s.interrupted() {
+				break
+			}
+			continue // memo replay may have emptied or refilled the queue
+		}
+		if err := s.arrive(<-s.results); err != nil {
+			return s.fail(err)
+		}
+	}
+	return s.compose()
+}
+
+// searcher is one search's coordinator state. Only Run's goroutine
+// writes it, apart from bounds, which the analysis goroutine sets before
+// it closes analyzed.
+type searcher struct {
+	t    Target
+	opts Options // with defaults resolved
+	res  *Result
+
+	base      *config.Config
+	ignored   map[uint64]bool
+	zeroAddrs []uint64 // never-executed candidates (annotated in the final)
+	root      *Piece
+	gate      float64 // sensitivity-gate threshold; 0 disables the gate
+	evaluate  func(EvalUnit) (Verdict, error)
+
+	q        *pieceQueue
+	memo     map[string]bool // settled address sets; nil for the EngineOff oracle
+	results  chan evalRes    // launched units' verdicts and parked ones' returns
+	inflight int             // launched units not yet arrived
+	parked   int             // speculative verdicts waiting on the analysis
+
+	bounds      *errbound.Analysis // nil when the analysis failed or diverged
+	analyzed    chan struct{}      // closed once bounds is final; nil until started
+	provedAddrs []uint64
+}
+
+// evalRes is a launched piece's verdict. A speculative piece was launched
+// while the prover's analysis was pending; its verdict only stands if the
+// analysis does not prove the piece.
+type evalRes struct {
+	p                   *Piece
+	key                 string
+	v                   Verdict
+	err                 error
+	speculative, parked bool
+}
+
+// newSearcher resolves the option defaults and everything the loop reads
+// before the first piece settles: the base configuration and its ignored
+// set, the profile, the pruned candidates, the root piece, the
+// sensitivity gate and the unit evaluator.
+func newSearcher(t Target, opts Options) (*searcher, error) {
 	if t.Module == nil || t.Verify == nil {
 		return nil, fmt.Errorf("search: target needs Module and Verify")
 	}
 	if opts.Workers < 1 {
 		opts.Workers = 1
 	}
-	if opts.SplitThreshold <= 1 {
-		opts.SplitThreshold = 8
-	}
 	if opts.Granularity == config.KindModule {
 		opts.Granularity = config.KindInsn
 	}
-
-	base, ignored, err := baseIgnored(t)
-	if err != nil {
+	s := &searcher{t: t, opts: opts, results: make(chan evalRes)}
+	var err error
+	if s.base, s.ignored, err = baseIgnored(t); err != nil {
 		return nil, err
 	}
 
@@ -415,65 +484,9 @@ func Run(t Target, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("search: profiling run failed: %w", err)
 	}
 
-	// Pruning reads the module's dataflow analysis, which the module
-	// memoizes, so the local runner's instrumenter shares it. A failed
-	// analysis leaves it nil, which disables pruning and keeps every
-	// snippet fully checked.
-	ana := t.InstOpts.Analysis
-	if ana == nil && !opts.NoPrune && !t.InstOpts.NoAnalysis {
-		ana, _ = dataflow.Analyze(t.Module)
-	}
-
-	// Static pruning (the paper §2.5's "static data flow analysis",
-	// default on) removes two candidate classes from the search tree
-	// before any evaluation:
-	//
-	//   - Exact-integer sinks, which the dataflow classification marks
-	//     as statically expected to break under lowering (EP's randlc
-	//     LCG). They stay double in every tested configuration — the
-	//     automated analogue of the paper's user marking randlc
-	//     "ignore", but conservative: the sites keep their double
-	//     wrappers.
-	//
-	//   - Pieces consisting entirely of candidates the profiling run
-	//     never executed skip their evaluation: such a run is
-	//     bit-identical to the verified baseline (the piece's snippets
-	//     never execute, no flagged value is ever produced, and double
-	//     wrappers preserve double semantics exactly), so the verdict is
-	//     a pass by construction. The candidates stay in the tree — the
-	//     piece partitioning, and therefore every evaluated
-	//     configuration, is exactly the unpruned search's.
-	var unsafeAddrs, zeroAddrs []uint64
-	skip := ignored
-	if !opts.NoPrune {
-		excluded := make(map[uint64]bool)
-		if ana != nil && !t.InstOpts.NoAnalysis {
-			for _, a := range ana.UnsafeAddrs() {
-				if !ignored[a] {
-					excluded[a] = true
-					unsafeAddrs = append(unsafeAddrs, a)
-				}
-			}
-		}
-		for addr := range base.Effective() {
-			if !ignored[addr] && !excluded[addr] && profile[addr] == 0 {
-				zeroAddrs = append(zeroAddrs, addr)
-			}
-		}
-		sort.Slice(zeroAddrs, func(i, j int) bool { return zeroAddrs[i] < zeroAddrs[j] })
-		if len(excluded) > 0 {
-			skip = make(map[uint64]bool, len(ignored)+len(excluded))
-			for a := range ignored {
-				skip[a] = true
-			}
-			for a := range excluded {
-				skip[a] = true
-			}
-		}
-	}
-
-	root := buildPiece(base.Root, skip, profile, opts.Granularity)
-	if root == nil {
+	skip, unsafeAddrs := s.prune(profile)
+	s.root = buildPiece(s.base.Root, skip, profile, opts.Granularity)
+	if s.root == nil {
 		return nil, fmt.Errorf("search: no replaceable instructions")
 	}
 
@@ -482,352 +495,362 @@ func Run(t Target, opts Options) (*Result, error) {
 	// queue safest-first, and gate hopeless aggregates.
 	sens := opts.Shadow != nil
 	if sens {
-		setPredErr(root, opts.Shadow)
-	}
-	gate := 0.0
-	if sens && opts.SensThreshold > 0 {
-		gate = opts.SensThreshold * sensGateMargin
+		setPredErr(s.root, opts.Shadow)
+		s.gate = opts.SensThreshold * sensGateMargin
 	}
 
 	// Every unit — each piece and the final union — is evaluated through
 	// one evaluator: Options.Units when set (the fleet, whose workers hold
 	// the engines), else a local UnitRunner built from the same options.
-	var evaluate func(EvalUnit) (Verdict, error)
 	if opts.Units != nil {
-		evaluate = opts.Units.EvaluateUnit
+		s.evaluate = opts.Units.EvaluateUnit
 	} else {
-		runner, err := newUnitRunner(t, opts, ignored)
+		runner, err := newUnitRunner(t, opts, s.ignored)
 		if err != nil {
 			return nil, err
 		}
-		evaluate = runner.Evaluate
+		s.evaluate = runner.Evaluate
 	}
 
-	res := &Result{Profile: profile, ProfileRuns: ran, Unsafe: unsafeAddrs}
-	res.PrunedCandidates = len(unsafeAddrs) + len(zeroAddrs)
-	res.Candidates = len(root.Addrs) + len(unsafeAddrs)
-
-	// The work queue: safest-first under sensitivity guidance, else
-	// optionally a priority queue by weight.
-	q := &pieceQueue{prioritize: opts.Prioritize, sens: sens}
-	heap.Init(q)
-	heap.Push(q, root)
-
-	interrupted := func() bool { return opts.Context != nil && opts.Context.Err() != nil }
-
-	// The static error-bound prover (internal/errbound) settles a piece
-	// without a run when every candidate it lowers either was proved
-	// bit-exact in the target format or never executes under the profile:
-	// the instrumented run would be bit-identical to the verified
-	// baseline, so the verdict is a pass by construction. The analysis is
-	// lazy — it only starts the first time a piece survives every cheaper
-	// stage (recall) — and runs beside evaluation, not in front of it:
-	// while it is pending, pieces reaching the prover launch as ordinary
-	// units marked speculative, and each speculative verdict is resolved
-	// against the finished analysis when it arrives. Which pieces settle
-	// as proved therefore depends only on the analysis, never on timing.
-	analyze := opts.testAnalyze
-	if analyze == nil {
-		analyze = func(m *prog.Module) (*errbound.Analysis, error) {
-			return errbound.Analyze(m, errbound.Options{})
-		}
+	s.res = &Result{
+		Profile: profile, ProfileRuns: ran, Unsafe: unsafeAddrs,
+		PrunedCandidates: len(unsafeAddrs) + len(s.zeroAddrs),
+		Candidates:       len(s.root.Addrs) + len(unsafeAddrs),
 	}
-	var bounds *errbound.Analysis // nil when the analysis failed or diverged
-	var analyzed chan struct{}    // closed once bounds is final; nil until started
-	defer func() {
-		if analyzed != nil {
-			<-analyzed // an early return must not leave the analysis running
-		}
-	}()
-	// proverReady reports whether the analysis finished, starting it on
-	// first use. An analysis the module already memoizes is taken at
-	// once, so no piece launches speculatively for it.
-	proverReady := func() bool {
-		if analyzed == nil {
-			analyzed = make(chan struct{})
-			prove := func() {
-				defer close(analyzed)
-				if an, err := analyze(t.Module); err == nil && an.Converged {
-					bounds = an
-				}
-			}
-			if opts.testAnalyze == nil && errbound.Memoized(t.Module) {
-				prove()
-			} else {
-				go prove()
-			}
-		}
-		select {
-		case <-analyzed:
-			return true
-		default:
-			return false
-		}
-	}
-	// proveExact consults the finished analysis.
-	proveExact := func(p *Piece) bool {
-		if bounds == nil {
-			return false
-		}
-		for _, a := range p.Addrs {
-			if !bounds.ExactAt(a) && profile[a] != 0 {
-				return false
-			}
-		}
-		return true
-	}
-
-	// evalRes is a launched piece's settled verdict. A speculative piece
-	// was launched while the prover's analysis was pending; its verdict
-	// only stands if the analysis does not prove the piece.
-	type evalRes struct {
-		p           *Piece
-		key         string
-		v           Verdict
-		err         error
-		speculative bool
-	}
-	results := make(chan evalRes)
-	inflight := 0
-	// parked holds the speculative verdicts waiting on the analysis off
-	// the loop; each comes back through resolved once it has finished.
-	resolved := make(chan evalRes)
-	parked := 0
-	park := func(r evalRes) {
-		parked++
-		go func() {
-			<-analyzed
-			resolved <- r
-		}()
-	}
-	launch := func(p *Piece, key string, speculative bool) {
-		inflight++
-		go func() {
-			v, err := evaluate(EvalUnit{Key: key, Label: p.Label, Kind: p.Kind, Addrs: p.Addrs})
-			results <- evalRes{p: p, key: key, v: v, err: err, speculative: speculative}
-		}()
-	}
-	// fail waits out every launched unit, then surfaces the error
-	// alongside the partial result: pieces that already passed stay
-	// available to the caller instead of being discarded, and Final stays
-	// unset.
-	fail := func(err error) (*Result, error) {
-		for ; inflight > 0; inflight-- {
-			<-results
-		}
-		for ; parked > 0; parked-- {
-			<-resolved
-		}
-		sortPassing(res.Passing)
-		res.Final = nil
-		return res, err
-	}
-
-	// Verdict memoization (off only for the EngineOff oracle): binary-split
-	// re-splits and aggregate chains with a single child re-enqueue
-	// address sets that were already decided; replay their verdicts
-	// instead of re-running.
-	var memo map[string]bool
+	s.q = &pieceQueue{prioritize: opts.Prioritize, sens: sens}
+	heap.Push(s.q, s.root)
+	// Binary-split re-splits and single-child aggregate chains re-enqueue
+	// decided address sets; the memo replays their verdicts.
 	if opts.Engine != EngineOff {
-		memo = make(map[string]bool)
+		s.memo = make(map[string]bool)
 	}
+	return s, nil
+}
 
-	// recall runs the stages that need neither the prover nor a run, in
-	// chain order, and returns the first that settles the piece.
-	recall := func(p *Piece, key string) (stage, Provenance, Verdict, bool) {
-		if !opts.NoPrune && p.Weight == 0 {
-			// Entirely never-executed: pass by construction, no run.
-			return stPrune, ProvPruned, Verdict{Pass: true}, true
-		}
-		full := len(p.Addrs) == len(root.Addrs)
-		if gate > 0 && len(p.subs) > 0 &&
-			((full && p.PredErr > gate) || p.PredLocal > gate) {
-			// Predicted failure — skip the run and split now. Two sound
-			// cases: a full-coverage piece (lowering it IS the
-			// whole-program single run the carried shadow simulates, so
-			// its global error is an exact prediction, not an
-			// overestimate), or any aggregate whose local error shows an
-			// instruction intrinsically past hope in single regardless
-			// of what upstream produced.
-			return stGate, ProvPredicted, Verdict{}, true
-		}
-		if pass, ok := memo[key]; ok {
-			return stMemo, ProvMemo, Verdict{Pass: pass}, true
-		}
-		if opts.Checkpoint != nil {
-			// After the memo: a journal verdict replays once, its in-run
-			// duplicates stay memo hits as in a fresh search.
-			if jv, ok := opts.Checkpoint.lookup(key); ok {
-				prov := ProvCheckpoint
-				if jv.proved {
-					// The resumed search inherits the proof without
-					// re-deriving it: the prover stays lazy, and the
-					// provenance notes need only the profile.
-					prov = ProvProved
-				}
-				return stJournal, prov, Verdict{Pass: jv.pass, Forked: jv.forked, PrefixSaved: jv.prefixSaved}, true
-			}
-		}
-		if opts.Cache != nil {
-			// The shared cross-job verdict cache: work inherited from
-			// prior searches over the same image. After the checkpoint:
-			// the job's own prior work is accounted as Resumed, not as
-			// cache service.
-			if cv, ok := opts.Cache.Lookup(key); ok {
-				prov := ProvMemo
-				if cv.Proved {
-					prov = ProvProved
-				}
-				return stCache, prov, Verdict{Pass: cv.Pass}, true
-			}
-		}
-		return 0, 0, Verdict{}, false
+// prune applies static pruning (the paper §2.5's "static data flow
+// analysis", default on). It removes two candidate classes from the
+// search tree before any evaluation:
+//
+//   - Exact-integer sinks, which the dataflow classification marks
+//     as statically expected to break under lowering (EP's randlc
+//     LCG). They stay double in every tested configuration — the
+//     automated analogue of the paper's user marking randlc
+//     "ignore", but conservative: the sites keep their double
+//     wrappers. prune returns them in address order, and skip is the
+//     ignored set plus them.
+//
+//   - Pieces consisting entirely of candidates the profiling run
+//     never executed skip their evaluation: such a run is
+//     bit-identical to the verified baseline (the piece's snippets
+//     never execute, no flagged value is ever produced, and double
+//     wrappers preserve double semantics exactly), so the verdict is
+//     a pass by construction. The candidates stay in the tree — the
+//     piece partitioning, and therefore every evaluated
+//     configuration, is exactly the unpruned search's. prune records
+//     them in zeroAddrs.
+func (s *searcher) prune(profile map[uint64]uint64) (skip map[uint64]bool, unsafe []uint64) {
+	if s.opts.NoPrune {
+		return s.ignored, nil
 	}
-
-	// settle is the one place a piece verdict lands, from whichever stage
-	// reached it.
-	var provedAddrs []uint64
-	settle := func(p *Piece, key string, st stage, prov Provenance, v Verdict) error {
-		proved := prov == ProvProved
-		if st >= stProve {
-			// Only verdicts this search derived are cached and journaled:
-			// a replayed one is stored already or free to re-derive.
-			if opts.Cache != nil {
-				opts.Cache.Store(key, CachedVerdict{Pass: v.Pass, Proved: proved})
-			}
-			if opts.Checkpoint != nil {
-				jv := journalVerdict{pass: v.Pass, forked: v.Forked, prefixSaved: v.PrefixSaved, proved: proved}
-				if err := opts.Checkpoint.record(key, jv); err != nil {
-					return fmt.Errorf("search: checkpoint write: %w", err)
-				}
-				if st == stEval && inflight+parked == 0 {
-					// A write-batch boundary: every launched unit has
-					// settled, so fsync the batch.
-					if err := opts.Checkpoint.Sync(); err != nil {
-						return fmt.Errorf("search: checkpoint sync: %w", err)
-					}
+	skip = maps.Clone(s.ignored)
+	if !s.t.InstOpts.NoAnalysis {
+		// The module memoizes its dataflow analysis, so the local
+		// runner's instrumenter shares it. A failed analysis leaves it
+		// nil, which prunes no sink and keeps every snippet fully checked.
+		ana := s.t.InstOpts.Analysis
+		if ana == nil {
+			ana, _ = dataflow.Analyze(s.t.Module)
+		}
+		if ana != nil {
+			for _, a := range ana.UnsafeAddrs() {
+				if !skip[a] {
+					skip[a] = true
+					unsafe = append(unsafe, a)
 				}
 			}
 		}
-		if st >= stMemo && memo != nil {
-			// Pruned and gated verdicts stay out: a gated aggregate and
-			// its only child can share an address set, and the child must
-			// still run.
-			memo[key] = v.Pass
-		}
-		switch st {
-		case stGate:
-			res.Predicted++
-		case stMemo:
-			res.MemoHits++
-		case stJournal:
-			res.Resumed++
-		case stCache:
-			res.CacheHits++
-			if !proved {
-				res.MemoHits++
-			}
-		case stEval:
-			res.tally(p.Label, v)
-		}
-		if proved {
-			// The piece's executed candidates are exactly its proved sites
-			// (the never-executed rest passed without needing the proof),
-			// so a replayed proof marks them without the analysis.
-			res.Proved++
-			for _, a := range p.Addrs {
-				if profile[a] != 0 {
-					provedAddrs = append(provedAddrs, a)
-				}
-			}
-		}
-		res.addEval(opts.Observe, evalOf(p.Label, p.Kind, len(p.Addrs), prov, v))
-		if v.Pass {
-			res.Passing = append(res.Passing, p)
-			return nil
-		}
-		for _, next := range expand(p, opts) {
-			heap.Push(q, next)
-		}
-		return nil
 	}
+	for addr := range s.base.Effective() {
+		if !skip[addr] && profile[addr] == 0 {
+			s.zeroAddrs = append(s.zeroAddrs, addr)
+		}
+	}
+	slices.Sort(s.zeroAddrs)
+	return skip, unsafe
+}
 
-	for q.Len() > 0 || inflight > 0 || parked > 0 {
-		for q.Len() > 0 && inflight < opts.Workers && !interrupted() {
-			p := heap.Pop(q).(*Piece)
-			key := addrKey(p.Addrs)
-			st, prov, v, ok := recall(p, key)
-			if !ok && !opts.NoProve && len(p.Addrs) > 0 {
-				if !proverReady() {
-					launch(p, key, true)
-					continue
-				}
-				st, prov, v, ok = stProve, ProvProved, Verdict{Pass: true}, proveExact(p)
+func (s *searcher) interrupted() bool { return s.opts.Context != nil && s.opts.Context.Err() != nil }
+
+// recall runs the stages that need neither the prover nor a run, in
+// chain order, and returns the first that settles the piece.
+func (s *searcher) recall(p *Piece, key string) (stage, Provenance, Verdict, bool) {
+	if !s.opts.NoPrune && p.Weight == 0 {
+		// Entirely never-executed: pass by construction, no run.
+		return stPrune, ProvPruned, Verdict{Pass: true}, true
+	}
+	full := len(p.Addrs) == len(s.root.Addrs)
+	if s.gate > 0 && len(p.subs) > 0 &&
+		((full && p.PredErr > s.gate) || p.PredLocal > s.gate) {
+		// Predicted failure — skip the run and split now. Two sound
+		// cases: a full-coverage piece (lowering it IS the
+		// whole-program single run the carried shadow simulates, so
+		// its global error is an exact prediction, not an
+		// overestimate), or any aggregate whose local error shows an
+		// instruction intrinsically past hope in single regardless
+		// of what upstream produced.
+		return stGate, ProvPredicted, Verdict{}, true
+	}
+	if pass, ok := s.memo[key]; ok {
+		return stMemo, ProvMemo, Verdict{Pass: pass}, true
+	}
+	if s.opts.Checkpoint != nil {
+		// After the memo: a journal verdict replays once, its in-run
+		// duplicates stay memo hits as in a fresh search.
+		if jv, ok := s.opts.Checkpoint.lookup(key); ok {
+			prov := ProvCheckpoint
+			if jv.proved {
+				// The resumed search inherits the proof without
+				// re-deriving it: the prover stays lazy, and the
+				// provenance notes need only the profile.
+				prov = ProvProved
 			}
-			if !ok {
-				launch(p, key, false)
-				continue
+			return stJournal, prov, Verdict{Pass: jv.pass, Forked: jv.forked, PrefixSaved: jv.prefixSaved}, true
+		}
+	}
+	if s.opts.Cache != nil {
+		// The shared cross-job verdict cache: work inherited from
+		// prior searches over the same image. After the checkpoint:
+		// the job's own prior work is accounted as Resumed, not as
+		// cache service.
+		if cv, ok := s.opts.Cache.Lookup(key); ok {
+			prov := ProvMemo
+			if cv.Proved {
+				prov = ProvProved
 			}
-			if err := settle(p, key, st, prov, v); err != nil {
-				return fail(err)
+			return stCache, prov, Verdict{Pass: cv.Pass}, true
+		}
+	}
+	return 0, 0, Verdict{}, false
+}
+
+// prove is the prover stage. The static error-bound prover
+// (internal/errbound) settles a piece without a run when every candidate
+// it lowers either was proved bit-exact in the target format or never
+// executes under the profile: the instrumented run would be
+// bit-identical to the verified baseline, so the verdict is a pass by
+// construction. The analysis is lazy — it only starts the first time a
+// piece survives every cheaper stage (recall) — and runs beside
+// evaluation, not in front of it: while it is pending, pieces reaching
+// the prover launch as ordinary units marked speculative, and each
+// speculative verdict is resolved against the finished analysis when it
+// arrives. Which pieces settle as proved therefore depends only on the
+// analysis, never on timing. An analysis the module already memoizes is
+// taken at once, so no piece launches speculatively for it.
+//
+// With wait set, prove waits for the analysis. ready reports whether it
+// has finished, and proved whether it proves p.
+func (s *searcher) prove(p *Piece, wait bool) (ready, proved bool) {
+	if s.analyzed == nil {
+		s.analyzed = make(chan struct{})
+		analyze := s.opts.testAnalyze
+		if analyze == nil {
+			analyze = func(m *prog.Module) (*errbound.Analysis, error) {
+				return errbound.Analyze(m, errbound.Options{})
 			}
 		}
-		if inflight+parked == 0 {
-			if interrupted() {
-				break
+		run := func() {
+			defer close(s.analyzed)
+			if an, err := analyze(s.t.Module); err == nil && an.Converged {
+				s.bounds = an
 			}
-			continue // memo replay may have emptied or refilled the queue
 		}
-		var r evalRes
-		select {
-		case r = <-results:
-			inflight--
-		case r = <-resolved:
-			parked--
+		if s.opts.testAnalyze == nil && errbound.Memoized(s.t.Module) {
+			run()
+		} else {
+			go run()
 		}
-		if r.speculative && !proverReady() && inflight+parked > 0 {
+	}
+	select {
+	case <-s.analyzed:
+	default:
+		if !wait {
+			return false, false
+		}
+		<-s.analyzed
+	}
+	for _, a := range p.Addrs {
+		if s.bounds == nil || (!s.bounds.ExactAt(a) && s.res.Profile[a] != 0) {
+			return true, false
+		}
+	}
+	return true, s.bounds != nil
+}
+
+// launch evaluates p's unit on a goroutine that sends its verdict to results.
+func (s *searcher) launch(p *Piece, key string, speculative bool) {
+	s.inflight++
+	go func() {
+		v, err := s.evaluate(EvalUnit{Key: key, Label: p.Label, Kind: p.Kind, Addrs: p.Addrs})
+		s.results <- evalRes{p: p, key: key, v: v, err: err, speculative: speculative}
+	}()
+}
+
+// park holds a speculative verdict off the loop until the analysis has
+// finished, then sends it back through results.
+func (s *searcher) park(r evalRes) {
+	s.parked++
+	r.parked = true
+	go func() {
+		<-s.analyzed
+		s.results <- r
+	}()
+}
+
+// arrive takes one verdict off results and settles it, unless it must
+// wait for the analysis.
+func (s *searcher) arrive(r evalRes) error {
+	if r.parked {
+		s.parked--
+	} else {
+		s.inflight--
+	}
+	if r.speculative {
+		if ready, _ := s.prove(r.p, false); !ready && s.inflight+s.parked > 0 {
 			// Other units are running or waiting: keep settling and
 			// launching while the analysis finishes. A proved piece's run
 			// is bit for bit the verified baseline's, so a clean run that
 			// fails verification is never proved and settles now; every
 			// other verdict waits for the analysis off the loop. With no
-			// other unit in flight the loop waits for it below, as a
+			// other unit in flight the loop waits for it here, as a
 			// single-worker search always does.
 			if r.err != nil || r.v.Failure != FailVerify {
-				park(r)
-				continue
+				s.park(r)
+				return nil
 			}
-			r.speculative = false
-		}
-		if r.speculative {
+		} else if _, proved := s.prove(r.p, true); proved {
 			// Resolve the speculation exactly as the prover stage would
 			// have: a proved piece settles as proved whatever its unit
 			// returned (a failing verdict or an error included).
-			<-analyzed
-			if proveExact(r.p) {
-				if err := settle(r.p, r.key, stProve, ProvProved, Verdict{Pass: true}); err != nil {
-					return fail(err)
-				}
-				continue
-			}
-		}
-		if r.err != nil {
-			return fail(r.err)
-		}
-		if r.v.Interrupted {
-			// Cancelled before a verdict: the piece stays unsettled (and
-			// is never journaled). The launch gate is closed, so inflight
-			// drains and the loop exits.
-			continue
-		}
-		if err := settle(r.p, r.key, stEval, ProvEvaluated, r.v); err != nil {
-			return fail(err)
+			return s.settle(r.p, r.key, stProve, ProvProved, Verdict{Pass: true})
 		}
 	}
+	if r.err != nil {
+		return r.err
+	}
+	if r.v.Interrupted {
+		// Cancelled before a verdict: the piece stays unsettled (and
+		// is never journaled). The launch gate is closed, so inflight
+		// drains and the loop exits.
+		return nil
+	}
+	return s.settle(r.p, r.key, stEval, ProvEvaluated, r.v)
+}
 
-	// Compose the final configuration: union of every passing piece.
-	final := base.Clone()
-	for addr := range ignored {
+// settle is the one place a piece verdict lands, from whichever stage
+// reached it.
+func (s *searcher) settle(p *Piece, key string, st stage, prov Provenance, v Verdict) error {
+	res := s.res
+	proved := prov == ProvProved
+	if st >= stProve {
+		// Only verdicts this search derived are cached and journaled:
+		// a replayed one is stored already or free to re-derive.
+		if s.opts.Cache != nil {
+			s.opts.Cache.Store(key, CachedVerdict{Pass: v.Pass, Proved: proved})
+		}
+		if j := s.opts.Checkpoint; j != nil {
+			jv := journalVerdict{pass: v.Pass, forked: v.Forked, prefixSaved: v.PrefixSaved, proved: proved}
+			if err := j.record(key, jv); err != nil {
+				return fmt.Errorf("search: checkpoint write: %w", err)
+			}
+			if st == stEval && s.inflight+s.parked == 0 {
+				// A write-batch boundary: every launched unit has
+				// settled, so fsync the batch.
+				if err := j.Sync(); err != nil {
+					return fmt.Errorf("search: checkpoint sync: %w", err)
+				}
+			}
+		}
+	}
+	if st >= stMemo && s.memo != nil {
+		// Pruned and gated verdicts stay out: a gated aggregate and
+		// its only child can share an address set, and the child must
+		// still run.
+		s.memo[key] = v.Pass
+	}
+	switch st {
+	case stGate:
+		res.Predicted++
+	case stMemo:
+		res.MemoHits++
+	case stJournal:
+		res.Resumed++
+	case stCache:
+		res.CacheHits++
+		if !proved {
+			res.MemoHits++
+		}
+	case stEval:
+		res.tally(p.Label, v)
+	}
+	if proved {
+		// The piece's executed candidates are exactly its proved sites
+		// (the never-executed rest passed without needing the proof),
+		// so a replayed proof marks them without the analysis.
+		res.Proved++
+		for _, a := range p.Addrs {
+			if res.Profile[a] != 0 {
+				s.provedAddrs = append(s.provedAddrs, a)
+			}
+		}
+	}
+	res.addEval(s.opts.Observe, evalOf(p.Label, p.Kind, len(p.Addrs), prov, v))
+	if v.Pass {
+		res.Passing = append(res.Passing, p)
+	} else {
+		s.expand(p)
+	}
+	return nil
+}
+
+// splitThreshold is the child count above which binary splitting applies.
+const splitThreshold = 8
+
+// expand queues the next round of pieces after p failed: either a binary
+// split of its children or the children themselves (paper §2.2). A piece
+// at the finest granularity has none: it is unreplaceable.
+func (s *searcher) expand(p *Piece) {
+	next := p.subs
+	if s.opts.BinarySplit && len(next) > splitThreshold {
+		mid := len(next) / 2
+		next = []*Piece{
+			mergePieces(p.Label+"/lo", p.Kind, next[:mid]),
+			mergePieces(p.Label+"/hi", p.Kind, next[mid:]),
+		}
+	}
+	for _, c := range next {
+		heap.Push(s.q, c)
+	}
+}
+
+// fail waits out every launched and parked unit, then surfaces the error
+// alongside the partial result: pieces that already passed stay available
+// to the caller instead of being discarded, and Final stays unset.
+func (s *searcher) fail(err error) (*Result, error) {
+	for n := s.inflight + s.parked; n > 0; n-- {
+		<-s.results
+	}
+	sortPassing(s.res.Passing)
+	s.res.Final = nil
+	return s.res, err
+}
+
+// compose builds the final configuration, the union of every passing
+// piece annotated with what the analyses decided, and runs the
+// final-union unit on it.
+func (s *searcher) compose() (*Result, error) {
+	res := s.res
+	final := s.base.Clone()
+	for addr := range s.ignored {
 		if n := final.NodeAt(addr); n != nil {
 			n.Flag = config.Ignore
 		}
@@ -841,10 +864,10 @@ func Run(t Target, opts Options) (*Result, error) {
 	}
 	// Record the classification in the configuration itself so a written
 	// file documents what the analyses decided.
-	for _, a := range provedAddrs {
+	for _, a := range s.provedAddrs {
 		final.Annotate(a, "proved: bit-exact in single")
 	}
-	for _, a := range zeroAddrs {
+	for _, a := range s.zeroAddrs {
 		final.Annotate(a, "never executed")
 	}
 	for _, a := range res.Unsafe {
@@ -853,10 +876,10 @@ func Run(t Target, opts Options) (*Result, error) {
 	res.Final = final
 
 	eff := final.Effective()
-	res.Stats = replace.ComputeStats(t.Module, eff, profile)
+	res.Stats = replace.ComputeStats(s.t.Module, eff, res.Profile)
 	sortPassing(res.Passing)
 
-	if interrupted() {
+	if s.interrupted() {
 		// Cancelled: Final is the best-so-far union of the pieces that
 		// settled before the interrupt. It was never verified as a whole
 		// (FinalPass stays false) — an interrupt is an outcome, not an
@@ -881,31 +904,31 @@ func Run(t Target, opts Options) (*Result, error) {
 			singles = append(singles, a)
 		}
 	}
-	sort.Slice(singles, func(i, j int) bool { return singles[i] < singles[j] })
+	slices.Sort(singles)
 	var finalKey string
-	if opts.Cache != nil {
+	if s.opts.Cache != nil {
 		finalKey = "final\x00" + addrKey(singles)
-		if cv, ok := opts.Cache.Lookup(finalKey); ok {
+		if cv, ok := s.opts.Cache.Lookup(finalKey); ok {
 			res.CacheHits++
 			res.MemoHits++
-			res.addEval(opts.Observe, evalOf("final union", config.KindModule, final.CountSingle(), ProvMemo, Verdict{Pass: cv.Pass}))
+			res.addEval(s.opts.Observe, evalOf("final union", config.KindModule, final.CountSingle(), ProvMemo, Verdict{Pass: cv.Pass}))
 			res.FinalPass = cv.Pass
 			return res, nil
 		}
 	}
-	fv, err := evaluate(EvalUnit{Key: "final union", Label: "final union", Kind: config.KindModule, Addrs: singles, Final: true})
+	fv, err := s.evaluate(EvalUnit{Key: "final union", Label: "final union", Kind: config.KindModule, Addrs: singles, Final: true})
 	if err != nil {
-		return fail(err)
+		return s.fail(err)
 	}
 	if fv.Interrupted {
 		res.Interrupted = true
 		return res, nil
 	}
-	if opts.Cache != nil {
-		opts.Cache.Store(finalKey, CachedVerdict{Pass: fv.Pass})
+	if s.opts.Cache != nil {
+		s.opts.Cache.Store(finalKey, CachedVerdict{Pass: fv.Pass})
 	}
 	res.tally("final union", fv)
-	res.addEval(opts.Observe, evalOf("final union", config.KindModule, final.CountSingle(), ProvEvaluated, fv))
+	res.addEval(s.opts.Observe, evalOf("final union", config.KindModule, final.CountSingle(), ProvEvaluated, fv))
 	res.FinalPass = fv.Pass
 	return res, nil
 }
@@ -963,9 +986,7 @@ func baseIgnored(t Target) (*config.Config, map[uint64]bool, error) {
 // sortPassing orders passing pieces by their first address for
 // deterministic, address-ordered results.
 func sortPassing(pieces []*Piece) {
-	sort.Slice(pieces, func(i, j int) bool {
-		return pieces[i].Addrs[0] < pieces[j].Addrs[0]
-	})
+	sort.Slice(pieces, func(i, j int) bool { return pieces[i].Addrs[0] < pieces[j].Addrs[0] })
 }
 
 // profileRun returns the original program's per-address counts after
@@ -1041,21 +1062,6 @@ func buildPiece(n *config.Node, ignored map[uint64]bool, profile map[uint64]uint
 		}
 		return p
 	}
-}
-
-// expand produces the next round of pieces after p failed: either a binary
-// split of its children or the children themselves (paper §2.2).
-func expand(p *Piece, opts Options) []*Piece {
-	if len(p.subs) == 0 {
-		return nil // unreplaceable at the finest granularity
-	}
-	if opts.BinarySplit && len(p.subs) > opts.SplitThreshold {
-		mid := len(p.subs) / 2
-		lo := mergePieces(p.Label+"/lo", p.Kind, p.subs[:mid])
-		hi := mergePieces(p.Label+"/hi", p.Kind, p.subs[mid:])
-		return []*Piece{lo, hi}
-	}
-	return p.subs
 }
 
 func mergePieces(label string, kind config.Kind, subs []*Piece) *Piece {

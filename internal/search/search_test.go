@@ -211,7 +211,7 @@ func TestSearchBinarySplitReducesTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	split, err := Run(Target{Module: m, Verify: v}, Options{BinarySplit: true, SplitThreshold: 4, NoProve: true})
+	split, err := Run(Target{Module: m, Verify: v}, Options{BinarySplit: true, NoProve: true})
 	if err != nil {
 		t.Fatal(err)
 	}
