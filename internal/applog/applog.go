@@ -1,9 +1,10 @@
 // Package applog is the append-only line log behind the checkpoint
 // journal (internal/search) and the verdict cache (internal/jobs): a
 // header line, then one record per line. Callers own only their line
-// formats; DESIGN.md §6 states the file rules. The first failed fsync
-// sticks, because a retried fsync can report success for writes the
-// kernel already dropped.
+// formats; DESIGN.md §6 states the file rules. The first failed write
+// or fsync sticks: a torn record must not glue onto the next one, and a
+// retried fsync can report success for writes the kernel already
+// dropped.
 package applog
 
 import (
@@ -42,7 +43,7 @@ type Log struct {
 	mu          sync.Mutex
 	f           file  // nil once closed
 	pending     int   // appends since the last fsync
-	err         error // the first failed fsync, returned from then on
+	err         error // the first failed write or fsync, returned from then on
 	groupCommit time.Duration
 	lastSync    time.Time
 }
@@ -114,7 +115,9 @@ func load(name string, f file, r io.Reader, header string, check func(string) er
 }
 
 // Append writes line (which must not contain a newline) as one record
-// and returns how many records await an fsync.
+// and returns how many records await an fsync. A failed write may leave
+// part of the record behind, so its error sticks like a failed fsync's;
+// reopening the log cuts the torn tail.
 func (l *Log) Append(line string) (pending int, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -124,8 +127,8 @@ func (l *Log) Append(line string) (pending int, err error) {
 	if l.f == nil {
 		return 0, os.ErrClosed
 	}
-	if _, err := io.WriteString(l.f, line+"\n"); err != nil {
-		return 0, err
+	if _, l.err = io.WriteString(l.f, line+"\n"); l.err != nil {
+		return 0, l.err
 	}
 	l.pending++
 	return l.pending, nil
@@ -164,7 +167,7 @@ func (l *Log) syncLocked() error {
 }
 
 // Close fsyncs pending records and releases the file. After a failed
-// fsync it returns that error, as every later call does.
+// write or fsync it returns that error, as every later call does.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

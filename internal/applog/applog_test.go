@@ -163,6 +163,53 @@ func TestTornWrite(t *testing.T) {
 	}
 }
 
+// TestWriteErrorSticks: after a torn write, the next append must not
+// glue onto the torn bytes. Every later Append, Sync and Close returns
+// the write error and writes nothing, and a reopen cuts the torn tail.
+func TestWriteErrorSticks(t *testing.T) {
+	f := &fakeFile{}
+	l, _, err := open(t, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append("a 1"); err != nil {
+		t.Fatal(err)
+	}
+	f.writeErr, f.tearAt = syscall.EIO, 3
+	if _, err := l.Append("b 22"); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("torn append err = %v, want EIO", err)
+	}
+	syncs := f.syncs
+	if _, err := l.Append("c 3"); !errors.Is(err, syscall.EIO) {
+		t.Errorf("Append after a torn write: err = %v, want EIO", err)
+	}
+	if err := l.Sync(); !errors.Is(err, syscall.EIO) {
+		t.Errorf("Sync after a torn write: err = %v, want EIO", err)
+	}
+	if err := l.Close(); !errors.Is(err, syscall.EIO) {
+		t.Errorf("Close after a torn write: err = %v, want EIO", err)
+	}
+	if got, want := string(f.data), testHeader+"\na 1\nb 2"; got != want {
+		t.Errorf("file after torn write and append = %q, want %q", got, want)
+	}
+	if f.syncs != syncs {
+		t.Errorf("%d fsyncs after the torn write, want none", f.syncs-syncs)
+	}
+
+	if l, _, err = open(t, f); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append("c 3"); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := string(f.data), testHeader+"\na 1\nc 3\n"; got != want {
+		t.Errorf("file after reopen and append = %q, want %q", got, want)
+	}
+}
+
 // TestAppendNoSpace: ENOSPC on append is returned and leaves the
 // pending count where it was.
 func TestAppendNoSpace(t *testing.T) {

@@ -193,6 +193,8 @@ func TestReadErrors(t *testing.T) {
 		"  FUNC: f()\n",              // missing number
 		"  INSN01: zz \"addsd\"\n",   // bad address (needs func+block first)
 		"  JUNK\n",                   // unknown entry
+		"  MODULE00:; 00\n",          // name renders as the note separator
+		"  MODULE01: a ; \t; x\n",    // note renders as the note separator
 		"",                           // empty
 	}
 	for _, c := range cases {

@@ -30,17 +30,7 @@ func (c *Config) Write(w io.Writer) error {
 			flag = " "
 		}
 		indent := strings.Repeat("  ", depth)
-		var desc string
-		switch n.Kind {
-		case KindModule:
-			desc = fmt.Sprintf("MODULE%02d: %s", n.ID, n.Name)
-		case KindFunc:
-			desc = fmt.Sprintf("FUNC%02d: %s()", n.ID, n.Name)
-		case KindBlock:
-			desc = fmt.Sprintf("BBLK%02d", n.ID)
-		case KindInsn:
-			desc = fmt.Sprintf("INSN%02d: %#x %q", n.ID, n.Addr, n.Name)
-		}
+		desc := n.desc()
 		if n.Note != "" {
 			desc += "  ; " + n.Note
 		}
@@ -60,6 +50,20 @@ func (c *Config) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
+// desc renders n's entry: the line without its flag, indentation and
+// note.
+func (n *Node) desc() string {
+	switch n.Kind {
+	case KindModule:
+		return fmt.Sprintf("MODULE%02d: %s", n.ID, n.Name)
+	case KindFunc:
+		return fmt.Sprintf("FUNC%02d: %s()", n.ID, n.Name)
+	case KindBlock:
+		return fmt.Sprintf("BBLK%02d", n.ID)
+	}
+	return fmt.Sprintf("INSN%02d: %#x %q", n.ID, n.Addr, n.Name)
+}
+
 // String renders the configuration as a string.
 func (c *Config) String() string {
 	var sb strings.Builder
@@ -72,7 +76,7 @@ func (c *Config) String() string {
 // entirely from the file.
 func Read(r io.Reader) (*Config, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // lines up to 1 MiB; the buffer grows as needed
 	c := &Config{byAddr: make(map[uint64]*Node)}
 	// Parent stack by kind nesting: module > func > block > insn.
 	var curFunc, curBlock *Node
@@ -157,6 +161,12 @@ func Read(r io.Reader) (*Config, error) {
 			c.byAddr[addr] = n
 		default:
 			return nil, fmt.Errorf("config: line %d: unrecognized entry %q", lineno, body)
+		}
+		if strings.Contains(n.desc(), " ; ") || strings.HasPrefix(note, "; ") {
+			// Write renders names and notes as they are, and Read splits
+			// the note off at the last " ; ": the line would read back
+			// as another entry.
+			return nil, fmt.Errorf("config: line %d: name %q or note %q holds the note separator", lineno, n.Name, note)
 		}
 	}
 	if err := sc.Err(); err != nil {
