@@ -60,8 +60,10 @@ func (n *Node) desc() string {
 		return fmt.Sprintf("FUNC%02d: %s()", n.ID, n.Name)
 	case KindBlock:
 		return fmt.Sprintf("BBLK%02d", n.ID)
+	case KindInsn:
+		return fmt.Sprintf("INSN%02d: %#x %q", n.ID, n.Addr, n.Name)
 	}
-	return fmt.Sprintf("INSN%02d: %#x %q", n.ID, n.Addr, n.Name)
+	return ""
 }
 
 // String renders the configuration as a string.
