@@ -10,10 +10,11 @@
 //	fpmixworker -server http://127.0.0.1:8606 -name rack3
 //
 // The worker evaluates -parallel units concurrently over each job's
-// shared engine stack and pipelines delivery: claims prefetch the next
-// -batch units while the current ones evaluate, and verdicts ship back
-// in batches, so RPC round-trips overlap with evaluation instead of
-// serializing with it. It re-registers automatically when the daemon
+// shared engine stack and pipelines delivery: claims keep -batch
+// unevaluated units in hand while the current ones evaluate, room frees
+// as each evaluation ends, and each ready batch of verdicts ships at
+// once without waiting for the previous report, so RPC round-trips
+// overlap with evaluation instead of serializing with it. It re-registers automatically when the daemon
 // restarts (its identity comes back 410 Gone), drains when the daemon
 // quarantines it, and on SIGINT/SIGTERM reports its in-flight units as
 // interrupted so the daemon requeues them immediately.
@@ -46,7 +47,7 @@ func main() {
 	name := flag.String("name", hostnameDefault(), "self-reported worker name (fpmixctl workers)")
 	poll := flag.Duration("poll", 2*time.Second, "claim long-poll window")
 	parallel := flag.Int("parallel", 0, "concurrent evaluations (0 = number of CPUs)")
-	batch := flag.Int("batch", 0, "leases held at once and verdicts per report RPC (0 = max(4, 2*parallel))")
+	batch := flag.Int("batch", 0, "leases kept in hand not yet evaluated, and verdicts per report RPC (0 = max(4, 2*parallel))")
 	chaosnet := flag.Int64("chaosnet", 0, "arm seeded network-fault injection (0 = off)")
 	sabotage := flag.Int("sabotage", 0, "report the first N units as failures (chaos)")
 	flag.Parse()

@@ -147,7 +147,7 @@ func TestClockHeartbeatVsReassignRace(t *testing.T) {
 					return
 				default:
 				}
-				leases, _, err := p.Claim(context.Background(), id, 5*time.Millisecond, 2)
+				leases, _, err := p.Claim(context.Background(), id, 5*time.Millisecond, 2, nil)
 				if err != nil {
 					id, _, _ = p.Join("racer", 2) // expired: fresh identity
 					continue

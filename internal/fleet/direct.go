@@ -25,9 +25,10 @@ func (d Direct) Register(_ context.Context, name string, parallel int) (remote.R
 	return remote.RegisterResponse{ID: id, HeartbeatMS: hb.Milliseconds(), ExpiryMS: exp.Milliseconds()}, nil
 }
 
-// Claim long-polls the pool for up to max leases.
-func (d Direct) Claim(ctx context.Context, worker string, wait time.Duration, max int) (remote.ClaimResponse, error) {
-	leases, state, err := d.p.Claim(ctx, worker, wait, max)
+// Claim long-polls the pool for up to max new leases, re-delivering
+// the held leases that the held epochs lack.
+func (d Direct) Claim(ctx context.Context, worker string, wait time.Duration, max int, held []int) (remote.ClaimResponse, error) {
+	leases, state, err := d.p.Claim(ctx, worker, wait, max, held)
 	if err != nil {
 		return remote.ClaimResponse{}, err
 	}

@@ -79,29 +79,35 @@ func (p *Pool) Heartbeat(id string, inflight int) (WorkerState, error) {
 	return w.state, nil
 }
 
-// leaseCapLocked is how many units a worker may hold at once:
-// one batch evaluating plus one batch prefetched, sized to its
-// declared parallelism, never below 4 so single-threaded workers still
-// amortize RPCs. Callers hold p.mu.
+// leaseCapLocked is how many units a worker may hold at once: the
+// window the worker keeps unevaluated in hand plus the leases whose
+// reports are still crossing the link back, sized to its declared
+// parallelism — 8 per evaluation slot, twice the worker runtime's
+// default window (Join clamps parallelism to at least 1). Callers hold
+// p.mu.
 func leaseCapLocked(w *worker) int {
-	c := 4 * w.parallel
-	if c < 4 {
-		c = 4
-	}
-	return c
+	return 8 * w.parallel
 }
 
 // Claim leases up to max queued units to the worker, long-polling up
-// to wait or until ctx ends. The response always re-delivers every
-// lease the worker already holds (same epochs — the idempotency tokens
+// to wait or until ctx ends. held lists the epochs of the leases the
+// worker still holds. The response re-delivers every lease assigned to
+// the worker that the list lacks (same epochs — the idempotency tokens
 // are unchanged, so whichever delivery the worker acts on, only one
-// report per unit is accepted) before topping up from the queue head,
-// in FIFO order, bounded by the worker's lease capacity. An empty slice with state
-// WorkerIdle means no work was available; state WorkerQuarantined tells
-// the worker to drain.
-func (p *Pool) Claim(ctx context.Context, id string, wait time.Duration, max int) ([]Lease, WorkerState, error) {
+// report per unit is accepted), then tops up from the queue head in
+// FIFO order, bounded by the worker's lease capacity. With nothing to
+// re-deliver and nothing to grant the claim parks. A nil list lacks
+// every lease, so a worker that sends none gets every lease it holds
+// re-delivered on every claim. An empty slice with state WorkerIdle
+// means no work was available; state WorkerQuarantined tells the worker
+// to drain.
+func (p *Pool) Claim(ctx context.Context, id string, wait time.Duration, max int, held []int) ([]Lease, WorkerState, error) {
 	if max <= 0 {
 		max = 1
+	}
+	listed := make(map[int]bool, len(held))
+	for _, e := range held {
+		listed[e] = true
 	}
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
@@ -122,7 +128,7 @@ func (p *Pool) Claim(ctx context.Context, id string, wait time.Duration, max int
 			return nil, WorkerQuarantined, nil
 		}
 		limit := leaseCapLocked(w)
-		leases := p.heldLeasesLocked(w)
+		leases := p.unlistedLeasesLocked(w, listed)
 		for granted := 0; !p.draining && granted < max && len(w.leases) < limit && len(p.queue) > 0; granted++ {
 			sh := p.queue[0]
 			p.queue = p.queue[1:]
@@ -153,15 +159,17 @@ func (p *Pool) Claim(ctx context.Context, id string, wait time.Duration, max int
 	}
 }
 
-// heldLeasesLocked snapshots a worker's held leases in stable (job,
-// key) order; callers hold p.mu.
-func (p *Pool) heldLeasesLocked(w *worker) []Lease {
-	if len(w.leases) == 0 {
-		return nil
-	}
+// unlistedLeasesLocked snapshots the worker's held leases whose epochs
+// the list lacks, in stable (job, key) order; callers hold p.mu.
+func (p *Pool) unlistedLeasesLocked(w *worker, listed map[int]bool) []Lease {
 	keys := make([]string, 0, len(w.leases))
-	for k := range w.leases {
-		keys = append(keys, k)
+	for k, sh := range w.leases {
+		if !listed[sh.epoch] {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) == 0 {
+		return nil
 	}
 	sort.Strings(keys)
 	leases := make([]Lease, 0, len(keys))

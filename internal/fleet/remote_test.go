@@ -25,7 +25,7 @@ func claimSoon(t *testing.T, p *Pool, id string) Lease {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		leases, _, err := p.Claim(context.Background(), id, 50*time.Millisecond, 1)
+		leases, _, err := p.Claim(context.Background(), id, 50*time.Millisecond, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestRemoteClaimRedelivery(t *testing.T) {
 	res := evalAsync(j, "k1")
 	res2 := evalAsync(j, "k2long") // a second unit is queued behind
 	first := claimSoon(t, p, id)
-	again, state, err := p.Claim(context.Background(), id, 0, 1)
+	again, state, err := p.Claim(context.Background(), id, 0, 1, nil)
 	if err != nil || len(again) == 0 {
 		t.Fatalf("re-claim: leases=%v state=%s err=%v", again, state, err)
 	}
@@ -193,7 +193,7 @@ func TestRemoteQuarantine(t *testing.T) {
 			t.Fatalf("failure report %d: accepted=%v err=%v", i, acc, err)
 		}
 	}
-	if leases, state, err := p.Claim(context.Background(), bad, 0, 1); err != nil || len(leases) != 0 || state != WorkerQuarantined {
+	if leases, state, err := p.Claim(context.Background(), bad, 0, 1, nil); err != nil || len(leases) != 0 || state != WorkerQuarantined {
 		t.Fatalf("claim after quarantine: leases=%v state=%s err=%v, want none/quarantined", leases, state, err)
 	}
 	if st, err := p.Heartbeat(bad, 0); err != nil || st != WorkerQuarantined {
@@ -239,7 +239,7 @@ func TestRemoteFailureCountResets(t *testing.T) {
 	}
 	// Settle whatever remains.
 	for done := false; !done; {
-		leases, state, err := p.Claim(context.Background(), id, 50*time.Millisecond, 1)
+		leases, state, err := p.Claim(context.Background(), id, 50*time.Millisecond, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +338,7 @@ func TestRemoteUnknownWorker(t *testing.T) {
 	if _, err := p.Heartbeat("r99", 0); err != ErrUnknownWorker {
 		t.Errorf("Heartbeat(r99) err = %v", err)
 	}
-	if _, _, err := p.Claim(context.Background(), "r99", 0, 1); err != ErrUnknownWorker {
+	if _, _, err := p.Claim(context.Background(), "r99", 0, 1, nil); err != ErrUnknownWorker {
 		t.Errorf("Claim(r99) err = %v", err)
 	}
 	if _, err := p.ReportBatch("r99", []Report{{Job: "j", Key: "k", Epoch: 1}}); err != ErrUnknownWorker {
@@ -378,7 +378,7 @@ func TestRemoteDrain(t *testing.T) {
 	if v, err := j.EvaluateUnit(search.EvalUnit{Key: "k2"}); err != nil || !v.Pass || p.Fallbacks() != 1 {
 		t.Fatalf("unit during drain: %+v err=%v fallbacks=%d, want an in-process pass", v, err, p.Fallbacks())
 	}
-	if leases, _, _ := p.Claim(context.Background(), id, 0, 1); len(leases) != 0 {
+	if leases, _, _ := p.Claim(context.Background(), id, 0, 1, nil); len(leases) != 0 {
 		t.Fatal("drain granted a new lease")
 	}
 }

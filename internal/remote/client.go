@@ -48,7 +48,7 @@ type Client struct {
 	seq      int
 	runners  map[string]*cachedRunner // job ID → evaluation stack, see runnerCap
 	building map[string]*runnerBuild  // job ID → the build in flight
-	leased   map[string]bool          // jobs holding leases as of the last claim
+	leased   map[int]string           // epoch → job of the leases held as of the last claim
 	tick     uint64                   // runner-use clock for LRU eviction
 }
 
@@ -104,20 +104,27 @@ func (c *Client) Register(ctx context.Context, name string, parallel int) (Regis
 	return resp, err
 }
 
-// Claim long-polls for up to max leases. The RPC deadline covers the
-// server's long-poll window plus transport grace. A response re-delivers
-// every lease the worker holds, so its jobs are exactly the ones whose
-// runners the cache must keep.
-func (c *Client) Claim(ctx context.Context, worker string, wait time.Duration, max int) (ClaimResponse, error) {
+// Claim long-polls for up to max new leases, listing the epochs of
+// the leases the worker holds. The RPC deadline covers the server's
+// long-poll window plus transport grace. The held leases and the
+// response's leases are together every lease the worker holds, so
+// their jobs are exactly the ones whose runners the cache must keep;
+// the jobs of held leases come from the responses that delivered them.
+func (c *Client) Claim(ctx context.Context, worker string, wait time.Duration, max int, held []int) (ClaimResponse, error) {
 	var resp ClaimResponse
 	err := c.post(ctx, "claim", c.nextKey(worker), "/api/v1/fleet/claim",
-		ClaimRequest{Worker: worker, WaitMS: wait.Milliseconds(), Max: max}, &resp, wait+rpcTimeout)
+		ClaimRequest{Worker: worker, WaitMS: wait.Milliseconds(), Max: max, Held: held}, &resp, wait+rpcTimeout)
 	if err == nil {
-		leased := make(map[string]bool, len(resp.Leases))
-		for _, l := range resp.Leases {
-			leased[l.Job] = true
-		}
 		c.mu.Lock()
+		leased := make(map[int]string, len(held)+len(resp.Leases))
+		for _, e := range held {
+			if job, ok := c.leased[e]; ok {
+				leased[e] = job
+			}
+		}
+		for _, l := range resp.Leases {
+			leased[l.Epoch] = l.Job
+		}
 		c.leased = leased
 		c.mu.Unlock()
 	}
@@ -231,10 +238,17 @@ func (c *Client) buildRunner(ctx context.Context, job string) (*search.UnitRunne
 func (c *Client) cacheLocked(job string, r *search.UnitRunner) {
 	c.tick++
 	c.runners[job] = &cachedRunner{r: r, used: c.tick}
+	if len(c.runners) <= runnerCap {
+		return
+	}
+	pinned := make(map[string]bool, len(c.leased))
+	for _, id := range c.leased {
+		pinned[id] = true
+	}
 	for len(c.runners) > runnerCap {
 		victim := ""
 		for id, e := range c.runners {
-			if !c.leased[id] && (victim == "" || e.used < c.runners[victim].used) {
+			if !pinned[id] && (victim == "" || e.used < c.runners[victim].used) {
 				victim = id
 			}
 		}

@@ -182,7 +182,7 @@ func TestClientRunnerCacheBounded(t *testing.T) {
 	defer ts.Close()
 	c := NewClient(ts.URL, nil)
 	ctx := context.Background()
-	if _, err := c.Claim(ctx, "w1", 0, 1); err != nil {
+	if _, err := c.Claim(ctx, "w1", 0, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	pinned, err := c.Evaluator(ctx, "j0001")
@@ -206,6 +206,47 @@ func TestClientRunnerCacheBounded(t *testing.T) {
 	}
 	if _, ok := c.runners[last]; !ok {
 		t.Error("most recently used runner was evicted")
+	}
+}
+
+// TestClientRunnerPinnedByHeldLease: a claim that lists a held lease
+// gets no re-delivery of it, yet the lease's job keeps its runner
+// pinned — the client remembers which job each held epoch belongs to.
+func TestClientRunnerPinnedByHeldLease(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /api/v1/fleet/jobs/{id}/spec", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(jobs.Spec{Kernel: "ep"})
+	})
+	mux.HandleFunc("POST /api/v1/fleet/claim", func(w http.ResponseWriter, r *http.Request) {
+		var req ClaimRequest
+		json.NewDecoder(r.Body).Decode(&req)
+		resp := ClaimResponse{State: "busy"}
+		if len(req.Held) == 0 {
+			resp.Leases = []Lease{{Job: "j0001", Epoch: 7}}
+		}
+		json.NewEncoder(w).Encode(resp)
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	c := NewClient(ts.URL, nil)
+	ctx := context.Background()
+	if _, err := c.Claim(ctx, "w1", 0, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := c.Evaluator(ctx, "j0001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := c.Claim(ctx, "w1", 0, 1, []int{7}); err != nil || len(resp.Leases) != 0 {
+		t.Fatalf("claim listing the held lease: %+v err=%v, want no re-delivery", resp, err)
+	}
+	for i := 2; i <= runnerCap+3; i++ {
+		if _, err := c.Evaluator(ctx, fmt.Sprintf("j%04d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if again, _ := c.Evaluator(ctx, "j0001"); again != pinned {
+		t.Error("the runner of a job with a held, listed lease was evicted and rebuilt")
 	}
 }
 

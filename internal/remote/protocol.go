@@ -12,10 +12,13 @@
 //	register   join the fleet, declaring evaluation parallelism;
 //	           returns the worker ID and the heartbeat interval /
 //	           expiry budget to respect
-//	claim      long-poll for a batch of evaluation units; always
-//	           re-delivers every lease the worker still holds (same
-//	           epochs) before topping up, so claim responses lost on
-//	           the wire can never strand or double-assign a unit
+//	claim      long-poll for a batch of evaluation units, listing the
+//	           epochs of the leases the worker still holds; re-delivers
+//	           every lease assigned to the worker that the list lacks
+//	           (same epochs) before topping up, so claim responses lost
+//	           on the wire can never strand or double-assign a unit,
+//	           and parks when there is neither (a claim without a list
+//	           gets every held lease re-delivered)
 //	heartbeat  refresh the lease clock, carrying the worker's current
 //	           in-flight evaluation count; returns the worker state so
 //	           a quarantined worker learns to drain
@@ -56,14 +59,20 @@ type RegisterResponse struct {
 	ExpiryMS    int64  `json:"expiry_ms"`
 }
 
-// ClaimRequest long-polls for up to Max units (the worker's free batch
-// slots). The daemon may return fewer — including only re-deliveries
-// of leases the worker already holds — and never more than the
-// capacity it computed from the worker's declared parallelism.
+// ClaimRequest long-polls for up to Max new units (the worker's free
+// window). Held lists the epochs of the leases the worker still holds —
+// claimed and not yet acknowledged as reported; epochs are unique
+// within a daemon, so an epoch alone names a lease. The daemon
+// re-delivers every lease it assigned to the worker that Held lacks,
+// grants new units up to Max and to the capacity it computed from the
+// worker's declared parallelism, and parks the claim while there is
+// neither. A request without Held lacks every lease, so each held lease
+// comes back on every claim.
 type ClaimRequest struct {
 	Worker string `json:"worker"`
 	WaitMS int64  `json:"wait_ms"`
 	Max    int    `json:"max,omitempty"`
+	Held   []int  `json:"held,omitempty"`
 }
 
 // Lease is one evaluation unit leased to this worker. Epoch, together
@@ -115,10 +124,10 @@ func (wu WireUnit) Unit() (search.EvalUnit, error) {
 	}, nil
 }
 
-// ClaimResponse: the worker's state plus every lease it now holds —
-// re-deliveries first, then units newly assigned by this claim. Empty
-// Leases with state "idle" means the long-poll window elapsed with no
-// work; "quarantined" tells the worker to drain.
+// ClaimResponse: the worker's state plus the leases the request's
+// Held list lacks — re-deliveries first, then units newly assigned by
+// this claim. Empty Leases with state "idle" means the long-poll window
+// elapsed with no work; "quarantined" tells the worker to drain.
 type ClaimResponse struct {
 	State  string  `json:"state"`
 	Leases []Lease `json:"leases,omitempty"`

@@ -24,10 +24,11 @@ type WorkerOptions struct {
 	// Parallel is how many evaluations run concurrently over the job's
 	// shared UnitRunner (default runtime.NumCPU()).
 	Parallel int
-	// Batch is how many leases the worker keeps in hand — evaluating
-	// plus prefetched — and the upper bound on verdicts per report RPC
-	// (default max(4, 2×Parallel)). The claim loop tops the buffer up
-	// while evaluations run, so delivery pipelines with execution.
+	// Batch is how many leases the worker keeps in hand not yet
+	// evaluated — evaluating plus prefetched — and the upper bound on
+	// verdicts per report RPC (default max(4, 2×Parallel)). Room frees
+	// as each evaluation ends, before its report lands, so the claim
+	// loop tops the window up while verdicts cross the link back.
 	Batch int
 	// Net arms deterministic network chaos on every RPC (Run only).
 	Net *faultinject.NetInjector
@@ -47,7 +48,7 @@ type WorkerOptions struct {
 // error wrapping ErrGone on either transport.
 type Transport interface {
 	Register(ctx context.Context, name string, parallel int) (RegisterResponse, error)
-	Claim(ctx context.Context, worker string, wait time.Duration, max int) (ClaimResponse, error)
+	Claim(ctx context.Context, worker string, wait time.Duration, max int, held []int) (ClaimResponse, error)
 	Heartbeat(ctx context.Context, worker string, inflight int) (HeartbeatResponse, error)
 	Report(ctx context.Context, req ReportRequest) ([]bool, error)
 	Evaluator(ctx context.Context, job string) (Evaluator, error)
@@ -67,10 +68,12 @@ func Run(ctx context.Context, opts WorkerOptions) error {
 
 // Serve drives a worker over the transport until ctx is cancelled:
 // register, then pipeline claim → evaluate → report under one
-// identity, heartbeating in the background. Claims prefetch the next
-// batch of units while the current ones evaluate on a pool of Parallel
-// goroutines, and verdicts ship back in batches — so RPC round-trips
-// overlap with evaluation instead of serializing with it. The wire
+// identity, heartbeating in the background. Claims keep Batch
+// unevaluated leases in hand while the current ones evaluate on a pool
+// of Parallel goroutines and park at the daemon while there is no new
+// work; each ready batch of verdicts ships at once, without waiting for
+// the previous report to be answered — so RPC round-trips overlap with
+// evaluation instead of serializing with it. The wire
 // protocol's failure recovery is built in: transient transport errors
 // retry with jittered backoff (inside the HTTP client per RPC, and
 // across the register/claim loops so a briefly-unreachable daemon never
@@ -138,12 +141,13 @@ type workerRT struct {
 	t    Transport
 	opts WorkerOptions
 
-	mu        sync.Mutex
-	sabotaged int
-	held      map[string]struct{} // job\x00key of leases claimed and not yet reported
-	reported  map[string]int      // job\x00key → highest epoch already reported
-	evals     int                 // evaluations running right now
-	slot      chan struct{}       // pulsed when reported units free batch room
+	mu          sync.Mutex
+	sabotaged   int
+	held        map[int]struct{} // epochs of leases claimed and not yet acknowledged as reported
+	reported    map[string]int   // job\x00key → highest epoch already reported
+	unevaluated int              // held leases whose evaluation has not ended
+	evals       int              // evaluations running right now
+	slot        chan struct{}    // pulsed when an evaluation ends and frees window room
 }
 
 // reportedCap bounds the reported-epoch memory; past it the map resets
@@ -151,42 +155,57 @@ type workerRT struct {
 // evaluation whose report the daemon discards).
 const reportedCap = 4096
 
-// heldCount is the number of leases in the worker's hands.
-func (w *workerRT) heldCount() int {
+// heldEpochs lists the epochs of the leases in the worker's hands, for
+// the claim that tells the daemon which leases need no re-delivery.
+func (w *workerRT) heldEpochs() []int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return len(w.held)
+	epochs := make([]int, 0, len(w.held))
+	for e := range w.held {
+		epochs = append(epochs, e)
+	}
+	return epochs
+}
+
+// room is how many more leases the window admits: Batch minus the held
+// leases not yet evaluated.
+func (w *workerRT) room() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.opts.Batch - w.unevaluated
 }
 
 // addHeld records a delivered lease; false means the worker already
-// holds it (the daemon re-delivers every held lease on every claim, so
-// duplicates are routine, not an error) or already reported this epoch
-// of it — a claim response composed while the report was in flight
-// re-delivers a lease the daemon has since retired, and evaluating
-// that stale copy would burn a whole unit of CPU on a report the
-// daemon can only discard. A real reassignment bumps the epoch, so
-// genuinely re-leased units still evaluate.
+// holds it (a daemon that ignores the held list re-delivers every held
+// lease on every claim, so duplicates are routine, not an error) or
+// already reported this epoch of its unit — a claim response composed
+// while the report was in flight can re-deliver a lease the daemon has
+// since retired, and evaluating that stale copy would burn a whole unit
+// of CPU on a report the daemon can only discard. A real reassignment
+// bumps the epoch, so genuinely re-leased units still evaluate.
 func (w *workerRT) addHeld(l Lease) bool {
 	k := l.Job + "\x00" + l.Unit.Key
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, ok := w.held[k]; ok {
+	if _, ok := w.held[l.Epoch]; ok {
 		return false
 	}
 	if e, ok := w.reported[k]; ok && e >= l.Epoch {
 		return false
 	}
-	w.held[k] = struct{}{}
+	w.held[l.Epoch] = struct{}{}
+	w.unevaluated++
 	return true
 }
 
-// dropHeld releases reported leases, remembers the epochs they carried
-// and pulses the claim loop.
+// dropHeld releases leases whose reports the daemon answered and
+// remembers the epochs they carried.
 func (w *workerRT) dropHeld(reports []UnitReport) {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	for _, r := range reports {
 		k := r.Job + "\x00" + r.Key
-		delete(w.held, k)
+		delete(w.held, r.Epoch)
 		if len(w.reported) >= reportedCap {
 			w.reported = make(map[string]int)
 		}
@@ -194,6 +213,13 @@ func (w *workerRT) dropHeld(reports []UnitReport) {
 			w.reported[k] = r.Epoch
 		}
 	}
+}
+
+// evaluated frees a lease's window room once its evaluation ended and
+// pulses the claim loop; the lease stays held until its report lands.
+func (w *workerRT) evaluated() {
+	w.mu.Lock()
+	w.unevaluated--
 	w.mu.Unlock()
 	select {
 	case w.slot <- struct{}{}:
@@ -221,10 +247,11 @@ func (w *workerRT) evalDone() {
 	w.mu.Unlock()
 }
 
-// serve runs one registration epoch: a claim loop prefetching lease
-// batches, Parallel evaluator goroutines, and a reporter batching
-// verdicts back, all under the given identity until the context ends
-// (returns nil) or the daemon forgets the identity (returns ErrGone).
+// serve runs one registration epoch: a claim loop keeping the lease
+// window full, Parallel evaluator goroutines, and a reporter shipping
+// verdict batches back, all under the given identity until the context
+// ends (returns nil) or the daemon forgets the identity (returns
+// ErrGone). It returns once every report has been answered.
 func (w *workerRT) serve(ctx context.Context, reg RegisterResponse) error {
 	hctx, hcancel := context.WithCancel(ctx)
 	defer hcancel()
@@ -238,24 +265,27 @@ func (w *workerRT) serve(ctx context.Context, reg RegisterResponse) error {
 	go w.beat(hctx, reg.ID, interval, gone, markGone)
 
 	w.mu.Lock()
-	w.held = make(map[string]struct{})
+	w.held = make(map[int]struct{})
 	w.reported = make(map[string]int)
+	w.unevaluated = 0
 	w.evals = 0
 	w.slot = make(chan struct{}, 1)
 	w.mu.Unlock()
 
-	// Buffers are sized so neither evaluators nor the reporter can
-	// block the pipeline: at most Batch leases are ever held, so at
-	// most Batch entries can sit in pending or results at once.
+	// The claim loop keeps about Batch leases in pending; re-deliveries
+	// can briefly exceed that, and then the claim loop waits for an
+	// evaluator. The reporter never blocks, so results drains freely.
 	pending := make(chan Lease, 2*w.opts.Batch)
-	results := make(chan UnitReport, 2*w.opts.Batch+w.opts.Parallel)
+	results := make(chan UnitReport, w.opts.Batch)
 	var evals sync.WaitGroup
 	for i := 0; i < w.opts.Parallel; i++ {
 		evals.Add(1)
 		go func() {
 			defer evals.Done()
 			for l := range pending {
-				results <- w.evalOne(ctx, l)
+				r := w.evalOne(ctx, l)
+				w.evaluated()
+				results <- r
 			}
 		}()
 	}
@@ -273,9 +303,11 @@ func (w *workerRT) serve(ctx context.Context, reg RegisterResponse) error {
 	return err
 }
 
-// claimLoop prefetches leases while evaluations run: whenever the
-// worker holds fewer than Batch units it claims the difference,
-// otherwise it waits for the reporter to free room. Returns nil on
+// claimLoop keeps the lease window full while evaluations run: whenever
+// fewer than Batch held leases await or undergo evaluation it claims
+// the difference, listing the leases it holds so the daemon re-delivers
+// only lost ones and otherwise parks the claim until work arrives; with
+// the window full it waits for an evaluation to end. Returns nil on
 // context end, ErrGone when the daemon forgot the identity.
 func (w *workerRT) claimLoop(ctx context.Context, id string, pending chan<- Lease, gone <-chan struct{}) error {
 	streak := 0
@@ -287,7 +319,7 @@ func (w *workerRT) claimLoop(ctx context.Context, id string, pending chan<- Leas
 			return ErrGone
 		default:
 		}
-		want := w.opts.Batch - w.heldCount()
+		want := w.room()
 		if want <= 0 {
 			select {
 			case <-ctx.Done():
@@ -299,7 +331,7 @@ func (w *workerRT) claimLoop(ctx context.Context, id string, pending chan<- Leas
 			}
 			continue
 		}
-		resp, err := w.t.Claim(ctx, id, w.opts.Poll, want)
+		resp, err := w.t.Claim(ctx, id, w.opts.Poll, want, w.heldEpochs())
 		if errors.Is(err, ErrGone) {
 			return ErrGone
 		}
@@ -327,33 +359,36 @@ func (w *workerRT) claimLoop(ctx context.Context, id string, pending chan<- Leas
 	}
 }
 
-// reportLoop batches verdicts back to the daemon: it blocks for the
-// first result, drains whatever else is ready (up to Batch), and ships
-// them in one RPC. After a cancellation the remaining results — the
-// Interrupted reports of a graceful drain — flush over a short grace
-// context so the daemon requeues the units now rather than waiting out
-// the lease expiry.
+// reportLoop ships verdicts back to the daemon: it blocks for the first
+// result, drains whatever else is ready (up to Batch), and sends them
+// in one RPC without waiting for the reports already in flight, so a
+// verdict never waits out another report's round trip. After a
+// cancellation the remaining results — the Interrupted reports of a
+// graceful drain — flush over a short grace context so the daemon
+// requeues the units now rather than waiting out the lease expiry. It
+// returns once results is closed and every report has been answered.
 func (w *workerRT) reportLoop(ctx context.Context, id string, results <-chan UnitReport, markGone func()) {
-	for {
-		first, ok := <-results
-		if !ok {
-			return
-		}
+	var sends sync.WaitGroup
+	defer sends.Wait()
+	for first := range results {
 		batch := []UnitReport{first}
 	drain:
 		for len(batch) < w.opts.Batch {
 			select {
 			case r, ok := <-results:
 				if !ok {
-					w.sendReports(ctx, id, batch, markGone)
-					return
+					break drain
 				}
 				batch = append(batch, r)
 			default:
 				break drain
 			}
 		}
-		w.sendReports(ctx, id, batch, markGone)
+		sends.Add(1)
+		go func() {
+			defer sends.Done()
+			w.sendReports(ctx, id, batch, markGone)
+		}()
 	}
 }
 

@@ -2,14 +2,15 @@ package remote
 
 import "testing"
 
-// TestStaleLeaseGuard: the daemon re-delivers every held lease on every
-// claim, and a claim response composed while a report was in flight can
-// re-deliver a lease the daemon has since retired. The worker must
+// TestStaleLeaseGuard: a daemon that ignores the claim's held list
+// re-delivers every held lease on every claim, and a claim response
+// composed while a report was in flight can re-deliver a lease the
+// daemon has since retired. The worker must
 // refuse both the duplicate and the already-reported epoch — but still
 // accept a genuine reassignment, which arrives with a higher epoch.
 func TestStaleLeaseGuard(t *testing.T) {
 	w := &workerRT{
-		held:     make(map[string]struct{}),
+		held:     make(map[int]struct{}),
 		reported: make(map[string]int),
 		slot:     make(chan struct{}, 1),
 	}
@@ -31,4 +32,11 @@ func TestStaleLeaseGuard(t *testing.T) {
 	if !w.addHeld(l) {
 		t.Fatal("re-leased unit at a higher epoch refused")
 	}
+}
+
+// heldCount is the number of leases in the worker's hands.
+func (w *workerRT) heldCount() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.held)
 }

@@ -139,9 +139,6 @@ func (e *earlyUnits) EvaluateUnit(u EvalUnit) (Verdict, error) {
 // configuration, tested and proved counts of one whose analysis finished
 // first.
 func TestSpeculativeFailuresDoNotWaitForProver(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs two mg searches")
-	}
 	bench, err := kernels.Get("mg", kernels.ClassW)
 	if err != nil {
 		t.Fatal(err)

@@ -58,7 +58,7 @@ func (s *Server) handleFleetClaim(w http.ResponseWriter, r *http.Request) {
 	if wait > maxClaimWait {
 		wait = maxClaimWait
 	}
-	resp, err := s.pool.Direct().Claim(r.Context(), req.Worker, wait, req.Max)
+	resp, err := s.pool.Direct().Claim(r.Context(), req.Worker, wait, req.Max, req.Held)
 	fleetReply(w, resp, err)
 }
 
