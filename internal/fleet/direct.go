@@ -26,13 +26,14 @@ func (d Direct) Register(_ context.Context, name string, parallel int) (remote.R
 }
 
 // Claim long-polls the pool for up to max new leases, re-delivering
-// the held leases that the held epochs lack.
+// the held leases that the held epochs lack, and lists the running
+// jobs.
 func (d Direct) Claim(ctx context.Context, worker string, wait time.Duration, max int, held []int) (remote.ClaimResponse, error) {
-	leases, state, err := d.p.Claim(ctx, worker, wait, max, held)
+	leases, jobs, state, err := d.p.Claim(ctx, worker, wait, max, held)
 	if err != nil {
 		return remote.ClaimResponse{}, err
 	}
-	resp := remote.ClaimResponse{State: string(state)}
+	resp := remote.ClaimResponse{State: string(state), Jobs: jobs}
 	for _, l := range leases {
 		resp.Leases = append(resp.Leases, remote.Lease{Job: l.Job, Epoch: l.Epoch, Unit: remote.ToWire(l.Unit)})
 	}

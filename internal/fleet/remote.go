@@ -100,8 +100,11 @@ func leaseCapLocked(w *worker) int {
 // every lease, so a worker that sends none gets every lease it holds
 // re-delivered on every claim. An empty slice with state WorkerIdle
 // means no work was available; state WorkerQuarantined tells the worker
-// to drain.
-func (p *Pool) Claim(ctx context.Context, id string, wait time.Duration, max int, held []int) ([]Lease, WorkerState, error) {
+// to drain. Every answer also lists the IDs of the registered jobs,
+// sorted and never nil, snapshotted under the lock that grants the
+// leases, so a remote worker can free the evaluation stacks of jobs
+// that ended.
+func (p *Pool) Claim(ctx context.Context, id string, wait time.Duration, max int, held []int) ([]Lease, []string, WorkerState, error) {
 	if max <= 0 {
 		max = 1
 	}
@@ -116,16 +119,17 @@ func (p *Pool) Claim(ctx context.Context, id string, wait time.Duration, max int
 		w, ok := p.workers[id]
 		if !ok || w.state == WorkerDead {
 			p.mu.Unlock()
-			return nil, WorkerDead, ErrUnknownWorker
+			return nil, nil, WorkerDead, ErrUnknownWorker
 		}
 		if p.closed {
 			p.mu.Unlock()
-			return nil, WorkerDead, fmt.Errorf("fleet: pool closed")
+			return nil, nil, WorkerDead, fmt.Errorf("fleet: pool closed")
 		}
 		w.lastBeat = p.now() // a claim is as good as a heartbeat
 		if w.state == WorkerQuarantined {
+			jobs := p.jobIDsLocked()
 			p.mu.Unlock()
-			return nil, WorkerQuarantined, nil
+			return nil, jobs, WorkerQuarantined, nil
 		}
 		limit := leaseCapLocked(w)
 		leases := p.unlistedLeasesLocked(w, listed)
@@ -144,19 +148,34 @@ func (p *Pool) Claim(ctx context.Context, id string, wait time.Duration, max int
 		}
 		if len(leases) > 0 {
 			state := w.state
+			jobs := p.jobIDsLocked()
 			p.mu.Unlock()
-			return leases, state, nil
+			return leases, jobs, state, nil
 		}
 		waitCh := p.waitCh
 		p.mu.Unlock()
 		select {
 		case <-waitCh:
 		case <-timer.C:
-			return nil, WorkerIdle, nil
+			p.mu.Lock()
+			jobs := p.jobIDsLocked()
+			p.mu.Unlock()
+			return nil, jobs, WorkerIdle, nil
 		case <-ctx.Done():
-			return nil, WorkerIdle, ctx.Err()
+			return nil, nil, WorkerIdle, ctx.Err()
 		}
 	}
+}
+
+// jobIDsLocked lists the registered jobs' IDs, sorted and never nil;
+// callers hold p.mu.
+func (p *Pool) jobIDsLocked() []string {
+	ids := make([]string, 0, len(p.jobs))
+	for id := range p.jobs {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
 }
 
 // unlistedLeasesLocked snapshots the worker's held leases whose epochs

@@ -2,6 +2,9 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,7 +28,7 @@ func claimSoon(t *testing.T, p *Pool, id string) Lease {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		leases, _, err := p.Claim(context.Background(), id, 50*time.Millisecond, 1, nil)
+		leases, _, _, err := p.Claim(context.Background(), id, 50*time.Millisecond, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +117,7 @@ func TestRemoteClaimRedelivery(t *testing.T) {
 	res := evalAsync(j, "k1")
 	res2 := evalAsync(j, "k2long") // a second unit is queued behind
 	first := claimSoon(t, p, id)
-	again, state, err := p.Claim(context.Background(), id, 0, 1, nil)
+	again, _, state, err := p.Claim(context.Background(), id, 0, 1, nil)
 	if err != nil || len(again) == 0 {
 		t.Fatalf("re-claim: leases=%v state=%s err=%v", again, state, err)
 	}
@@ -193,7 +196,7 @@ func TestRemoteQuarantine(t *testing.T) {
 			t.Fatalf("failure report %d: accepted=%v err=%v", i, acc, err)
 		}
 	}
-	if leases, state, err := p.Claim(context.Background(), bad, 0, 1, nil); err != nil || len(leases) != 0 || state != WorkerQuarantined {
+	if leases, _, state, err := p.Claim(context.Background(), bad, 0, 1, nil); err != nil || len(leases) != 0 || state != WorkerQuarantined {
 		t.Fatalf("claim after quarantine: leases=%v state=%s err=%v, want none/quarantined", leases, state, err)
 	}
 	if st, err := p.Heartbeat(bad, 0); err != nil || st != WorkerQuarantined {
@@ -239,7 +242,7 @@ func TestRemoteFailureCountResets(t *testing.T) {
 	}
 	// Settle whatever remains.
 	for done := false; !done; {
-		leases, state, err := p.Claim(context.Background(), id, 50*time.Millisecond, 1, nil)
+		leases, _, state, err := p.Claim(context.Background(), id, 50*time.Millisecond, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +341,7 @@ func TestRemoteUnknownWorker(t *testing.T) {
 	if _, err := p.Heartbeat("r99", 0); err != ErrUnknownWorker {
 		t.Errorf("Heartbeat(r99) err = %v", err)
 	}
-	if _, _, err := p.Claim(context.Background(), "r99", 0, 1, nil); err != ErrUnknownWorker {
+	if _, _, _, err := p.Claim(context.Background(), "r99", 0, 1, nil); err != ErrUnknownWorker {
 		t.Errorf("Claim(r99) err = %v", err)
 	}
 	if _, err := p.ReportBatch("r99", []Report{{Job: "j", Key: "k", Epoch: 1}}); err != ErrUnknownWorker {
@@ -378,7 +381,7 @@ func TestRemoteDrain(t *testing.T) {
 	if v, err := j.EvaluateUnit(search.EvalUnit{Key: "k2"}); err != nil || !v.Pass || p.Fallbacks() != 1 {
 		t.Fatalf("unit during drain: %+v err=%v fallbacks=%d, want an in-process pass", v, err, p.Fallbacks())
 	}
-	if leases, _, _ := p.Claim(context.Background(), id, 0, 1, nil); len(leases) != 0 {
+	if leases, _, _, _ := p.Claim(context.Background(), id, 0, 1, nil); len(leases) != 0 {
 		t.Fatal("drain granted a new lease")
 	}
 }
@@ -437,4 +440,39 @@ func TestRemoteInterruptQueued(t *testing.T) {
 	}
 	p.Close()
 	<-bystander
+}
+
+// TestClaimListsRunningJobs: every claim answer lists the registered
+// jobs — [] on the wire when none runs, the granted lease's job among
+// them, and a job no more once its handle is withdrawn.
+func TestClaimListsRunningJobs(t *testing.T) {
+	p := New(Options{})
+	defer p.Close()
+	d := p.Direct()
+	reg, _ := d.Register(context.Background(), "w", 1)
+	resp, err := d.Claim(context.Background(), reg.ID, 0, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, _ := json.Marshal(resp); !strings.Contains(string(data), `"jobs":[]`) {
+		t.Fatalf("claim with no running job encodes as %s, want \"jobs\":[]", data)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	j := p.Register(ctx, "j0002", &fakeEval{})
+	p.Register(context.Background(), "j0001", &fakeEval{})
+	res := evalAsync(j, "k1")
+	waitQueue(t, p, 1)
+	resp, err = d.Claim(context.Background(), reg.ID, 0, 1, nil)
+	if err != nil || len(resp.Leases) != 1 {
+		t.Fatalf("claim with a queued unit: %+v err=%v, want one lease", resp, err)
+	}
+	if want := []string{"j0001", "j0002"}; !slices.Equal(resp.Jobs, want) {
+		t.Fatalf("granting claim lists %v, want %v", resp.Jobs, want)
+	}
+	cancel()
+	<-res // settled by the withdrawal, which has unlisted the job first
+	resp, err = d.Claim(context.Background(), reg.ID, 0, 1, nil)
+	if err != nil || !slices.Equal(resp.Jobs, []string{"j0001"}) {
+		t.Fatalf("claim after j0002 withdrew lists %v err=%v, want [j0001]", resp.Jobs, err)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -38,7 +39,8 @@ func (e errInjected) Error() string {
 // idempotency guarantees (dropped responses force duplicate
 // deliveries; resets force clean retries; see faultinject.NetKind).
 // Its Evaluator builds each job's evaluation stack from the served spec
-// and keeps a bounded cache of them.
+// and caches it while the daemon's claim responses list the job as
+// running or a lease of the job is held, within runnerCap.
 type Client struct {
 	base string
 	hc   *http.Client
@@ -66,7 +68,9 @@ type cachedRunner struct {
 	used uint64
 }
 
-// runnerCap bounds the runner cache. Past it, the least recently used
+// runnerCap bounds the runner cache where the claim responses' job
+// lists do not: against an older daemon, which sends none, and while
+// more jobs run at once than the cap. Past it, the least recently used
 // runner of a job with no held lease is dropped, donor snapshots and
 // all; a job that returns rebuilds its stack. Runners of jobs with held
 // leases are never dropped, so the cache exceeds the cap only while the
@@ -110,6 +114,9 @@ func (c *Client) Register(ctx context.Context, name string, parallel int) (Regis
 // response's leases are together every lease the worker holds, so
 // their jobs are exactly the ones whose runners the cache must keep;
 // the jobs of held leases come from the responses that delivered them.
+// A response that lists the running jobs also drops the runner of every
+// job that is neither listed nor leased: the job ended, and its stack,
+// donor snapshots included, is freed at the first claim after the end.
 func (c *Client) Claim(ctx context.Context, worker string, wait time.Duration, max int, held []int) (ClaimResponse, error) {
 	var resp ClaimResponse
 	err := c.post(ctx, "claim", c.nextKey(worker), "/api/v1/fleet/claim",
@@ -126,6 +133,13 @@ func (c *Client) Claim(ctx context.Context, worker string, wait time.Duration, m
 			leased[l.Epoch] = l.Job
 		}
 		c.leased = leased
+		if resp.Jobs != nil {
+			keep := c.leasedJobsLocked()
+			for _, job := range resp.Jobs {
+				keep[job] = true
+			}
+			maps.DeleteFunc(c.runners, func(job string, _ *cachedRunner) bool { return !keep[job] })
+		}
 		c.mu.Unlock()
 	}
 	return resp, err
@@ -241,10 +255,7 @@ func (c *Client) cacheLocked(job string, r *search.UnitRunner) {
 	if len(c.runners) <= runnerCap {
 		return
 	}
-	pinned := make(map[string]bool, len(c.leased))
-	for _, id := range c.leased {
-		pinned[id] = true
-	}
+	pinned := c.leasedJobsLocked()
 	for len(c.runners) > runnerCap {
 		victim := ""
 		for id, e := range c.runners {
@@ -257,6 +268,16 @@ func (c *Client) cacheLocked(job string, r *search.UnitRunner) {
 		}
 		delete(c.runners, victim)
 	}
+}
+
+// leasedJobsLocked is the set of jobs the worker holds a lease of,
+// whose runners must stay; callers hold c.mu.
+func (c *Client) leasedJobsLocked() map[string]bool {
+	jobs := make(map[string]bool, len(c.leased))
+	for _, job := range c.leased {
+		jobs[job] = true
+	}
+	return jobs
 }
 
 // JobSpec fetches the spec of the job a lease belongs to, from which

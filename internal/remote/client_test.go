@@ -314,3 +314,156 @@ func TestClientFailedBuildNotCached(t *testing.T) {
 		t.Errorf("spec fetched %d times, want 2", n)
 	}
 }
+
+// scriptedDaemon serves job specs, counting fetches per job, and answers
+// each claim with the next scripted response.
+func scriptedDaemon(t *testing.T, claims ...ClaimResponse) (*Client, *sync.Map) {
+	t.Helper()
+	var specs sync.Map // job ID → *atomic.Int64
+	var mu sync.Mutex
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /api/v1/fleet/jobs/{id}/spec", func(w http.ResponseWriter, r *http.Request) {
+		n, _ := specs.LoadOrStore(r.PathValue("id"), new(atomic.Int64))
+		n.(*atomic.Int64).Add(1)
+		json.NewEncoder(w).Encode(jobs.Spec{Kernel: "ep"})
+	})
+	mux.HandleFunc("POST /api/v1/fleet/claim", func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		if len(claims) == 0 {
+			t.Error("claim past the script")
+			http.Error(w, "no more claims", http.StatusBadRequest)
+			return
+		}
+		json.NewEncoder(w).Encode(claims[0])
+		claims = claims[1:]
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return NewClient(ts.URL, nil), &specs
+}
+
+// TestClientDropsRunnersOfEndedJobs: a claim response that lists only
+// job B frees the runner of job A, whose leases were all reported, and
+// keeps B's.
+func TestClientDropsRunnersOfEndedJobs(t *testing.T) {
+	c, _ := scriptedDaemon(t,
+		ClaimResponse{State: "busy", Leases: []Lease{{Job: "jA", Epoch: 1}, {Job: "jB", Epoch: 2}}, Jobs: []string{"jA", "jB"}},
+		ClaimResponse{State: "idle", Jobs: []string{"jB"}},
+	)
+	ctx := context.Background()
+	if _, err := c.Claim(ctx, "w1", 0, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	_, errA := c.Evaluator(ctx, "jA")
+	b, errB := c.Evaluator(ctx, "jB")
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if _, err := c.Claim(ctx, "w1", 0, 2, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.runners["jA"]; ok {
+		t.Error("the ended job's runner survived a claim response that no longer lists it")
+	}
+	if e, ok := c.runners["jB"]; !ok || e.r != b {
+		t.Error("the running job's runner was dropped")
+	}
+}
+
+// TestClientKeepsRunnersOfRunningJobs: two running jobs whose leases
+// interleave, each lease reported before the next claim, keep both
+// runners: the spec endpoint is fetched once per job.
+func TestClientKeepsRunnersOfRunningJobs(t *testing.T) {
+	running := []string{"jA", "jB"}
+	var script []ClaimResponse
+	for e := 1; e <= 6; e++ {
+		script = append(script, ClaimResponse{State: "busy", Leases: []Lease{{Job: running[e%2], Epoch: e}}, Jobs: running})
+	}
+	c, specs := scriptedDaemon(t, script...)
+	ctx := context.Background()
+	for range script {
+		resp, err := c.Claim(ctx, "w1", 0, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Evaluator(ctx, resp.Leases[0].Job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, job := range running {
+		n, ok := specs.Load(job)
+		if !ok || n.(*atomic.Int64).Load() != 1 {
+			t.Errorf("spec of running job %s fetched %v times, want once", job, n)
+		}
+	}
+}
+
+// TestClientKeepsRunnerOfHeldLease: a claim response that no longer
+// lists a job keeps its runner while the worker holds one of its
+// leases, and frees it once the lease is no longer held.
+func TestClientKeepsRunnerOfHeldLease(t *testing.T) {
+	c, _ := scriptedDaemon(t,
+		ClaimResponse{State: "busy", Leases: []Lease{{Job: "jA", Epoch: 7}}, Jobs: []string{"jA"}},
+		ClaimResponse{State: "busy", Jobs: []string{}},
+		ClaimResponse{State: "idle", Jobs: []string{}},
+	)
+	ctx := context.Background()
+	if _, err := c.Claim(ctx, "w1", 0, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := c.Evaluator(ctx, "jA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Claim(ctx, "w1", 0, 1, []int{7}); err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := c.runners["jA"]; !ok || e.r != pinned {
+		t.Fatal("the runner of a job with a held lease was dropped")
+	}
+	if _, err := c.Claim(ctx, "w1", 0, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.runners["jA"]; ok {
+		t.Error("the runner survived once its last lease was released and the job was unlisted")
+	}
+}
+
+// TestClientClaimsRaceEvaluators: claim responses that drop runners
+// while evaluators look them up and build them from other goroutines —
+// the worker runtime's shape — leave every evaluator a runner; run it
+// under -race.
+func TestClientClaimsRaceEvaluators(t *testing.T) {
+	const rounds = 8
+	var script []ClaimResponse
+	for e := 1; e <= rounds; e++ {
+		job := fmt.Sprintf("j%04d", e)
+		script = append(script, ClaimResponse{State: "busy", Leases: []Lease{{Job: job, Epoch: e}}, Jobs: []string{job}})
+	}
+	c, _ := scriptedDaemon(t, script...)
+	ctx := context.Background()
+	jobsCh := make(chan string)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for job := range jobsCh {
+				if ev, err := c.Evaluator(ctx, job); err != nil || ev == nil {
+					t.Errorf("evaluator for %s: %v err=%v", job, ev, err)
+				}
+			}
+		}()
+	}
+	for range script {
+		resp, err := c.Claim(ctx, "w1", 0, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobsCh <- resp.Leases[0].Job
+		jobsCh <- resp.Leases[0].Job
+	}
+	close(jobsCh)
+	wg.Wait()
+}

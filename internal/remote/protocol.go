@@ -18,7 +18,8 @@
 //	           (same epochs) before topping up, so claim responses lost
 //	           on the wire can never strand or double-assign a unit,
 //	           and parks when there is neither (a claim without a list
-//	           gets every held lease re-delivered)
+//	           gets every held lease re-delivered); every answer lists
+//	           the daemon's running jobs
 //	heartbeat  refresh the lease clock, carrying the worker's current
 //	           in-flight evaluation count; returns the worker state so
 //	           a quarantined worker learns to drain
@@ -28,10 +29,15 @@
 //
 // plus GET /api/v1/fleet/jobs/{id}/spec, from which the worker builds
 // the job's evaluation stack (search.UnitRunner) in its own address
-// space. Every failure-domain decision lives on the daemon: lease
-// expiry uses only the daemon's clock, and duplicate or stale
-// deliveries die against the per-unit owner+epoch idempotency tokens —
-// batching changes how many units ride one RPC, never the tokens.
+// space. The HTTP client keeps a job's stack while the job runs or
+// while it holds one of the job's leases, and frees it at the first
+// claim response that no longer lists the job; the runnerCap LRU bound
+// applies only against older daemons, which send no job list, and when
+// more jobs run at once than the cap. Every failure-domain decision
+// lives on the daemon: lease expiry uses only the daemon's clock, and
+// duplicate or stale deliveries die against the per-unit owner+epoch
+// idempotency tokens — batching changes how many units ride one RPC,
+// never the tokens.
 package remote
 
 import (
@@ -127,10 +133,16 @@ func (wu WireUnit) Unit() (search.EvalUnit, error) {
 // ClaimResponse: the worker's state plus the leases the request's
 // Held list lacks — re-deliveries first, then units newly assigned by
 // this claim. Empty Leases with state "idle" means the long-poll window
-// elapsed with no work; "quarantined" tells the worker to drain.
+// elapsed with no work; "quarantined" tells the worker to drain. Jobs
+// lists the daemon's running jobs as of the grant; the worker frees the
+// evaluation stack of every other job it holds no lease of. The daemon
+// always sends the list, [] when no job runs, so a nil Jobs means an
+// older daemon that sends none and leaves the worker to its runnerCap
+// bound alone.
 type ClaimResponse struct {
-	State  string  `json:"state"`
-	Leases []Lease `json:"leases,omitempty"`
+	State  string   `json:"state"`
+	Leases []Lease  `json:"leases,omitempty"`
+	Jobs   []string `json:"jobs"`
 }
 
 // HeartbeatRequest refreshes the worker's lease clock and reports how
